@@ -1,0 +1,92 @@
+package cluster
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/ais-snu/localut/internal/dnn"
+	"github.com/ais-snu/localut/internal/kernels"
+	"github.com/ais-snu/localut/internal/quant"
+	"github.com/ais-snu/localut/internal/serve"
+)
+
+// steadyConfig is an eight-appliance BERT fleet at about 0.8 utilisation:
+// 200 requests per simulated second, no chaos, auditor on.
+func steadyConfig(seconds float64) Config {
+	return Config{
+		Base: serve.Config{
+			Model:   dnn.BERTBase(),
+			Fmt:     quant.W1A3,
+			Variant: kernels.LoCaLUT,
+		},
+		Instances:       8,
+		Router:          LeastOutstanding,
+		RatePerSec:      200,
+		DurationSeconds: seconds,
+		Seed:            1,
+		Audit:           true,
+	}
+}
+
+// mallocsOf runs the fleet and returns the heap objects it allocated and
+// the requests it admitted.
+func mallocsOf(t *testing.T, cfg Config) (mallocs uint64, admitted int) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, rep.Admitted
+}
+
+// TestFleetAllocBudget is the allocation budget of the fleet's request
+// path: a steady run twice as long may allocate at most 0.25 objects per
+// extra request. Taking the difference of two runs cancels what a run
+// allocates once — instances, oracle memos, the report — and leaves the
+// per-request cost: request slab chunks and the occasional slice growth.
+// Before events, batches and completions were recycled this read 6.0.
+func TestFleetAllocBudget(t *testing.T) {
+	mallocsOf(t, steadyConfig(5)) // first-use work outside the two measured runs
+	m1, n1 := mallocsOf(t, steadyConfig(100))
+	m2, n2 := mallocsOf(t, steadyConfig(200))
+	if n2-n1 < 15000 {
+		t.Fatalf("runs admitted %d and %d requests: too close to measure a 20k-request margin", n1, n2)
+	}
+	perReq := (float64(m2) - float64(m1)) / float64(n2-n1)
+	t.Logf("%d and %d requests, %d and %d mallocs: %.4f allocs per extra request", n1, n2, m1, m2, perReq)
+	if perReq > 0.25 {
+		t.Errorf("steady fleet allocates %.3f objects per request, budget 0.25", perReq)
+	}
+}
+
+// TestAutoscalerWindowOnlyWhenEnabled pins the window leak fix: with the
+// autoscaler off nothing truncates the response-start window, so nothing
+// may be appended to it — on the prefill-only path (onFinish) and on the
+// decode path (onFirstToken) alike.
+func TestAutoscalerWindowOnlyWhenEnabled(t *testing.T) {
+	decode := steadyConfig(400)
+	decode.Base.Model = dnn.OPT125M()
+	decode.Base.OutTokens = 4
+	decode.RatePerSec = 25
+	for name, cfg := range map[string]Config{"prefill": steadyConfig(50), "decode": decode} {
+		cs, err := newSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := cs.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed < 9000 {
+			t.Fatalf("%s: only %d requests completed, want a ~10k-request run", name, rep.Completed)
+		}
+		if len(cs.window) != 0 || cap(cs.window) != 0 {
+			t.Errorf("%s: autoscaler off, yet the window holds %d samples (cap %d) after %d requests",
+				name, len(cs.window), cap(cs.window), rep.Completed)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"github.com/ais-snu/localut/internal/serve"
 	"github.com/ais-snu/localut/internal/trace"
 )
 
@@ -113,30 +114,21 @@ func (cs *csim) launch(now float64) {
 		panic(err)
 	}
 	cs.members = append(cs.members, m)
-	active, _, _ := cs.fleetCounts()
-	cs.scaleEvent(now, "up-start", id, active)
-	cs.pushEvent(&event{at: now + cs.cfg.Autoscaler.WarmupSeconds, inst: id, kind: evInstanceUp})
+	cs.scaleEvent(now, "up-start", id, len(cs.active))
+	cs.events.Push(serve.Event{At: now + cs.cfg.Autoscaler.WarmupSeconds, Inst: id, Kind: evInstanceUp})
 }
 
 // drainOne stops routing to the highest-ID active instance; it retires
 // once its outstanding work completes.
 func (cs *csim) drainOne(now float64) {
-	var victim *member
-	for _, m := range cs.members {
-		if m.state == stateActive {
-			victim = m // members are in ID order: the last active wins
-		}
-	}
-	if victim == nil {
-		return
-	}
-	victim.state = stateDraining
-	victim.drainAt = now
+	// scaleTick drains only above MinInstances >= 1, so active is non-empty;
+	// it is in ID order, so the last entry is the highest active ID.
+	victim := cs.active[len(cs.active)-1]
+	cs.setState(victim, stateDraining)
 	// Draining members don't crash (simplification): their pending fault
-	// events die with the epoch bump.
-	victim.bumpEpoch()
-	active, _, _ := cs.fleetCounts()
-	cs.scaleEvent(now, "drain-start", victim.inst.ID, active)
+	// events died with the transition's epoch bump.
+	victim.drainAt = now
+	cs.scaleEvent(now, "drain-start", victim.inst.ID, len(cs.active))
 	cs.maybeRetire(victim, now)
 }
 
@@ -147,5 +139,5 @@ func (cs *csim) maybeRetire(m *member, now float64) {
 		return
 	}
 	m.retireScheduled = true
-	cs.pushEvent(&event{at: now + cs.cfg.Autoscaler.DrainSeconds, inst: m.inst.ID, kind: evInstanceDown})
+	cs.events.Push(serve.Event{At: now + cs.cfg.Autoscaler.DrainSeconds, Inst: m.inst.ID, Kind: evInstanceDown})
 }

@@ -106,11 +106,28 @@ func TestChaosSeedSweep(t *testing.T) {
 
 // TestChaosDeterministic pins byte-identical chaos reports: the full mix
 // re-run under the same seed must marshal to the same JSON. The CI job
-// additionally diffs across engine parallelism levels.
+// additionally diffs across engine parallelism levels. The saturated
+// variant is the recycle-safety check: it crashes, hedges, cancels and
+// sheds with the auditor on, and a differently shaped run sits between its
+// two executions — events, batch buffers, completion buffers and request
+// slabs all belong to one run, so nothing of that run may show in the rerun.
 func TestChaosDeterministic(t *testing.T) {
 	base := clusterJSON(t, chaosConfig(3))
 	if again := clusterJSON(t, chaosConfig(3)); string(again) != string(base) {
 		t.Fatal("same chaos seed diverged run to run")
+	}
+
+	saturated := chaosConfig(1)
+	saturated.RatePerSec = 200
+	saturated.DurationSeconds = 60
+	first := clusterJSON(t, saturated)
+	other := chaosConfig(4)
+	other.Instances = 5
+	other.Base.Replicas = 3
+	other.DurationSeconds = 45
+	clusterJSON(t, other)
+	if again := clusterJSON(t, saturated); string(again) != string(first) {
+		t.Fatal("saturated chaos report changed when rerun after a differently sized run")
 	}
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -254,12 +253,9 @@ const (
 	stateCrashed
 )
 
-// bumpEpoch invalidates the member's scheduled fault events; call on
-// every lifecycle transition.
-func (m *member) bumpEpoch() { m.lifeEpoch++ }
-
-// Fleet-level event kinds; serve.CompletionPrefill (1) and
-// serve.CompletionStep (2) share the namespace.
+// Fleet-level event kinds (instance -1 on the shared serve.EventQueue);
+// serve.CompletionPrefill (1) and serve.CompletionStep (2) share the
+// namespace.
 const (
 	evArrival        = 0
 	evScaleTick      = 3
@@ -275,58 +271,6 @@ const (
 	evStragglerEnd   = 13
 	evHedge          = 14
 )
-
-// event is one heap entry. The heap merges every instance's completions
-// with the fleet-level traffic and lifecycle events; ordering is
-// (time, instanceID, seq) with instance -1 for fleet-level events, so
-// same-timestamp events process fleet-first then in instance-ID order,
-// and seq — the global insertion counter — breaks the remaining ties in
-// creation order. The order is a pure function of config and seed.
-type event struct {
-	at   float64
-	inst int // -1 for fleet-level events
-	seq  int64
-	kind int
-
-	class   int // evArrival
-	replica int // completions
-	batch   []*serve.Request
-
-	// epoch stamps completions (replica fault epoch at launch) and fault,
-	// repair and straggler events (member life epoch at scheduling); a
-	// mismatch at pop time means the state the event refers to was lost
-	// and the event is dropped. degrade marks a fault draw as
-	// degraded-mode; req/lost carry an evRetry's displaced request (req
-	// also carries an evHedge's candidate); domain tags domain events.
-	epoch   int
-	degrade bool
-	req     *serve.Request
-	lost    bool
-	domain  int
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].inst != h[j].inst {
-		return h[i].inst < h[j].inst
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
 
 // classState is one class's samplers, admission bucket and aggregation.
 type classState struct {
@@ -352,8 +296,11 @@ type csim struct {
 	oracles map[kernels.Variant]*serve.Oracle
 	rt      router
 
-	events eventHeap
-	seq    int64
+	// active lists the routable members in ID order; setState rebuilds it
+	// at every lifecycle transition, so routing never rescans the fleet.
+	active []*member
+	events serve.EventQueue
+	slab   serve.RequestSlab
 
 	arrivals *workload.MultiArrival
 	classes  []classState
@@ -362,7 +309,8 @@ type csim struct {
 	// Cluster-wide latency populations, streamed into bounded-memory
 	// histograms in event order. The autoscaler window stays a raw vector:
 	// it resets every tick, so it is small by construction and its p99
-	// must be exact for scaling decisions.
+	// must be exact for scaling decisions; it is fed only while the
+	// autoscaler is enabled.
 	qLat, sLat, tLat *trace.LogHistogram
 	ttft, tpot       *trace.LogHistogram
 	window           []float64 // autoscaler samples since the last tick
@@ -374,8 +322,6 @@ type csim struct {
 	// events in event-loop order.
 	timeline []TimelineEvent
 	peak     int // peak routable-instance count
-
-	scratch []*member // routable-member scratch, reused per event
 
 	// Reliability accounting (fault injection, deadlines, KV budgets).
 	rematFull, rematReplica float64 // LUT re-materialization seconds
@@ -402,10 +348,21 @@ type csim struct {
 	hedgeWaste       float64
 }
 
-func (cs *csim) pushEvent(e *event) {
-	e.seq = cs.seq
-	cs.seq++
-	heap.Push(&cs.events, e)
+// setState is the one lifecycle transition: it moves m to state st, bumps
+// its life epoch so fault events scheduled against the old state die,
+// rebuilds the routable list and tracks its peak.
+func (cs *csim) setState(m *member, st memberState) {
+	m.state = st
+	m.lifeEpoch++
+	cs.active = cs.active[:0]
+	for _, o := range cs.members {
+		if o.state == stateActive {
+			cs.active = append(cs.active, o)
+		}
+	}
+	if len(cs.active) > cs.peak {
+		cs.peak = len(cs.active)
+	}
 }
 
 // designFor cycles the heterogeneous-design list over instance IDs.
@@ -461,7 +418,9 @@ func (cs *csim) onFirstToken(r *serve.Request, now float64) {
 	t := now - r.Arrive
 	cs.ttft.Add(t)
 	cs.classes[r.Class].ttft.Add(t)
-	cs.window = append(cs.window, t)
+	if cs.cfg.Autoscaler.Enabled {
+		cs.window = append(cs.window, t)
+	}
 }
 
 // onFinish aggregates a completed request's latencies; prefill-only
@@ -491,7 +450,7 @@ func (cs *csim) onFinish(r *serve.Request, now float64) {
 		cs.tpot.Add(tp)
 		c.tpot.Add(tp)
 	}
-	if r.OutLen == 0 {
+	if r.OutLen == 0 && cs.cfg.Autoscaler.Enabled {
 		cs.window = append(cs.window, lat)
 	}
 	if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
@@ -526,18 +485,6 @@ func (cs *csim) outstandingTotal() int {
 	return total
 }
 
-// routable lists the active members in ID order. scratch is reused across
-// arrivals; at fleet scale this is the per-request hot path.
-func (cs *csim) routable(scratch []*member) []*member {
-	scratch = scratch[:0]
-	for _, m := range cs.members {
-		if m.state == stateActive {
-			scratch = append(scratch, m)
-		}
-	}
-	return scratch
-}
-
 // newRequest samples one request of the given class arriving at t.
 func (cs *csim) newRequest(t float64, class int) *serve.Request {
 	c := &cs.classes[class]
@@ -546,38 +493,21 @@ func (cs *csim) newRequest(t float64, class int) *serve.Request {
 	if c.outLens != nil {
 		out = c.outLens.Next()
 	}
-	r := &serve.Request{
+	r := cs.slab.New(serve.Request{
 		ID:     cs.nextID,
 		Client: -1,
 		Class:  class,
 		Tokens: tok,
-		Padded: roundUp(tok, cs.base.TokenQuantum),
+		Padded: serve.RoundUp(tok, cs.base.TokenQuantum),
 		OutLen: out,
 		Member: -1,
 		Arrive: t,
-	}
+	})
 	if c.deadline > 0 {
 		r.Deadline = t + c.deadline
 	}
 	cs.nextID++
 	return r
-}
-
-func roundUp(v, quantum int) int {
-	return (v + quantum - 1) / quantum * quantum
-}
-
-// dispatch starts idle replicas on member m and schedules the completions.
-func (cs *csim) dispatch(m *member, now float64) error {
-	comps, err := m.inst.Dispatch(now)
-	if err != nil {
-		return err
-	}
-	for i := range comps {
-		c := &comps[i]
-		cs.pushEvent(&event{at: c.At, inst: m.inst.ID, kind: c.Kind, replica: c.Replica, epoch: c.Epoch, batch: c.Batch})
-	}
-	return nil
 }
 
 // normalizeClass resolves a class's inherited fields against the base
@@ -646,6 +576,16 @@ func normalizeClass(c ClassConfig, base *serve.Config, idx int) (ClassConfig, er
 // autoscaler enabled — ticks continue while work remains so the fleet
 // drains back toward its minimum.
 func Run(cfg Config) (*Report, error) {
+	cs, err := newSim(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return cs.run()
+}
+
+// newSim validates cfg and builds the run's initial state: classes and
+// samplers, the initial fleet, and the first arrival, fault and tick events.
+func newSim(cfg Config) (*csim, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -735,8 +675,8 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		cs.members = append(cs.members, m)
+		cs.setState(m, stateActive)
 	}
-	cs.peak = cfg.Instances
 	for _, m := range cs.members {
 		cs.scheduleFault(m, 0)
 		cs.scheduleStraggler(m, 0)
@@ -745,26 +685,30 @@ func Run(cfg Config) (*Report, error) {
 
 	// Seed the merged arrival stream and the autoscaler clock.
 	if t, class := cs.arrivals.Next(); t <= cfg.DurationSeconds {
-		cs.pushEvent(&event{at: t, inst: -1, kind: evArrival, class: class})
+		cs.events.Push(serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
 	}
 	if cfg.Autoscaler.Enabled {
-		cs.pushEvent(&event{at: cfg.Autoscaler.IntervalSeconds, inst: -1, kind: evScaleTick})
+		cs.events.Push(serve.Event{At: cfg.Autoscaler.IntervalSeconds, Inst: -1, Kind: evScaleTick})
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Bind(cs.metricsCols(), cs.sampleMetrics)
 	}
+	return cs, nil
+}
 
-	// The shared-clock event loop.
+// run is the shared-clock event loop, then the report and the audit.
+func (cs *csim) run() (*Report, error) {
+	cfg := &cs.cfg
 	for cs.events.Len() > 0 {
-		ev := heap.Pop(&cs.events).(*event)
-		now := ev.at
+		ev := cs.events.Pop()
+		now := ev.At
 		// Metrics sample before the event applies: the pre-event state is
 		// exactly the fleet's state at every boundary since the last event.
 		cfg.Metrics.Advance(now)
-		switch ev.kind {
+		switch ev.Kind {
 		case evArrival:
 			cs.offered++
-			c := &cs.classes[ev.class]
+			c := &cs.classes[ev.Class]
 			c.offered++
 			if c.bucket != nil && !c.bucket.admit(now) {
 				cs.rejected++
@@ -773,7 +717,7 @@ func Run(cfg Config) (*Report, error) {
 					rec.Instant(0, 0, "reject", now, obs.Str("class", c.cfg.Name))
 				}
 			} else {
-				r := cs.newRequest(now, ev.class)
+				r := cs.newRequest(now, ev.Class)
 				cs.admitted++
 				c.admitted++
 				if rec := cfg.Recorder; rec.Sampled(r.ID) {
@@ -785,50 +729,50 @@ func Run(cfg Config) (*Report, error) {
 					return nil, err
 				}
 				if d := c.hedgeDelay; d > 0 {
-					cs.pushEvent(&event{at: now + d, inst: -1, kind: evHedge, req: r})
+					cs.events.Push(serve.Event{At: now + d, Inst: -1, Kind: evHedge, Req: r})
 				}
 			}
 			if t, class := cs.arrivals.Next(); t <= cfg.DurationSeconds {
-				cs.pushEvent(&event{at: t, inst: -1, kind: evArrival, class: class})
+				cs.events.Push(serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
 			}
 		case evRetry:
-			if err := cs.route(ev.req, now, ev.lost); err != nil {
+			if err := cs.route(ev.Req, now, ev.Lost); err != nil {
 				return nil, err
 			}
 		case serve.CompletionPrefill, serve.CompletionStep:
-			m := cs.members[ev.inst]
-			if ev.epoch != m.inst.ReplicaEpoch(ev.replica) {
+			m := cs.members[ev.Inst]
+			if ev.Epoch != m.inst.ReplicaEpoch(ev.Replica) {
 				break // the pass was vaporized by a crash or replica loss
 			}
-			if ev.kind == serve.CompletionPrefill {
-				m.inst.PrefillDone(ev.replica, ev.batch, now)
+			if ev.Kind == serve.CompletionPrefill {
+				m.inst.PrefillDone(ev.Replica, ev.Batch, now)
 			} else {
-				m.inst.StepDone(ev.replica, now)
+				m.inst.StepDone(ev.Replica, now)
 			}
-			if err := cs.dispatch(m, now); err != nil {
+			if err := cs.events.Dispatch(m.inst, now); err != nil {
 				return nil, err
 			}
 			cs.maybeRetire(m, now)
 		case evInstanceFault:
-			cs.onFault(ev, now)
+			cs.onFault(&ev, now)
 		case evInstanceRepair:
-			if err := cs.onRepair(ev, now); err != nil {
+			if err := cs.onRepair(&ev, now); err != nil {
 				return nil, err
 			}
 		case evReplicaRepair:
-			if err := cs.onReplicaRepair(ev, now); err != nil {
+			if err := cs.onReplicaRepair(&ev, now); err != nil {
 				return nil, err
 			}
 		case evDomainOutage:
-			cs.onDomainOutage(ev, now)
+			cs.onDomainOutage(&ev, now)
 		case evDomainRepair:
-			cs.onDomainRepair(ev, now)
+			cs.onDomainRepair(&ev, now)
 		case evStragglerStart:
-			cs.onStragglerStart(ev, now)
+			cs.onStragglerStart(&ev, now)
 		case evStragglerEnd:
-			cs.onStragglerEnd(ev, now)
+			cs.onStragglerEnd(&ev, now)
 		case evHedge:
-			if err := cs.onHedgeTimer(ev, now); err != nil {
+			if err := cs.onHedgeTimer(&ev, now); err != nil {
 				return nil, err
 			}
 		case evScaleTick:
@@ -838,27 +782,20 @@ func Run(cfg Config) (*Report, error) {
 			active, warming, draining := cs.fleetCounts()
 			if next := now + cfg.Autoscaler.IntervalSeconds; next <= cfg.DurationSeconds ||
 				cs.outstandingTotal() > 0 || active+warming+draining > cfg.Autoscaler.MinInstances {
-				cs.pushEvent(&event{at: next, inst: -1, kind: evScaleTick})
+				cs.events.Push(serve.Event{At: next, Inst: -1, Kind: evScaleTick})
 			}
 		case evInstanceUp:
-			m := cs.members[ev.inst]
-			m.state = stateActive
+			m := cs.members[ev.Inst]
+			cs.setState(m, stateActive)
 			m.activeAt = now
-			m.bumpEpoch()
 			cs.scheduleFault(m, now)
 			cs.scheduleStraggler(m, now)
-			active, _, _ := cs.fleetCounts()
-			if active > cs.peak {
-				cs.peak = active
-			}
-			cs.scaleEvent(now, "up-active", ev.inst, active)
+			cs.scaleEvent(now, "up-active", ev.Inst, len(cs.active))
 		case evInstanceDown:
-			m := cs.members[ev.inst]
-			m.state = stateDown
+			m := cs.members[ev.Inst]
+			cs.setState(m, stateDown)
 			m.downAt = now
-			m.bumpEpoch()
-			active, _, _ := cs.fleetCounts()
-			cs.scaleEvent(now, "down", ev.inst, active)
+			cs.scaleEvent(now, "down", ev.Inst, len(cs.active))
 		}
 	}
 	cfg.Metrics.Finish(cs.makespan)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/ais-snu/localut/internal/obs"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 // DomainConfig is the correlated-failure plan: instances are grouped into
@@ -92,7 +93,7 @@ func (cs *csim) scheduleDomainOutage(d int, now float64) {
 	if at > cs.cfg.DurationSeconds {
 		return
 	}
-	cs.pushEvent(&event{at: at, inst: -1, kind: evDomainOutage, domain: d})
+	cs.events.Push(serve.Event{At: at, Inst: -1, Kind: evDomainOutage, Domain: d})
 }
 
 // onDomainOutage fail-stops every active member of the domain under one
@@ -100,19 +101,18 @@ func (cs *csim) scheduleDomainOutage(d int, now float64) {
 // a previous outage still repairing) have their repair extended to the new
 // window when it ends later — the overlap merges into a single
 // crash-to-repair span so outage time is never double-counted.
-func (cs *csim) onDomainOutage(ev *event, now float64) {
-	d := ev.domain
+func (cs *csim) onDomainOutage(ev *serve.Event, now float64) {
+	d := ev.Domain
 	ds := &cs.domains[d]
 	ds.outages++
 	cs.domainOutages++
 	repairAt := now + ds.rng.ExpFloat64()*cs.cfg.Domains.MTTRSeconds + cs.rematFull
-	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
 		T: now, Kind: KindDomain, Action: "outage", Instance: -1, Replica: -1,
-		Active: active, Domain: d,
+		Active: len(cs.active), Domain: d,
 	})
 	cs.cfg.Recorder.Instant(0, 0, "domain-outage", now,
-		obs.Num("domain", float64(d)), obs.Num("active", float64(active)))
+		obs.Num("domain", float64(d)), obs.Num("active", float64(len(cs.active))))
 	for _, m := range cs.members {
 		if m.domain != d {
 			continue
@@ -128,12 +128,12 @@ func (cs *csim) onDomainOutage(ev *event, now float64) {
 				m.lifeEpoch++
 				m.repairAt = repairAt
 				cs.domainOverlaps++
-				cs.pushEvent(&event{at: repairAt, inst: m.inst.ID,
-					kind: evInstanceRepair, epoch: m.lifeEpoch})
+				cs.events.Push(serve.Event{At: repairAt, Inst: m.inst.ID,
+					Kind: evInstanceRepair, Epoch: m.lifeEpoch})
 			}
 		}
 	}
-	cs.pushEvent(&event{at: repairAt, inst: -1, kind: evDomainRepair, domain: d})
+	cs.events.Push(serve.Event{At: repairAt, Inst: -1, Kind: evDomainRepair, Domain: d})
 	cs.scheduleDomainOutage(d, now)
 }
 
@@ -141,17 +141,16 @@ func (cs *csim) onDomainOutage(ev *event, now float64) {
 // timeline. Members return to service through their own epoch-stamped
 // repair events; if a later outage extended the window, this marker is
 // stale and is skipped.
-func (cs *csim) onDomainRepair(ev *event, now float64) {
+func (cs *csim) onDomainRepair(ev *serve.Event, now float64) {
 	for _, m := range cs.members {
-		if m.domain == ev.domain && m.state == stateCrashed && m.repairAt > now {
+		if m.domain == ev.Domain && m.state == stateCrashed && m.repairAt > now {
 			return // extended by a later outage; its own marker follows
 		}
 	}
-	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
 		T: now, Kind: KindDomain, Action: "repair", Instance: -1, Replica: -1,
-		Active: active, Domain: ev.domain,
+		Active: len(cs.active), Domain: ev.Domain,
 	})
 	cs.cfg.Recorder.Instant(0, 0, "domain-repair", now,
-		obs.Num("domain", float64(ev.domain)), obs.Num("active", float64(active)))
+		obs.Num("domain", float64(ev.Domain)), obs.Num("active", float64(len(cs.active))))
 }

@@ -194,9 +194,8 @@ func (cs *csim) onInstanceShed(inst int, r *serve.Request, now float64, reason s
 		cs.shedRequest(r, now, shedExpired)
 		return
 	}
-	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindKV, Action: "kv-shed", Instance: inst, Replica: -1, Active: active,
+		T: now, Kind: KindKV, Action: "kv-shed", Instance: inst, Replica: -1, Active: len(cs.active),
 	})
 	cs.shedRequest(r, now, shedKVBudget)
 }
@@ -215,25 +214,24 @@ func (cs *csim) scheduleFault(m *member, now float64) {
 	if at > cs.cfg.DurationSeconds {
 		return
 	}
-	cs.pushEvent(&event{at: at, inst: m.inst.ID, kind: evInstanceFault, epoch: m.lifeEpoch, degrade: degrade})
+	cs.events.Push(serve.Event{At: at, Inst: m.inst.ID, Kind: evInstanceFault, Epoch: m.lifeEpoch, Degrade: degrade})
 }
 
 // onFault lands a scheduled fault: a degraded-mode replica loss when the
 // draw said so and a spare replica exists, else a full crash. Lost work
 // requeues; recovery is scheduled with the LUT re-materialization surcharge.
-func (cs *csim) onFault(ev *event, now float64) {
-	m := cs.members[ev.inst]
-	if ev.epoch != m.lifeEpoch || m.state != stateActive {
+func (cs *csim) onFault(ev *serve.Event, now float64) {
+	m := cs.members[ev.Inst]
+	if ev.Epoch != m.lifeEpoch || m.state != stateActive {
 		return // the member left service before the fault landed
 	}
 	f := &cs.cfg.Faults
-	if ev.degrade && m.inst.UpReplicas() > 1 {
+	if ev.Degrade && m.inst.UpReplicas() > 1 {
 		lost, rep := m.inst.FailReplica(now)
 		cs.degradedEvents++
-		active, _, _ := cs.fleetCounts()
-		cs.faultEvent(now, "degrade", ev.inst, rep, active, 0)
-		cs.pushEvent(&event{at: now + m.faultRNG.ExpFloat64()*f.MTTRSeconds + cs.rematReplica,
-			inst: ev.inst, kind: evReplicaRepair})
+		cs.faultEvent(now, "degrade", ev.Inst, rep, len(cs.active), 0)
+		cs.events.Push(serve.Event{At: now + m.faultRNG.ExpFloat64()*f.MTTRSeconds + cs.rematReplica,
+			Inst: ev.Inst, Kind: evReplicaRepair})
 		for _, r := range lost {
 			cs.requeue(r, now, true)
 		}
@@ -249,15 +247,13 @@ func (cs *csim) onFault(ev *event, now float64) {
 // outages.
 func (cs *csim) crashMember(m *member, now, repairAt float64) {
 	queued, started := m.inst.Crash(now)
-	m.state = stateCrashed
-	m.lifeEpoch++
+	cs.setState(m, stateCrashed)
 	m.crashAt = now
 	m.repairAt = repairAt
 	m.straggling = false // the replacement hardware starts healthy
 	cs.crashes++
-	active, _, _ := cs.fleetCounts()
-	cs.faultEvent(now, "crash", m.inst.ID, -1, active, 0)
-	cs.pushEvent(&event{at: repairAt, inst: m.inst.ID, kind: evInstanceRepair, epoch: m.lifeEpoch})
+	cs.faultEvent(now, "crash", m.inst.ID, -1, len(cs.active), 0)
+	cs.events.Push(serve.Event{At: repairAt, Inst: m.inst.ID, Kind: evInstanceRepair, Epoch: m.lifeEpoch})
 	for _, r := range queued {
 		cs.requeue(r, now, false)
 	}
@@ -272,32 +268,27 @@ func (cs *csim) crashMember(m *member, now, repairAt float64) {
 // drops repairs a later domain outage superseded — the member stays down
 // until the extended window's own repair lands, and the merged outage is
 // counted once.
-func (cs *csim) onRepair(ev *event, now float64) error {
-	m := cs.members[ev.inst]
-	if ev.epoch != m.lifeEpoch || m.state != stateCrashed {
+func (cs *csim) onRepair(ev *serve.Event, now float64) error {
+	m := cs.members[ev.Inst]
+	if ev.Epoch != m.lifeEpoch || m.state != stateCrashed {
 		return nil
 	}
-	m.state = stateActive
-	m.lifeEpoch++
+	cs.setState(m, stateActive)
 	rec := now - m.crashAt
 	m.unavail += rec
 	cs.unavailableSeconds += rec
 	cs.recoverTimes = append(cs.recoverTimes, rec)
-	active, _, _ := cs.fleetCounts()
-	if active > cs.peak {
-		cs.peak = active
-	}
-	cs.faultEvent(now, "repair", ev.inst, -1, active, rec)
+	cs.faultEvent(now, "repair", ev.Inst, -1, len(cs.active), rec)
 	cs.scheduleFault(m, now)
 	cs.scheduleStraggler(m, now)
-	return cs.dispatch(m, now)
+	return cs.events.Dispatch(m.inst, now)
 }
 
 // onReplicaRepair restores a degraded member's lowest failed replica. A
 // full crash in the meantime replaced the hardware wholesale, so the
 // repair may find nothing to do.
-func (cs *csim) onReplicaRepair(ev *event, now float64) error {
-	m := cs.members[ev.inst]
+func (cs *csim) onReplicaRepair(ev *serve.Event, now float64) error {
+	m := cs.members[ev.Inst]
 	if m.state == stateCrashed || m.state == stateDown {
 		return nil
 	}
@@ -305,9 +296,8 @@ func (cs *csim) onReplicaRepair(ev *event, now float64) error {
 	if rep < 0 {
 		return nil
 	}
-	active, _, _ := cs.fleetCounts()
-	cs.faultEvent(now, "replica-repair", ev.inst, rep, active, 0)
-	return cs.dispatch(m, now)
+	cs.faultEvent(now, "replica-repair", ev.Inst, rep, len(cs.active), 0)
+	return cs.events.Dispatch(m.inst, now)
 }
 
 // requeue re-disposes a request displaced by a fault. Queued work on a
@@ -334,7 +324,7 @@ func (cs *csim) requeue(r *serve.Request, now float64, lost bool) {
 		}
 	}
 	r.Member = -1
-	cs.pushEvent(&event{at: at, inst: -1, kind: evRetry, req: r, lost: lost})
+	cs.events.Push(serve.Event{At: at, Inst: -1, Kind: evRetry, Req: r, Lost: lost})
 }
 
 // route admits r to the fleet: router pick first, then — under bounded
@@ -346,9 +336,7 @@ func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
 	if r.Dropped {
 		return nil // a parked copy whose hedge twin already won
 	}
-	avail := cs.routable(cs.scratch)
-	cs.scratch = avail
-	if len(avail) == 0 {
+	if len(cs.active) == 0 {
 		if !cs.cfg.faultsPossible() {
 			// MinInstances >= 1 and drain-only-below-SLO make this
 			// unreachable; guard against a silently dropped request.
@@ -360,13 +348,13 @@ func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
 		}
 		// The whole fleet is down; poll again after a backoff (repairs are
 		// always scheduled, so this terminates).
-		cs.pushEvent(&event{at: now + cs.cfg.Retry.backoff(r.Attempts), inst: -1, kind: evRetry, req: r, lost: lost})
+		cs.events.Push(serve.Event{At: now + cs.cfg.Retry.backoff(r.Attempts), Inst: -1, Kind: evRetry, Req: r, Lost: lost})
 		return nil
 	}
-	m := cs.rt.pick(avail, r)
+	m := cs.rt.pick(cs.active, r)
 	if !m.inst.Admit(r) {
 		m = nil
-		for _, cand := range avail {
+		for _, cand := range cs.active {
 			if cand.inst.Admit(r) {
 				m = cand
 				break
@@ -385,5 +373,5 @@ func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
 		cs.reprefillTokens += int64(r.Tokens)
 		r.Generated = 0
 	}
-	return cs.dispatch(m, now)
+	return cs.events.Dispatch(m.inst, now)
 }

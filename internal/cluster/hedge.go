@@ -38,19 +38,17 @@ func (h HedgeConfig) withDefaults() (HedgeConfig, error) {
 // request is still waiting for its first token, a duplicate is issued to
 // a second member. Requests already served, shed, displaced into a
 // parked retry, or hedged (a twin exists) are left alone.
-func (cs *csim) onHedgeTimer(ev *event, now float64) error {
-	r := ev.req
+func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
+	r := ev.Req
 	if r.Finish > 0 || r.FirstTok > 0 || r.Dropped || r.Twin != nil || r.Member < 0 {
 		return nil
 	}
-	avail := cs.routable(cs.scratch)
-	cs.scratch = avail
 	// Fewest-outstanding pick among the other members, ties to the lowest
 	// ID. The primary router is not consulted: a stateful router
 	// (round-robin) must not see hedge traffic, or enabling hedging would
 	// perturb primary routing.
 	var best *member
-	for _, m := range avail {
+	for _, m := range cs.active {
 		if m.inst.ID == r.Member {
 			continue
 		}
@@ -62,7 +60,7 @@ func (cs *csim) onHedgeTimer(ev *event, now float64) error {
 	if best == nil {
 		return nil // no second member to hedge onto
 	}
-	h := &serve.Request{
+	h := cs.slab.New(serve.Request{
 		ID:     r.ID,
 		Client: -1,
 		Class:  r.Class,
@@ -73,23 +71,22 @@ func (cs *csim) onHedgeTimer(ev *event, now float64) error {
 		Hedge:    true,
 		Member:   best.inst.ID,
 		Twin:     r,
-	}
+	})
 	if !best.inst.Admit(h) {
 		return nil // bounded queue full; the original keeps waiting
 	}
 	h.Attempts++
 	r.Twin = h
 	cs.hedges++
-	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
 		T: now, Kind: KindHedge, Action: "issue", Instance: best.inst.ID, Replica: -1,
-		Active: active,
+		Active: len(cs.active),
 	})
 	if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
 		rec.Instant(0, 0, "hedge", now,
 			obs.Num("id", float64(r.ID)), obs.Num("to", float64(best.inst.ID)))
 	}
-	return cs.dispatch(best, now)
+	return cs.events.Dispatch(best.inst, now)
 }
 
 // resolveHedge settles a hedged pair at the winner's first token (for
@@ -106,10 +103,9 @@ func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 	l.Dropped = true
 	if w.Hedge {
 		cs.hedgeWins++
-		active, _, _ := cs.fleetCounts()
 		cs.timeline = append(cs.timeline, TimelineEvent{
 			T: now, Kind: KindHedge, Action: "win", Instance: w.Member, Replica: -1,
-			Active: active,
+			Active: len(cs.active),
 		})
 	}
 	if l.Member >= 0 {

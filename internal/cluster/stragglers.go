@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/ais-snu/localut/internal/obs"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 // StragglerConfig is the gray-failure plan: each member draws exponential
@@ -60,15 +61,15 @@ func (cs *csim) scheduleStraggler(m *member, now float64) {
 	if at > cs.cfg.DurationSeconds {
 		return
 	}
-	cs.pushEvent(&event{at: at, inst: m.inst.ID, kind: evStragglerStart, epoch: m.lifeEpoch})
+	cs.events.Push(serve.Event{At: at, Inst: m.inst.ID, Kind: evStragglerStart, Epoch: m.lifeEpoch})
 }
 
 // onStragglerStart opens a slowdown window on the member: subsequent
 // passes cost Slowdown times their healthy pricing until the window
 // closes. The member stays routable throughout — that is the point.
-func (cs *csim) onStragglerStart(ev *event, now float64) {
-	m := cs.members[ev.inst]
-	if ev.epoch != m.lifeEpoch || m.state != stateActive || m.straggling {
+func (cs *csim) onStragglerStart(ev *serve.Event, now float64) {
+	m := cs.members[ev.Inst]
+	if ev.Epoch != m.lifeEpoch || m.state != stateActive || m.straggling {
 		return
 	}
 	f := &cs.cfg.Stragglers
@@ -76,32 +77,30 @@ func (cs *csim) onStragglerStart(ev *event, now float64) {
 	m.straggling = true
 	m.stragglerWindows++
 	cs.stragglerWindows++
-	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindStraggler, Action: "start", Instance: ev.inst, Replica: -1,
-		Active: active,
+		T: now, Kind: KindStraggler, Action: "start", Instance: ev.Inst, Replica: -1,
+		Active: len(cs.active),
 	})
-	cs.cfg.Recorder.Instant(ev.inst+1, 0, "straggler", now,
+	cs.cfg.Recorder.Instant(ev.Inst+1, 0, "straggler", now,
 		obs.Num("slowdown", f.Slowdown))
-	cs.pushEvent(&event{at: now + m.stragRNG.ExpFloat64()*f.MeanDurationSeconds,
-		inst: ev.inst, kind: evStragglerEnd, epoch: m.lifeEpoch})
+	cs.events.Push(serve.Event{At: now + m.stragRNG.ExpFloat64()*f.MeanDurationSeconds,
+		Inst: ev.Inst, Kind: evStragglerEnd, Epoch: m.lifeEpoch})
 }
 
 // onStragglerEnd closes the member's slowdown window and draws the next
 // onset. A crash in the meantime bumped the life epoch (repair replaced
 // the hardware, already healthy), so the stale close is dropped.
-func (cs *csim) onStragglerEnd(ev *event, now float64) {
-	m := cs.members[ev.inst]
-	if ev.epoch != m.lifeEpoch || !m.straggling {
+func (cs *csim) onStragglerEnd(ev *serve.Event, now float64) {
+	m := cs.members[ev.Inst]
+	if ev.Epoch != m.lifeEpoch || !m.straggling {
 		return
 	}
 	m.inst.SetSlowdown(1)
 	m.straggling = false
-	active, _, _ := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindStraggler, Action: "end", Instance: ev.inst, Replica: -1,
-		Active: active,
+		T: now, Kind: KindStraggler, Action: "end", Instance: ev.Inst, Replica: -1,
+		Active: len(cs.active),
 	})
-	cs.cfg.Recorder.Instant(ev.inst+1, 0, "straggler-end", now)
+	cs.cfg.Recorder.Instant(ev.Inst+1, 0, "straggler-end", now)
 	cs.scheduleStraggler(m, now)
 }

@@ -156,16 +156,58 @@ func TestMetricsJSON(t *testing.T) {
 	}
 }
 
+// nilHooks makes the hot-path hook calls in the shapes the simulators
+// use — a pass span with two numeric args, a request begin with a string
+// and two numbers — on a disabled recorder and metrics sampler.
+func nilHooks(r *Recorder, m *Metrics, i int) {
+	r.Span(1, 1, "prefill", 0, 1, Num("reqs", float64(i)), Num("tokens", 64))
+	r.Instant(1, 1, "kv-stall", 0, Num("waiting", float64(i)))
+	_ = r.Sampled(i)
+	r.BeginAsync(0, "req", i, "request", 0, Str("class", "default"), Num("tokens", 64), Num("out", 4))
+	r.EndAsync(0, "req", i, "request", 1)
+	m.Advance(float64(i))
+}
+
+// TestNilRecorderZeroAlloc pins the zero-cost-when-off contract where it
+// used to break: the recorder copies args instead of retaining them, so a
+// hook's variadic slice never reaches the heap when tracing is off.
+func TestNilRecorderZeroAlloc(t *testing.T) {
+	var r *Recorder
+	var m *Metrics
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		nilHooks(r, m, i)
+		i++
+	}); n != 0 {
+		t.Errorf("hooks on a nil recorder allocate %v times per call set, want 0", n)
+	}
+}
+
+// TestRecorderKeepsArgCopies checks the arena side of that contract: the
+// recorder's copy survives the caller reusing its args, across chunks.
+func TestRecorderKeepsArgCopies(t *testing.T) {
+	r := NewRecorder(1)
+	args := []Arg{Num("k", 0)}
+	for i := 0; i < 2*argChunk+3; i++ {
+		args[0].Val = float64(i)
+		r.Instant(0, 0, "x", 0, args...)
+	}
+	for i := 0; i < r.Len(); i++ {
+		e := r.events[i/eventChunk][i%eventChunk]
+		if len(e.args) != 1 || cap(e.args) != 1 || e.args[0].Val != float64(i) {
+			t.Fatalf("event %d holds args %+v (cap %d)", i, e.args, cap(e.args))
+		}
+	}
+}
+
 // BenchmarkNilRecorder pins the disabled-recorder overhead: each hook is
 // one nil check, so instrumented hot paths cost nothing when tracing is
 // off.
 func BenchmarkNilRecorder(b *testing.B) {
 	var r *Recorder
 	var m *Metrics
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Span(1, 1, "prefill", 0, 1)
-		r.Instant(1, 1, "kv-stall", 0)
-		_ = r.Sampled(i)
-		m.Advance(float64(i))
+		nilHooks(r, m, i)
 	}
 }

@@ -58,9 +58,47 @@ type Recorder struct {
 	// fleet events are always recorded; only per-request spans sample.
 	SampleN int
 
-	events  []event
+	// events is the recorded stream in emission order, in chunks of
+	// eventChunk: recording never copies or re-zeroes what it already
+	// holds, and memory is the events themselves rather than a doubling
+	// slice's old and new arrays.
+	events  [][]event
+	n       int
+	argBuf  []Arg // tail of the current args chunk; see keepArgs
 	procs   map[int]bool
 	threads map[[2]int]bool
+}
+
+// Chunk sizes of the event stream and of the argument arena, in elements.
+const (
+	eventChunk = 2048
+	argChunk   = 4096
+)
+
+// add appends one event to the stream.
+func (r *Recorder) add(e event) {
+	if r.n%eventChunk == 0 {
+		r.events = append(r.events, make([]event, 0, eventChunk))
+	}
+	c := &r.events[len(r.events)-1]
+	*c = append(*c, e)
+	r.n++
+}
+
+// keepArgs copies a hook's variadic args into the recorder's chunked arena
+// and returns the copy. Events retain the copy, never the caller's slice,
+// so that slice stays on the caller's stack: a hook on a nil recorder
+// costs its nil check and no allocation, whatever args it is handed.
+func (r *Recorder) keepArgs(args []Arg) []Arg {
+	if len(args) == 0 {
+		return nil
+	}
+	if len(args) > cap(r.argBuf)-len(r.argBuf) {
+		r.argBuf = make([]Arg, 0, max(argChunk, len(args)))
+	}
+	n := len(r.argBuf)
+	r.argBuf = append(r.argBuf, args...)
+	return r.argBuf[n:len(r.argBuf):len(r.argBuf)]
 }
 
 // NewRecorder builds a recorder sampling every sampleN-th request
@@ -90,7 +128,7 @@ func (r *Recorder) Process(pid int, name string) {
 		return
 	}
 	r.procs[pid] = true
-	r.events = append(r.events, event{name: "process_name", ph: 'M', pid: pid, args: []Arg{Str("name", name)}})
+	r.add(event{name: "process_name", ph: 'M', pid: pid, args: []Arg{Str("name", name)}})
 }
 
 // Thread names one track within a process (one per replica).
@@ -99,7 +137,7 @@ func (r *Recorder) Thread(pid, tid int, name string) {
 		return
 	}
 	r.threads[[2]int{pid, tid}] = true
-	r.events = append(r.events, event{name: "thread_name", ph: 'M', pid: pid, tid: tid, args: []Arg{Str("name", name)}})
+	r.add(event{name: "thread_name", ph: 'M', pid: pid, tid: tid, args: []Arg{Str("name", name)}})
 }
 
 // Span records a complete span (ph "X") of dur seconds starting at ts.
@@ -107,7 +145,7 @@ func (r *Recorder) Span(pid, tid int, name string, ts, dur float64, args ...Arg)
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{name: name, ph: 'X', ts: ts, dur: dur, pid: pid, tid: tid, args: args})
+	r.add(event{name: name, ph: 'X', ts: ts, dur: dur, pid: pid, tid: tid, args: r.keepArgs(args)})
 }
 
 // Instant records a point event (ph "i").
@@ -115,7 +153,7 @@ func (r *Recorder) Instant(pid, tid int, name string, ts float64, args ...Arg) {
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{name: name, ph: 'i', ts: ts, pid: pid, tid: tid, args: args})
+	r.add(event{name: name, ph: 'i', ts: ts, pid: pid, tid: tid, args: r.keepArgs(args)})
 }
 
 // BeginAsync opens an async span (ph "b") keyed by (cat, id); EndAsync
@@ -126,7 +164,7 @@ func (r *Recorder) BeginAsync(pid int, cat string, id int, name string, ts float
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{name: name, ph: 'b', ts: ts, pid: pid, id: id, cat: cat, args: args})
+	r.add(event{name: name, ph: 'b', ts: ts, pid: pid, id: id, cat: cat, args: r.keepArgs(args)})
 }
 
 // EndAsync closes the async span opened by BeginAsync with the same
@@ -135,7 +173,7 @@ func (r *Recorder) EndAsync(pid int, cat string, id int, name string, ts float64
 	if r == nil {
 		return
 	}
-	r.events = append(r.events, event{name: name, ph: 'e', ts: ts, pid: pid, id: id, cat: cat, args: args})
+	r.add(event{name: name, ph: 'e', ts: ts, pid: pid, id: id, cat: cat, args: r.keepArgs(args)})
 }
 
 // Len returns the number of recorded events.
@@ -143,7 +181,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.n
 }
 
 // secondsToMicros renders a simulated-seconds timestamp as a microsecond
@@ -185,8 +223,8 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	for i := range r.events {
-		e := &r.events[i]
+	for i := 0; i < r.n; i++ {
+		e := &r.events[i/eventChunk][i%eventChunk]
 		if i > 0 {
 			bw.WriteString(",\n")
 		}

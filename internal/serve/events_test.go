@@ -1,0 +1,121 @@
+package serve
+
+import (
+	"container/heap"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// boxedHeap is the container/heap event queue the typed EventQueue
+// replaced, kept as the ordering reference.
+type boxedHeap []*Event
+
+func (h boxedHeap) Len() int            { return len(h) }
+func (h boxedHeap) Less(i, j int) bool  { return h[i].before(h[j]) }
+func (h boxedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *boxedHeap) Push(x interface{}) { *h = append(*h, x.(*Event)) }
+func (h *boxedHeap) Pop() interface{} {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestEventQueueMatchesBoxedHeap drives the typed queue and the boxed
+// reference through the same random interleaving of pushes and pops, with
+// timestamps and instances drawn from small sets so every level of the
+// (time, instance, sequence) order breaks ties, and requires identical pop
+// sequences. It also pins the recycling contract: Pop zeroes the entry it
+// returns to the free list, so the list pins no request or batch.
+func TestEventQueueMatchesBoxedHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q EventQueue
+	var ref boxedHeap
+	var seq int64
+	req := &Request{ID: 7}
+	for step := 0; step < 20000; step++ {
+		if q.Len() != ref.Len() {
+			t.Fatalf("step %d: queue holds %d events, reference %d", step, q.Len(), ref.Len())
+		}
+		if q.Len() == 0 || rng.Intn(100) < 52 {
+			ev := Event{At: float64(rng.Intn(40)), Inst: rng.Intn(5) - 1, Kind: step, Req: req, Batch: []*Request{req}}
+			q.Push(ev)
+			ev.seq = seq
+			seq++
+			heap.Push(&ref, &ev)
+			continue
+		}
+		got, want := q.Pop(), heap.Pop(&ref).(*Event)
+		if got.At != want.At || got.Inst != want.Inst || got.seq != want.seq || got.Kind != want.Kind {
+			t.Fatalf("step %d: popped (at %g, inst %d, seq %d), reference (at %g, inst %d, seq %d)",
+				step, got.At, got.Inst, got.seq, want.At, want.Inst, want.seq)
+		}
+		if got.Req != req || len(got.Batch) != 1 {
+			t.Fatalf("step %d: popped event lost its payload: %+v", step, got)
+		}
+		if e := q.free[len(q.free)-1]; e.Req != nil || e.Batch != nil || e.At != 0 || e.Kind != 0 || e.seq != 0 {
+			t.Fatalf("step %d: recycled entry not cleared: %+v", step, *e)
+		}
+	}
+}
+
+// TestBatchBufferClearedOnRelease pins the other recycling contract: once
+// PrefillDone has delivered a batch — or a crash has voided it — the
+// Completion's Batch reads nil requests, so a stale reference cannot alias
+// the members of the replica's next pass.
+func TestBatchBufferClearedOnRelease(t *testing.T) {
+	inst := newTestInstance(t, nil)
+	launch := func(now float64) Completion {
+		t.Helper()
+		inst.Admit(testRequest(int(now), 64))
+		comps, err := inst.Dispatch(now)
+		if err != nil || len(comps) != 1 || len(comps[0].Batch) != 1 {
+			t.Fatalf("Dispatch at %g: %d completions, err %v", now, len(comps), err)
+		}
+		return comps[0]
+	}
+	c := launch(1)
+	inst.PrefillDone(c.Replica, c.Batch, c.At)
+	if c.Batch[0] != nil {
+		t.Error("delivered batch still references its request after PrefillDone")
+	}
+	c = launch(2)
+	if _, started := inst.Crash(2.5); len(started) != 1 {
+		t.Fatalf("crash displaced %d in-flight requests, want 1", len(started))
+	}
+	if c.Batch[0] != nil {
+		t.Error("voided batch still references its request after Crash")
+	}
+}
+
+// TestServeAllocBudget is the single-appliance twin of the cluster
+// package's fleet budget: the extra requests of a prefill run twice as
+// long may cost at most 0.25 heap objects each.
+func TestServeAllocBudget(t *testing.T) {
+	mallocs := func(seconds float64) (uint64, int) {
+		cfg := testConfig()
+		cfg.RatePerSec = 25 // about 0.8 utilisation: the queue stays short
+		cfg.DurationSeconds = seconds
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs, rep.Requests
+	}
+	mallocs(5) // first-use work outside the two measured runs
+	m1, n1 := mallocs(800)
+	m2, n2 := mallocs(1600)
+	if n2-n1 < 15000 {
+		t.Fatalf("runs admitted %d and %d requests: too close to measure a 20k-request margin", n1, n2)
+	}
+	perReq := (float64(m2) - float64(m1)) / float64(n2-n1)
+	t.Logf("%d and %d requests, %d and %d mallocs: %.4f allocs per extra request", n1, n2, m1, m2, perReq)
+	if perReq > 0.25 {
+		t.Errorf("serve.Run allocates %.3f objects per request, budget 0.25", perReq)
+	}
+}

@@ -49,6 +49,26 @@ func (r *Request) Expired(now float64) bool {
 	return r.Deadline > 0 && now > r.Deadline
 }
 
+// RequestSlab hands the traffic layers Requests carved from chunked
+// backing arrays: one allocation per requestChunk requests, a chunk being
+// garbage once every request carved from it is unreachable. Slots are never
+// reused — a parked retry or hedge timer, or a Twin link, can hold a
+// request long after it finished, so recycling would alias live state.
+type RequestSlab struct{ free []Request }
+
+const requestChunk = 128
+
+// New carves the next request and initializes it to v.
+func (s *RequestSlab) New(v Request) *Request {
+	if len(s.free) == 0 {
+		s.free = make([]Request, requestChunk)
+	}
+	r := &s.free[0]
+	s.free = s.free[1:]
+	*r = v
+	return r
+}
+
 // Completion kinds: what an Instance schedules when a replica starts a
 // forward pass. evArrival (0) is reserved for the traffic layers' own
 // arrival events so kinds can share one event-kind namespace.
@@ -65,6 +85,8 @@ const (
 // snapshots the replica's fault epoch at launch; a caller injecting
 // faults must drop completions whose epoch no longer matches
 // ReplicaEpoch (the pass was vaporized by a crash or replica failure).
+// Batch is the replica's own buffer: valid until the PrefillDone that
+// delivers it (or the fault that voids it), then cleared and refilled.
 type Completion struct {
 	At      float64
 	Kind    int // CompletionPrefill or CompletionStep
@@ -151,9 +173,13 @@ type Instance struct {
 
 	replicaBusy []bool
 	live        [][]*Request // per-replica decode batch
-	inflight    [][]*Request // per-replica prefill batch whose pass is running
-	busy        []float64    // accumulated service seconds per replica
-	pimBusy     float64      // accumulated PIM-kernel seconds across replicas
+	// inflight is the per-replica prefill batch whose pass is running. Each
+	// replica owns one buffer — empty between passes, refilled in place by
+	// its next pass — so forming a batch allocates nothing.
+	inflight [][]*Request
+	comps    []Completion // Dispatch's result buffer
+	busy     []float64    // accumulated service seconds per replica
+	pimBusy  float64      // accumulated PIM-kernel seconds across replicas
 
 	// Fault bookkeeping. repEpoch bumps whenever a replica loses state
 	// (instance crash, replica failure) so stale completions can be
@@ -310,45 +336,51 @@ func (inst *Instance) Admit(r *Request) bool {
 // priority keeps TTFT low and is how newly queued requests join the
 // decode batch at step boundaries), else one decode step over the live
 // batch. It returns the completions the caller must schedule, in replica
-// order.
+// order; the slice is the instance's own buffer, valid until the next
+// Dispatch.
 func (inst *Instance) Dispatch(now float64) ([]Completion, error) {
-	var out []Completion
+	inst.comps = inst.comps[:0]
 	for rep := range inst.replicaBusy {
 		if inst.replicaBusy[rep] || inst.repDown[rep] {
 			continue
 		}
-		c, started, err := inst.startWork(rep, now)
-		if err != nil {
+		if err := inst.startWork(rep, now); err != nil {
 			return nil, err
 		}
-		if started {
-			out = append(out, c)
-		}
 	}
-	return out, nil
+	return inst.comps, nil
 }
 
-// startWork launches the idle replica's next forward pass, if any.
-func (inst *Instance) startWork(rep int, now float64) (Completion, bool, error) {
+// resetBatch clears replica rep's batch buffer and leaves it empty for the
+// replica's next pass, so a stale reference reads nil requests rather than
+// that pass's members.
+func (inst *Instance) resetBatch(rep int) {
+	b := inst.inflight[rep]
+	clear(b[:cap(b)])
+	inst.inflight[rep] = b[:0]
+}
+
+// startWork launches the idle replica's next forward pass, if any, and
+// appends its completion to comps.
+func (inst *Instance) startWork(rep int, now float64) error {
 	for {
 		room := inst.Cfg.MaxBatch - len(inst.live[rep])
 		if room <= 0 || inst.q.len() == 0 {
 			break
 		}
-		batch := inst.sched.pick(&inst.q, room)
+		batch := inst.sched.pick(&inst.q, room, inst.inflight[rep])
 		batch = inst.dropExpired(batch, now)
-		if len(batch) == 0 {
-			continue // expired head shed; re-pick
-		}
-		if inst.Cfg.KVPolicy != KVGauge {
-			var stalled bool
+		stalled := false
+		if len(batch) > 0 && inst.Cfg.KVPolicy != KVGauge {
 			batch, stalled = inst.fitKV(rep, batch, now)
+		}
+		inst.inflight[rep] = batch
+		if len(batch) == 0 {
+			inst.resetBatch(rep)
 			if stalled {
 				break // overflow waits at the head; decode will free KV
 			}
-			if len(batch) == 0 {
-				continue
-			}
+			continue // everything picked was shed; re-pick
 		}
 		// Members are already quantum-padded, so their sum is the batch's
 		// padded shape; ctx is the longest member (attention span).
@@ -365,13 +397,12 @@ func (inst *Instance) startWork(rep int, now float64) (Completion, bool, error) 
 		}
 		cost, err := inst.oracle.batch(padTokens, maxPad)
 		if err != nil {
-			return Completion{}, false, err
+			return err
 		}
 		cost = inst.slowCost(cost)
 		inst.tokensPadded += int64(padTokens)
 		inst.batches++
 		inst.batchReqs += len(batch)
-		inst.inflight[rep] = batch
 		// The pass materializes every member's prompt KV on this replica;
 		// the gauge must see prefill writes, not just decode contexts.
 		inst.touchKV(rep, now)
@@ -380,9 +411,12 @@ func (inst *Instance) startWork(rep int, now float64) (Completion, bool, error) 
 			inst.kvPeak = kv
 		}
 		inst.notePass(rep, now, cost)
-		inst.rec.Span(inst.ID+1, rep+1, "prefill", now, cost.seconds,
-			obs.Num("reqs", float64(len(batch))), obs.Num("tokens", float64(padTokens)))
-		return Completion{At: now + cost.seconds, Kind: CompletionPrefill, Replica: rep, Epoch: inst.repEpoch[rep], Batch: batch}, true, nil
+		if inst.rec != nil {
+			inst.rec.Span(inst.ID+1, rep+1, "prefill", now, cost.seconds,
+				obs.Num("reqs", float64(len(batch))), obs.Num("tokens", float64(padTokens)))
+		}
+		inst.comps = append(inst.comps, Completion{At: now + cost.seconds, Kind: CompletionPrefill, Replica: rep, Epoch: inst.repEpoch[rep], Batch: batch})
+		return nil
 	}
 	if live := inst.live[rep]; len(live) > 0 {
 		// One decode step: each live request's next token attends its
@@ -398,10 +432,10 @@ func (inst *Instance) startWork(rep int, now float64) (Completion, bool, error) 
 			ctxSum += r.Padded + r.Generated + 1
 		}
 		n := len(live)
-		ctx := roundUp((ctxSum+n-1)/n, inst.Cfg.TokenQuantum)
+		ctx := RoundUp((ctxSum+n-1)/n, inst.Cfg.TokenQuantum)
 		cost, err := inst.oracle.decodeStep(n, ctx)
 		if err != nil {
-			return Completion{}, false, err
+			return err
 		}
 		cost = inst.slowCost(cost)
 		inst.steps++
@@ -411,11 +445,13 @@ func (inst *Instance) startWork(rep int, now float64) (Completion, bool, error) 
 			inst.kvPeak = kv
 		}
 		inst.notePass(rep, now, cost)
-		inst.rec.Span(inst.ID+1, rep+1, "decode", now, cost.seconds,
-			obs.Num("n", float64(n)), obs.Num("ctx", float64(ctx)))
-		return Completion{At: now + cost.seconds, Kind: CompletionStep, Replica: rep, Epoch: inst.repEpoch[rep]}, true, nil
+		if inst.rec != nil {
+			inst.rec.Span(inst.ID+1, rep+1, "decode", now, cost.seconds,
+				obs.Num("n", float64(n)), obs.Num("ctx", float64(ctx)))
+		}
+		inst.comps = append(inst.comps, Completion{At: now + cost.seconds, Kind: CompletionStep, Replica: rep, Epoch: inst.repEpoch[rep]})
 	}
-	return Completion{}, false, nil
+	return nil
 }
 
 // dropExpired sheds batch members whose deadline passed while queued.
@@ -457,7 +493,7 @@ func (inst *Instance) fitKV(rep int, batch []*Request, now float64) ([]*Request,
 		// stalling will ever serve it.
 		inst.shedQueued(rest[0], now, ShedKV)
 		inst.q.pushFront(rest[1:])
-		return nil, false
+		return batch[:0], false
 	}
 	if inst.Cfg.KVPolicy == KVShed {
 		for _, r := range rest {
@@ -469,7 +505,7 @@ func (inst *Instance) fitKV(rep int, batch []*Request, now float64) ([]*Request,
 	if n == 0 {
 		inst.rec.Instant(inst.ID+1, rep+1, "kv-stall", now,
 			obs.Num("waiting", float64(len(rest))))
-		return nil, true
+		return batch[:0], true
 	}
 	return batch[:n], false
 }
@@ -652,18 +688,8 @@ func (inst *Instance) Crash(now float64) (queued, started []*Request) {
 	}
 	inst.queuedTokens = 0
 	for rep := range inst.replicaBusy {
-		inst.abortPass(rep, now)
-		if b := inst.inflight[rep]; len(b) > 0 {
-			started = append(started, b...)
-			inst.inflight[rep] = nil
-		}
-		started = append(started, inst.live[rep]...)
-		inst.live[rep] = nil
-		inst.replicaBusy[rep] = false
+		started = inst.vacate(rep, now, started)
 		inst.repDown[rep] = false
-		inst.touchKV(rep, now)
-		inst.repKVTokens[rep] = 0
-		inst.repEpoch[rep]++
 	}
 	inst.liveTokens = 0
 	inst.slowdown = 1
@@ -691,25 +717,31 @@ func (inst *Instance) FailReplica(now float64) (lost []*Request, rep int) {
 		return nil, -1
 	}
 	inst.degradedCnt++
-	inst.abortPass(rep, now)
-	if b := inst.inflight[rep]; len(b) > 0 {
-		lost = append(lost, b...)
-		inst.inflight[rep] = nil
-	}
 	for _, r := range inst.live[rep] {
 		inst.liveTokens -= int64(r.Tokens + r.Generated + 1)
 	}
-	lost = append(lost, inst.live[rep]...)
-	inst.live[rep] = nil
-	inst.replicaBusy[rep] = false
+	lost = inst.vacate(rep, now, nil)
 	inst.repDown[rep] = true
-	inst.touchKV(rep, now)
-	inst.repKVTokens[rep] = 0
-	inst.repEpoch[rep]++
 	lost = dropCanceled(lost)
 	inst.outstanding -= len(lost)
 	inst.displaced += len(lost)
 	return lost, rep
+}
+
+// vacate empties replica rep at a fault: its running pass is aborted with
+// a refund, its in-flight batch and live decode requests are appended to
+// lost, its KV gauge drops to zero and its epoch bumps so the pass's
+// scheduled completion is recognizably stale.
+func (inst *Instance) vacate(rep int, now float64, lost []*Request) []*Request {
+	inst.abortPass(rep, now)
+	lost = append(append(lost, inst.inflight[rep]...), inst.live[rep]...)
+	inst.resetBatch(rep)
+	inst.live[rep] = nil
+	inst.replicaBusy[rep] = false
+	inst.touchKV(rep, now)
+	inst.repKVTokens[rep] = 0
+	inst.repEpoch[rep]++
+	return lost
 }
 
 // RepairReplica returns the lowest-index failed replica to service and
@@ -743,7 +775,8 @@ func (inst *Instance) ReplicaEpoch(rep int) int { return inst.repEpoch[rep] }
 
 // PrefillDone delivers a CompletionPrefill back to the instance: batch
 // members emit their first token (OnFirstToken), join the replica's live
-// decode batch when more tokens remain, or finish.
+// decode batch when more tokens remain, or finish. The batch buffer is
+// cleared for the replica's next pass on return.
 func (inst *Instance) PrefillDone(replica int, batch []*Request, now float64) {
 	inst.replicaBusy[replica] = false
 	inst.touchKV(replica, now)
@@ -772,7 +805,7 @@ func (inst *Instance) PrefillDone(replica int, batch []*Request, now float64) {
 			inst.retire(r, now)
 		}
 	}
-	inst.inflight[replica] = nil
+	inst.resetBatch(replica)
 }
 
 // StepDone delivers a CompletionStep: every live request on the replica

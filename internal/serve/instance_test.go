@@ -29,7 +29,7 @@ func newTestInstance(t *testing.T, mutate func(*Config)) *Instance {
 }
 
 func testRequest(id, tokens int) *Request {
-	return &Request{ID: id, Client: -1, Tokens: tokens, Padded: roundUp(tokens, 64)}
+	return &Request{ID: id, Client: -1, Tokens: tokens, Padded: RoundUp(tokens, 64)}
 }
 
 // TestKVPeakSamplesPrefill pins the gauge fix: prefill-only serving pins

@@ -41,29 +41,32 @@ func (q *queue) popHead() *Request {
 	return r
 }
 
-// removePrefix removes the requests at the ascending prefix-relative
-// indices sel (which must include 0) and returns them in order. Survivors
-// in the prefix shift toward the head so the queue stays contiguous.
-func (q *queue) removePrefix(sel []int) []*Request {
-	out := make([]*Request, 0, len(sel))
-	last := sel[len(sel)-1]
-	surv := make([]*Request, 0, last)
-	next := 0
-	for i := 0; i <= last; i++ {
-		it := q.items[q.head+i]
-		if next < len(sel) && sel[next] == i {
-			out = append(out, it)
-			next++
-		} else {
-			surv = append(surv, it)
+// takeBucket appends to out, in queue order, the first requests among the
+// leading window entries whose padded length is bucket — the head's, so
+// the head is always taken — until out holds max, and removes them.
+// Survivors at or before the last pick shift toward it so the queue stays
+// contiguous.
+func (q *queue) takeBucket(bucket, window, max int, out []*Request) []*Request {
+	last := q.head
+	for i := q.head; i < q.head+window && len(out) < max; i++ {
+		if r := q.items[i]; r.Padded == bucket {
+			out = append(out, r)
+			last = i
 		}
 	}
-	newHead := q.head + last + 1 - len(surv)
-	copy(q.items[newHead:q.head+last+1], surv)
-	for i := q.head; i < newHead; i++ {
+	// Every bucket member up to last was taken, so what remains there is
+	// exactly the other buckets' requests; compact them back to front.
+	w := last
+	for i := last; i >= q.head; i-- {
+		if r := q.items[i]; r.Padded != bucket {
+			q.items[w] = r
+			w--
+		}
+	}
+	for i := q.head; i <= w; i++ {
 		q.items[i] = nil
 	}
-	q.head = newHead
+	q.head = w + 1
 	q.maybeCompact()
 	return out
 }
@@ -130,22 +133,18 @@ func ParsePolicy(s string) (Policy, error) {
 // scheduler forms the next batch from a non-empty queue. Implementations
 // must be deterministic pure functions of the queue contents.
 type scheduler interface {
-	// pick removes and returns 1..max requests, always including the head
-	// (no starvation: the oldest request is served first in every batch).
-	pick(q *queue, max int) []*Request
+	// pick removes 1..max requests, always including the head (no
+	// starvation: the oldest request is served first in every batch), and
+	// returns them appended to the empty batch slice out.
+	pick(q *queue, max int, out []*Request) []*Request
 }
 
 // fcfsScheduler takes the first max requests in arrival order.
 type fcfsScheduler struct{}
 
-func (fcfsScheduler) pick(q *queue, max int) []*Request {
-	n := q.len()
-	if n > max {
-		n = max
-	}
-	out := make([]*Request, n)
-	for i := range out {
-		out[i] = q.popHead()
+func (fcfsScheduler) pick(q *queue, max int, out []*Request) []*Request {
+	for n := min(q.len(), max); n > 0; n-- {
+		out = append(out, q.popHead())
 	}
 	return out
 }
@@ -157,19 +156,8 @@ type packedScheduler struct {
 	window int
 }
 
-func (p packedScheduler) pick(q *queue, max int) []*Request {
-	bucket := q.at(0).Padded
-	w := q.len()
-	if w > p.window {
-		w = p.window
-	}
-	sel := make([]int, 0, max)
-	for i := 0; i < w && len(sel) < max; i++ {
-		if q.at(i).Padded == bucket {
-			sel = append(sel, i)
-		}
-	}
-	return q.removePrefix(sel)
+func (p packedScheduler) pick(q *queue, max int, out []*Request) []*Request {
+	return q.takeBucket(q.at(0).Padded, min(q.len(), p.window), max, out)
 }
 
 // newScheduler builds the policy's scheduler. The packing window bounds

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -336,46 +335,14 @@ type Report struct {
 // the Instance (CompletionPrefill, CompletionStep).
 const evArrival = 0
 
-// event is one heap entry; seq breaks time ties in insertion order so the
-// loop is deterministic even under simultaneous events.
-type event struct {
-	at   float64
-	seq  int64
-	kind int
-
-	req     *Request   // evArrival
-	replica int        // CompletionPrefill, CompletionStep
-	batch   []*Request // CompletionPrefill
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // sim is the traffic layer of one single-appliance run: arrivals, length
 // sampling and latency aggregation around one Instance.
 type sim struct {
 	cfg  Config
 	inst *Instance
 
-	events eventHeap
-	seq    int64
+	events EventQueue
+	slab   RequestSlab
 
 	arrivals *workload.ArrivalSampler // open loop
 	lengths  *workload.LengthSampler
@@ -395,42 +362,23 @@ type sim struct {
 	makespan         float64
 }
 
-func (s *sim) pushEvent(e *event) {
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.events, e)
-}
-
 // newRequest admits a request arriving at t for the given closed-loop
 // client (-1 for open-loop/trace), sampling its prompt and output lengths.
 func (s *sim) newRequest(t float64, client int) *Request {
 	tok := s.lengths.Next()
-	pad := roundUp(tok, s.cfg.TokenQuantum)
 	out := s.cfg.OutTokens
 	if s.outLens != nil {
 		out = s.outLens.Next()
 	}
-	r := &Request{ID: s.nextID, Client: client, Tokens: tok, Padded: pad, OutLen: out, Arrive: t}
+	r := s.slab.New(Request{ID: s.nextID, Client: client, Tokens: tok, Padded: RoundUp(tok, s.cfg.TokenQuantum), OutLen: out, Arrive: t})
 	s.nextID++
 	return r
 }
 
-func roundUp(v, quantum int) int {
+// RoundUp rounds v up to a multiple of quantum — the shape-padding rule
+// for prompt lengths and decode contexts.
+func RoundUp(v, quantum int) int {
 	return (v + quantum - 1) / quantum * quantum
-}
-
-// dispatch starts work on the instance's idle replicas and schedules the
-// resulting completions.
-func (s *sim) dispatch(now float64) error {
-	comps, err := s.inst.Dispatch(now)
-	if err != nil {
-		return err
-	}
-	for i := range comps {
-		c := &comps[i]
-		s.pushEvent(&event{at: c.At, kind: c.Kind, replica: c.Replica, batch: c.Batch})
-	}
-	return nil
 }
 
 // Run executes the simulation to completion: arrivals stop at the duration
@@ -471,7 +419,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		if s.think != nil && r.Client >= 0 {
 			if t := now + s.think.Next(); t <= s.cfg.DurationSeconds {
-				s.pushEvent(&event{at: t, kind: evArrival, req: &Request{Client: r.Client}})
+				s.events.Push(Event{At: t, Kind: evArrival, Client: r.Client})
 			}
 		}
 	}
@@ -509,7 +457,7 @@ func Run(cfg Config) (*Report, error) {
 				// so nothing is dropped in that case.
 				continue
 			}
-			s.pushEvent(&event{at: t, kind: evArrival})
+			s.events.Push(Event{At: t, Kind: evArrival, Client: -1})
 		}
 	case cfg.Clients > 0:
 		if s.think, err = workload.NewArrivalSampler(1/cfg.ThinkSeconds, cfg.Seed+2); err != nil {
@@ -517,7 +465,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		for c := 0; c < cfg.Clients; c++ {
 			if t := s.think.Next(); t <= cfg.DurationSeconds {
-				s.pushEvent(&event{at: t, kind: evArrival, req: &Request{Client: c}})
+				s.events.Push(Event{At: t, Kind: evArrival, Client: c})
 			}
 		}
 	default:
@@ -525,25 +473,21 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		if t := s.arrivals.Next(); t <= cfg.DurationSeconds {
-			s.pushEvent(&event{at: t, kind: evArrival})
+			s.events.Push(Event{At: t, Kind: evArrival, Client: -1})
 		}
 	}
 
 	// The event loop.
 	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		now := ev.at
+		ev := s.events.Pop()
+		now := ev.At
 		// Metrics sample before the event applies: the pre-event state is
 		// exactly the simulator's state at every boundary since the last
 		// event.
 		cfg.Metrics.Advance(now)
-		switch ev.kind {
+		switch ev.Kind {
 		case evArrival:
-			client := -1
-			if ev.req != nil {
-				client = ev.req.Client
-			}
-			r := s.newRequest(now, client)
+			r := s.newRequest(now, ev.Client)
 			s.requests++
 			admitted := s.inst.Admit(r)
 			if rec.Sampled(r.ID) {
@@ -559,15 +503,15 @@ func Run(cfg Config) (*Report, error) {
 			}
 			if s.arrivals != nil {
 				if t := now + s.arrivals.Next(); t <= cfg.DurationSeconds {
-					s.pushEvent(&event{at: t, kind: evArrival})
+					s.events.Push(Event{At: t, Kind: evArrival, Client: -1})
 				}
 			}
 		case CompletionPrefill:
-			s.inst.PrefillDone(ev.replica, ev.batch, now)
+			s.inst.PrefillDone(ev.Replica, ev.Batch, now)
 		case CompletionStep:
-			s.inst.StepDone(ev.replica, now)
+			s.inst.StepDone(ev.Replica, now)
 		}
-		if err := s.dispatch(now); err != nil {
+		if err := s.events.Dispatch(s.inst, now); err != nil {
 			return nil, err
 		}
 	}

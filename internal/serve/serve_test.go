@@ -131,7 +131,7 @@ func TestPackedBatchesShareShape(t *testing.T) {
 	for i, pad := range []int{64, 128, 64, 192, 64, 64} {
 		q.push(&Request{ID: i, Padded: pad})
 	}
-	batch := packedScheduler{window: 16}.pick(q, 4)
+	batch := packedScheduler{window: 16}.pick(q, 4, nil)
 	if len(batch) != 4 {
 		t.Fatalf("picked %d requests, want 4", len(batch))
 	}
@@ -153,7 +153,7 @@ func TestFCFSKeepsArrivalOrder(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		q.push(&Request{ID: i, Padded: 64 * (1 + i%2)})
 	}
-	batch := fcfsScheduler{}.pick(q, 3)
+	batch := fcfsScheduler{}.pick(q, 3, nil)
 	for i, r := range batch {
 		if r.ID != i {
 			t.Errorf("batch[%d] = request %d", i, r.ID)
@@ -275,7 +275,7 @@ func TestStepBucketingPriceBound(t *testing.T) {
 	}
 	o := NewOracle(&cfg)
 	for _, exact := range []int{65, 130, 200, 255} {
-		bucketed := roundUp(exact, cfg.TokenQuantum)
+		bucketed := RoundUp(exact, cfg.TokenQuantum)
 		e, err := o.decodeStep(4, exact)
 		if err != nil {
 			t.Fatal(err)
@@ -539,8 +539,8 @@ func TestServeTraceHonorsDuration(t *testing.T) {
 func TestRoundUp(t *testing.T) {
 	cases := [][3]int{{1, 64, 64}, {64, 64, 64}, {65, 64, 128}, {128, 64, 128}}
 	for _, c := range cases {
-		if got := roundUp(c[0], c[1]); got != c[2] {
-			t.Errorf("roundUp(%d, %d) = %d, want %d", c[0], c[1], got, c[2])
+		if got := RoundUp(c[0], c[1]); got != c[2] {
+			t.Errorf("RoundUp(%d, %d) = %d, want %d", c[0], c[1], got, c[2])
 		}
 	}
 }

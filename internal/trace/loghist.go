@@ -23,6 +23,10 @@ const (
 // width of the sorted-sample estimator. Bucket counts are exact integers:
 // two histograms fed the same multiset of samples are identical regardless
 // of insertion order, so aggregations built on it stay byte-reproducible.
+//
+// Bucket edges are looked up, not recomputed: edges caches Min*Base^i per
+// index, filled on first use by the one expression that defines an edge, so
+// Add costs a single math.Log for the first guess plus table compares.
 type LogHistogram struct {
 	Base   float64 // bucket width ratio, > 1
 	Min    float64 // lower edge of bucket 0, > 0
@@ -32,6 +36,10 @@ type LogHistogram struct {
 	Sum    float64 // exact running sum, in insertion order
 	MinV   float64 // exact smallest sample (valid when N > 0)
 	MaxV   float64 // exact largest sample (valid when N > 0)
+
+	edges []float64 // edges[i] = Min*Base^i, grown on demand
+	// 1/math.Log(Base) and math.Log(Min), cached on first Add.
+	invLogBase, logMin float64
 }
 
 // NewLogHistogram builds an empty histogram with the package defaults.
@@ -39,9 +47,21 @@ func NewLogHistogram() *LogHistogram {
 	return &LogHistogram{Base: logHistBase, Min: logHistMin}
 }
 
-// bucketLo returns bucket i's lower edge Min*Base^i.
-func (h *LogHistogram) bucketLo(i int) float64 {
-	return h.Min * math.Pow(h.Base, float64(i))
+// edge returns bucket i's lower edge Min*Base^i from the table.
+func (h *LogHistogram) edge(i int) float64 {
+	if i >= len(h.edges) {
+		h.growEdges(i)
+	}
+	return h.edges[i]
+}
+
+// growEdges extends the table through index i. Every entry comes from the
+// same expression whatever the growth order, so the table — and with it
+// every bucket assignment — is a pure function of (Base, Min).
+func (h *LogHistogram) growEdges(i int) {
+	for n := len(h.edges); n <= i; n++ {
+		h.edges = append(h.edges, h.Min*math.Pow(h.Base, float64(n)))
+	}
 }
 
 // Add counts one sample.
@@ -58,13 +78,16 @@ func (h *LogHistogram) Add(v float64) {
 		h.Under++
 		return
 	}
-	i := int(math.Log(v/h.Min) / math.Log(h.Base))
+	if h.invLogBase == 0 {
+		h.invLogBase, h.logMin = 1/math.Log(h.Base), math.Log(h.Min)
+	}
+	i := int((math.Log(v) - h.logMin) * h.invLogBase)
 	// Float log can land one bucket off at the edges; nudge until
-	// bucketLo(i) <= v < bucketLo(i+1) holds exactly.
-	for i > 0 && v < h.bucketLo(i) {
+	// edge(i) <= v < edge(i+1) holds exactly.
+	for i > 0 && v < h.edge(i) {
 		i--
 	}
-	for v >= h.bucketLo(i+1) {
+	for v >= h.edge(i+1) {
 		i++
 	}
 	for len(h.Counts) <= i {
@@ -132,7 +155,7 @@ func (h *LogHistogram) Quantile(q float64) float64 {
 			if frac > 1 {
 				frac = 1
 			}
-			v := h.bucketLo(i) * math.Pow(h.Base, frac)
+			v := h.edge(i) * math.Pow(h.Base, frac)
 			if v < h.MinV {
 				v = h.MinV
 			}
@@ -173,7 +196,7 @@ func (h *LogHistogram) ToFixed(lo, hi float64, n int) (*Histogram, error) {
 	}
 	f.addCount(h.MinV, h.Under)
 	for i, c := range h.Counts {
-		mid := h.bucketLo(i) * math.Sqrt(h.Base)
+		mid := h.edge(i) * math.Sqrt(h.Base)
 		f.addCount(mid, c)
 	}
 	return f, nil

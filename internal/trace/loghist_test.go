@@ -200,3 +200,147 @@ func TestFixedHistogramMergeQuantile(t *testing.T) {
 		t.Errorf("empty Quantile = %g, want 0", empty.Quantile(0.5))
 	}
 }
+
+// refAdd is the pre-table Add, kept as the reference the table-driven Add
+// must match bucket for bucket: two math.Log calls for the first guess and
+// a math.Pow per edge probe.
+func refAdd(h *LogHistogram, v float64) {
+	lo := func(i int) float64 { return h.Min * math.Pow(h.Base, float64(i)) }
+	h.N++
+	h.Sum += v
+	if h.N == 1 || v < h.MinV {
+		h.MinV = v
+	}
+	if h.N == 1 || v > h.MaxV {
+		h.MaxV = v
+	}
+	if v < h.Min {
+		h.Under++
+		return
+	}
+	i := int(math.Log(v/h.Min) / math.Log(h.Base))
+	for i > 0 && v < lo(i) {
+		i--
+	}
+	for v >= lo(i+1) {
+		i++
+	}
+	for len(h.Counts) <= i {
+		h.Counts = append(h.Counts, 0)
+	}
+	h.Counts[i]++
+}
+
+// refQuantile is Quantile with every edge recomputed by math.Pow.
+func refQuantile(h *LogHistogram, q float64) float64 {
+	rank := q * float64(h.N-1)
+	cum := float64(h.Under)
+	if rank < cum {
+		return h.MinV
+	}
+	for i, c := range h.Counts {
+		if c > 0 && rank < cum+float64(c) {
+			frac := math.Min((rank-cum+0.5)/float64(c), 1)
+			v := h.Min * math.Pow(h.Base, float64(i)) * math.Pow(h.Base, frac)
+			return math.Min(math.Max(v, h.MinV), h.MaxV)
+		}
+		cum += float64(c)
+	}
+	return h.MaxV
+}
+
+// sameAggregate fails unless the two histograms hold identical state.
+func sameAggregate(t *testing.T, what string, got, want *LogHistogram) {
+	t.Helper()
+	if got.Under != want.Under || got.N != want.N || got.Sum != want.Sum ||
+		got.MinV != want.MinV || got.MaxV != want.MaxV {
+		t.Fatalf("%s: aggregates differ:\n got Under=%d N=%d Sum=%v MinV=%v MaxV=%v\nwant Under=%d N=%d Sum=%v MinV=%v MaxV=%v",
+			what, got.Under, got.N, got.Sum, got.MinV, got.MaxV,
+			want.Under, want.N, want.Sum, want.MinV, want.MaxV)
+	}
+	if len(got.Counts) != len(want.Counts) {
+		t.Fatalf("%s: %d buckets, reference has %d", what, len(got.Counts), len(want.Counts))
+	}
+	for i, c := range want.Counts {
+		if got.Counts[i] != c {
+			t.Fatalf("%s: bucket %d holds %d, reference %d", what, i, got.Counts[i], c)
+		}
+	}
+}
+
+// TestLogHistogramBucketIdentity pins the edge table to the arithmetic it
+// replaced: over every bucket edge and its neighbouring floats, a seeded
+// log-uniform sweep of eighteen decades, and the underflow cases, Add must
+// leave exactly the state the reference leaves, and Quantile must return
+// the same bits.
+func TestLogHistogramBucketIdentity(t *testing.T) {
+	samples := map[string][]float64{}
+	edges := NewLogHistogram()
+	for i := 0; i <= 700; i++ {
+		e := edges.Min * math.Pow(edges.Base, float64(i))
+		samples["edges"] = append(samples["edges"],
+			e, math.Nextafter(e, 0), math.Nextafter(e, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(42))
+	n := 1000000
+	if testing.Short() {
+		n = 50000
+	}
+	for i := 0; i < n; i++ {
+		samples["log-uniform"] = append(samples["log-uniform"], math.Pow(10, -12+18*rng.Float64()))
+	}
+	samples["underflow"] = []float64{0, 5e-324, 2.2e-308, 1e-300, 1e-12,
+		math.Nextafter(logHistMin, 0), logHistMin, math.Nextafter(logHistMin, 1)}
+
+	for _, name := range []string{"edges", "log-uniform", "underflow"} {
+		vals := samples[name]
+		got, want := NewLogHistogram(), NewLogHistogram()
+		for _, v := range vals {
+			got.Add(v)
+			refAdd(want, v)
+		}
+		sameAggregate(t, name, got, want)
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			if g, w := got.Quantile(q), refQuantile(want, q); g != w {
+				t.Errorf("%s: Quantile(%g) = %v, reference %v", name, q, g, w)
+			}
+		}
+
+		// Two halves merged must equal the single pass bucket for bucket;
+		// Sum alone depends on addition order, so it is compared loosely.
+		a, b := NewLogHistogram(), NewLogHistogram()
+		for i, v := range vals {
+			if i < len(vals)/2 {
+				a.Add(v)
+			} else {
+				b.Add(v)
+			}
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(a.Sum-got.Sum) > 1e-9*got.Sum {
+			t.Errorf("%s: merged Sum %v drifted from %v", name, a.Sum, got.Sum)
+		}
+		a.Sum = got.Sum
+		sameAggregate(t, name+" merged", a, got)
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			if g, w := a.Quantile(q), got.Quantile(q); g != w {
+				t.Errorf("%s merged: Quantile(%g) = %v, single pass %v", name, q, g, w)
+			}
+		}
+	}
+}
+
+func BenchmarkLogHistogramAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 1<<14)
+	for i := range vals {
+		vals[i] = math.Exp(rng.NormFloat64()*1.5 - 3)
+	}
+	h := NewLogHistogram()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(vals[i&(len(vals)-1)])
+	}
+}
