@@ -603,6 +603,7 @@ func (s *System) ServeCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	}
 	rep, err := cluster.Run(ccfg)
 	if err != nil {
+		rec.Abandon()
 		return nil, err
 	}
 	if err := cfg.Obs.export(rec, met); err != nil {

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"github.com/ais-snu/localut"
+	"github.com/ais-snu/localut/cmd/internal/obsfiles"
 	"github.com/ais-snu/localut/internal/cluster"
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/experiments"
@@ -246,7 +247,7 @@ func main() {
 	}
 	sys := localut.NewSystem(opts...)
 
-	obsCfg, closeObs, err := buildObs(*traceOut, *traceSample, *metricsOut, metricsInterval.Seconds())
+	obsCfg, closeObs, err := obsfiles.Open(*traceOut, *traceSample, *metricsOut, metricsInterval.Seconds())
 	if err != nil {
 		fatal(err)
 	}
@@ -460,41 +461,6 @@ func timelineTable(r *localut.ClusterReport) *trace.Table {
 			ev.Active, ev.P99, ev.Samples, ev.RecoverSeconds)
 	}
 	return t
-}
-
-// buildObs opens the requested trace/metrics outputs and returns the
-// observability config plus a closer for the opened files.
-func buildObs(tracePath string, sampleN int, metricsPath string, intervalSeconds float64) (localut.ObsConfig, func() error, error) {
-	var cfg localut.ObsConfig
-	var files []*os.File
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return cfg, nil, err
-		}
-		files = append(files, f)
-		cfg.TraceWriter = f
-		cfg.TraceSampleN = sampleN
-	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return cfg, nil, err
-		}
-		files = append(files, f)
-		cfg.MetricsWriter = f
-		cfg.MetricsIntervalSeconds = intervalSeconds
-		cfg.MetricsJSON = strings.HasSuffix(metricsPath, ".json")
-	}
-	closer := func() error {
-		for _, f := range files {
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return cfg, closer, nil
 }
 
 // parseClasses parses "name:rate[:admitRate]" pairs.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/kernels"
+	"github.com/ais-snu/localut/internal/obs"
 	"github.com/ais-snu/localut/internal/quant"
 	"github.com/ais-snu/localut/internal/serve"
 )
@@ -60,6 +61,44 @@ func TestFleetAllocBudget(t *testing.T) {
 	t.Logf("%d and %d requests, %d and %d mallocs: %.4f allocs per extra request", n1, n2, m1, m2, perReq)
 	if perReq > 0.25 {
 		t.Errorf("steady fleet allocates %.3f objects per request, budget 0.25", perReq)
+	}
+}
+
+// countingWriter counts the bytes it is handed and keeps none.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestObsAllocBudget is TestFleetAllocBudget with every request traced
+// and the sampler on: a recorder streaming to its writer encodes into one
+// reused buffer, so recording fits inside the same 0.25 budget.
+func TestObsAllocBudget(t *testing.T) {
+	run := func(seconds float64) (mallocs uint64, admitted int) {
+		var w countingWriter
+		cfg := steadyConfig(seconds)
+		cfg.Recorder, cfg.Metrics = obs.NewStreamRecorder(1, &w), obs.NewMetrics(1)
+		mallocs, admitted = mallocsOf(t, cfg)
+		if err := cfg.Recorder.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w.n < 200*int64(admitted) {
+			t.Fatalf("%d requests left %d bytes of trace: the recorder was not recording", admitted, w.n)
+		}
+		return mallocs, admitted
+	}
+	run(5)
+	m1, n1 := run(100)
+	m2, n2 := run(200)
+	if n2-n1 < 15000 {
+		t.Fatalf("runs admitted %d and %d requests: too close to measure a 20k-request margin", n1, n2)
+	}
+	perReq := (float64(m2) - float64(m1)) / float64(n2-n1)
+	t.Logf("%d and %d requests, %d and %d mallocs: %.4f allocs per extra traced request", n1, n2, m1, m2, perReq)
+	if perReq > 0.25 {
+		t.Errorf("traced fleet allocates %.3f objects per request, budget 0.25", perReq)
 	}
 }
 

@@ -9,9 +9,10 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -31,26 +32,17 @@ func Num(key string, v float64) Arg { return Arg{Key: key, Val: v, IsNum: true} 
 // Str builds a string annotation.
 func Str(key, v string) Arg { return Arg{Key: key, Str: v} }
 
-// event is one Chrome trace event. Timestamps and durations are kept in
-// simulated seconds and converted to microseconds at write time.
-type event struct {
-	name string
-	ph   byte // X=span, i=instant, b/e=async begin/end, M=metadata
-	ts   float64
-	dur  float64
-	pid  int
-	tid  int
-	id   int    // async span id (ph b/e)
-	cat  string // async category (ph b/e)
-	args []Arg
-}
-
-// Recorder accumulates trace events in emission order. The simulators emit
-// strictly in event-loop order, which is deterministic, so the recorded
-// stream — and the exported JSON — is too. Track layout: pid 0 is the
-// traffic/fleet track (request lifecycle spans, scale and admission
-// events); pid i+1 is instance i, with tid 0 for instance-level events and
-// tid r+1 for replica r's batch spans.
+// Recorder encodes trace events in emission order. The simulators emit
+// strictly in event-loop order, which is deterministic, so the exported
+// JSON is too. Each hook appends its event's final bytes to one buffer —
+// Chrome trace-event JSON object form ({"traceEvents": [...]}), a fixed
+// field order per event, one event per line — and consumes its args inside
+// the call, so a hook's variadic slice stays on the caller's stack. A full
+// buffer goes to the attached writer and is reused, or is kept for
+// WriteJSON when there is none. Track layout: pid 0 is the traffic/fleet
+// track (request lifecycle spans, scale and admission events); pid i+1 is
+// instance i, with tid 0 for instance-level events and tid r+1 for replica
+// r's batch spans.
 //
 //determlint:nilsafe every exported method must no-op on a nil receiver
 type Recorder struct {
@@ -58,56 +50,51 @@ type Recorder struct {
 	// fleet events are always recorded; only per-request spans sample.
 	SampleN int
 
-	// events is the recorded stream in emission order, in chunks of
-	// eventChunk: recording never copies or re-zeroes what it already
-	// holds, and memory is the events themselves rather than a doubling
-	// slice's old and new arrays.
-	events  [][]event
-	n       int
-	argBuf  []Arg // tail of the current args chunk; see keepArgs
+	buf   []byte    // the document's tail: encoded, not yet written or kept
+	full  [][]byte  // filled buffers in order, when no writer is attached
+	w     io.Writer // nil = keep the document for WriteJSON
+	wrote bool      // part of the document has been handed to w
+	err   error     // first error from w; nothing is written after it
+	n     int
+
 	procs   map[int]bool
 	threads map[[2]int]bool
 }
 
-// Chunk sizes of the event stream and of the argument arena, in elements.
 const (
-	eventChunk = 2048
-	argChunk   = 4096
+	// bufSize is the capacity of the encode buffer. A buffer counts as
+	// full once fewer than eventRoom bytes are free, so an event of
+	// ordinary size never grows it.
+	bufSize   = 64 << 10
+	eventRoom = 1 << 10
+
+	header = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+	footer = "\n]}\n"
 )
 
-// add appends one event to the stream.
-func (r *Recorder) add(e event) {
-	if r.n%eventChunk == 0 {
-		r.events = append(r.events, make([]event, 0, eventChunk))
-	}
-	c := &r.events[len(r.events)-1]
-	*c = append(*c, e)
-	r.n++
-}
-
-// keepArgs copies a hook's variadic args into the recorder's chunked arena
-// and returns the copy. Events retain the copy, never the caller's slice,
-// so that slice stays on the caller's stack: a hook on a nil recorder
-// costs its nil check and no allocation, whatever args it is handed.
-func (r *Recorder) keepArgs(args []Arg) []Arg {
-	if len(args) == 0 {
-		return nil
-	}
-	if len(args) > cap(r.argBuf)-len(r.argBuf) {
-		r.argBuf = make([]Arg, 0, max(argChunk, len(args)))
-	}
-	n := len(r.argBuf)
-	r.argBuf = append(r.argBuf, args...)
-	return r.argBuf[n:len(r.argBuf):len(r.argBuf)]
-}
-
 // NewRecorder builds a recorder sampling every sampleN-th request
-// lifecycle (values < 1 record everything).
+// lifecycle (values < 1 record everything). It keeps the encoded document
+// in memory; WriteJSON exports it.
 func NewRecorder(sampleN int) *Recorder {
 	if sampleN < 1 {
 		sampleN = 1
 	}
-	return &Recorder{SampleN: sampleN, procs: map[int]bool{}, threads: map[[2]int]bool{}}
+	return &Recorder{
+		SampleN: sampleN,
+		buf:     append(make([]byte, 0, bufSize), header...),
+		procs:   map[int]bool{},
+		threads: map[[2]int]bool{},
+	}
+}
+
+// NewStreamRecorder is NewRecorder writing the document to w as it is
+// recorded, one full buffer at a time, so memory stays at that one buffer
+// however long the run is. Nothing reaches w before the first buffer
+// fills; Close writes the rest.
+func NewStreamRecorder(sampleN int, w io.Writer) *Recorder {
+	r := NewRecorder(sampleN)
+	r.w = w
+	return r
 }
 
 // Sampled reports whether request id's lifecycle should be recorded.
@@ -120,6 +107,60 @@ func (r *Recorder) Sampled(id int) bool {
 	return id%r.SampleN == 0
 }
 
+// flush hands the buffer on and leaves an empty one in its place.
+func (r *Recorder) flush() {
+	if r.w == nil {
+		r.full = append(r.full, r.buf)
+		r.buf = make([]byte, 0, bufSize)
+		return
+	}
+	if r.err == nil {
+		r.wrote = true
+		_, r.err = r.w.Write(r.buf)
+	}
+	r.buf = r.buf[:0]
+}
+
+// begin opens the next event up to its phase and returns the buffer to
+// append the rest to; end closes it.
+func (r *Recorder) begin(name string, ph byte) []byte {
+	if len(r.buf) > bufSize-eventRoom {
+		r.flush()
+	}
+	b := r.buf
+	if r.n > 0 {
+		b = append(b, ",\n"...)
+	}
+	r.n++
+	b = appendString(append(b, `{"name":`...), name)
+	return append(append(b, `,"ph":"`...), ph, '"')
+}
+
+// end appends the args object, when there are args or the phase always
+// carries one, and closes the event.
+func (r *Recorder) end(b []byte, args []Arg, always bool) {
+	if len(args) > 0 || always {
+		b = append(b, `,"args":{`...)
+		for i := range args {
+			a := &args[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(appendString(b, a.Key), ':')
+			switch {
+			case !a.IsNum:
+				b = appendString(b, a.Str)
+			case math.IsNaN(a.Val) || math.IsInf(a.Val, 0):
+				b = append(b, "null"...) // JSON has no spelling for these
+			default:
+				b = strconv.AppendFloat(b, a.Val, 'g', -1, 64)
+			}
+		}
+		b = append(b, '}')
+	}
+	r.buf = append(b, '}')
+}
+
 // Process names a track group (one per appliance instance, plus pid 0 for
 // fleet-level traffic). Repeated registrations are dropped so lifecycle
 // churn (crash/repair, scale up) can re-register freely.
@@ -128,7 +169,7 @@ func (r *Recorder) Process(pid int, name string) {
 		return
 	}
 	r.procs[pid] = true
-	r.add(event{name: "process_name", ph: 'M', pid: pid, args: []Arg{Str("name", name)}})
+	r.end(appendTrack(r.begin("process_name", 'M'), pid, 0), []Arg{Str("name", name)}, false)
 }
 
 // Thread names one track within a process (one per replica).
@@ -137,7 +178,7 @@ func (r *Recorder) Thread(pid, tid int, name string) {
 		return
 	}
 	r.threads[[2]int{pid, tid}] = true
-	r.add(event{name: "thread_name", ph: 'M', pid: pid, tid: tid, args: []Arg{Str("name", name)}})
+	r.end(appendTrack(r.begin("thread_name", 'M'), pid, tid), []Arg{Str("name", name)}, false)
 }
 
 // Span records a complete span (ph "X") of dur seconds starting at ts.
@@ -145,7 +186,9 @@ func (r *Recorder) Span(pid, tid int, name string, ts, dur float64, args ...Arg)
 	if r == nil {
 		return
 	}
-	r.add(event{name: name, ph: 'X', ts: ts, dur: dur, pid: pid, tid: tid, args: r.keepArgs(args)})
+	b := appendMicros(append(r.begin(name, 'X'), `,"ts":`...), ts)
+	b = appendMicros(append(b, `,"dur":`...), dur)
+	r.end(appendTrack(b, pid, tid), args, false)
 }
 
 // Instant records a point event (ph "i").
@@ -153,7 +196,8 @@ func (r *Recorder) Instant(pid, tid int, name string, ts float64, args ...Arg) {
 	if r == nil {
 		return
 	}
-	r.add(event{name: name, ph: 'i', ts: ts, pid: pid, tid: tid, args: r.keepArgs(args)})
+	b := appendMicros(append(r.begin(name, 'i'), `,"s":"t","ts":`...), ts)
+	r.end(appendTrack(b, pid, tid), args, false)
 }
 
 // BeginAsync opens an async span (ph "b") keyed by (cat, id); EndAsync
@@ -164,7 +208,7 @@ func (r *Recorder) BeginAsync(pid int, cat string, id int, name string, ts float
 	if r == nil {
 		return
 	}
-	r.add(event{name: name, ph: 'b', ts: ts, pid: pid, id: id, cat: cat, args: r.keepArgs(args)})
+	r.end(r.async('b', pid, cat, id, name, ts), args, true)
 }
 
 // EndAsync closes the async span opened by BeginAsync with the same
@@ -173,7 +217,15 @@ func (r *Recorder) EndAsync(pid int, cat string, id int, name string, ts float64
 	if r == nil {
 		return
 	}
-	r.add(event{name: name, ph: 'e', ts: ts, pid: pid, id: id, cat: cat, args: r.keepArgs(args)})
+	r.end(r.async('e', pid, cat, id, name, ts), args, false)
+}
+
+// async opens one half of an async span, up to its args.
+func (r *Recorder) async(ph byte, pid int, cat string, id int, name string, ts float64) []byte {
+	b := appendString(append(r.begin(name, ph), `,"cat":`...), cat)
+	b = strconv.AppendInt(append(b, `,"id":`...), int64(id), 10)
+	b = appendMicros(append(b, `,"ts":`...), ts)
+	return appendTrack(b, pid, 0)
 }
 
 // Len returns the number of recorded events.
@@ -184,75 +236,96 @@ func (r *Recorder) Len() int {
 	return r.n
 }
 
-// secondsToMicros renders a simulated-seconds timestamp as a microsecond
-// string with fixed nanosecond precision — fixed format, so the bytes are
-// reproducible and trace viewers parse them as plain decimals.
-func secondsToMicros(s float64) string {
-	return strconv.FormatFloat(s*1e6, 'f', 3, 64)
-}
-
-// writeString JSON-escapes s deterministically.
-func writeString(w *bufio.Writer, s string) {
-	b, _ := json.Marshal(s)
-	w.Write(b)
-}
-
-func writeArgs(w *bufio.Writer, args []Arg) {
-	w.WriteString(`,"args":{`)
-	for i, a := range args {
-		if i > 0 {
-			w.WriteByte(',')
-		}
-		writeString(w, a.Key)
-		w.WriteByte(':')
-		if a.IsNum {
-			w.WriteString(strconv.FormatFloat(a.Val, 'g', -1, 64))
-		} else {
-			writeString(w, a.Str)
-		}
-	}
-	w.WriteByte('}')
-}
-
-// WriteJSON writes the trace in Chrome trace-event JSON object form
-// ({"traceEvents": [...]}) with a fixed field order per event, one event
-// per line. The output depends only on the recorded event sequence.
+// WriteJSON writes the document of a recorder built by NewRecorder. The
+// output depends only on the recorded event sequence, and writing does not
+// change the recorder: recording may go on and a later call writes the
+// longer document.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-	for i := 0; i < r.n; i++ {
-		e := &r.events[i/eventChunk][i%eventChunk]
-		if i > 0 {
-			bw.WriteString(",\n")
-		}
-		bw.WriteString(`{"name":`)
-		writeString(bw, e.name)
-		bw.WriteString(`,"ph":"`)
-		bw.WriteByte(e.ph)
-		bw.WriteByte('"')
-		switch e.ph {
-		case 'M':
-			bw.WriteString(`,"pid":` + strconv.Itoa(e.pid) + `,"tid":` + strconv.Itoa(e.tid))
-		case 'X':
-			bw.WriteString(`,"ts":` + secondsToMicros(e.ts) + `,"dur":` + secondsToMicros(e.dur) +
-				`,"pid":` + strconv.Itoa(e.pid) + `,"tid":` + strconv.Itoa(e.tid))
-		case 'i':
-			bw.WriteString(`,"s":"t","ts":` + secondsToMicros(e.ts) +
-				`,"pid":` + strconv.Itoa(e.pid) + `,"tid":` + strconv.Itoa(e.tid))
-		case 'b', 'e':
-			bw.WriteString(`,"cat":`)
-			writeString(bw, e.cat)
-			bw.WriteString(`,"id":` + strconv.Itoa(e.id) + `,"ts":` + secondsToMicros(e.ts) +
-				`,"pid":` + strconv.Itoa(e.pid) + `,"tid":0`)
-		}
-		if len(e.args) > 0 || e.ph == 'b' {
-			writeArgs(bw, e.args)
-		}
-		bw.WriteByte('}')
+	if r.w != nil {
+		return errors.New("obs: WriteJSON on a recorder that streams to its own writer; Close ends that document")
 	}
-	bw.WriteString("\n]}\n")
-	return bw.Flush()
+	for _, b := range r.full {
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(r.buf); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, footer)
+	return err
+}
+
+// Close ends the document of a recorder built by NewStreamRecorder: it
+// terminates the event array, writes what is still buffered and returns
+// the first error the writer gave during the run or now. It must be the
+// recorder's last call.
+func (r *Recorder) Close() error {
+	if r == nil || r.w == nil {
+		return nil
+	}
+	r.buf = append(r.buf, footer...)
+	r.flush()
+	return r.err
+}
+
+// Abandon is Close for a run that failed: a document the writer already
+// holds part of is terminated, so the partial trace still parses, and a
+// writer that holds nothing is left untouched.
+func (r *Recorder) Abandon() {
+	if r == nil || !r.wrote {
+		return
+	}
+	_ = r.Close() // the run's own error is the one to report
+}
+
+// appendTrack appends the pid and tid fields.
+func appendTrack(b []byte, pid, tid int) []byte {
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	return strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+}
+
+// appendMicros renders a simulated-seconds timestamp in microseconds with
+// fixed nanosecond precision — fixed format, so the bytes are reproducible
+// and trace viewers parse them as plain decimals. The bytes are those of
+// strconv.AppendFloat(b, s*1e6, 'f', 3, 64), which takes strconv's
+// multi-precision path; FuzzAppendMicros holds the two equal.
+//
+// Write x = s*1e6 as m·2^e with m the 53-bit significand. For -62 <= e <= 0,
+// 1000·m < 2^63 is exact in a uint64 and x·1000 = 1000·m / 2^-e, so the
+// quotient and remainder of that shift round half-to-even exactly as
+// strconv's exact decimal does. Everything else — negative, zero and
+// subnormal, below 2^-10, at or above 2^53, NaN and Inf — goes to strconv.
+func appendMicros(b []byte, s float64) []byte {
+	x := s * 1e6
+	bits := math.Float64bits(x)
+	e := int(bits>>52) - 1075 // a set sign bit lands above 0 with NaN and Inf
+	if e < -62 || e > 0 {
+		return strconv.AppendFloat(b, x, 'f', 3, 64)
+	}
+	m := (bits&(1<<52-1) | 1<<52) * 1000
+	q := m >> uint(-e)
+	twice := (m - q<<uint(-e)) << 1 // twice the remainder, against one unit
+	if unit := uint64(1) << uint(-e); twice > unit || twice == unit && q&1 == 1 {
+		q++
+	}
+	b = strconv.AppendUint(b, q/1000, 10)
+	f := q % 1000
+	return append(b, '.', byte('0'+f/100), byte('0'+f/10%10), byte('0'+f%10))
+}
+
+// appendString appends s as a JSON string with encoding/json's bytes: raw
+// between quotes when no byte needs escaping under json.Marshal's
+// HTML-safe rules, json.Marshal's own output otherwise.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }

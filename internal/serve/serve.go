@@ -95,7 +95,8 @@ type Config struct {
 	// Recorder receives request-lifecycle and batch-pass trace events;
 	// Metrics samples gauges on a fixed simulated-time interval. Both are
 	// observability hooks, nil by default — a nil hook costs one nil check
-	// per call site. The caller owns export (WriteJSON/WriteCSV) after Run.
+	// per call site. The caller owns export (the recorder's WriteJSON or
+	// Close, the sampler's WriteCSV or WriteJSON) after Run.
 	Recorder *obs.Recorder
 	Metrics  *obs.Metrics
 }

@@ -16,8 +16,12 @@ import (
 // byte-identical across runs and engine parallelism levels — and a zero
 // ObsConfig records nothing at near-zero cost.
 type ObsConfig struct {
-	// TraceWriter receives the Chrome trace-event JSON export after the
-	// run completes (nil = tracing off).
+	// TraceWriter receives the Chrome trace-event JSON export (nil =
+	// tracing off). It is written during the run, a buffer at a time, and
+	// the document is complete and terminated when Serve/ServeCluster
+	// returns — also when the run fails part-way, so a partial trace still
+	// parses. A run that fails before the first buffer fills, as a
+	// configuration error does, writes nothing.
 	TraceWriter io.Writer
 	// TraceSampleN keeps every N-th request's lifecycle span (by request
 	// ID; default 1 = every request). Batch-level spans are always kept.
@@ -37,7 +41,7 @@ type ObsConfig struct {
 func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics) {
 	var rec *obs.Recorder
 	if o.TraceWriter != nil {
-		rec = obs.NewRecorder(o.TraceSampleN)
+		rec = obs.NewStreamRecorder(o.TraceSampleN, o.TraceWriter)
 	}
 	var met *obs.Metrics
 	if o.MetricsWriter != nil {
@@ -46,12 +50,11 @@ func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics) {
 	return rec, met
 }
 
-// export writes the enabled outputs to their writers.
+// export finishes the trace its writer has been receiving and writes the
+// metrics to theirs.
 func (o ObsConfig) export(rec *obs.Recorder, met *obs.Metrics) error {
-	if rec != nil {
-		if err := rec.WriteJSON(o.TraceWriter); err != nil {
-			return fmt.Errorf("localut: trace export: %w", err)
-		}
+	if err := rec.Close(); err != nil {
+		return fmt.Errorf("localut: trace export: %w", err)
 	}
 	if met != nil {
 		var err error

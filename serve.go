@@ -232,6 +232,7 @@ func (s *System) Serve(cfg ServeConfig) (*ServeReport, error) {
 		Metrics:  met,
 	})
 	if err != nil {
+		rec.Abandon()
 		return nil, err
 	}
 	if err := cfg.Obs.export(rec, met); err != nil {
