@@ -114,6 +114,27 @@ func (b *Bank) Read(addr, n int64) {
 	b.Reads += b.stream(addr, n)
 }
 
+// readTrain applies count back-to-back Reads of n bytes at addr, addr+n, ...
+// in O(1): the first burst is one access() outcome, row(last burst) -
+// row(first burst) later bursts each open the next row, and every other burst
+// is a TCCD hit. doc.go ("Command trains") shows why that is exact.
+func (b *Bank) readTrain(addr, n, count int64) {
+	if n <= 0 || count <= 0 {
+		return
+	}
+	perRead := (n + b.T.BurstBytes - 1) / b.T.BurstBytes
+	bursts := count * perRead
+	lastRow := (addr + (count-1)*n + (perRead-1)*b.T.BurstBytes) / b.T.RowBytes
+	b.access(addr)
+	misses := lastRow - b.openRow
+	hits := bursts - 1 - misses
+	b.Cycles += misses*(b.T.TRP+b.T.TRCD+b.T.TCL) + hits*b.T.TCCD
+	b.Activates += misses
+	b.RowHits += hits
+	b.openRow = lastRow
+	b.Reads += bursts
+}
+
 // Write streams n bytes to addr.
 func (b *Bank) Write(addr, n int64) {
 	b.Writes += b.stream(addr, n)
@@ -181,23 +202,30 @@ func (s *SIMDPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 	if err := s.T.Validate(); err != nil {
 		return nil, err
 	}
-	b.reset(s.T)
 	const elemBytes = 2 // fp16 datapath
+	if s.T.BurstBytes < elemBytes {
+		return nil, fmt.Errorf("banksim: %d B burst is narrower than an fp16 element", s.T.BurstBytes)
+	}
+	b.reset(s.T)
 	wBase := int64(0)
 	aBase := int64(g.M) * int64(g.K) * elemBytes
 	oBase := aBase + int64(g.K)*int64(g.N)*elemBytes
 
+	rowBytes := int64(g.K) * elemBytes
 	for n := 0; n < g.N; n++ {
 		// Load the activation column into the unit register file.
-		b.Read(aBase+int64(n)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
+		b.Read(aBase+int64(n)*rowBytes, rowBytes)
+		// Stream the weight rows; each burst feeds Lanes MACs and the MAC
+		// latency is pipelined behind the command stream. Output writeback
+		// is one element amortized per burst width, so most columns are
+		// one uninterrupted read train over W.
+		if n%int(s.T.BurstBytes/elemBytes) != 0 {
+			b.readTrain(wBase, rowBytes, int64(g.M))
+			continue
+		}
 		for m := 0; m < g.M; m++ {
-			// Stream the weight row; each burst feeds Lanes MACs and the
-			// MAC latency is pipelined behind the command stream.
-			b.Read(wBase+int64(m)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
-			// Output writeback, one element amortized per burst width.
-			if n%int(s.T.BurstBytes/elemBytes) == 0 {
-				b.Write(oBase+int64(m)*elemBytes, elemBytes)
-			}
+			b.Read(wBase+int64(m)*rowBytes, rowBytes)
+			b.Write(oBase+int64(m)*elemBytes, elemBytes)
 		}
 	}
 	return result(b, int64(g.M)*int64(g.K)*int64(g.N)), nil
@@ -240,15 +268,34 @@ func NewLUTPIM(t Timing, p, weightRowBytes, entryBytes int) (*LUTPIM, error) {
 	}, nil
 }
 
+// The bank address map of the LUT design: packed weights, then the
+// canonical-LUT region, the reordering-LUT region and the outputs.
+const (
+	lutRegion     = int64(32 << 20)
+	reorderRegion = int64(16 << 20)
+)
+
+// checkSlices rejects slice columns that are empty or leave no room to place
+// them in their region (RunGEMMOn draws offsets modulo region-column).
+func checkSlices(canonColBytes, reorderColBytes int64) error {
+	if canonColBytes <= 0 || reorderColBytes <= 0 {
+		return fmt.Errorf("banksim: slice sizes must be positive")
+	}
+	if canonColBytes >= lutRegion || reorderColBytes >= reorderRegion {
+		return fmt.Errorf("banksim: slice columns %d B / %d B overflow their LUT regions", canonColBytes, reorderColBytes)
+	}
+	return nil
+}
+
 // ConfigureSlices sets the streamed slice sizes (canonical column +
 // reordering column) and validates the canonical column against the unit
-// SRAM capacity.
+// SRAM capacity and both against their DRAM regions.
 func (u *LUTPIM) ConfigureSlices(canonColBytes, reorderColBytes int64) error {
 	if canonColBytes > int64(u.UnitBytes) {
 		return fmt.Errorf("banksim: canonical slice %d B exceeds %d B unit SRAM", canonColBytes, u.UnitBytes)
 	}
-	if canonColBytes <= 0 || reorderColBytes <= 0 {
-		return fmt.Errorf("banksim: slice sizes must be positive")
+	if err := checkSlices(canonColBytes, reorderColBytes); err != nil {
+		return err
 	}
 	u.CanonColBytes = canonColBytes
 	u.ReorderColBytes = reorderColBytes
@@ -274,18 +321,25 @@ func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 	if u.CanonColBytes <= 0 {
 		return nil, fmt.Errorf("banksim: slices not configured")
 	}
+	// The fields are exported, so a caller can bypass the constructors.
+	if err := checkSlices(u.CanonColBytes, u.ReorderColBytes); err != nil {
+		return nil, err
+	}
+	if u.Units < 1 || u.P < 1 || !(u.LookupsPerCycle > 0) {
+		return nil, fmt.Errorf("banksim: units=%d p=%d lookups/cycle=%g must all be positive",
+			u.Units, u.P, u.LookupsPerCycle)
+	}
 	b.reset(u.T)
 	groups := (g.K + u.P - 1) / u.P
 	wBase := int64(0)
 	wBytes := int64(groups) * int64(g.M) * int64(u.WeightRowBytes)
 	lutBase := wBytes
-	lutRegion := int64(32 << 20) // canonical LUT region
 	reorderBase := lutBase + lutRegion
-	reorderRegion := int64(16 << 20)
 	oBase := reorderBase + reorderRegion
 
 	var macs int64
 	var computeCycles int64
+	rowCompute := int64(float64(1) / u.LookupsPerCycle)
 	for n := 0; n < g.N; n++ {
 		for g0 := 0; g0 < groups; g0 += u.Units {
 			batch := u.Units
@@ -303,16 +357,14 @@ func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 			// Per-batch activation metadata (column/permutation ids).
 			b.Read(oBase+int64(g.M)*2+int64(n*groups+g0)*4, int64(batch)*4)
 			// Weight streaming: one burst carries packed vectors for the
-			// whole unit array; rows of W for this group batch are
-			// contiguous per group.
-			for m := 0; m < g.M; m++ {
-				b.Read(wBase+int64((g0/u.Units)*g.M+m)*int64(batch*u.WeightRowBytes),
-					int64(batch*u.WeightRowBytes))
-				macs += int64(batch) * int64(u.P)
-				// Unit lookup throughput may exceed the command stream;
-				// track compute separately and take the max at the end.
-				computeCycles += int64(float64(1) / u.LookupsPerCycle)
-			}
+			// whole unit array; the M rows of W for this group batch are
+			// contiguous, so they are one read train. Unit lookup
+			// throughput may exceed the command stream; track compute
+			// separately and take the max at the end.
+			rowBytes := int64(batch * u.WeightRowBytes)
+			b.readTrain(wBase+int64((g0/u.Units)*g.M)*rowBytes, rowBytes, int64(g.M))
+			macs += int64(g.M) * int64(batch) * int64(u.P)
+			computeCycles += int64(g.M) * rowCompute
 			// Output update per row handled in unit accumulators; write
 			// back once per column batch end.
 		}

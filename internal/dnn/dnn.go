@@ -7,7 +7,6 @@ import (
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/quant"
-	"github.com/ais-snu/localut/internal/workload"
 )
 
 // ModelConfig describes a transformer's shape.
@@ -152,16 +151,7 @@ func (r *Runner) runGEMM(sh GEMMShape, tokens int, seed int64) (*gemm.Report, fl
 		scale = float64(n) / float64(cap)
 		n = cap
 	}
-	var pair *workload.GEMMPair
-	if r.Engine.Exec.Mode == kernels.CyclesOnly {
-		// No data flows through cycles-only kernels, so skip generating and
-		// quantizing the synthetic operands — the dominant host cost when a
-		// serving simulator prices thousands of forward passes.
-		pair = workload.NewShapePair(sh.M, sh.K, n, r.Fmt)
-	} else {
-		pair = workload.NewGEMMPair(sh.M, sh.K, n, r.Fmt, seed)
-	}
-	rep, err := r.Engine.Run(pair, gemm.Options{Variant: r.Variant})
+	rep, err := r.Engine.Run(r.Engine.NewPair(sh.M, sh.K, n, r.Fmt, seed), gemm.Options{Variant: r.Variant})
 	if err != nil {
 		return nil, 0, fmt.Errorf("dnn: %s %s: %w", r.Model.Name, sh.Name, err)
 	}

@@ -124,10 +124,9 @@ func (s *Suite) scale(v, quick int) int {
 
 // runGEMM executes one GEMM under the paper's context-parallel tiling.
 func (s *Suite) runGEMM(m, k, n int, f quant.Format, v kernels.Variant, opt gemm.Options) (*gemm.Report, error) {
-	pair := workload.NewGEMMPair(m, k, n, f, s.Seed)
 	opt.Variant = v
 	opt.NSplitOnly = true
-	return s.Engine.Run(pair, opt)
+	return s.Engine.Run(s.Engine.NewPair(m, k, n, f, s.Seed), opt)
 }
 
 // clone returns a suite whose engine can be used concurrently with the

@@ -169,8 +169,6 @@ func (s *Suite) Fig12() (*Result, error) {
 		"M", "p", "capacity (B)", "streaming", "speedup over Naive")
 	res := newResult("fig12", "p sensitivity (Fig. 12)", tab)
 
-	pLocal := s.Engine.Cfg.WRAMLUTBudget()
-	_ = pLocal
 	for _, m := range ms {
 		naive, err := s.runGEMM(m, k, n, f, kernels.Naive, gemm.Options{})
 		if err != nil {

@@ -260,11 +260,12 @@ func (s *Suite) Fig20() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The fp16 SIMD baseline ignores the logical precision: one run per size.
+		simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
+		if err != nil {
+			return nil, err
+		}
 		for _, f := range quant.Formats {
-			simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
-			if err != nil {
-				return nil, err
-			}
 			p, spec := unitMaxP(f)
 			u, err := banksim.NewLUTPIM(tm, p, spec.WeightRowBytes(), spec.EntryBytes())
 			if err != nil {
@@ -336,17 +337,23 @@ func (s *Suite) Fig21() (*Result, error) {
 		sizes = []int{1024}
 	}
 	const chans = 4
+	// The bank shares and the fp16 SIMD baseline depend on the size only.
+	shares := make([][]banksim.GEMMSpec, len(sizes))
+	simdSeconds := make([]float64, len(sizes))
+	for i, sz := range sizes {
+		specs, err := banksim.SplitGEMM(sz, sz, sz, chans, banks)
+		if err != nil {
+			return nil, err
+		}
+		simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
+		if err != nil {
+			return nil, err
+		}
+		shares[i], simdSeconds[i] = specs, simd.Seconds
+	}
 	for _, c := range cases {
 		var sub []float64
-		for _, sz := range sizes {
-			specs, err := banksim.SplitGEMM(sz, sz, sz, chans, banks)
-			if err != nil {
-				return nil, err
-			}
-			simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
-			if err != nil {
-				return nil, err
-			}
+		for i, sz := range sizes {
 			// Largest p with a 2^(bw*p) x 2 B canonical column within the
 			// 512 B unit SRAM AND a full canonical table that still fits
 			// the bank's LUT budget (this is what pins FP16 to p=1: at
@@ -377,11 +384,11 @@ func (s *Suite) Fig21() (*Result, error) {
 			if err := u.ConfigureSlices(rows*fpEntryBytes, rows*int64(rb)); err != nil {
 				return nil, err
 			}
-			lutRes, err := banksim.RunShards(u, specs, s.Parallelism)
+			lutRes, err := banksim.RunShards(u, shares[i], s.Parallelism)
 			if err != nil {
 				return nil, err
 			}
-			sp := simd.Seconds / lutRes.Seconds
+			sp := simdSeconds[i] / lutRes.Seconds
 			tab.Add("fp-gemm "+c.name, fmt.Sprintf("%dK p=%d", sz/1024, p), sp)
 			sub = append(sub, sp)
 		}

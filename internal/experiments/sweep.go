@@ -4,7 +4,6 @@ import (
 	"github.com/ais-snu/localut/internal/gemm"
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/quant"
-	"github.com/ais-snu/localut/internal/workload"
 )
 
 // SweepRow is one design point of a full-grid GEMM sweep.
@@ -48,7 +47,7 @@ func GEMMSweepExec(m, k, n int, f quant.Format, exec gemm.ExecOptions) ([]SweepR
 	exec.FullGrid = true
 	e := gemm.NewEngine()
 	e.Exec = exec
-	pair := workload.NewGEMMPair(m, k, n, f, 1)
+	pair := e.NewPair(m, k, n, f, 1)
 
 	rows := make([]SweepRow, 0, len(kernels.Variants))
 	for _, v := range kernels.Variants {

@@ -311,6 +311,17 @@ func (e *Engine) plan(f quant.Format, tileM, k, tileN int, opt Options) (kernels
 	return nil, 0, 0, false, fmt.Errorf("gemm: unknown variant %v", opt.Variant)
 }
 
+// NewPair returns the synthetic M x K x N problem the engine's mode needs: a
+// shape-only pair in CyclesOnly mode, where no kernel reads an operand (and
+// drawing one would dominate the host cost), the seeded pair otherwise. It is
+// the one place that decides whether synthetic operands exist.
+func (e *Engine) NewPair(m, k, n int, f quant.Format, seed int64) *workload.GEMMPair {
+	if e.Exec.Mode == kernels.CyclesOnly {
+		return workload.NewShapePair(m, k, n, f)
+	}
+	return workload.NewGEMMPair(m, k, n, f, seed)
+}
+
 // Run executes one GEMM on the simulated system.
 func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
 	if err := e.Cfg.Validate(); err != nil {

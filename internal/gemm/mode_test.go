@@ -163,3 +163,38 @@ func TestCyclesOnlyComputeFullFallsBackToHost(t *testing.T) {
 		}
 	}
 }
+
+// TestNewPairFollowsMode pins the one rule about synthetic operands: a
+// cycles-only engine hands out shape-only pairs (and prices them exactly as it
+// prices the seeded pair), a functional engine the seeded pair itself.
+func TestNewPairFollowsMode(t *testing.T) {
+	const m, k, n = 96, 64, 48
+	seeded := workload.NewGEMMPair(m, k, n, quant.W1A3, 5)
+
+	fe := NewEngine()
+	if got := fe.NewPair(m, k, n, quant.W1A3, 5); !reflect.DeepEqual(got, seeded) {
+		t.Error("functional NewPair is not workload.NewGEMMPair at the same seed")
+	}
+
+	for _, full := range []bool{false, true} {
+		ce := NewEngine()
+		ce.Exec = ExecOptions{Mode: kernels.CyclesOnly, FullGrid: full, Parallelism: 1}
+		shape := ce.NewPair(m, k, n, quant.W1A3, 5)
+		if shape.W != nil || shape.A != nil {
+			t.Fatal("cycles-only NewPair built operands")
+		}
+		for _, v := range kernels.Variants {
+			want, err := ce.Run(seeded, Options{Variant: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ce.Run(shape, Options{Variant: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v full=%v: shape-only report %+v, seeded %+v", v, full, got, want)
+			}
+		}
+	}
+}

@@ -269,8 +269,18 @@ func WithPaperTiling() GEMMOption { return func(o *gemm.Options) { o.NSplitOnly 
 // GEMM generates a seeded synthetic M x K x N problem in the format and
 // executes it under the design.
 func (s *System) GEMM(f Format, m, k, n int, d Design, opts ...GEMMOption) (*GEMMResult, error) {
-	pair := workload.NewGEMMPair(m, k, n, f.inner, s.seed)
-	return s.run(pair, d, opts...)
+	o := gemmOptions(d, opts)
+	return s.run(s.syntheticPair(f, m, k, n, s.seed, o.ComputeFull), d, o)
+}
+
+// syntheticPair builds the seeded problem of GEMM and GEMMBatch: whatever the
+// engine's mode needs (nothing but the shape under WithCyclesOnly), except
+// that WithFullOutput needs operands to multiply in either mode.
+func (s *System) syntheticPair(f Format, m, k, n int, seed int64, fullOutput bool) *workload.GEMMPair {
+	if fullOutput {
+		return workload.NewGEMMPair(m, k, n, f.inner, seed)
+	}
+	return s.engine.NewPair(m, k, n, f.inner, seed)
 }
 
 // GEMMQuantized executes a GEMM on caller-provided quantized tensors.
@@ -283,11 +293,11 @@ func (s *System) GEMMQuantized(w, a *Tensor, d Design, opts ...GEMMOption) (*GEM
 	f := quant.Format{Weight: w.t.Codec, Act: a.t.Codec}
 	pair := &workload.GEMMPair{M: w.t.Rows, K: w.t.Cols, N: a.t.Cols,
 		Fmt: f, W: w.t, A: a.t}
-	return s.run(pair, d, opts...)
+	return s.run(pair, d, gemmOptions(d, opts))
 }
 
-func (s *System) run(pair *workload.GEMMPair, d Design, opts ...GEMMOption) (*GEMMResult, error) {
-	rep, err := s.engine.Run(pair, gemmOptions(d, opts))
+func (s *System) run(pair *workload.GEMMPair, d Design, o gemm.Options) (*GEMMResult, error) {
+	rep, err := s.engine.Run(pair, o)
 	if err != nil {
 		return nil, err
 	}
@@ -334,11 +344,12 @@ func (s *System) GEMMBatch(f Format, shapes []GEMMShape, d Design, opts ...GEMMO
 	if len(shapes) == 0 {
 		return nil, fmt.Errorf("localut: empty GEMM batch")
 	}
+	o := gemmOptions(d, opts)
 	pairs := make([]*workload.GEMMPair, len(shapes))
 	for i, sh := range shapes {
-		pairs[i] = workload.NewGEMMPair(sh.M, sh.K, sh.N, f.inner, s.seed+int64(i))
+		pairs[i] = s.syntheticPair(f, sh.M, sh.K, sh.N, s.seed+int64(i), o.ComputeFull)
 	}
-	reps, err := s.engine.RunBatch(pairs, gemmOptions(d, opts))
+	reps, err := s.engine.RunBatch(pairs, o)
 	if err != nil {
 		return nil, err
 	}

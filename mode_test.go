@@ -1,6 +1,11 @@
 package localut
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"github.com/ais-snu/localut/internal/workload"
+)
 
 // TestWithCyclesOnlyMatchesFunctional pins the public-API guarantee: a
 // system in cycles-only mode reports the same timing, cycle counts and
@@ -71,5 +76,79 @@ func TestCyclesOnlyInference(t *testing.T) {
 	}
 	if fr.Prefill != cr.Prefill {
 		t.Errorf("prefill phases diverge: %+v vs %+v", fr.Prefill, cr.Prefill)
+	}
+}
+
+// TestCyclesOnlyGEMMBuildsNoOperands pins the facade's side of
+// gemm.Engine.NewPair: under WithCyclesOnly, GEMM and GEMMBatch run on
+// shape-only pairs yet report exactly what the seeded operands would have,
+// whatever the seed; WithFullOutput still gets real operands to multiply.
+func TestCyclesOnlyGEMMBuildsNoOperands(t *testing.T) {
+	shapes := []GEMMShape{{96, 128, 24}, {33, 40, 17}, {256, 64, 8}}
+	opts := []GEMMOption{WithPaperTiling()}
+	o := gemmOptions(DesignLoCaLUT, opts)
+	var first []*GEMMResult
+	for _, seed := range []int64{1, 7} {
+		cs := NewSystem(WithCyclesOnly(), WithSeed(seed))
+		var got []*GEMMResult
+		for i, sh := range shapes {
+			// The pre-NewPair behaviour: seeded operands into the same engine.
+			want, err := cs.run(workload.NewGEMMPair(sh.M, sh.K, sh.N, W1A3.inner, seed), DesignLoCaLUT, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := cs.GEMM(W1A3, sh.M, sh.K, sh.N, DesignLoCaLUT, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r, want) {
+				t.Errorf("seed %d shape %d: GEMM %+v, with operands %+v", seed, i, r, want)
+			}
+			got = append(got, r)
+		}
+		batch, err := cs.GEMMBatch(W1A3, shapes, DesignLoCaLUT, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batch, got) {
+			t.Errorf("seed %d: GEMMBatch diverges from per-shape GEMM", seed)
+		}
+		if first == nil {
+			first = got
+		} else if !reflect.DeepEqual(first, got) {
+			t.Errorf("cycles-only results depend on the seed")
+		}
+	}
+
+	// WithFullOutput asks for data, so the operands must exist in both modes.
+	fr, err := NewSystem(WithSeed(7)).GEMM(W2A2, 33, 40, 17, DesignOP, WithFullOutput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := NewSystem(WithCyclesOnly(), WithSeed(7))
+	cr, err := cs.GEMM(W2A2, 33, 40, 17, DesignOP, WithFullOutput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cr.Output) != 33*17 || !reflect.DeepEqual(cr.Output, fr.Output) {
+		t.Errorf("cycles-only WithFullOutput product differs from the functional one")
+	}
+	cb, err := cs.GEMMBatch(W2A2, []GEMMShape{{8, 8, 8}, {33, 40, 17}}, DesignOP, WithFullOutput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Batch member 1 draws its operands with seed+1.
+	fb, err := NewSystem(WithSeed(8)).GEMM(W2A2, 33, 40, 17, DesignOP, WithFullOutput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cb[1].Output, fb.Output) {
+		t.Errorf("cycles-only GEMMBatch WithFullOutput product differs from the functional one")
+	}
+
+	// A shape-only pair reaching a functional engine is an error, not a nil
+	// dereference in the tile builder.
+	if _, err := NewSystem().run(workload.NewShapePair(33, 40, 17, W1A3.inner), DesignLoCaLUT, o); err == nil {
+		t.Error("functional system accepted a shape-only pair")
 	}
 }
