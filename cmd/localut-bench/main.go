@@ -8,8 +8,6 @@
 //
 //	localut-bench [-quick] [-fig fig09] [-j N] [-cycles-only] [-v] [-o report.md]
 //	localut-bench -sweep MxKxN [-fmt W1A3] [-j N] [-cycles-only] [-compare]
-//	localut-bench -bench-json BENCH_kernels.json
-//	localut-bench -engine-json BENCH_engine.json [-max-allocs-per-tile N]
 //	localut-bench ... [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -j sets the host worker-pool size (0 = one worker per CPU core, 1 =
@@ -22,18 +20,11 @@
 // (NoArena) reference engine and in cycles-only mode, checks that the
 // simulated results agree across all four, and reports the host speedups.
 // -v prints LUT table-build cache statistics after the run.
-// -bench-json runs the kernel micro-benchmark suite (OP, OP+LC, OP+LC+RC in
-// both modes) and writes the timings as JSON to the given path.
-// -engine-json benchmarks the full-grid functional engine (pooled vs
-// unpooled wall-clock, steady-state allocations per bank tile) and writes
-// the measurements as JSON; with -max-allocs-per-tile it exits nonzero when
-// the steady state regresses past the ceiling (the CI allocation gate).
 // -cpuprofile / -memprofile stream a pprof CPU profile and write a post-GC
 // heap snapshot, so perf changes ship with evidence.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,17 +33,18 @@ import (
 	"strings"
 	"time"
 
+	"github.com/ais-snu/localut/cmd/internal/cli"
 	"github.com/ais-snu/localut/internal/experiments"
 	"github.com/ais-snu/localut/internal/gemm"
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/lut"
-	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/prof"
 	"github.com/ais-snu/localut/internal/quant"
-	"github.com/ais-snu/localut/internal/workload"
 )
 
-func main() {
+func main() { cli.Main("localut-bench", run) }
+
+func run() error {
 	quick := flag.Bool("quick", false, "run reduced-size workloads")
 	fig := flag.String("fig", "", "run a single figure (e.g. fig09); empty runs all")
 	out := flag.String("o", "", "write the markdown report to this file instead of stdout")
@@ -62,18 +54,14 @@ func main() {
 	compare := flag.Bool("compare", false, "with -sweep: run serial, parallel and cycles-only, verify identical cycles, report speedups")
 	cyclesOnly := flag.Bool("cycles-only", false, "use the analytic cycles-only backend (identical cycles, no functional simulation)")
 	verbose := flag.Bool("v", false, "print LUT cache statistics after the run")
-	benchJSON := flag.String("bench-json", "", "run the kernel micro-benchmarks and write JSON to this path")
-	engineJSON := flag.String("engine-json", "", "run the full-grid engine benchmark and write JSON to this path")
-	maxAllocs := flag.Float64("max-allocs-per-tile", 0, "with -engine-json: fail if steady-state allocations per bank tile exceed this ceiling (0 = no check)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a post-GC pprof heap profile to this file at exit")
 	flag.Parse()
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	profStop = stopProf
 	defer stopProf()
 
 	mode := kernels.Functional
@@ -81,26 +69,12 @@ func main() {
 		mode = kernels.CyclesOnly
 	}
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *engineJSON != "" {
-		if err := runEngineJSON(*engineJSON, *par, *maxAllocs); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *sweep != "" {
 		if err := runSweep(*sweep, *fmtName, *par, mode, *compare); err != nil {
-			fatal(err)
+			return err
 		}
 		cacheStats(*verbose)
-		return
+		return nil
 	}
 
 	s := experiments.New()
@@ -113,15 +87,13 @@ func main() {
 	var results []*experiments.Result
 	start := time.Now()
 	if *fig == "" {
-		var err error
-		results, err = s.All()
-		if err != nil {
-			fatal(err)
+		if results, err = s.All(); err != nil {
+			return err
 		}
 	} else {
 		r, err := s.RunFigure(strings.ToLower(*fig))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		results = []*experiments.Result{r}
 	}
@@ -132,13 +104,14 @@ func main() {
 	if *out == "" {
 		fmt.Print(doc)
 		cacheStats(*verbose)
-		return
+		return nil
 	}
 	if err := os.WriteFile(*out, []byte(doc), 0o644); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d figures, %.1fs)\n", *out, len(results), time.Since(start).Seconds())
 	cacheStats(*verbose)
+	return nil
 }
 
 // cacheStats reports the process-wide LUT table cache so table-build cost is
@@ -282,208 +255,4 @@ func printRows(shape, format string, rows []experiments.SweepRow) {
 			r.Design, r.P, r.SliceK, r.Streaming, r.Banks, r.KernelCycles, r.SimSeconds, r.Verified)
 	}
 	fmt.Printf("\n(%s, %s, every bank tile accounted)\n", shape, format)
-}
-
-// benchEntry is one kernel micro-benchmark measurement.
-type benchEntry struct {
-	Kernel        string  `json:"kernel"`
-	Mode          string  `json:"mode"`
-	M             int     `json:"m"`
-	K             int     `json:"k"`
-	N             int     `json:"n"`
-	Runs          int     `json:"runs"`
-	HostSecPerRun float64 `json:"host_seconds_per_run"`
-	SimCycles     int64   `json:"sim_cycles"`
-	// SpeedupVsFunctional is set on cycles-only entries: functional
-	// host-seconds / cycles-only host-seconds for the same kernel.
-	SpeedupVsFunctional float64 `json:"speedup_vs_functional,omitempty"`
-}
-
-// runBenchJSON times each packed-LUT kernel in both execution modes on a
-// fixed tile and writes the measurements as JSON — the start of the perf
-// trajectory tracked across PRs.
-func runBenchJSON(path string) error {
-	const m, k, n, runs = 256, 256, 32, 3
-	cfg := pim.DefaultConfig()
-	costs := kernels.DefaultCosts()
-	f := quant.W1A3
-	pair := workload.NewGEMMPair(m, k, n, f, 1)
-
-	kns := []struct {
-		name string
-		kn   kernels.Kernel
-	}{
-		{"OP", kernels.NewOPKernel(costs, lut.MustSpec(f, 2))},
-		{"OP+LC", kernels.NewOPLCKernel(costs, lut.MustSpec(f, 4))},
-		{"OP+LC+RC", kernels.NewOPLCRCKernel(costs, lut.MustSpec(f, 4))},
-		{"LoCaLUT", kernels.NewStreamKernel(costs, lut.MustSpec(f, 6), 2)},
-	}
-
-	var entries []benchEntry
-	for _, it := range kns {
-		var funcSec float64
-		for _, mode := range []kernels.Mode{kernels.Functional, kernels.CyclesOnly} {
-			var tile *kernels.Tile
-			var err error
-			if mode == kernels.CyclesOnly {
-				tile, err = kernels.NewShapeTile(m, k, n, f)
-			} else {
-				tile, err = kernels.NewTile(m, k, n, f, pair.W.Codes, pair.A.Codes)
-			}
-			if err != nil {
-				return err
-			}
-			d := kernels.DPUForMode(&cfg, mode)
-			// Warm-up builds shared LUT tables outside the timed runs.
-			if _, err := it.kn.Run(d, tile); err != nil {
-				return err
-			}
-			start := time.Now()
-			var cycles int64
-			for r := 0; r < runs; r++ {
-				res, err := it.kn.Run(d, tile)
-				if err != nil {
-					return err
-				}
-				cycles = res.Cycles
-			}
-			perRun := time.Since(start).Seconds() / runs
-			e := benchEntry{
-				Kernel: it.name, Mode: mode.String(), M: m, K: k, N: n,
-				Runs: runs, HostSecPerRun: perRun, SimCycles: cycles,
-			}
-			if mode == kernels.Functional {
-				funcSec = perRun
-			} else if perRun > 0 {
-				e.SpeedupVsFunctional = funcSec / perRun
-			}
-			entries = append(entries, e)
-		}
-	}
-
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d entries)\n", path, len(entries))
-	return nil
-}
-
-// engineBench is the BENCH_engine.json payload: one full-grid functional
-// measurement of the pooled execution engine against the unpooled
-// (NoArena) reference, plus the steady-state allocation rate of the
-// per-bank-tile hot path.
-type engineBench struct {
-	Shape           string  `json:"shape"`
-	Format          string  `json:"format"`
-	Designs         int     `json:"designs"`
-	TilesPerPass    int     `json:"tiles_per_pass"`
-	Workers         int     `json:"workers"`
-	PooledSeconds   float64 `json:"pooled_seconds"`
-	UnpooledSeconds float64 `json:"unpooled_seconds"`
-	PooledSpeedup   float64 `json:"pooled_speedup"`
-	AllocsPerTile   float64 `json:"allocs_per_tile"`
-	BytesPerTile    float64 `json:"bytes_per_tile"`
-}
-
-// runEngineJSON benchmarks the full-grid functional engine and writes the
-// measurements as JSON — the engine-level perf trajectory tracked across
-// PRs, and CI's allocation-regression gate (-max-allocs-per-tile).
-func runEngineJSON(path string, par int, maxAllocsPerTile float64) error {
-	const m, k, n = 256, 256, 64
-	f := quant.W1A3
-	workers := par
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	pair := workload.NewGEMMPair(m, k, n, f, 1)
-	runAll := func(e *gemm.Engine) (tiles int, err error) {
-		for _, v := range kernels.Variants {
-			rep, err := e.Run(pair, gemm.Options{Variant: v})
-			if err != nil {
-				return 0, err
-			}
-			tiles += rep.BanksSimulated
-		}
-		return tiles, nil
-	}
-
-	// Pooled engine: one warm pass populates the LUT cache and arena pool,
-	// the second pass is the timed steady state.
-	pooled := gemm.NewEngine()
-	pooled.Exec = gemm.ExecOptions{Parallelism: workers, FullGrid: true}
-	tiles, err := runAll(pooled)
-	if err != nil {
-		return err
-	}
-	t0 := time.Now()
-	if _, err := runAll(pooled); err != nil {
-		return err
-	}
-	pooledWall := time.Since(t0).Seconds()
-
-	// Steady-state allocation rate, measured serially (a worker pool would
-	// charge its goroutine setup to the tiles).
-	pooled.Exec.Parallelism = 1
-	if _, err := runAll(pooled); err != nil { // settle the serial arena
-		return err
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := runAll(pooled); err != nil {
-		return err
-	}
-	runtime.ReadMemStats(&after)
-	allocsPerTile := float64(after.Mallocs-before.Mallocs) / float64(tiles)
-	bytesPerTile := float64(after.TotalAlloc-before.TotalAlloc) / float64(tiles)
-
-	// Unpooled reference engine, same warm-then-time protocol.
-	unpooled := gemm.NewEngine()
-	unpooled.Exec = gemm.ExecOptions{Parallelism: workers, FullGrid: true, NoArena: true}
-	if _, err := runAll(unpooled); err != nil {
-		return err
-	}
-	t1 := time.Now()
-	if _, err := runAll(unpooled); err != nil {
-		return err
-	}
-	unpooledWall := time.Since(t1).Seconds()
-
-	bench := engineBench{
-		Shape: fmt.Sprintf("%dx%dx%d", m, k, n), Format: f.Name(),
-		Designs: len(kernels.Variants), TilesPerPass: tiles, Workers: workers,
-		PooledSeconds: pooledWall, UnpooledSeconds: unpooledWall,
-		PooledSpeedup: unpooledWall / pooledWall,
-		AllocsPerTile: allocsPerTile, BytesPerTile: bytesPerTile,
-	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (pooled %.3fs, unpooled %.3fs, %.2f allocs/tile)\n",
-		path, pooledWall, unpooledWall, allocsPerTile)
-
-	if maxAllocsPerTile > 0 && allocsPerTile > maxAllocsPerTile {
-		return fmt.Errorf("allocation regression: %.2f allocs per bank tile exceeds the %.2f ceiling",
-			allocsPerTile, maxAllocsPerTile)
-	}
-	return nil
-}
-
-// profStop flushes any active pprof collectors before an error exit, so a
-// failing profiled run still leaves usable profiles. Idempotent; the
-// success path defers the same stop.
-var profStop = func() {}
-
-func fatal(err error) {
-	profStop()
-	fmt.Fprintln(os.Stderr, "localut-bench:", err)
-	os.Exit(1)
 }

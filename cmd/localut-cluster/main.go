@@ -13,14 +13,13 @@
 //	localut-cluster -autoscale -slo 0.5 -instances 1 -max-instances 8 -rate 400
 //	localut-cluster -designs "OP+LC+RC,LoCaLUT" -router shape-affinity
 //	localut-cluster -sweep 500,1000,2000 -fleets 2,4,8
-//	localut-cluster -bench-json BENCH_cluster.json
 //
 // Output is a summary table plus per-instance and per-class sections;
 // -json and -csv switch formats, -o writes to a file.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,329 +29,244 @@ import (
 	"time"
 
 	"github.com/ais-snu/localut"
+	"github.com/ais-snu/localut/cmd/internal/cli"
 	"github.com/ais-snu/localut/cmd/internal/obsfiles"
 	"github.com/ais-snu/localut/internal/cluster"
-	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/experiments"
-	"github.com/ais-snu/localut/internal/gemm"
-	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/prof"
-	"github.com/ais-snu/localut/internal/quant"
 	"github.com/ais-snu/localut/internal/serve"
 	"github.com/ais-snu/localut/internal/trace"
 )
 
-func main() {
-	model := flag.String("model", "bert-base", "model: bert-base, opt-125m or vit-base")
-	fmtName := flag.String("fmt", "W1A3", "quantization format (WxAy)")
-	design := flag.String("design", "LoCaLUT", "kernel design point")
-	designsFlag := flag.String("designs", "", "comma-separated designs cycled over instance IDs (heterogeneous fleet)")
-	instances := flag.Int("instances", 2, "initial fleet size")
-	replicas := flag.Int("replicas", 4, "serving groups per appliance")
-	ranks := flag.Int("ranks", 0, "override each appliance's rank count (0 = testbed 32)")
-	routerName := flag.String("router", "round-robin", "router: round-robin, least-outstanding, weighted-kv or shape-affinity")
-	admissionName := flag.String("admission", "admit-all", "admission: admit-all or token-bucket")
-	rate := flag.Float64("rate", 100, "open-loop Poisson arrival rate (requests/sec, single default class)")
-	classesFlag := flag.String("classes", "", `SLO classes as "name:rate[:admitRate]" pairs, comma-separated (overrides -rate)`)
-	duration := flag.Duration("duration", 60*time.Second, "arrival window")
-	seed := flag.Int64("seed", 1, "workload seed")
-	maxBatch := flag.Int("max-batch", 8, "requests per batch")
-	sched := flag.String("scheduler", "packed", "batch scheduler: fcfs or packed")
-	quantum := flag.Int("quantum", 64, "token padding quantum (shape bucket)")
-	minTok := flag.Int("min-tokens", 16, "minimum request length")
-	maxTok := flag.Int("max-tokens", 256, "maximum request length")
-	meanTok := flag.Float64("mean-tokens", 0, "mean request length (0 = model sequence length)")
-	outTok := flag.Int("out-tokens", 0, "fixed decode tokens per request (decoder models)")
-	outTokMean := flag.Float64("out-tokens-mean", 0, "mean sampled decode tokens per request (overrides -out-tokens)")
-	outTokMax := flag.Int("out-tokens-max", 0, "cap on sampled decode tokens (0 = 4x the mean)")
-	autoscale := flag.Bool("autoscale", false, "enable the reactive autoscaler")
-	slo := flag.Float64("slo", 0, "autoscaler response-start p99 target in seconds (required with -autoscale)")
-	minInst := flag.Int("min-instances", 0, "autoscaler floor (0 = 1)")
-	maxInst := flag.Int("max-instances", 0, "autoscaler ceiling (0 = 4x initial)")
-	interval := flag.Duration("interval", 0, "autoscaler control period (0 = 5s)")
-	warmup := flag.Duration("warmup", 0, "launched-instance warm-up delay (0 = 2s)")
-	drain := flag.Duration("drain", 0, "retirement delay after an instance empties (0 = 1s)")
-	mttf := flag.Float64("mttf", 0, "per-instance mean time to failure in seconds (0 = no fault injection)")
-	mttr := flag.Float64("mttr", 0, "mean repair delay in seconds (0 = 5)")
-	domains := flag.Int("domains", 0, "correlated failure domains; instances map to domains by ID modulo this count (0 = off)")
-	domainMTBF := flag.Float64("domain-mtbf", 0, "per-domain mean time between correlated outages in seconds (required with -domains)")
-	domainMTTR := flag.Float64("domain-mttr", 0, "mean domain repair delay in seconds (0 = 10)")
-	stragglerMTBF := flag.Float64("straggler-mtbf", 0, "per-member mean time between gray-failure straggler windows in seconds (0 = off)")
-	stragglerDur := flag.Float64("straggler-duration", 0, "mean straggler window length in seconds (0 = 5)")
-	stragglerSlow := flag.Float64("straggler-slowdown", 0, "pass-cost multiplier inside a straggler window (0 = 4)")
-	hedgeDelay := flag.Float64("hedge-delay", 0, "duplicate a request still waiting for its first token after this many seconds (0 = hedging off)")
-	auditFlag := flag.Bool("audit", false, "run the conservation auditor on the final report and fail on any violation")
-	chaosN := flag.Int("chaos", 0, "chaos seed sweep: run N seeds across three failure scenarios with the auditor on, failing on any violation")
-	hedgeSweepFlag := flag.String("hedge-sweep", "", "comma-separated hedge delays (seconds; 0 = no-hedge baseline) for a tail-latency sweep under straggler injection")
-	degraded := flag.Float64("degraded", 0, "fraction of faults that degrade one replica instead of crashing")
-	rematGBps := flag.Float64("remat-gbps", 0, "LUT re-materialization write bandwidth in GB/s (0 = 16)")
-	deadline := flag.Float64("deadline", 0, "default per-request completion deadline in seconds (0 = none)")
-	retries := flag.Int("retries", 0, "max service attempts per request (0 = 3)")
-	retryBackoff := flag.Float64("retry-backoff", 0, "first retry backoff in seconds (0 = 0.05)")
-	maxQueue := flag.Int("max-queue", 0, "per-instance admission queue bound (0 = unbounded)")
-	kvPolicy := flag.String("kv", "gauge", "KV budget policy: gauge, stall or shed")
-	par := flag.Int("j", 0, "host worker-pool size (0 = NumCPU); results are identical at any -j")
-	sweepFlag := flag.String("sweep", "", "comma-separated arrival rates for a fleet-scaling sweep")
-	fleetsFlag := flag.String("fleets", "", "comma-separated fleet sizes for -sweep (default: -instances)")
-	mttfSweep := flag.String("mttf-sweep", "", "comma-separated MTTF values (seconds; 0 = fault-free baseline) for a reliability sweep")
-	jsonOut := flag.Bool("json", false, "emit JSON")
-	csvOut := flag.Bool("csv", false, "emit CSV")
-	timeline := flag.Bool("timeline", false, "print the unified fleet timeline (table output only)")
-	outPath := flag.String("o", "", "write output to this file instead of stdout")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
-	traceSample := flag.Int("trace-sample", 1, "keep every N-th request's lifecycle span in the trace")
-	metricsOut := flag.String("metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
-	metricsInterval := flag.Duration("metrics-interval", time.Second, "time-series sampling interval")
-	benchJSON := flag.String("bench-json", "", "run the cluster self-benchmark and write JSON to this path")
-	benchFaultsJSON := flag.String("bench-faults-json", "", "run the faulted-fleet self-benchmark and write JSON to this path")
-	benchObsJSON := flag.String("bench-obs-json", "", "run the observability-overhead self-benchmark and write JSON to this path")
-	benchChaosJSON := flag.String("bench-chaos-json", "", "run the chaos-fleet self-benchmark (domains + stragglers + hedging, audited) and write JSON to this path")
-	maxObsOverheadUS := flag.Float64("max-obs-overhead-us", 0, "fail -bench-obs-json when full recording costs more than this per admitted request, in microseconds (0 = no gate)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a post-GC pprof heap profile to this file at exit")
+// options are the parsed flags: the appliance and request-shape flags
+// shared with localut-serve, the output selection, and the fleet's own.
+type options struct {
+	cli.Workload
+	out cli.Output
+
+	designs   string
+	instances int
+	router    string
+	admission string
+	rate      float64
+	classes   string
+
+	// The chaos and autoscaler plans take their flags field by field; the
+	// three durations and the hedge delay fill their plans in fleetConfig.
+	autoscaler localut.ClusterAutoscaler
+	faults     localut.ClusterFaults
+	domains    localut.ClusterDomains
+	stragglers localut.ClusterStragglers
+	retry      localut.ClusterRetry
+
+	autoscaleInterval, warmup, drainDelay time.Duration
+	hedgeDelay, deadline                  float64
+
+	maxQueue int
+	kv       string
+	audit    bool
+
+	// Modes other than one fleet run.
+	chaos                                int
+	sweep, fleets, mttfSweep, hedgeSweep string
+
+	timeline               bool
+	traceOut, metricsOut   string
+	traceSample            int
+	metricsInterval        time.Duration
+	cpuProfile, memProfile string
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	o.Workload.Register(fs)
+	o.out.Register(fs)
+	fs.StringVar(&o.designs, "designs", "", "comma-separated designs cycled over instance IDs (heterogeneous fleet)")
+	fs.IntVar(&o.instances, "instances", 2, "initial fleet size")
+	fs.StringVar(&o.router, "router", "round-robin", "router: round-robin, least-outstanding, weighted-kv or shape-affinity")
+	fs.StringVar(&o.admission, "admission", "admit-all", "admission: admit-all or token-bucket")
+	fs.Float64Var(&o.rate, "rate", 100, "open-loop Poisson arrival rate (requests/sec, single default class)")
+	fs.StringVar(&o.classes, "classes", "", `SLO classes as "name:rate[:admitRate]" pairs, comma-separated (overrides -rate)`)
+	fs.BoolVar(&o.autoscaler.Enabled, "autoscale", false, "enable the reactive autoscaler")
+	fs.Float64Var(&o.autoscaler.SLOSeconds, "slo", 0, "autoscaler response-start p99 target in seconds (required with -autoscale)")
+	fs.IntVar(&o.autoscaler.MinInstances, "min-instances", 0, "autoscaler floor (0 = 1)")
+	fs.IntVar(&o.autoscaler.MaxInstances, "max-instances", 0, "autoscaler ceiling (0 = 4x initial)")
+	fs.DurationVar(&o.autoscaleInterval, "interval", 0, "autoscaler control period (0 = 5s)")
+	fs.DurationVar(&o.warmup, "warmup", 0, "launched-instance warm-up delay (0 = 2s)")
+	fs.DurationVar(&o.drainDelay, "drain", 0, "retirement delay after an instance empties (0 = 1s)")
+	fs.Float64Var(&o.faults.MTTFSeconds, "mttf", 0, "per-instance mean time to failure in seconds (0 = no fault injection)")
+	fs.Float64Var(&o.faults.MTTRSeconds, "mttr", 0, "mean repair delay in seconds (0 = 5)")
+	fs.Float64Var(&o.faults.DegradedFraction, "degraded", 0, "fraction of faults that degrade one replica instead of crashing")
+	fs.Float64Var(&o.faults.LUTRematGBps, "remat-gbps", 0, "LUT re-materialization write bandwidth in GB/s (0 = 16)")
+	fs.IntVar(&o.domains.Count, "domains", 0, "correlated failure domains; instances map to domains by ID modulo this count (0 = off)")
+	fs.Float64Var(&o.domains.MTBFSeconds, "domain-mtbf", 0, "per-domain mean time between correlated outages in seconds (required with -domains)")
+	fs.Float64Var(&o.domains.MTTRSeconds, "domain-mttr", 0, "mean domain repair delay in seconds (0 = 10)")
+	fs.Float64Var(&o.stragglers.MTBFSeconds, "straggler-mtbf", 0, "per-member mean time between gray-failure straggler windows in seconds (0 = off)")
+	fs.Float64Var(&o.stragglers.MeanDurationSeconds, "straggler-duration", 0, "mean straggler window length in seconds (0 = 5)")
+	fs.Float64Var(&o.stragglers.Slowdown, "straggler-slowdown", 0, "pass-cost multiplier inside a straggler window (0 = 4)")
+	fs.Float64Var(&o.hedgeDelay, "hedge-delay", 0, "duplicate a request still waiting for its first token after this many seconds (0 = hedging off)")
+	fs.BoolVar(&o.audit, "audit", false, "run the conservation auditor on the final report and fail on any violation")
+	fs.IntVar(&o.chaos, "chaos", 0, "chaos seed sweep: run N seeds across three failure scenarios with the auditor on, failing on any violation")
+	fs.StringVar(&o.hedgeSweep, "hedge-sweep", "", "comma-separated hedge delays (seconds; 0 = no-hedge baseline) for a tail-latency sweep under straggler injection")
+	fs.Float64Var(&o.deadline, "deadline", 0, "default per-request completion deadline in seconds (0 = none)")
+	fs.IntVar(&o.retry.MaxAttempts, "retries", 0, "max service attempts per request (0 = 3)")
+	fs.Float64Var(&o.retry.BackoffSeconds, "retry-backoff", 0, "first retry backoff in seconds (0 = 0.05)")
+	fs.IntVar(&o.maxQueue, "max-queue", 0, "per-instance admission queue bound (0 = unbounded)")
+	fs.StringVar(&o.kv, "kv", "gauge", "KV budget policy: gauge, stall or shed")
+	fs.StringVar(&o.sweep, "sweep", "", "comma-separated arrival rates for a fleet-scaling sweep")
+	fs.StringVar(&o.fleets, "fleets", "", "comma-separated fleet sizes for -sweep (default: -instances)")
+	fs.StringVar(&o.mttfSweep, "mttf-sweep", "", "comma-separated MTTF values (seconds; 0 = fault-free baseline) for a reliability sweep")
+	fs.BoolVar(&o.timeline, "timeline", false, "print the unified fleet timeline (table output only)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
+	fs.IntVar(&o.traceSample, "trace-sample", 1, "keep every N-th request's lifecycle span in the trace")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
+	fs.DurationVar(&o.metricsInterval, "metrics-interval", time.Second, "time-series sampling interval")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a post-GC pprof heap profile to this file at exit")
+}
+
+func main() { cli.Main("localut-cluster", run) }
+
+func run() error {
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	stopProf, err := prof.Start(o.cpuProfile, o.memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	profStop = stopProf
 	defer stopProf()
 
-	w := io.Writer(os.Stdout)
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
+	w, closeOut, err := o.out.Open()
+	if err != nil {
+		return err
 	}
+	switch {
+	case o.chaos > 0:
+		err = runChaos(w, &o)
+	case o.hedgeSweep != "":
+		err = runHedgeSweep(w, &o)
+	case o.mttfSweep != "":
+		err = runMTTFSweep(w, &o)
+	case o.sweep != "":
+		err = runSweep(w, &o)
+	default:
+		err = runFleet(w, &o)
+	}
+	return errors.Join(err, closeOut())
+}
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fatal(err)
-		}
-		return
+// fleetConfig is the facade config the flags describe. A chaos layer is
+// enabled by its trigger flag: -mttf, -domains, -straggler-mtbf,
+// -hedge-delay.
+func (o *options) fleetConfig() (localut.ClusterConfig, error) {
+	cfg := localut.ClusterConfig{
+		Instances:       o.instances,
+		Replicas:        o.Replicas,
+		RatePerSec:      o.rate,
+		DurationSeconds: o.Duration.Seconds(),
+		MaxBatch:        o.MaxBatch,
+		MinTokens:       o.MinTokens,
+		MaxTokens:       o.MaxTokens,
+		MeanTokens:      o.MeanTokens,
+		TokenQuantum:    o.Quantum,
+		OutTokens:       o.OutTokens,
+		OutTokensMean:   o.OutTokensMean,
+		OutTokensMax:    o.OutTokensMax,
+		MaxQueue:        o.maxQueue,
+		Autoscaler:      o.autoscaler,
+		Faults:          o.faults,
+		Domains:         o.domains,
+		Stragglers:      o.stragglers,
+		Hedge:           localut.ClusterHedge{Enabled: o.hedgeDelay > 0, DelaySeconds: o.hedgeDelay},
+		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: o.deadline},
+		Retry:           o.retry,
+		Audit:           o.audit,
 	}
-	if *benchFaultsJSON != "" {
-		if err := runBenchFaultsJSON(*benchFaultsJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchObsJSON != "" {
-		if err := runBenchObsJSON(*benchObsJSON, *maxObsOverheadUS); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchChaosJSON != "" {
-		if err := runBenchChaosJSON(*benchChaosJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
+	cfg.Autoscaler.IntervalSeconds = o.autoscaleInterval.Seconds()
+	cfg.Autoscaler.WarmupSeconds = o.warmup.Seconds()
+	cfg.Autoscaler.DrainSeconds = o.drainDelay.Seconds()
+	cfg.Faults.Enabled = o.faults.MTTFSeconds > 0
+	cfg.Domains.Enabled = o.domains.Count > 0
+	cfg.Stragglers.Enabled = o.stragglers.MTBFSeconds > 0
 
-	if *chaosN > 0 {
-		if err := runChaos(w, *chaosN, *par, *jsonOut, *csvOut); err != nil {
-			fatal(err)
-		}
-		return
+	var err error
+	if cfg.Model, err = localut.ParseModel(o.Model); err != nil {
+		return cfg, err
 	}
-
-	if *hedgeSweepFlag != "" {
-		err := runHedgeSweep(w, *hedgeSweepFlag, *model, *fmtName, *design,
-			*instances, *replicas, *ranks, *routerName, *admissionName,
-			*rate, *duration, *seed, *maxBatch, *sched, *quantum,
-			*minTok, *maxTok, *meanTok, *outTok, *outTokMean, *outTokMax,
-			*deadline, *stragglerMTBF, *stragglerDur, *stragglerSlow,
-			*auditFlag, *csvOut)
-		if err != nil {
-			fatal(err)
-		}
-		return
+	if cfg.Format, err = localut.ParseFormat(o.Format); err != nil {
+		return cfg, err
 	}
-
-	if *mttfSweep != "" {
-		err := runMTTFSweep(w, *mttfSweep, *model, *fmtName, *design, *designsFlag,
-			*instances, *replicas, *ranks, *routerName, *admissionName,
-			*rate, *duration, *seed, *maxBatch, *sched, *quantum,
-			*minTok, *maxTok, *meanTok, *outTok, *outTokMean, *outTokMax,
-			*mttr, *degraded, *rematGBps, *deadline, *retries, *retryBackoff,
-			*maxQueue, *kvPolicy, *csvOut)
-		if err != nil {
-			fatal(err)
-		}
-		return
+	if cfg.Design, err = localut.ParseDesign(o.Design); err != nil {
+		return cfg, err
 	}
-
-	if *sweepFlag != "" {
-		err := runSweep(w, *sweepFlag, *fleetsFlag, *model, *fmtName, *design,
-			*instances, *replicas, *ranks, *routerName, *admissionName,
-			*duration, *seed, *maxBatch, *sched, *quantum,
-			*minTok, *maxTok, *meanTok, *outTok, *outTokMean, *outTokMax, *csvOut)
-		if err != nil {
-			fatal(err)
-		}
-		return
+	if cfg.Scheduler, err = localut.ParseSchedulerPolicy(o.Scheduler); err != nil {
+		return cfg, err
 	}
-
-	m, err := localut.ParseModel(*model)
-	if err != nil {
-		fatal(err)
+	if cfg.Router, err = localut.ParseRouterPolicy(o.router); err != nil {
+		return cfg, err
 	}
-	f, err := localut.ParseFormat(*fmtName)
-	if err != nil {
-		fatal(err)
+	if cfg.Admission, err = localut.ParseAdmissionPolicy(o.admission); err != nil {
+		return cfg, err
 	}
-	d, err := localut.ParseDesign(*design)
-	if err != nil {
-		fatal(err)
+	if cfg.KVPolicy, err = localut.ParseKVPolicy(o.kv); err != nil {
+		return cfg, err
 	}
-	pol, err := localut.ParseSchedulerPolicy(*sched)
-	if err != nil {
-		fatal(err)
-	}
-	rt, err := localut.ParseRouterPolicy(*routerName)
-	if err != nil {
-		fatal(err)
-	}
-	adm, err := localut.ParseAdmissionPolicy(*admissionName)
-	if err != nil {
-		fatal(err)
-	}
-	kv, err := localut.ParseKVPolicy(*kvPolicy)
-	if err != nil {
-		fatal(err)
-	}
-	var designs []localut.Design
-	if *designsFlag != "" {
-		for _, name := range strings.Split(*designsFlag, ",") {
-			dd, err := localut.ParseDesign(strings.TrimSpace(name))
+	if o.designs != "" {
+		for _, name := range strings.Split(o.designs, ",") {
+			d, err := localut.ParseDesign(strings.TrimSpace(name))
 			if err != nil {
-				fatal(err)
+				return cfg, err
 			}
-			designs = append(designs, dd)
+			cfg.Designs = append(cfg.Designs, d)
 		}
 	}
-	classes, err := parseClasses(*classesFlag)
-	if err != nil {
-		fatal(err)
-	}
+	cfg.Classes, err = parseClasses(o.classes)
+	return cfg, err
+}
 
-	opts := []localut.Option{localut.WithSeed(*seed), localut.WithParallelism(*par)}
-	if *ranks > 0 {
-		opts = append(opts, localut.WithRanks(*ranks))
-	}
-	sys := localut.NewSystem(opts...)
-
-	obsCfg, closeObs, err := obsfiles.Open(*traceOut, *traceSample, *metricsOut, metricsInterval.Seconds())
+// runFleet is the default mode: one cluster simulation, reported as a
+// summary table plus per-instance and per-class sections.
+func runFleet(w io.Writer, o *options) error {
+	cfg, err := o.fleetConfig()
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	obsCfg, closeObs, err := obsfiles.Open(o.traceOut, o.traceSample, o.metricsOut, o.metricsInterval.Seconds())
+	if err != nil {
+		return err
+	}
+	cfg.Obs = obsCfg
 
 	start := time.Now()
-	rep, err := sys.ServeCluster(localut.ClusterConfig{
-		Model: m, Format: f, Design: d, Designs: designs,
-		Instances:       *instances,
-		Replicas:        *replicas,
-		Router:          rt,
-		Admission:       adm,
-		Classes:         classes,
-		RatePerSec:      *rate,
-		DurationSeconds: duration.Seconds(),
-		MaxBatch:        *maxBatch,
-		Scheduler:       pol,
-		MinTokens:       *minTok,
-		MaxTokens:       *maxTok,
-		MeanTokens:      *meanTok,
-		TokenQuantum:    *quantum,
-		OutTokens:       *outTok,
-		OutTokensMean:   *outTokMean,
-		OutTokensMax:    *outTokMax,
-		MaxQueue:        *maxQueue,
-		KVPolicy:        kv,
-		Faults: localut.ClusterFaults{
-			Enabled:          *mttf > 0,
-			MTTFSeconds:      *mttf,
-			MTTRSeconds:      *mttr,
-			DegradedFraction: *degraded,
-			LUTRematGBps:     *rematGBps,
-		},
-		Domains: localut.ClusterDomains{
-			Enabled:     *domains > 0,
-			Count:       *domains,
-			MTBFSeconds: *domainMTBF,
-			MTTRSeconds: *domainMTTR,
-		},
-		Stragglers: localut.ClusterStragglers{
-			Enabled:             *stragglerMTBF > 0,
-			MTBFSeconds:         *stragglerMTBF,
-			MeanDurationSeconds: *stragglerDur,
-			Slowdown:            *stragglerSlow,
-		},
-		Hedge: localut.ClusterHedge{
-			Enabled:      *hedgeDelay > 0,
-			DelaySeconds: *hedgeDelay,
-		},
-		Audit:     *auditFlag,
-		Deadlines: localut.ClusterDeadlines{DefaultSeconds: *deadline},
-		Retry: localut.ClusterRetry{
-			MaxAttempts:    *retries,
-			BackoffSeconds: *retryBackoff,
-		},
-		Autoscaler: localut.ClusterAutoscaler{
-			Enabled:         *autoscale,
-			MinInstances:    *minInst,
-			MaxInstances:    *maxInst,
-			IntervalSeconds: interval.Seconds(),
-			SLOSeconds:      *slo,
-			WarmupSeconds:   warmup.Seconds(),
-			DrainSeconds:    drain.Seconds(),
-		},
-		Obs: obsCfg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if err := closeObs(); err != nil {
-		fatal(err)
+	rep, err := o.System().ServeCluster(cfg)
+	if err := errors.Join(err, closeObs()); err != nil {
+		return err
 	}
 	wall := time.Since(start).Seconds()
 
-	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
+	if o.out.JSON {
+		if err := cli.WriteJSON(w, rep); err != nil {
+			return err
 		}
-	case *csvOut:
-		if err := summaryTable(rep).CSV(w); err != nil {
-			fatal(err)
-		}
-		if err := instanceTable(rep).CSV(w); err != nil {
-			fatal(err)
-		}
-		if err := classTable(rep).CSV(w); err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		for _, t := range []*trace.Table{summaryTable(rep), instanceTable(rep), classTable(rep)} {
-			if err := t.Render(w); err != nil {
-				fatal(err)
+			if err := o.out.Table(w, t); err != nil {
+				return err
 			}
-			fmt.Fprintln(w)
+			if !o.out.CSV {
+				fmt.Fprintln(w)
+			}
 		}
-		if *timeline && len(rep.Timeline) > 0 {
+		if !o.out.CSV && o.timeline && len(rep.Timeline) > 0 {
 			if err := timelineTable(rep).Render(w); err != nil {
-				fatal(err)
+				return err
 			}
 		}
 	}
 	fmt.Fprintf(os.Stderr, "simulated %d requests over %d instances (peak %d, %d distinct forward sims) in %.2fs host wall-clock\n",
 		rep.Admitted, len(rep.Instances), rep.InstancesPeak, rep.DistinctForwardSims, wall)
+	return nil
 }
 
 // summaryTable flattens the cluster-wide metrics.
@@ -492,211 +406,108 @@ func parseClasses(s string) ([]localut.ClusterClass, error) {
 	return out, nil
 }
 
-// runSweep drives the experiments fleet-scaling driver.
-func runSweep(w io.Writer, rates, fleets, model, fmtName, design string,
-	instances, replicas, ranks int, routerName, admissionName string,
-	duration time.Duration, seed int64, maxBatch int, sched string,
-	quantum, minTok, maxTok int, meanTok float64, outTok int,
-	outTokMean float64, outTokMax int, csvOut bool) error {
+// sweepBase is the cluster.Config the three sweep drivers vary: the fleet
+// the flags describe, chaos layers off. Each driver adds the layer it
+// sweeps.
+func (o *options) sweepBase() (cluster.Config, error) {
+	inst, err := o.Instance()
+	if err != nil {
+		return cluster.Config{}, err
+	}
+	inst.MaxQueue = o.maxQueue
+	if inst.KVPolicy, err = serve.ParseKVPolicy(o.kv); err != nil {
+		return cluster.Config{}, err
+	}
+	cfg := cluster.Config{
+		Base:            inst,
+		Instances:       o.instances,
+		RatePerSec:      o.rate,
+		DurationSeconds: o.Duration.Seconds(),
+		Seed:            o.Seed,
+		DeadlineSeconds: o.deadline,
+		Retry:           o.retry,
+		Audit:           o.audit,
+	}
+	if cfg.Router, err = cluster.ParseRouterPolicy(o.router); err != nil {
+		return cfg, err
+	}
+	cfg.Admission, err = cluster.ParseAdmissionPolicy(o.admission)
+	return cfg, err
+}
 
-	rateVals, err := parseNums(rates)
+// sweepTable writes one sweep's table and its wall-clock line.
+func sweepTable(w io.Writer, o *options, t *trace.Table, what string, points int, start time.Time) error {
+	if err := o.out.Table(w, t); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%d %s points in %.2fs host wall-clock\n", points, what, time.Since(start).Seconds())
+	return nil
+}
+
+// runSweep drives the experiments fleet-scaling driver over -sweep rates
+// and -fleets sizes.
+func runSweep(w io.Writer, o *options) error {
+	rates, err := cli.ParseNums(o.sweep, false)
 	if err != nil {
 		return err
 	}
-	fleetVals := []int{instances}
-	if fleets != "" {
-		fs, err := parseNums(fleets)
+	fleets := []int{o.instances}
+	if o.fleets != "" {
+		fs, err := cli.ParseNums(o.fleets, false)
 		if err != nil {
 			return err
 		}
-		fleetVals = fleetVals[:0]
+		fleets = fleets[:0]
 		for _, f := range fs {
-			fleetVals = append(fleetVals, int(f))
+			fleets = append(fleets, int(f))
 		}
 	}
-	mc, err := modelConfig(model)
+	base, err := o.sweepBase()
 	if err != nil {
 		return err
 	}
-	f, err := quant.ParseFormat(fmtName)
-	if err != nil {
-		return err
-	}
-	v, err := variantByName(design)
-	if err != nil {
-		return err
-	}
-	pol, err := serve.ParsePolicy(strings.ToLower(sched))
-	if err != nil {
-		return err
-	}
-	rt, err := cluster.ParseRouterPolicy(strings.ToLower(routerName))
-	if err != nil {
-		return err
-	}
-	adm, err := cluster.ParseAdmissionPolicy(strings.ToLower(admissionName))
-	if err != nil {
-		return err
-	}
-
-	base := cluster.Config{
-		Base: serve.Config{
-			Model: mc, Fmt: f, Variant: v,
-			Replicas:      replicas,
-			MaxBatch:      maxBatch,
-			Scheduler:     pol,
-			MinTokens:     minTok,
-			MaxTokens:     maxTok,
-			MeanTokens:    meanTok,
-			TokenQuantum:  quantum,
-			OutTokens:     outTok,
-			OutTokensMean: outTokMean,
-			OutTokensMax:  outTokMax,
-		},
-		Router:          rt,
-		Admission:       adm,
-		DurationSeconds: duration.Seconds(),
-		Seed:            seed,
-	}
-	if ranks > 0 {
-		eng := gemm.NewEngine()
-		eng.Cfg.Ranks = ranks
-		base.Base.Engine = eng
-	}
-
 	start := time.Now()
-	points, err := experiments.ClusterCurve(base, fleetVals, rateVals)
+	points, err := experiments.ClusterCurve(base, fleets, rates)
 	if err != nil {
 		return err
 	}
-	table := experiments.ClusterTable(
+	return sweepTable(w, o, experiments.ClusterTable(
 		fmt.Sprintf("Fleet scaling: %s %s on %s, %s router, %s window",
-			mc.Name, f.Name(), v, rt, duration), points)
-	if csvOut {
-		if err := table.CSV(w); err != nil {
-			return err
-		}
-	} else if err := table.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%d sweep points in %.2fs host wall-clock\n",
-		len(points), time.Since(start).Seconds())
-	return nil
+			base.Base.Model.Name, base.Base.Fmt.Name(), base.Base.Variant, base.Router, o.Duration), points),
+		"sweep", len(points), start)
 }
 
 // runMTTFSweep drives the experiments reliability driver: goodput and
 // recovery tax per (design, MTTF), with MTTF 0 as the fault-free
 // baseline each design is normalized against.
-func runMTTFSweep(w io.Writer, mttfs, model, fmtName, design, designsList string,
-	instances, replicas, ranks int, routerName, admissionName string,
-	rate float64, duration time.Duration, seed int64, maxBatch int, sched string,
-	quantum, minTok, maxTok int, meanTok float64, outTok int,
-	outTokMean float64, outTokMax int,
-	mttr, degraded, rematGBps, deadline float64, retries int, retryBackoff float64,
-	maxQueue int, kvName string, csvOut bool) error {
-
-	var mttfVals []float64
-	for _, p := range strings.Split(mttfs, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 {
-			return fmt.Errorf("bad -mttf-sweep value %q (want non-negative seconds, 0 = fault-free)", p)
-		}
-		mttfVals = append(mttfVals, v)
-	}
-	designNames := []string{design}
-	if designsList != "" {
-		designNames = strings.Split(designsList, ",")
-	}
-	var designs []kernels.Variant
-	for _, name := range designNames {
-		v, err := variantByName(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		designs = append(designs, v)
-	}
-	mc, err := modelConfig(model)
+func runMTTFSweep(w io.Writer, o *options) error {
+	mttfs, err := cli.ParseNums(o.mttfSweep, true)
 	if err != nil {
 		return err
 	}
-	f, err := quant.ParseFormat(fmtName)
+	designs := o.designs
+	if designs == "" {
+		designs = o.Design
+	}
+	variants, err := cli.Variants(designs)
 	if err != nil {
 		return err
 	}
-	pol, err := serve.ParsePolicy(strings.ToLower(sched))
+	base, err := o.sweepBase()
 	if err != nil {
 		return err
 	}
-	rt, err := cluster.ParseRouterPolicy(strings.ToLower(routerName))
-	if err != nil {
-		return err
-	}
-	adm, err := cluster.ParseAdmissionPolicy(strings.ToLower(admissionName))
-	if err != nil {
-		return err
-	}
-	kv, err := serve.ParseKVPolicy(strings.ToLower(kvName))
-	if err != nil {
-		return err
-	}
-
-	base := cluster.Config{
-		Base: serve.Config{
-			Model: mc, Fmt: f,
-			Replicas:      replicas,
-			MaxBatch:      maxBatch,
-			Scheduler:     pol,
-			MinTokens:     minTok,
-			MaxTokens:     maxTok,
-			MeanTokens:    meanTok,
-			TokenQuantum:  quantum,
-			OutTokens:     outTok,
-			OutTokensMean: outTokMean,
-			OutTokensMax:  outTokMax,
-			MaxQueue:      maxQueue,
-			KVPolicy:      kv,
-		},
-		Instances:       instances,
-		Router:          rt,
-		Admission:       adm,
-		RatePerSec:      rate,
-		DurationSeconds: duration.Seconds(),
-		Seed:            seed,
-		DeadlineSeconds: deadline,
-		Faults: cluster.FaultConfig{
-			MTTRSeconds:      mttr,
-			DegradedFraction: degraded,
-			LUTRematGBps:     rematGBps,
-		},
-		Retry: cluster.RetryConfig{
-			MaxAttempts:    retries,
-			BackoffSeconds: retryBackoff,
-		},
-	}
-	if ranks > 0 {
-		eng := gemm.NewEngine()
-		eng.Cfg.Ranks = ranks
-		base.Base.Engine = eng
-	}
+	base.Faults = o.faults // the driver sets Enabled and MTTFSeconds per point
 
 	start := time.Now()
-	points, err := experiments.ReliabilityCurve(base, designs, mttfVals)
+	points, err := experiments.ReliabilityCurve(base, variants, mttfs)
 	if err != nil {
 		return err
 	}
-	table := experiments.ReliabilityTable(
+	return sweepTable(w, o, experiments.ReliabilityTable(
 		fmt.Sprintf("Reliability: %s %s, %d instances at %g req/s, %s window",
-			mc.Name, f.Name(), instances, rate, duration), points)
-	if csvOut {
-		if err := table.CSV(w); err != nil {
-			return err
-		}
-	} else if err := table.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%d reliability points in %.2fs host wall-clock\n",
-		len(points), time.Since(start).Seconds())
-	return nil
+			base.Base.Model.Name, base.Base.Fmt.Name(), o.instances, o.rate, o.Duration), points),
+		"reliability", len(points), start)
 }
 
 // chaosScenario is one named failure mix for the -chaos seed sweep.
@@ -757,19 +568,19 @@ type chaosRow struct {
 	UnavailableSeconds float64 `json:"unavailable_s"`
 }
 
-// runChaos is the chaos seed sweep: n seeds x 3 failure scenarios, every
-// run with the conservation auditor on. Any auditor violation surfaces
-// as a run error and a nonzero exit; a clean sweep prints one row per
-// run, byte-identical for a given n at any -j.
-func runChaos(w io.Writer, n, par int, jsonOut, csvOut bool) error {
+// runChaos is the chaos seed sweep: -chaos seeds x 3 failure scenarios,
+// every run with the conservation auditor on. Any auditor violation
+// surfaces as a run error and a nonzero exit; a clean sweep prints one row
+// per run, byte-identical for a given seed count at any -j.
+func runChaos(w io.Writer, o *options) error {
 	scenarios := chaosScenarios()
-	rows := make([]chaosRow, 0, n*len(scenarios))
+	rows := make([]chaosRow, 0, o.chaos*len(scenarios))
 	start := time.Now()
 	for _, sc := range scenarios {
-		for seed := int64(1); seed <= int64(n); seed++ {
+		for seed := int64(1); seed <= int64(o.chaos); seed++ {
 			cfg := chaosBase(seed)
 			sc.mutate(&cfg)
-			sys := localut.NewSystem(localut.WithSeed(seed), localut.WithParallelism(par))
+			sys := localut.NewSystem(localut.WithSeed(seed), localut.WithParallelism(o.Parallelism))
 			rep, err := sys.ServeCluster(cfg)
 			if err != nil {
 				return fmt.Errorf("scenario %s seed %d: %w", sc.name, seed, err)
@@ -791,14 +602,12 @@ func runChaos(w io.Writer, n, par int, jsonOut, csvOut bool) error {
 			})
 		}
 	}
-	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
+	if o.out.JSON {
+		if err := cli.WriteJSON(w, rows); err != nil {
 			return err
 		}
 	} else {
-		t := trace.NewTable(fmt.Sprintf("Chaos sweep: %d seeds x %d scenarios, auditor on", n, len(scenarios)),
+		t := trace.NewTable(fmt.Sprintf("Chaos sweep: %d seeds x %d scenarios, auditor on", o.chaos, len(scenarios)),
 			"scenario", "seed", "admitted", "completed", "good", "shed", "crashes",
 			"domain outages", "straggler windows", "hedges", "wins", "waste (s)", "unavail (s)")
 		for _, r := range rows {
@@ -806,11 +615,7 @@ func runChaos(w io.Writer, n, par int, jsonOut, csvOut bool) error {
 				r.DomainOutages, r.StragglerWindows, r.HedgesIssued, r.HedgeWins,
 				r.HedgeWastedSeconds, r.UnavailableSeconds)
 		}
-		if csvOut {
-			if err := t.CSV(w); err != nil {
-				return err
-			}
-		} else if err := t.Render(w); err != nil {
+		if err := o.out.Table(w, t); err != nil {
 			return err
 		}
 	}
@@ -823,460 +628,35 @@ func runChaos(w io.Writer, n, par int, jsonOut, csvOut bool) error {
 // hedge waste per trigger delay under straggler injection, with delay 0
 // as the no-hedge baseline. Straggler flags default to the canonical
 // gray-failure scenario (MTBF 80s, 5s windows, 4x slowdown) when unset.
-func runHedgeSweep(w io.Writer, delays, model, fmtName, design string,
-	instances, replicas, ranks int, routerName, admissionName string,
-	rate float64, duration time.Duration, seed int64, maxBatch int, sched string,
-	quantum, minTok, maxTok int, meanTok float64, outTok int,
-	outTokMean float64, outTokMax int, deadline float64,
-	stragMTBF, stragDur, stragSlow float64, audit, csvOut bool) error {
-
-	var delayVals []float64
-	for _, p := range strings.Split(delays, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 {
-			return fmt.Errorf("bad -hedge-sweep value %q (want non-negative seconds, 0 = no hedging)", p)
-		}
-		delayVals = append(delayVals, v)
-	}
-	if stragMTBF == 0 {
-		stragMTBF = 80
-	}
-	if stragDur == 0 {
-		stragDur = 5
-	}
-	if stragSlow == 0 {
-		stragSlow = 4
-	}
-	mc, err := modelConfig(model)
+func runHedgeSweep(w io.Writer, o *options) error {
+	delays, err := cli.ParseNums(o.hedgeSweep, true)
 	if err != nil {
 		return err
 	}
-	f, err := quant.ParseFormat(fmtName)
+	base, err := o.sweepBase()
 	if err != nil {
 		return err
 	}
-	v, err := variantByName(design)
-	if err != nil {
-		return err
+	strag := o.stragglers
+	strag.Enabled = true
+	if strag.MTBFSeconds == 0 {
+		strag.MTBFSeconds = 80
 	}
-	pol, err := serve.ParsePolicy(strings.ToLower(sched))
-	if err != nil {
-		return err
+	if strag.MeanDurationSeconds == 0 {
+		strag.MeanDurationSeconds = 5
 	}
-	rt, err := cluster.ParseRouterPolicy(strings.ToLower(routerName))
-	if err != nil {
-		return err
+	if strag.Slowdown == 0 {
+		strag.Slowdown = 4
 	}
-	adm, err := cluster.ParseAdmissionPolicy(strings.ToLower(admissionName))
-	if err != nil {
-		return err
-	}
-
-	base := cluster.Config{
-		Base: serve.Config{
-			Model: mc, Fmt: f, Variant: v,
-			Replicas:      replicas,
-			MaxBatch:      maxBatch,
-			Scheduler:     pol,
-			MinTokens:     minTok,
-			MaxTokens:     maxTok,
-			MeanTokens:    meanTok,
-			TokenQuantum:  quantum,
-			OutTokens:     outTok,
-			OutTokensMean: outTokMean,
-			OutTokensMax:  outTokMax,
-		},
-		Instances:       instances,
-		Router:          rt,
-		Admission:       adm,
-		RatePerSec:      rate,
-		DurationSeconds: duration.Seconds(),
-		Seed:            seed,
-		DeadlineSeconds: deadline,
-		Audit:           audit,
-		Stragglers: cluster.StragglerConfig{
-			Enabled:             true,
-			MTBFSeconds:         stragMTBF,
-			MeanDurationSeconds: stragDur,
-			Slowdown:            stragSlow,
-		},
-	}
-	if ranks > 0 {
-		eng := gemm.NewEngine()
-		eng.Cfg.Ranks = ranks
-		base.Base.Engine = eng
-	}
+	base.Stragglers = strag
 
 	start := time.Now()
-	points, err := experiments.HedgeCurve(base, delayVals)
+	points, err := experiments.HedgeCurve(base, delays)
 	if err != nil {
 		return err
 	}
-	table := experiments.HedgeTable(
+	return sweepTable(w, o, experiments.HedgeTable(
 		fmt.Sprintf("Hedging: %s %s, %d instances at %g req/s, stragglers %gx every %gs",
-			mc.Name, f.Name(), instances, rate, stragSlow, stragMTBF), points)
-	if csvOut {
-		if err := table.CSV(w); err != nil {
-			return err
-		}
-	} else if err := table.Render(w); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%d hedging points in %.2fs host wall-clock\n",
-		len(points), time.Since(start).Seconds())
-	return nil
-}
-
-// benchScenario is one timed cluster self-benchmark workload.
-type benchScenario struct {
-	Model            string  `json:"model"`
-	Instances        int     `json:"instances"`
-	RatePerSec       float64 `json:"rate_per_sec"`
-	DurationSeconds  float64 `json:"duration_s"`
-	Requests         int     `json:"requests"`
-	PeakInstances    int     `json:"peak_instances"`
-	DistinctSims     int     `json:"distinct_forward_sims"`
-	WallSeconds      float64 `json:"wall_seconds"`
-	RequestsPerSec   float64 `json:"requests_per_sec"`
-	SimSecondsPerSec float64 `json:"simulated_seconds_per_wall_second"`
-}
-
-// benchReport pairs the million-request static-fleet acceptance workload
-// with an autoscaled one, so scaling-path performance is tracked too.
-type benchReport struct {
-	Fleet      benchScenario `json:"fleet"`
-	Autoscaled benchScenario `json:"autoscaled"`
-}
-
-// benchRun times one scenario.
-func benchRun(cfg localut.ClusterConfig) (benchScenario, error) {
-	sys := localut.NewSystem(localut.WithSeed(1))
-	start := time.Now()
-	rep, err := sys.ServeCluster(cfg)
-	if err != nil {
-		return benchScenario{}, err
-	}
-	wall := time.Since(start).Seconds()
-	out := benchScenario{
-		Model:           rep.Model,
-		Instances:       cfg.Instances,
-		RatePerSec:      cfg.RatePerSec,
-		DurationSeconds: cfg.DurationSeconds,
-		Requests:        rep.Admitted,
-		PeakInstances:   rep.InstancesPeak,
-		DistinctSims:    rep.DistinctForwardSims,
-		WallSeconds:     wall,
-	}
-	if wall > 0 {
-		out.RequestsPerSec = float64(rep.Admitted) / wall
-		out.SimSecondsPerSec = rep.MakespanSeconds / wall
-	}
-	return out, nil
-}
-
-// runBenchJSON times the acceptance workloads: one million requests over
-// an eight-instance fleet, and an autoscaled decode fleet exercising the
-// scale-up/drain paths.
-func runBenchJSON(path string) error {
-	fleet, err := benchRun(localut.ClusterConfig{
-		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       8,
-		RatePerSec:      17000,
-		DurationSeconds: 60,
-		Router:          localut.RouteLeastOutstanding,
-	})
-	if err != nil {
-		return err
-	}
-	scaled, err := benchRun(localut.ClusterConfig{
-		Model: localut.OPT125M, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       1,
-		RatePerSec:      50,
-		DurationSeconds: 60,
-		OutTokens:       4,
-		Autoscaler: localut.ClusterAutoscaler{
-			Enabled: true, MaxInstances: 4, IntervalSeconds: 1,
-			SLOSeconds: 1, ScaleDownFactor: 0.1,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	out := benchReport{Fleet: fleet, Autoscaled: scaled}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (fleet: %d requests in %.2fs, %.0f req/s; autoscaled peak %d)\n",
-		path, fleet.Requests, fleet.WallSeconds, fleet.RequestsPerSec, scaled.PeakInstances)
-	return nil
-}
-
-// faultBenchScenario extends the timed scenario with reliability outcome
-// counters, so regressions in the fault path's cost or behavior show up.
-type faultBenchScenario struct {
-	benchScenario
-	GoodputPerSec      float64 `json:"goodput_per_s"`
-	Crashes            int     `json:"crashes"`
-	Retries            int     `json:"retries"`
-	ReprefillTokens    int64   `json:"reprefill_tokens"`
-	Shed               int     `json:"shed"`
-	UnavailableSeconds float64 `json:"unavailable_s"`
-}
-
-// runBenchFaultsJSON times the faulted-fleet acceptance workload: an
-// eight-instance fleet with deadlines, retries and fault injection dialed
-// to several crashes per run.
-func runBenchFaultsJSON(path string) error {
-	sys := localut.NewSystem(localut.WithSeed(1))
-	cfg := localut.ClusterConfig{
-		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       8,
-		RatePerSec:      2000,
-		DurationSeconds: 60,
-		Router:          localut.RouteLeastOutstanding,
-		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: 5},
-		Faults:          localut.ClusterFaults{Enabled: true, MTTFSeconds: 120, MTTRSeconds: 2},
-	}
-	start := time.Now()
-	rep, err := sys.ServeCluster(cfg)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	out := faultBenchScenario{
-		benchScenario: benchScenario{
-			Model:           rep.Model,
-			Instances:       cfg.Instances,
-			RatePerSec:      cfg.RatePerSec,
-			DurationSeconds: cfg.DurationSeconds,
-			Requests:        rep.Admitted,
-			PeakInstances:   rep.InstancesPeak,
-			DistinctSims:    rep.DistinctForwardSims,
-			WallSeconds:     wall,
-		},
-		GoodputPerSec:      rep.GoodputPerSec,
-		Crashes:            rep.Crashes,
-		Retries:            rep.Retries,
-		ReprefillTokens:    rep.ReprefillTokens,
-		Shed:               rep.Shed,
-		UnavailableSeconds: rep.UnavailableSeconds,
-	}
-	if wall > 0 {
-		out.RequestsPerSec = float64(rep.Admitted) / wall
-		out.SimSecondsPerSec = rep.MakespanSeconds / wall
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d requests, %d crashes, %d retries in %.2fs)\n",
-		path, rep.Admitted, rep.Crashes, rep.Retries, wall)
-	return nil
-}
-
-// chaosBenchScenario extends the timed scenario with the chaos outcome
-// counters, so regressions in the domain/straggler/hedge paths' cost or
-// behavior show up.
-type chaosBenchScenario struct {
-	benchScenario
-	GoodputPerSec           float64 `json:"goodput_per_s"`
-	Crashes                 int     `json:"crashes"`
-	DomainOutages           int     `json:"domain_outages"`
-	DomainOverlapExtensions int     `json:"domain_overlap_extensions"`
-	StragglerWindows        int     `json:"straggler_windows"`
-	HedgesIssued            int     `json:"hedges_issued"`
-	HedgeWins               int     `json:"hedge_wins"`
-	HedgeWastedSeconds      float64 `json:"hedge_waste_s"`
-	UnavailableSeconds      float64 `json:"unavailable_s"`
-}
-
-// runBenchChaosJSON times the chaos-fleet acceptance workload: an
-// eight-instance decode fleet with independent faults, correlated domain
-// outages, gray-failure stragglers and hedging all on, audited.
-func runBenchChaosJSON(path string) error {
-	sys := localut.NewSystem(localut.WithSeed(1))
-	cfg := chaosBase(1)
-	cfg.RatePerSec = 200
-	cfg.DurationSeconds = 60
-	chaosScenarios()[0].mutate(&cfg)
-	start := time.Now()
-	rep, err := sys.ServeCluster(cfg)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	out := chaosBenchScenario{
-		benchScenario: benchScenario{
-			Model:           rep.Model,
-			Instances:       cfg.Instances,
-			RatePerSec:      cfg.RatePerSec,
-			DurationSeconds: cfg.DurationSeconds,
-			Requests:        rep.Admitted,
-			PeakInstances:   rep.InstancesPeak,
-			DistinctSims:    rep.DistinctForwardSims,
-			WallSeconds:     wall,
-		},
-		GoodputPerSec:           rep.GoodputPerSec,
-		Crashes:                 rep.Crashes,
-		DomainOutages:           rep.DomainOutages,
-		DomainOverlapExtensions: rep.DomainOverlapExtensions,
-		StragglerWindows:        rep.StragglerWindows,
-		HedgesIssued:            rep.HedgesIssued,
-		HedgeWins:               rep.HedgeWins,
-		HedgeWastedSeconds:      rep.HedgeWastedSeconds,
-		UnavailableSeconds:      rep.UnavailableSeconds,
-	}
-	if wall > 0 {
-		out.RequestsPerSec = float64(rep.Admitted) / wall
-		out.SimSecondsPerSec = rep.MakespanSeconds / wall
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d requests, %d domain outages, %d straggler windows, %d hedges in %.2fs)\n",
-		path, rep.Admitted, rep.DomainOutages, rep.StragglerWindows, rep.HedgesIssued, wall)
-	return nil
-}
-
-// obsBenchReport times the same faulted fleet with recording off and
-// fully on (trace + metrics to discarded writers). DisabledWallSeconds
-// is the hot path with nil-recorder no-ops — tracked across revisions,
-// it catches recording costs leaking into the disabled path.
-// PerRequestOverheadUS is full recording's marginal cost per admitted
-// request, the gated number: the simulated fleet is so fast that a
-// wall-clock ratio would amplify nanosecond noise.
-type obsBenchReport struct {
-	Requests             int     `json:"requests"`
-	DisabledWallSeconds  float64 `json:"disabled_wall_s"`
-	EnabledWallSeconds   float64 `json:"enabled_wall_s"`
-	OverheadFraction     float64 `json:"overhead_fraction"`
-	PerRequestOverheadUS float64 `json:"per_request_overhead_us"`
-}
-
-// runBenchObsJSON times the observability layer: one faulted
-// eight-instance fleet run with a zero ObsConfig, one with trace and
-// one-second metrics enabled, byte sinks for both outputs. A positive
-// maxOverheadUS turns the per-request recording cost into a hard gate.
-func runBenchObsJSON(path string, maxOverheadUS float64) error {
-	cfg := localut.ClusterConfig{
-		Model: localut.BERTBase, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
-		Instances:       8,
-		RatePerSec:      2000,
-		DurationSeconds: 60,
-		Router:          localut.RouteLeastOutstanding,
-		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: 5},
-		Faults:          localut.ClusterFaults{Enabled: true, MTTFSeconds: 120, MTTRSeconds: 2},
-	}
-	run := func(obs localut.ObsConfig) (float64, *localut.ClusterReport, error) {
-		c := cfg
-		c.Obs = obs
-		sys := localut.NewSystem(localut.WithSeed(1))
-		start := time.Now()
-		rep, err := sys.ServeCluster(c)
-		if err != nil {
-			return 0, nil, err
-		}
-		return time.Since(start).Seconds(), rep, nil
-	}
-	// Warm-up run so neither timed run pays one-time costs (code paging,
-	// allocator growth) the other doesn't.
-	if _, _, err := run(localut.ObsConfig{}); err != nil {
-		return err
-	}
-	disabledWall, rep, err := run(localut.ObsConfig{})
-	if err != nil {
-		return err
-	}
-	enabledWall, _, err := run(localut.ObsConfig{
-		TraceWriter:            io.Discard,
-		MetricsWriter:          io.Discard,
-		MetricsIntervalSeconds: 1,
-	})
-	if err != nil {
-		return err
-	}
-	out := obsBenchReport{
-		Requests:            rep.Admitted,
-		DisabledWallSeconds: disabledWall,
-		EnabledWallSeconds:  enabledWall,
-	}
-	if disabledWall > 0 {
-		out.OverheadFraction = (enabledWall - disabledWall) / disabledWall
-	}
-	if rep.Admitted > 0 {
-		out.PerRequestOverheadUS = (enabledWall - disabledWall) / float64(rep.Admitted) * 1e6
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d requests; disabled %.2fs, enabled %.2fs, %.1fus/request recording cost)\n",
-		path, out.Requests, disabledWall, enabledWall, out.PerRequestOverheadUS)
-	if maxOverheadUS > 0 && out.PerRequestOverheadUS > maxOverheadUS {
-		return fmt.Errorf("recording overhead regression: %.1fus per request exceeds the %.1fus gate",
-			out.PerRequestOverheadUS, maxOverheadUS)
-	}
-	return nil
-}
-
-// parseNums parses "2,4,8".
-func parseNums(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad sweep value %q (want positive numbers)", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// modelConfig maps CLI names to dnn configs for the internal sweep path.
-func modelConfig(name string) (dnn.ModelConfig, error) {
-	switch strings.ToLower(name) {
-	case "bert-base":
-		return dnn.BERTBase(), nil
-	case "opt-125m":
-		return dnn.OPT125M(), nil
-	case "vit-base":
-		return dnn.ViTBase(), nil
-	}
-	return dnn.ModelConfig{}, fmt.Errorf("unknown model %q (want bert-base, opt-125m or vit-base)", name)
-}
-
-// variantByName resolves a design by its paper name, case-insensitively.
-func variantByName(s string) (kernels.Variant, error) {
-	for _, v := range kernels.Variants {
-		if strings.EqualFold(s, v.String()) {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown design %q", s)
-}
-
-// profStop flushes any active pprof collectors before an error exit, so a
-// failing profiled run still leaves usable profiles. Idempotent; the
-// success path defers the same stop.
-var profStop = func() {}
-
-func fatal(err error) {
-	profStop()
-	fmt.Fprintln(os.Stderr, "localut-cluster:", err)
-	os.Exit(1)
+			base.Base.Model.Name, base.Base.Fmt.Name(), o.instances, o.rate, strag.Slowdown, strag.MTBFSeconds), points),
+		"hedging", len(points), start)
 }

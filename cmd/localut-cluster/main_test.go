@@ -6,9 +6,15 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/ais-snu/localut"
+	"github.com/ais-snu/localut/cmd/internal/cli"
+	"github.com/ais-snu/localut/internal/cluster"
+	"github.com/ais-snu/localut/internal/kernels"
+	"github.com/ais-snu/localut/internal/quant"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -151,6 +157,64 @@ func TestClusterChaosGoldenHasChaos(t *testing.T) {
 	for _, k := range []string{"fault", "domain-outage", "straggler", "hedge"} {
 		if !kinds[k] {
 			t.Errorf("chaos golden timeline has no %q events", k)
+		}
+	}
+}
+
+// directConfig spells out, field by field, the cluster.Config that
+// System.ServeCluster documents for cfg on a default system with the given
+// seed: testbed engine and energy model (the zero values), flat fields
+// into the instance template, plans passed through.
+func directConfig(t *testing.T, cfg localut.ClusterConfig, seed int64) cluster.Config {
+	t.Helper()
+	model, err := cli.ModelConfig(cfg.Model.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	format, err := quant.ParseFormat(cfg.Format.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Seed != 0 {
+		seed = cfg.Seed
+	}
+	return cluster.Config{
+		Base: serve.Config{
+			Model: model, Fmt: format, Variant: kernels.Variant(cfg.Design),
+			Replicas: cfg.Replicas, MaxBatch: cfg.MaxBatch, Scheduler: cfg.Scheduler,
+			MinTokens: cfg.MinTokens, MaxTokens: cfg.MaxTokens, MeanTokens: cfg.MeanTokens,
+			TokenQuantum: cfg.TokenQuantum,
+			OutTokens:    cfg.OutTokens, OutTokensMean: cfg.OutTokensMean, OutTokensMax: cfg.OutTokensMax,
+			MaxQueue: cfg.MaxQueue, KVPolicy: cfg.KVPolicy,
+		},
+		Instances: cfg.Instances, Router: cfg.Router, Admission: cfg.Admission,
+		Classes: cfg.Classes, RatePerSec: cfg.RatePerSec,
+		DurationSeconds: cfg.DurationSeconds, Seed: seed,
+		Autoscaler: cfg.Autoscaler, Faults: cfg.Faults, Domains: cfg.Domains,
+		Stragglers: cfg.Stragglers, Hedge: cfg.Hedge, Retry: cfg.Retry,
+		Audit: cfg.Audit, DeadlineSeconds: cfg.Deadlines.DefaultSeconds,
+	}
+}
+
+// TestFacadeAddsNothing runs both golden configs through System.ServeCluster
+// and through cluster.Run directly and requires the two reports equal in
+// every field, timeline included: the public report is the internal one,
+// not a copy that could drop or rename a field.
+func TestFacadeAddsNothing(t *testing.T) {
+	for name, cfg := range map[string]localut.ClusterConfig{"faults": goldenConfig(), "chaos": chaosGoldenConfig()} {
+		facade, err := localut.NewSystem(localut.WithSeed(1)).ServeCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := cluster.Run(directConfig(t, cfg, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(facade.Timeline) == 0 || facade.Crashes == 0 {
+			t.Errorf("%s: golden config no longer exercises faults and the timeline", name)
+		}
+		if !reflect.DeepEqual(facade, direct) {
+			t.Errorf("%s: ServeCluster's report differs from cluster.Run's\nfacade: %+v\ndirect: %+v", name, facade, direct)
 		}
 	}
 }

@@ -6,9 +6,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/ais-snu/localut"
+	"github.com/ais-snu/localut/cmd/internal/cli"
+	"github.com/ais-snu/localut/internal/kernels"
+	"github.com/ais-snu/localut/internal/quant"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -80,15 +85,68 @@ func TestServeJSONGoldenStable(t *testing.T) {
 	}
 }
 
-// TestParseRates covers the sweep-flag parser's error paths.
-func TestParseRates(t *testing.T) {
-	if got, err := parseRates("25, 50,100"); err != nil || len(got) != 3 || got[2] != 100 {
-		t.Errorf("parseRates = %v, %v", got, err)
+// TestFacadeAddsNothing runs the golden config through System.Serve and
+// through serve.Run directly — testbed engine and energy model, flat
+// fields one to one — and requires the two reports equal in every field:
+// the public report is the internal one, not a copy.
+func TestFacadeAddsNothing(t *testing.T) {
+	cfg := goldenConfig()
+	facade, err := localut.NewSystem(localut.WithSeed(1)).Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []string{"", "a", "10,-5", "10,,20", "0"} {
-		if _, err := parseRates(bad); err == nil {
-			t.Errorf("parseRates(%q) accepted", bad)
-		}
+	model, err := cli.ModelConfig(cfg.Model.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	format, err := quant.ParseFormat(cfg.Format.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := serve.Run(serve.Config{
+		Model: model, Fmt: format, Variant: kernels.Variant(cfg.Design),
+		Replicas:   cfg.Replicas,
+		RatePerSec: cfg.RatePerSec, Clients: cfg.Clients, ThinkSeconds: cfg.ThinkSeconds,
+		ArrivalTimes:    cfg.ArrivalTimes,
+		DurationSeconds: cfg.DurationSeconds, Seed: 1,
+		MaxBatch: cfg.MaxBatch, Scheduler: cfg.Scheduler,
+		MinTokens: cfg.MinTokens, MaxTokens: cfg.MaxTokens, MeanTokens: cfg.MeanTokens,
+		TokenQuantum: cfg.TokenQuantum,
+		OutTokens:    cfg.OutTokens, OutTokensMean: cfg.OutTokensMean, OutTokensMax: cfg.OutTokensMax,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if facade.DecodeSteps == 0 || len(facade.LatencyHistogram) == 0 {
+		t.Error("golden config no longer exercises decode and the latency histogram")
+	}
+	if !reflect.DeepEqual(facade, direct) {
+		t.Errorf("Serve's report differs from serve.Run's\nfacade: %+v\ndirect: %+v", facade, direct)
+	}
+}
+
+// TestAuditServeReadsShed checks that -audit compares the report's own
+// Shed against requests - completed: a report that lost one request (it is
+// neither completed nor shed) is a violation, and the same report with the
+// request accounted as shed is clean.
+func TestAuditServeReadsShed(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.DurationSeconds = 1
+	rep, err := localut.NewSystem(localut.WithSeed(1)).Serve(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := auditServe(rep); err != nil {
+		t.Fatalf("clean run failed its audit: %v", err)
+	}
+	lost := *rep
+	lost.Completed--
+	if err := auditServe(&lost); err == nil {
+		t.Error("a report with one request neither completed nor shed passed the audit")
+	}
+	lost.Shed++
+	if err := auditServe(&lost); err != nil {
+		t.Errorf("the same request counted as shed failed the audit: %v", err)
 	}
 }
 

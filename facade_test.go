@@ -1,0 +1,113 @@
+package localut
+
+import (
+	"strings"
+	"testing"
+
+	"github.com/ais-snu/localut/internal/cluster"
+	"github.com/ais-snu/localut/internal/serve"
+)
+
+// The serving and fleet types are declared once, in internal/serve and
+// internal/cluster; the public names are aliases. Each line stops
+// compiling if its public name is re-declared as a mirror struct or enum.
+var (
+	_ *serve.Stats  = (*LatencyStats)(nil)
+	_ *serve.Report = (*ServeReport)(nil)
+
+	_ *cluster.Report         = (*ClusterReport)(nil)
+	_ *cluster.InstanceReport = (*ClusterInstanceReport)(nil)
+	_ *cluster.ClassReport    = (*ClusterClassReport)(nil)
+	_ *cluster.TimelineEvent  = (*ClusterTimelineEvent)(nil)
+
+	_ *cluster.FaultConfig      = (*ClusterFaults)(nil)
+	_ *cluster.DomainConfig     = (*ClusterDomains)(nil)
+	_ *cluster.StragglerConfig  = (*ClusterStragglers)(nil)
+	_ *cluster.HedgeConfig      = (*ClusterHedge)(nil)
+	_ *cluster.RetryConfig      = (*ClusterRetry)(nil)
+	_ *cluster.ClassConfig      = (*ClusterClass)(nil)
+	_ *cluster.AutoscalerConfig = (*ClusterAutoscaler)(nil)
+
+	_ *serve.Policy            = (*SchedulerPolicy)(nil)
+	_ *serve.KVPolicy          = (*KVPolicy)(nil)
+	_ *cluster.RouterPolicy    = (*RouterPolicy)(nil)
+	_ *cluster.AdmissionPolicy = (*AdmissionPolicy)(nil)
+)
+
+// TestBadEnumsAreErrors feeds every end-to-end entry point a model,
+// design, format or policy outside its declared range. Each must come back
+// as an error — Model(9) used to panic all three, and String() with them —
+// and the model and format errors must name what was wrong.
+func TestBadEnumsAreErrors(t *testing.T) {
+	sys := NewSystem()
+	serveCfg := func(edit func(*ServeConfig)) func() error {
+		return func() error {
+			cfg := ServeConfig{Model: OPT125M, Format: W1A3, Design: DesignLoCaLUT, RatePerSec: 10, DurationSeconds: 1}
+			edit(&cfg)
+			_, err := sys.Serve(cfg)
+			return err
+		}
+	}
+	clusterCfg := func(edit func(*ClusterConfig)) func() error {
+		return func() error {
+			cfg := ClusterConfig{Model: OPT125M, Format: W1A3, Design: DesignLoCaLUT, RatePerSec: 10, DurationSeconds: 1}
+			edit(&cfg)
+			_, err := sys.ServeCluster(cfg)
+			return err
+		}
+	}
+	infer := func(m Model, f Format, d Design) func() error {
+		return func() error {
+			_, err := sys.Infer(m, f, d, InferOptions{Batch: 1})
+			return err
+		}
+	}
+	type badCase struct {
+		name string
+		run  func() error
+		want string // substring of the error ("" = any error)
+	}
+	var cases []badCase
+	for _, v := range []int{-1, 9} {
+		v := v
+		cases = append(cases,
+			badCase{"Serve model", serveCfg(func(c *ServeConfig) { c.Model = Model(v) }), "unknown model"},
+			badCase{"ServeCluster model", clusterCfg(func(c *ClusterConfig) { c.Model = Model(v) }), "unknown model"},
+			badCase{"Infer model", infer(Model(v), W1A3, DesignLoCaLUT), "unknown model"},
+
+			badCase{"Serve design", serveCfg(func(c *ServeConfig) { c.Design = Design(v) }), ""},
+			badCase{"ServeCluster design", clusterCfg(func(c *ClusterConfig) { c.Design = Design(v) }), ""},
+			badCase{"ServeCluster designs", clusterCfg(func(c *ClusterConfig) { c.Designs = []Design{Design(v)} }), ""},
+			badCase{"Infer design", infer(BERTBase, W1A3, Design(v)), ""},
+
+			badCase{"Serve scheduler", serveCfg(func(c *ServeConfig) { c.Scheduler = SchedulerPolicy(v) }), ""},
+			badCase{"ServeCluster scheduler", clusterCfg(func(c *ClusterConfig) { c.Scheduler = SchedulerPolicy(v) }), ""},
+			badCase{"ServeCluster router", clusterCfg(func(c *ClusterConfig) { c.Router = RouterPolicy(v) }), ""},
+			badCase{"ServeCluster admission", clusterCfg(func(c *ClusterConfig) { c.Admission = AdmissionPolicy(v) }), ""},
+			badCase{"ServeCluster kv", clusterCfg(func(c *ClusterConfig) { c.KVPolicy = KVPolicy(v) }), ""},
+		)
+	}
+	cases = append(cases,
+		badCase{"Serve zero format", serveCfg(func(c *ServeConfig) { c.Format = Format{} }), "zero Format"},
+		badCase{"ServeCluster zero format", clusterCfg(func(c *ClusterConfig) { c.Format = Format{} }), "zero Format"},
+		badCase{"Infer zero format", infer(BERTBase, Format{}, DesignLoCaLUT), "zero Format"},
+	)
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panic %v", tc.name, r)
+				}
+			}()
+			err := tc.run()
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+			}
+		}()
+	}
+	if got := Model(9).String(); got != "Model(9)" {
+		t.Errorf("Model(9).String() = %q", got)
+	}
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // AdmissionPolicy selects the cluster's admission controller.
@@ -19,6 +20,7 @@ const (
 
 var admissionNames = [...]string{"admit-all", "token-bucket"}
 
+// String names the policy ("admit-all", "token-bucket").
 func (p AdmissionPolicy) String() string {
 	if p >= 0 && int(p) < len(admissionNames) {
 		return admissionNames[p]
@@ -26,10 +28,10 @@ func (p AdmissionPolicy) String() string {
 	return fmt.Sprintf("AdmissionPolicy(%d)", int(p))
 }
 
-// ParseAdmissionPolicy parses an admission-policy name.
+// ParseAdmissionPolicy parses an admission-policy name, case-insensitively.
 func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
 	for i, n := range admissionNames {
-		if s == n {
+		if strings.EqualFold(s, n) {
 			return AdmissionPolicy(i), nil
 		}
 	}

@@ -41,8 +41,8 @@ func (cs *csim) auditRun() error {
 	// accounting must cover them.
 	simEnd := cs.makespan
 	for _, t := range cs.timeline {
-		if t.T > simEnd {
-			simEnd = t.T
+		if t.Seconds > simEnd {
+			simEnd = t.Seconds
 		}
 		if t.Kind == KindFault && t.Action == "repair" {
 			f.RepairWindowSeconds += t.RecoverSeconds

@@ -91,7 +91,7 @@ func (cs *csim) scaleTick(now float64) {
 	cs.window = cs.window[:0]
 	active, warming, draining := cs.fleetCounts()
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindScale, Action: "tick", Instance: -1, Replica: -1,
+		Seconds: now, Kind: KindScale, Action: "tick", Instance: -1, Replica: -1,
 		Active: active, P99: p99, Samples: n,
 	})
 	switch {

@@ -315,8 +315,7 @@ func TestChaosConfigValidation(t *testing.T) {
 }
 
 // TestChaosReportJSONRoundTrip guards the report schema the golden files
-// and BENCH_chaos.json emitter depend on: chaos counters must survive a
-// marshal/unmarshal round trip.
+// depend on: chaos counters must survive a marshal/unmarshal round trip.
 func TestChaosReportJSONRoundTrip(t *testing.T) {
 	rep, err := Run(chaosConfig(4))
 	if err != nil {

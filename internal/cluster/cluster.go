@@ -812,7 +812,7 @@ func (cs *csim) run() (*Report, error) {
 // timeline and mirrors it into the trace as a fleet-track instant.
 func (cs *csim) scaleEvent(now float64, action string, inst, active int) {
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindScale, Action: action, Instance: inst, Replica: -1, Active: active,
+		Seconds: now, Kind: KindScale, Action: action, Instance: inst, Replica: -1, Active: active,
 	})
 	cs.cfg.Recorder.Instant(0, 0, action, now,
 		obs.Num("instance", float64(inst)), obs.Num("active", float64(active)))

@@ -228,7 +228,7 @@ func TestClusterAutoscaler(t *testing.T) {
 	}
 	// Retired instances must have a consistent lifecycle.
 	for _, ir := range rep.Instances {
-		if ir.DownAt > 0 && !(ir.UpAt <= ir.ActiveAt && ir.ActiveAt <= ir.DrainAt && ir.DrainAt < ir.DownAt) {
+		if ir.DownSeconds > 0 && !(ir.UpSeconds <= ir.ActiveSeconds && ir.ActiveSeconds <= ir.DrainSeconds && ir.DrainSeconds < ir.DownSeconds) {
 			t.Errorf("instance %d lifecycle out of order: %+v", ir.ID, ir)
 		}
 	}

@@ -108,7 +108,7 @@ func (cs *csim) onDomainOutage(ev *serve.Event, now float64) {
 	cs.domainOutages++
 	repairAt := now + ds.rng.ExpFloat64()*cs.cfg.Domains.MTTRSeconds + cs.rematFull
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindDomain, Action: "outage", Instance: -1, Replica: -1,
+		Seconds: now, Kind: KindDomain, Action: "outage", Instance: -1, Replica: -1,
 		Active: len(cs.active), Domain: d,
 	})
 	cs.cfg.Recorder.Instant(0, 0, "domain-outage", now,
@@ -148,7 +148,7 @@ func (cs *csim) onDomainRepair(ev *serve.Event, now float64) {
 		}
 	}
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindDomain, Action: "repair", Instance: -1, Replica: -1,
+		Seconds: now, Kind: KindDomain, Action: "repair", Instance: -1, Replica: -1,
 		Active: len(cs.active), Domain: ev.Domain,
 	})
 	cs.cfg.Recorder.Instant(0, 0, "domain-repair", now,

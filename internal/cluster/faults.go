@@ -120,7 +120,7 @@ func (r RetryConfig) backoff(attempt int) float64 {
 // into the trace as an instant on the instance's track.
 func (cs *csim) faultEvent(now float64, action string, inst, rep, active int, recover float64) {
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindFault, Action: action, Instance: inst, Replica: rep,
+		Seconds: now, Kind: KindFault, Action: action, Instance: inst, Replica: rep,
 		Active: active, RecoverSeconds: recover,
 	})
 	tid := 0
@@ -195,7 +195,7 @@ func (cs *csim) onInstanceShed(inst int, r *serve.Request, now float64, reason s
 		return
 	}
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindKV, Action: "kv-shed", Instance: inst, Replica: -1, Active: len(cs.active),
+		Seconds: now, Kind: KindKV, Action: "kv-shed", Instance: inst, Replica: -1, Active: len(cs.active),
 	})
 	cs.shedRequest(r, now, shedKVBudget)
 }

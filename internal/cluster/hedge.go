@@ -79,7 +79,7 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 	r.Twin = h
 	cs.hedges++
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindHedge, Action: "issue", Instance: best.inst.ID, Replica: -1,
+		Seconds: now, Kind: KindHedge, Action: "issue", Instance: best.inst.ID, Replica: -1,
 		Active: len(cs.active),
 	})
 	if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
@@ -104,7 +104,7 @@ func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 	if w.Hedge {
 		cs.hedgeWins++
 		cs.timeline = append(cs.timeline, TimelineEvent{
-			T: now, Kind: KindHedge, Action: "win", Instance: w.Member, Replica: -1,
+			Seconds: now, Kind: KindHedge, Action: "win", Instance: w.Member, Replica: -1,
 			Active: len(cs.active),
 		})
 	}

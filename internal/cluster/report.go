@@ -4,69 +4,81 @@ import (
 	"github.com/ais-snu/localut/internal/serve"
 )
 
-// InstanceReport summarizes one fleet member's lifecycle and service.
+// InstanceReport summarizes one fleet member's lifecycle and service
+// (localut.ClusterInstanceReport).
 type InstanceReport struct {
-	ID       int
-	Design   string
-	Replicas int
+	ID       int    `json:"id"`
+	Design   string `json:"design"`
+	Replicas int    `json:"replicas"`
 
-	// Lifecycle timestamps in simulated seconds. DownAt is 0 for
-	// instances still active at the end of the run; ActiveAt is 0 for the
+	// Lifecycle timestamps in simulated seconds: creation, first routable
+	// time, drain start and retirement. DownSeconds is 0 for instances
+	// still active at the end of the run; ActiveSeconds is 0 for the
 	// initial fleet.
-	UpAt, ActiveAt, DrainAt, DownAt float64
+	UpSeconds     float64 `json:"up_s"`
+	ActiveSeconds float64 `json:"active_s"`
+	DrainSeconds  float64 `json:"drain_s,omitempty"`
+	DownSeconds   float64 `json:"down_s,omitempty"`
 
 	// Domain is the member's failure domain under correlated fault
 	// injection (-1 when failure domains are off).
-	Domain int
+	Domain int `json:"domain"`
 
-	Requests  int // admitted (routed) requests
-	Completed int
-	Shed      int // dropped by the instance (deadline expiry, KV budget)
+	Requests  int `json:"requests"` // admitted (routed) requests
+	Completed int `json:"completed"`
+	Shed      int `json:"shed,omitempty"` // dropped by the instance (deadline expiry, KV budget)
 	// Canceled counts hedge losers cancelled on this instance; Displaced
 	// counts requests handed back to the cluster by a crash or replica
 	// loss. Both close the instance's conservation ledger:
 	// Requests == Completed + Shed + Canceled + Displaced after the drain.
-	Canceled  int
-	Displaced int
+	Canceled    int `json:"canceled,omitempty"`
+	Displaced   int `json:"displaced,omitempty"`
+	Batches     int `json:"batches"`
+	DecodeSteps int `json:"decode_steps"`
 
-	// Fault history: full crashes, degraded-mode replica losses, and total
+	// Fault history: full crashes, degraded-mode replica losses,
+	// gray-failure slowdown windows opened on this member, and total
 	// crash-to-repair outage time.
-	Crashes            int
-	Degraded           int
-	UnavailableSeconds float64
+	Crashes            int     `json:"crashes,omitempty"`
+	Degraded           int     `json:"degraded,omitempty"`
+	StragglerWindows   int     `json:"straggler_windows,omitempty"`
+	UnavailableSeconds float64 `json:"unavailable_s,omitempty"`
 
-	// StragglerWindows counts gray-failure slowdown windows opened on this
-	// member.
-	StragglerWindows int
-
-	Batches       int
-	DecodeSteps   int
-	MeanBatchSize float64
 	// BusySeconds sums per-replica service time, with hedge-cancel refunds
 	// applied — the denominator for hedge-waste fractions.
-	BusySeconds float64
+	BusySeconds float64 `json:"busy_s"`
+
+	MeanBatchSize float64 `json:"mean_batch_size"`
 	// Utilization is replica-seconds busy over replica-seconds routable
 	// (active until retirement or end of run).
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// PIMShare is the fraction of busy time spent in PIM kernels.
-	PIMShare float64
+	PIMShare float64 `json:"pim_share"`
 
-	TokensIn, TokensPadded, TokensOut int64
-	EnergyJ                           float64
-	KVPeakBytes, KVCapacityBytes      int64
+	TokensIn     int64 `json:"tokens_in"`
+	TokensPadded int64 `json:"tokens_padded"`
+	TokensOut    int64 `json:"tokens_out"`
+
+	EnergyJ         float64 `json:"energy_j"`
+	KVPeakBytes     int64   `json:"kv_peak_bytes"`
+	KVCapacityBytes int64   `json:"kv_capacity_bytes"`
 	// KVMeanBytes is the time-weighted mean KV footprint per replica over
 	// the member's routable life; KVMeanUtilization is its share of
 	// capacity. The peak alone hides sustained pressure.
-	KVMeanBytes       float64
-	KVMeanUtilization float64
+	KVMeanBytes       float64 `json:"kv_mean_bytes"`
+	KVMeanUtilization float64 `json:"kv_mean_utilization"`
 }
 
-// ClassReport summarizes one SLO class's population.
+// ClassReport summarizes one SLO class's population
+// (localut.ClusterClassReport).
 type ClassReport struct {
-	Name       string
-	RatePerSec float64
+	Name       string  `json:"name"`
+	RatePerSec float64 `json:"rate_per_s"`
 
-	Offered, Admitted, Rejected, Completed int
+	Offered   int `json:"offered"`
+	Admitted  int `json:"admitted"`
+	Rejected  int `json:"rejected"`
+	Completed int `json:"completed"`
 
 	// Reliability accounting. Good counts completions that met their
 	// deadline (all completions when the class has none); DeadlineMisses
@@ -75,44 +87,53 @@ type ClassReport struct {
 	// re-admissions of fault-displaced work. DeadlineMissRate is the
 	// fraction of admitted requests that did not complete in time — late,
 	// shed or lost.
-	Good             int
-	GoodputPerSec    float64
-	DeadlineMisses   int
-	Shed             int
-	Retries          int
-	DeadlineSeconds  float64
-	DeadlineMissRate float64
+	Good             int     `json:"good"`
+	GoodputPerSec    float64 `json:"goodput_per_s"`
+	DeadlineMisses   int     `json:"deadline_misses"`
+	Shed             int     `json:"shed"`
+	Retries          int     `json:"retries"`
+	DeadlineSeconds  float64 `json:"deadline_s,omitempty"`
+	DeadlineMissRate float64 `json:"deadline_miss_rate"`
 
-	Latency serve.Stats
-	TTFT    serve.Stats
-	TPOT    serve.Stats
+	Latency serve.Stats `json:"latency"`
+	TTFT    serve.Stats `json:"ttft"`
+	TPOT    serve.Stats `json:"tpot"`
 
-	// SLO targets echoed from the config (0 = not tracked) and whether
-	// the class met every tracked one.
-	TTFTp99SLO    float64
-	LatencyP99SLO float64
-	TPOTp99SLO    float64
-	SLOMet        bool
+	// p99 SLO targets in seconds echoed from the config (0 = not tracked)
+	// and whether the class met every tracked one.
+	TTFTp99SLO    float64 `json:"ttft_p99_slo_s,omitempty"`
+	LatencyP99SLO float64 `json:"latency_p99_slo_s,omitempty"`
+	TPOTp99SLO    float64 `json:"tpot_p99_slo_s,omitempty"`
+	SLOMet        bool    `json:"slo_met"`
 }
 
-// Report is the cluster-run summary. Built from samples appended in
-// event order, it is a pure function of the configuration and seed.
+// Report is the cluster-run summary (localut.ClusterReport), so the field
+// names, order and tags here are the public JSON schema. Built from
+// samples appended in event order, it is a pure function of the
+// configuration and seed: the same seed, config and parallelism-agnostic
+// engine yield a byte-identical JSON encoding on every run, including
+// mid-run scale-up/scale-down.
 type Report struct {
-	Router    string
-	Admission string
+	Model     string `json:"model"`
+	Format    string `json:"format"`
+	Router    string `json:"router"`
+	Admission string `json:"admission"`
 
-	InstancesInitial int
-	InstancesPeak    int
-	InstancesFinal   int // active at end of run
+	InstancesInitial int `json:"instances_initial"`
+	InstancesPeak    int `json:"instances_peak"`
+	InstancesFinal   int `json:"instances_final"` // active at end of run
 
-	Offered, Admitted, Rejected, Completed int
+	Offered   int `json:"offered"`
+	Admitted  int `json:"admitted"`
+	Rejected  int `json:"rejected"`
+	Completed int `json:"completed"`
 
-	DurationSeconds float64
-	MakespanSeconds float64
+	DurationSeconds float64 `json:"duration_s"`
+	MakespanSeconds float64 `json:"makespan_s"`
 
-	OfferedPerSec    float64
-	ThroughputPerSec float64 // completed / makespan
-	TokensPerSec     float64 // output (or padded prefill) tokens / makespan
+	OfferedPerSec    float64 `json:"offered_per_s"`
+	ThroughputPerSec float64 `json:"throughput_per_s"` // completed / makespan
+	TokensPerSec     float64 `json:"tokens_per_s"`     // output (or padded prefill) tokens / makespan
 
 	// Reliability rows. Goodput separates useful work from raw throughput:
 	// Good counts completions that met their deadline, GoodputPerSec is
@@ -120,86 +141,91 @@ type Report struct {
 	// budget, full queues and exhausted retry budgets; after the drain
 	// Admitted == Completed + Shed. ReprefillTokens are prompt tokens
 	// re-prefilled by retried work whose KV state a fault destroyed.
-	Good            int
-	GoodputPerSec   float64
-	DeadlineMisses  int // late completions
-	Retries         int
-	ReprefillTokens int64
-	Shed            int
-	ShedExpired     int
-	ShedKV          int
-	ShedQueueFull   int
-	ShedRetries     int
+	Good            int     `json:"good"`
+	GoodputPerSec   float64 `json:"goodput_per_s"`
+	DeadlineMisses  int     `json:"deadline_misses"` // late completions
+	Retries         int     `json:"retries"`
+	ReprefillTokens int64   `json:"reprefill_tokens"`
+	Shed            int     `json:"shed"`
+	ShedExpired     int     `json:"shed_expired"`
+	ShedKV          int     `json:"shed_kv"`
+	ShedQueueFull   int     `json:"shed_queue_full"`
+	ShedRetries     int     `json:"shed_retries"`
 
 	// Fault plan outcome: crash and degraded-mode counts, summed outage
 	// time across instances, the distribution of crash-to-repair times,
 	// and the modeled LUT re-materialization surcharge each full recovery
 	// paid (zero when fault injection is off).
-	Crashes            int
-	DegradedEvents     int
-	UnavailableSeconds float64
-	TimeToRecover      serve.Stats
-	LUTRematSeconds    float64
+	Crashes            int         `json:"crashes"`
+	DegradedEvents     int         `json:"degraded_events"`
+	UnavailableSeconds float64     `json:"unavailable_s"`
+	TimeToRecover      serve.Stats `json:"time_to_recover"`
+	LUTRematSeconds    float64     `json:"lut_remat_s"`
 
 	// Correlated-failure outcome: DomainOutages counts domain-wide blast
 	// events; DomainOverlapExtensions counts member repairs that a second
 	// outage extended while the member was already down (the overlap is
 	// merged into one window, never double-counted in UnavailableSeconds).
-	DomainOutages           int
-	DomainOverlapExtensions int
+	DomainOutages           int `json:"domain_outages,omitempty"`
+	DomainOverlapExtensions int `json:"domain_overlap_extensions,omitempty"`
 
-	// Gray-failure outcome: slowdown windows opened across the fleet.
-	StragglerWindows int
-
-	// Hedging outcome. Every issued hedge resolves as exactly one cancel
-	// (the loser was still on an instance) or drop (it was parked or
-	// displaced); wins count the pairs the duplicate copy won.
-	// HedgeWastedSeconds is the busy time spent on cancelled losers before
-	// their refund — compare against BusySeconds for the waste fraction.
-	HedgesIssued       int
-	HedgeWins          int
-	HedgeCancels       int
-	HedgeDrops         int
-	HedgeWastedSeconds float64
+	// StragglerWindows counts gray-failure slowdown windows opened across
+	// the fleet. The hedging rows balance exactly: every issued hedge
+	// resolves as one cancel (the loser was still on an instance) or one
+	// drop (it was parked or displaced); wins count the pairs the
+	// duplicate copy won. HedgeWastedSeconds is the busy time spent on
+	// cancelled losers before their refund — compare against BusySeconds
+	// for the waste fraction.
+	StragglerWindows   int     `json:"straggler_windows,omitempty"`
+	HedgesIssued       int     `json:"hedges_issued,omitempty"`
+	HedgeWins          int     `json:"hedge_wins,omitempty"`
+	HedgeCancels       int     `json:"hedge_cancels,omitempty"`
+	HedgeDrops         int     `json:"hedge_drops,omitempty"`
+	HedgeWastedSeconds float64 `json:"hedge_waste_s,omitempty"`
 
 	// BusySeconds sums per-replica service time across the fleet, refunds
 	// applied.
-	BusySeconds float64
+	BusySeconds float64 `json:"busy_s"`
 
-	Queue   serve.Stats
-	Service serve.Stats
-	Latency serve.Stats
-	TTFT    serve.Stats
-	TPOT    serve.Stats
+	Queue   serve.Stats `json:"queue"`
+	Service serve.Stats `json:"service"`
+	Latency serve.Stats `json:"latency"`
+	TTFT    serve.Stats `json:"ttft"`
+	TPOT    serve.Stats `json:"tpot"`
 
-	TokensIn, TokensPadded, TokensOut int64
-	EnergyJ                           float64
-	EnergyPerRequestJ                 float64
+	TokensIn     int64 `json:"tokens_in"`
+	TokensPadded int64 `json:"tokens_padded"`
+	TokensOut    int64 `json:"tokens_out"`
+
+	EnergyJ           float64 `json:"energy_j"`
+	EnergyPerRequestJ float64 `json:"energy_per_request_j"`
 
 	// KVPeakBytes/KVCapacityBytes are the fleet-wide maxima over members.
-	KVPeakBytes, KVCapacityBytes int64
+	KVPeakBytes     int64 `json:"kv_peak_bytes"`
+	KVCapacityBytes int64 `json:"kv_capacity_bytes"`
+	// Fleet KV pressure, time-weighted across member lifetimes: mean bytes
+	// pinned per replica and its share of per-replica capacity.
+	KVMeanBytes       float64 `json:"kv_mean_bytes"`
+	KVMeanUtilization float64 `json:"kv_mean_utilization"`
 
 	// DistinctForwardSims counts the unique forward-pass shapes priced
 	// across the fleet's shared oracles — the memoization that makes
 	// million-request fleets cheap.
-	DistinctForwardSims int
+	DistinctForwardSims int `json:"distinct_forward_sims"`
 
-	Instances []InstanceReport
-	Classes   []ClassReport
-
-	// Fleet KV pressure, time-weighted across member lifetimes: mean bytes
-	// pinned per replica and its share of per-replica capacity.
-	KVMeanBytes       float64
-	KVMeanUtilization float64
+	Instances []InstanceReport `json:"instances"`
+	Classes   []ClassReport    `json:"classes"`
 
 	// Timeline is the unified event stream: autoscaler actions, fault
 	// injections/repairs and KV-pressure sheds in event order (empty when
-	// neither subsystem is enabled).
-	Timeline []TimelineEvent `json:",omitempty"`
+	// no subsystem that writes to it is enabled).
+	Timeline []TimelineEvent `json:"timeline,omitempty"`
 }
 
 func (cs *csim) report() *Report {
 	rep := &Report{
+		Model:            cs.base.Model.Name,
+		Format:           cs.base.Fmt.Name(),
 		Router:           cs.cfg.Router.String(),
 		Admission:        cs.cfg.Admission.String(),
 		InstancesInitial: cs.cfg.Instances,
@@ -256,10 +282,10 @@ func (cs *csim) report() *Report {
 			UnavailableSeconds: m.unavail,
 			Design:             m.inst.Cfg.Variant.String(),
 			Replicas:           m.inst.Cfg.Replicas,
-			UpAt:               m.upAt,
-			ActiveAt:           m.activeAt,
-			DrainAt:            m.drainAt,
-			DownAt:             m.downAt,
+			UpSeconds:          m.upAt,
+			ActiveSeconds:      m.activeAt,
+			DrainSeconds:       m.drainAt,
+			DownSeconds:        m.downAt,
 			Requests:           st.Admitted,
 			Completed:          st.Finished,
 			Shed:               st.Shed,
@@ -280,7 +306,7 @@ func (cs *csim) report() *Report {
 		if st.Batches > 0 {
 			ir.MeanBatchSize = float64(st.BatchRequests) / float64(st.Batches)
 		}
-		end := ir.DownAt
+		end := ir.DownSeconds
 		if m.state != stateDown {
 			end = cs.makespan
 		}
@@ -290,14 +316,14 @@ func (cs *csim) report() *Report {
 		}
 		ir.BusySeconds = busyTotal
 		rep.BusySeconds += busyTotal
-		if span := end - ir.ActiveAt; span > 0 && ir.Replicas > 0 {
+		if span := end - ir.ActiveSeconds; span > 0 && ir.Replicas > 0 {
 			ir.Utilization = busyTotal / (span * float64(ir.Replicas))
 		}
 		if busyTotal > 0 {
 			ir.PIMShare = st.PIMBusySeconds / busyTotal
 		}
 		kvByteSec := m.inst.KVByteSeconds(end)
-		if span := end - ir.UpAt; span > 0 && ir.Replicas > 0 {
+		if span := end - ir.UpSeconds; span > 0 && ir.Replicas > 0 {
 			ir.KVMeanBytes = kvByteSec / (span * float64(ir.Replicas))
 			if st.KVCapacityBytes > 0 {
 				ir.KVMeanUtilization = ir.KVMeanBytes / float64(st.KVCapacityBytes)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/ais-snu/localut/internal/serve"
 )
@@ -29,6 +30,8 @@ const (
 
 var routerNames = [...]string{"round-robin", "least-outstanding", "weighted-kv", "shape-affinity"}
 
+// String names the policy ("round-robin", "least-outstanding",
+// "weighted-kv", "shape-affinity").
 func (p RouterPolicy) String() string {
 	if p >= 0 && int(p) < len(routerNames) {
 		return routerNames[p]
@@ -36,10 +39,10 @@ func (p RouterPolicy) String() string {
 	return fmt.Sprintf("RouterPolicy(%d)", int(p))
 }
 
-// ParseRouterPolicy parses a router name.
+// ParseRouterPolicy parses a router name, case-insensitively.
 func ParseRouterPolicy(s string) (RouterPolicy, error) {
 	for i, n := range routerNames {
-		if s == n {
+		if strings.EqualFold(s, n) {
 			return RouterPolicy(i), nil
 		}
 	}

@@ -78,7 +78,7 @@ func (cs *csim) onStragglerStart(ev *serve.Event, now float64) {
 	m.stragglerWindows++
 	cs.stragglerWindows++
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindStraggler, Action: "start", Instance: ev.Inst, Replica: -1,
+		Seconds: now, Kind: KindStraggler, Action: "start", Instance: ev.Inst, Replica: -1,
 		Active: len(cs.active),
 	})
 	cs.cfg.Recorder.Instant(ev.Inst+1, 0, "straggler", now,
@@ -98,7 +98,7 @@ func (cs *csim) onStragglerEnd(ev *serve.Event, now float64) {
 	m.inst.SetSlowdown(1)
 	m.straggling = false
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		T: now, Kind: KindStraggler, Action: "end", Instance: ev.Inst, Replica: -1,
+		Seconds: now, Kind: KindStraggler, Action: "end", Instance: ev.Inst, Replica: -1,
 		Active: len(cs.active),
 	})
 	cs.cfg.Recorder.Instant(ev.Inst+1, 0, "straggler-end", now)

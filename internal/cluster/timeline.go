@@ -25,26 +25,30 @@ const (
 	KindHedge = "hedge"
 )
 
-// TimelineEvent is one entry of the unified fleet timeline. Events are
-// appended in event-loop order, so the slice is time-ordered and
-// deterministic.
+// TimelineEvent is one entry of the unified fleet timeline
+// (localut.ClusterTimelineEvent): autoscaler actions under KindScale,
+// fault injection and recovery under KindFault, correlated outages under
+// KindDomain, gray-failure windows under KindStraggler, hedge traffic
+// under KindHedge and KV-pressure sheds under KindKV. Events are appended
+// in event-loop order, so the slice is time-ordered and deterministic.
 type TimelineEvent struct {
-	T      float64
-	Kind   string // KindScale, KindFault, KindKV, KindDomain, KindStraggler, KindHedge
-	Action string
+	Seconds float64 `json:"t_s"`
+	Kind    string  `json:"kind"`
+	Action  string  `json:"action"`
 	// Instance is the affected member (-1 for fleet-level entries such as
 	// autoscaler ticks); Replica is the affected replica for degraded-mode
 	// faults (-1 otherwise).
-	Instance int
-	Replica  int
+	Instance int `json:"instance"`
+	Replica  int `json:"replica"`
 	// Active is the routable-instance count after the event.
-	Active int
+	Active int `json:"active"`
 	// P99 and Samples describe the autoscaler window behind a tick.
-	P99     float64 `json:",omitempty"`
-	Samples int     `json:",omitempty"`
-	// RecoverSeconds is the crash-to-repair outage a "repair" entry ends.
-	RecoverSeconds float64 `json:",omitempty"`
+	P99     float64 `json:"p99_s,omitempty"`
+	Samples int     `json:"samples,omitempty"`
+	// RecoverSeconds is the crash-to-repair outage a "repair" entry ends,
+	// including the LUT re-materialization surcharge.
+	RecoverSeconds float64 `json:"recover_s,omitempty"`
 	// Domain is the failure domain behind a KindDomain entry; meaningful
-	// only when Kind is KindDomain (0 elsewhere).
-	Domain int `json:",omitempty"`
+	// only there (0 elsewhere, and domain 0 omits the field).
+	Domain int `json:"domain,omitempty"`
 }

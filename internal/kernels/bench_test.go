@@ -12,8 +12,9 @@ import (
 
 // Kernel micro-benchmarks: one bank tile per iteration, covering the
 // packed-LUT designs in both execution modes. They are the repo's perf
-// trajectory at kernel granularity (localut-bench -bench-json emits the
-// same measurements as JSON); run with
+// trajectory at kernel granularity (cmd/perfbench's
+// kernels.cost_program_us_per_tile rungs time the same cost programs); run
+// with
 //
 //	go test -bench=. -benchtime=1x ./internal/kernels/
 //

@@ -13,11 +13,12 @@ import (
 )
 
 // Start begins the requested profiles and returns a stop function to run
-// at process exit (defer it from main; error exits should call it too —
-// it is idempotent, so both may fire). Empty paths disable the matching
-// profile. The CPU profile streams for the whole run; the heap profile is
-// a single post-GC snapshot taken at stop, which is the view that shows
-// steady-state retention rather than transient garbage.
+// at process exit: defer it from the command body that cmd/internal/cli's
+// Main runs, which exits only after the body has returned, so error exits
+// flush the profiles too (stop is idempotent). Empty paths disable the
+// matching profile. The CPU profile streams for the whole run; the heap
+// profile is a single post-GC snapshot taken at stop, which is the view
+// that shows steady-state retention rather than transient garbage.
 func Start(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

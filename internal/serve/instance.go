@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/ais-snu/localut/internal/obs"
 )
@@ -95,7 +96,9 @@ type Completion struct {
 	Batch   []*Request // CompletionPrefill only
 }
 
-// KVPolicy selects how an Instance treats its per-replica KV capacity.
+// KVPolicy selects how an Instance treats its per-replica KV capacity: as
+// a passive gauge (reported, never enforced), as a stall budget or as a
+// shed budget.
 type KVPolicy int
 
 const (
@@ -113,6 +116,7 @@ const (
 
 var kvPolicyNames = [...]string{"gauge", "stall", "shed"}
 
+// String names the policy ("gauge", "stall", "shed").
 func (p KVPolicy) String() string {
 	if p >= 0 && int(p) < len(kvPolicyNames) {
 		return kvPolicyNames[p]
@@ -120,10 +124,10 @@ func (p KVPolicy) String() string {
 	return "KVPolicy(?)"
 }
 
-// ParseKVPolicy parses "gauge", "stall" or "shed".
+// ParseKVPolicy parses "gauge", "stall" or "shed", case-insensitively.
 func ParseKVPolicy(s string) (KVPolicy, error) {
 	for i, n := range kvPolicyNames {
-		if s == n {
+		if strings.EqualFold(s, n) {
 			return KVPolicy(i), nil
 		}
 	}

@@ -1,6 +1,9 @@
 package serve
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // queue is the FIFO admission queue. Head pops are O(1); the packing
 // scheduler removes scattered entries from a bounded prefix, which costs
@@ -113,6 +116,7 @@ const (
 
 var policyNames = [...]string{"fcfs", "packed"}
 
+// String names the policy ("fcfs", "packed").
 func (p Policy) String() string {
 	if p >= 0 && int(p) < len(policyNames) {
 		return policyNames[p]
@@ -120,10 +124,10 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// ParsePolicy parses "fcfs" or "packed".
+// ParsePolicy parses "fcfs" or "packed", case-insensitively.
 func ParsePolicy(s string) (Policy, error) {
 	for i, n := range policyNames {
-		if s == n {
+		if strings.EqualFold(s, n) {
 			return Policy(i), nil
 		}
 	}

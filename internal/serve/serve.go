@@ -215,8 +215,11 @@ func (c Config) withDefaults() (Config, error) {
 
 // Stats summarizes one latency population in seconds.
 type Stats struct {
-	P50, P95, P99 float64
-	Mean, Max     float64
+	P50  float64 `json:"p50_s"`
+	P95  float64 `json:"p95_s"`
+	P99  float64 `json:"p99_s"`
+	Mean float64 `json:"mean_s"`
+	Max  float64 `json:"max_s"`
 }
 
 // StatsOf computes the summary; samples arrive in completion order, so the
@@ -255,81 +258,88 @@ func HistStats(h *trace.LogHistogram) Stats {
 	}
 }
 
-// Report is the outcome of one serving simulation. Same config + seed =>
-// bit-identical Report.
+// Report is the outcome of one serving simulation. Reports are
+// bit-reproducible: the same config, seed and parallelism-agnostic engine
+// yield an identical Report, and an identical JSON encoding, on every run.
+// The root package exports this type as localut.ServeReport, so the field
+// names, order and tags here are the public JSON schema.
 type Report struct {
-	Model     string
-	Format    string
-	Design    string
-	Scheduler string
-	Replicas  int
+	Model     string `json:"model"`
+	Format    string `json:"format"`
+	Design    string `json:"design"`
+	Scheduler string `json:"scheduler"`
+	Replicas  int    `json:"replicas"`
 
-	Requests  int // admitted during the arrival window
-	Completed int // all admitted requests are drained
+	Requests  int `json:"requests"`  // admitted during the arrival window
+	Completed int `json:"completed"` // all admitted requests are drained
 	// Shed counts admitted requests the appliance dropped (bounded-queue
 	// refusals, deadline expiry, KV-budget sheds); zero in the default
-	// unbounded/gauge configuration.
-	Shed    int
-	Batches int // prefill passes
+	// unbounded/gauge configuration. Requests == Completed + Shed after
+	// the drain.
+	Shed    int `json:"shed,omitempty"`
+	Batches int `json:"batches"` // prefill passes
 	// DecodeSteps counts token-level decode forward passes across replicas.
-	DecodeSteps int
+	DecodeSteps int `json:"decode_steps"`
 
-	MeanBatchSize    float64
-	DurationSeconds  float64 // arrival window
-	MakespanSeconds  float64 // last completion time
-	OfferedPerSec    float64 // Requests / DurationSeconds
-	ThroughputPerSec float64 // Completed / MakespanSeconds
-	// TokensPerSec is the total token throughput over the makespan,
-	// prompt and generated tokens both counted.
-	TokensPerSec float64
+	MeanBatchSize    float64 `json:"mean_batch_size"`
+	DurationSeconds  float64 `json:"duration_s"`       // arrival window
+	MakespanSeconds  float64 `json:"makespan_s"`       // last completion time
+	OfferedPerSec    float64 `json:"offered_per_s"`    // Requests / DurationSeconds
+	ThroughputPerSec float64 `json:"throughput_per_s"` // Completed / MakespanSeconds
 
-	Queue   Stats // admission to batch start
-	Service Stats // batch start to completion
-	Latency Stats // admission to completion
+	Queue   Stats `json:"queue"`   // admission to batch start
+	Service Stats `json:"service"` // batch start to completion
+	Latency Stats `json:"latency"` // admission to completion
 	// TTFT is time-to-first-token: admission to prefill completion
-	// (decode-enabled runs only; empty otherwise).
-	TTFT Stats
+	// (decode-enabled runs only; zero otherwise).
+	TTFT Stats `json:"ttft"`
 	// TPOT is time-per-output-token: each request's post-first-token
 	// generation time divided by its remaining tokens (requests with at
 	// least two output tokens).
-	TPOT Stats
+	TPOT Stats `json:"tpot"`
 
 	// RankUtilization is the mean busy fraction of the replicas over the
 	// makespan; ReplicaUtilization itemizes it.
-	RankUtilization    float64
-	ReplicaUtilization []float64
+	RankUtilization    float64   `json:"rank_utilization"`
+	ReplicaUtilization []float64 `json:"replica_utilization"`
 	// PIMUtilization is the PIM-kernel share of that busy time — the rest
 	// is host quant/pack work and transfers.
-	PIMUtilization float64
+	PIMUtilization float64 `json:"pim_utilization"`
 
-	TokensIn     int64 // sampled prompt tokens
-	TokensPadded int64 // prompt tokens actually priced after shape padding
-	TokensOut    int64 // generated tokens (decode-enabled runs)
-
-	EnergyJ           float64
-	EnergyPerRequestJ float64
+	TokensIn     int64 `json:"tokens_in"`     // sampled prompt tokens
+	TokensPadded int64 `json:"tokens_padded"` // prompt tokens actually priced after shape padding
+	TokensOut    int64 `json:"tokens_out"`    // generated tokens (decode-enabled runs)
+	// TokensPerSec is the total token throughput over the makespan,
+	// prompt and generated tokens both counted.
+	TokensPerSec float64 `json:"tokens_per_s"`
 
 	// KVPeakBytes is the largest KV-cache footprint any replica held
 	// during a decode step (fp16 K+V per layer per cached token);
 	// KVCapacityBytes is one replica's DRAM-bank capacity left after the
 	// LUT budget — the paper's capacity axis, contended here by LUTs and
 	// KV state. KVPeakUtilization is their ratio.
-	KVPeakBytes       int64
-	KVCapacityBytes   int64
-	KVPeakUtilization float64
+	KVPeakBytes       int64   `json:"kv_peak_bytes"`
+	KVCapacityBytes   int64   `json:"kv_capacity_bytes"`
+	KVPeakUtilization float64 `json:"kv_peak_utilization"`
 	// KVMeanBytes is the time-weighted mean KV footprint per replica over
 	// the makespan (the peak alone hides sustained pressure);
 	// KVMeanUtilization is its share of capacity.
-	KVMeanBytes       float64
-	KVMeanUtilization float64
+	KVMeanBytes       float64 `json:"kv_mean_bytes"`
+	KVMeanUtilization float64 `json:"kv_mean_utilization"`
+
+	EnergyJ           float64 `json:"energy_j"`
+	EnergyPerRequestJ float64 `json:"energy_per_request_j"`
 
 	// DistinctForwardSims counts the planner executions behind the whole
 	// run — the memoization that makes million-request simulation cheap.
-	DistinctForwardSims int
+	DistinctForwardSims int `json:"distinct_forward_sims"`
 
-	// LatencyHist buckets the total latency of every completed request
-	// over [0, Latency.Max] (nil when nothing completed).
-	LatencyHist *trace.Histogram
+	// LatencyHistogram buckets every completed request's total latency
+	// into 20 equal-width bins over [0, LatencyHistogramHi), the upper
+	// edge sitting just above Latency.Max (both empty when nothing
+	// completed).
+	LatencyHistogram   []int64 `json:"latency_histogram,omitempty"`
+	LatencyHistogramHi float64 `json:"latency_histogram_hi_s,omitempty"`
 }
 
 // evArrival is the traffic layer's event kind; completion kinds come from
@@ -617,7 +627,7 @@ func (s *sim) report() *Report {
 		// Nextafter keeps the maximum inside the half-open top bucket.
 		hi := math.Nextafter(r.Latency.Max, math.Inf(1))
 		if hist, err := s.tLat.ToFixed(0, hi, 20); err == nil {
-			r.LatencyHist = hist
+			r.LatencyHistogram, r.LatencyHistogramHi = hist.Counts, hist.Hi
 		}
 	}
 	return r

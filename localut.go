@@ -412,20 +412,40 @@ const (
 	ViTBase
 )
 
-func (m Model) config() dnn.ModelConfig {
+func (m Model) config() (dnn.ModelConfig, error) {
 	switch m {
 	case BERTBase:
-		return dnn.BERTBase()
+		return dnn.BERTBase(), nil
 	case OPT125M:
-		return dnn.OPT125M()
+		return dnn.OPT125M(), nil
 	case ViTBase:
-		return dnn.ViTBase()
+		return dnn.ViTBase(), nil
 	}
-	panic(fmt.Sprintf("localut: unknown model %d", int(m)))
+	return dnn.ModelConfig{}, fmt.Errorf("localut: unknown model %d", int(m))
 }
 
-// String names the model.
-func (m Model) String() string { return m.config().Name }
+// String names the model ("Model(9)" for a value outside the built-in set).
+func (m Model) String() string {
+	c, err := m.config()
+	if err != nil {
+		return fmt.Sprintf("Model(%d)", int(m))
+	}
+	return c.Name
+}
+
+// modelAndFormat resolves the model and format an end-to-end entry point was
+// handed, so a value outside the built-in models or the zero Format is an
+// error at the call, not a failure deep inside the first kernel.
+func modelAndFormat(m Model, f Format) (dnn.ModelConfig, quant.Format, error) {
+	mc, err := m.config()
+	if err != nil {
+		return mc, f.inner, err
+	}
+	if f.inner.Weight.Bits == 0 || f.inner.Act.Bits == 0 {
+		return mc, f.inner, fmt.Errorf("localut: zero Format (use W1A3..W4A4, NewFormat or ParseFormat)")
+	}
+	return mc, f.inner, nil
+}
 
 // PhaseTimes itemizes one inference phase (the Fig. 16(a) categories).
 type PhaseTimes struct {
@@ -464,7 +484,11 @@ func (s *System) Infer(m Model, f Format, d Design, opt InferOptions) (*Inferenc
 	if opt.Batch == 0 {
 		opt.Batch = 8
 	}
-	r := dnn.NewRunner(m.config(), f.inner, d.variant())
+	mc, qf, err := modelAndFormat(m, f)
+	if err != nil {
+		return nil, err
+	}
+	r := dnn.NewRunner(mc, qf, d.variant())
 	r.Engine = s.engine
 	r.Seed = s.seed
 	rep, err := r.Infer(opt.Batch, opt.OutTokens)

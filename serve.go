@@ -7,26 +7,23 @@ import (
 	"github.com/ais-snu/localut/internal/serve"
 )
 
+// The serving types below are aliases: each is declared once, with its
+// JSON schema, in internal/serve, and exported here under its public name.
+
 // SchedulerPolicy selects how the serving simulator forms batches.
-type SchedulerPolicy int
+type SchedulerPolicy = serve.Policy
 
 const (
 	// ScheduleFCFS serves strictly in arrival order.
-	ScheduleFCFS SchedulerPolicy = iota
+	ScheduleFCFS = serve.FCFS
 	// SchedulePacked packs same-shape requests into uniform batches
 	// (continuous-batching style): less padding waste, fewer distinct
 	// GEMM shapes, at the price of bounded overtaking.
-	SchedulePacked
+	SchedulePacked = serve.Packed
 )
 
-// String names the policy ("fcfs", "packed").
-func (p SchedulerPolicy) String() string { return serve.Policy(p).String() }
-
-// ParseSchedulerPolicy parses "fcfs" or "packed".
-func ParseSchedulerPolicy(s string) (SchedulerPolicy, error) {
-	p, err := serve.ParsePolicy(strings.ToLower(s))
-	return SchedulerPolicy(p), err
-}
+// ParseSchedulerPolicy parses "fcfs" or "packed", case-insensitively.
+func ParseSchedulerPolicy(s string) (SchedulerPolicy, error) { return serve.ParsePolicy(s) }
 
 // ParseDesign parses a design point by its paper name ("NaivePIM", "LTC",
 // "OP", "OP+LC", "OP+LC+RC", "LoCaLUT"), case-insensitively.
@@ -113,77 +110,12 @@ type ServeConfig struct {
 }
 
 // LatencyStats summarizes a latency population in seconds.
-type LatencyStats struct {
-	P50  float64 `json:"p50_s"`
-	P95  float64 `json:"p95_s"`
-	P99  float64 `json:"p99_s"`
-	Mean float64 `json:"mean_s"`
-	Max  float64 `json:"max_s"`
-}
+type LatencyStats = serve.Stats
 
 // ServeReport is the outcome of one serving simulation. Reports are
 // bit-reproducible: the same system seed, config and parallelism-agnostic
 // engine yield an identical report on every run.
-type ServeReport struct {
-	Model     string `json:"model"`
-	Format    string `json:"format"`
-	Design    string `json:"design"`
-	Scheduler string `json:"scheduler"`
-	Replicas  int    `json:"replicas"`
-
-	Requests  int `json:"requests"`
-	Completed int `json:"completed"`
-	Batches   int `json:"batches"`
-	// DecodeSteps counts token-level decode forward passes.
-	DecodeSteps int `json:"decode_steps"`
-
-	MeanBatchSize    float64 `json:"mean_batch_size"`
-	DurationSeconds  float64 `json:"duration_s"`
-	MakespanSeconds  float64 `json:"makespan_s"`
-	OfferedPerSec    float64 `json:"offered_per_s"`
-	ThroughputPerSec float64 `json:"throughput_per_s"`
-
-	Queue   LatencyStats `json:"queue"`
-	Service LatencyStats `json:"service"`
-	Latency LatencyStats `json:"latency"`
-	// TTFT is time-to-first-token (admission to prefill completion);
-	// TPOT is time-per-output-token after the first. Both are zero for
-	// prefill-only runs.
-	TTFT LatencyStats `json:"ttft"`
-	TPOT LatencyStats `json:"tpot"`
-
-	RankUtilization    float64   `json:"rank_utilization"`
-	ReplicaUtilization []float64 `json:"replica_utilization"`
-	PIMUtilization     float64   `json:"pim_utilization"`
-
-	TokensIn     int64 `json:"tokens_in"`
-	TokensPadded int64 `json:"tokens_padded"`
-	TokensOut    int64 `json:"tokens_out"`
-	// TokensPerSec is total token throughput (prompt + generated) over
-	// the makespan.
-	TokensPerSec float64 `json:"tokens_per_s"`
-
-	// KVPeakBytes is the largest KV-cache footprint any replica held
-	// during decode; KVCapacityBytes is one replica's DRAM capacity net
-	// of the LUT budget; KVPeakUtilization is their ratio.
-	KVPeakBytes       int64   `json:"kv_peak_bytes"`
-	KVCapacityBytes   int64   `json:"kv_capacity_bytes"`
-	KVPeakUtilization float64 `json:"kv_peak_utilization"`
-	// KVMeanBytes is the time-weighted mean KV footprint per replica over
-	// the makespan; KVMeanUtilization is its share of capacity.
-	KVMeanBytes       float64 `json:"kv_mean_bytes"`
-	KVMeanUtilization float64 `json:"kv_mean_utilization"`
-
-	EnergyJ           float64 `json:"energy_j"`
-	EnergyPerRequestJ float64 `json:"energy_per_request_j"`
-
-	DistinctForwardSims int `json:"distinct_forward_sims"`
-
-	// LatencyHistogram buckets every completed request's total latency
-	// into equal-width bins over [0, LatencyHistogramHiS).
-	LatencyHistogram   []int64 `json:"latency_histogram,omitempty"`
-	LatencyHistogramHi float64 `json:"latency_histogram_hi_s,omitempty"`
-}
+type ServeReport = serve.Report
 
 // Serve runs a request-level serving simulation: seeded arrivals, sampled
 // sequence lengths, an admission queue with the configured scheduler, and
@@ -197,10 +129,14 @@ func (s *System) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if seed == 0 {
 		seed = s.seed
 	}
+	model, format, err := modelAndFormat(cfg.Model, cfg.Format)
+	if err != nil {
+		return nil, err
+	}
 	rec, met := cfg.Obs.build()
 	rep, err := serve.Run(serve.Config{
-		Model:   cfg.Model.config(),
-		Fmt:     cfg.Format.inner,
+		Model:   model,
+		Fmt:     format,
 		Variant: cfg.Design.variant(),
 
 		Engine: s.engine,
@@ -217,7 +153,7 @@ func (s *System) Serve(cfg ServeConfig) (*ServeReport, error) {
 		Seed:            seed,
 
 		MaxBatch:  cfg.MaxBatch,
-		Scheduler: serve.Policy(cfg.Scheduler),
+		Scheduler: cfg.Scheduler,
 
 		MinTokens:    cfg.MinTokens,
 		MaxTokens:    cfg.MaxTokens,
@@ -238,61 +174,5 @@ func (s *System) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if err := cfg.Obs.export(rec, met); err != nil {
 		return nil, err
 	}
-	return serveReport(rep), nil
-}
-
-// serveReport converts the internal report to the public shape.
-func serveReport(r *serve.Report) *ServeReport {
-	stats := func(s serve.Stats) LatencyStats {
-		return LatencyStats{P50: s.P50, P95: s.P95, P99: s.P99, Mean: s.Mean, Max: s.Max}
-	}
-	out := &ServeReport{
-		Model:     r.Model,
-		Format:    r.Format,
-		Design:    r.Design,
-		Scheduler: r.Scheduler,
-		Replicas:  r.Replicas,
-
-		Requests:    r.Requests,
-		Completed:   r.Completed,
-		Batches:     r.Batches,
-		DecodeSteps: r.DecodeSteps,
-
-		MeanBatchSize:    r.MeanBatchSize,
-		DurationSeconds:  r.DurationSeconds,
-		MakespanSeconds:  r.MakespanSeconds,
-		OfferedPerSec:    r.OfferedPerSec,
-		ThroughputPerSec: r.ThroughputPerSec,
-
-		Queue:   stats(r.Queue),
-		Service: stats(r.Service),
-		Latency: stats(r.Latency),
-		TTFT:    stats(r.TTFT),
-		TPOT:    stats(r.TPOT),
-
-		RankUtilization:    r.RankUtilization,
-		ReplicaUtilization: r.ReplicaUtilization,
-		PIMUtilization:     r.PIMUtilization,
-
-		TokensIn:     r.TokensIn,
-		TokensPadded: r.TokensPadded,
-		TokensOut:    r.TokensOut,
-		TokensPerSec: r.TokensPerSec,
-
-		KVPeakBytes:       r.KVPeakBytes,
-		KVCapacityBytes:   r.KVCapacityBytes,
-		KVPeakUtilization: r.KVPeakUtilization,
-		KVMeanBytes:       r.KVMeanBytes,
-		KVMeanUtilization: r.KVMeanUtilization,
-
-		EnergyJ:           r.EnergyJ,
-		EnergyPerRequestJ: r.EnergyPerRequestJ,
-
-		DistinctForwardSims: r.DistinctForwardSims,
-	}
-	if r.LatencyHist != nil {
-		out.LatencyHistogram = r.LatencyHist.Counts
-		out.LatencyHistogramHi = r.LatencyHist.Hi
-	}
-	return out
+	return rep, nil
 }
