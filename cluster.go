@@ -177,10 +177,10 @@ type (
 	ClusterInstanceReport = cluster.InstanceReport
 	// ClusterClassReport summarizes one SLO class.
 	ClusterClassReport = cluster.ClassReport
-	// ClusterTimelineEvent is one entry of the unified fleet timeline:
-	// autoscaler actions, fault injection and recovery, correlated
-	// outages, gray-failure windows, hedge traffic and KV-pressure sheds,
-	// in event order.
+	// ClusterTimelineEvent is one entry of the fleet timeline, the ordered
+	// fleet-state transitions: autoscaler actions, fault injection and
+	// recovery, correlated outages and gray-failure windows. Per-request
+	// hedge and KV-shed detail is in the report counters and the trace.
 	ClusterTimelineEvent = cluster.TimelineEvent
 )
 

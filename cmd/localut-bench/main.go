@@ -154,9 +154,6 @@ func runSweep(shape, fmtName string, par int, mode kernels.Mode, compare bool) e
 	if err != nil {
 		return err
 	}
-	if f.Weight.Bits > 8 || f.Act.Bits > 8 {
-		return fmt.Errorf("format %s: the synthetic workload stores codes in uint8; use <= 8-bit codecs", f.Name())
-	}
 
 	if !compare {
 		start := time.Now()

@@ -115,7 +115,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.sweep, "sweep", "", "comma-separated arrival rates for a fleet-scaling sweep")
 	fs.StringVar(&o.fleets, "fleets", "", "comma-separated fleet sizes for -sweep (default: -instances)")
 	fs.StringVar(&o.mttfSweep, "mttf-sweep", "", "comma-separated MTTF values (seconds; 0 = fault-free baseline) for a reliability sweep")
-	fs.BoolVar(&o.timeline, "timeline", false, "print the unified fleet timeline (table output only)")
+	fs.BoolVar(&o.timeline, "timeline", false, "print the fleet-state timeline: scale, fault, domain-outage and straggler transitions (table output only; per-request hedge and KV-shed detail is in -trace-out)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
 	fs.IntVar(&o.traceSample, "trace-sample", 1, "keep every N-th request's lifecycle span in the trace")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
@@ -363,9 +363,9 @@ func classTable(r *localut.ClusterReport) *trace.Table {
 	return t
 }
 
-// timelineTable lists the unified fleet timeline: autoscaler actions,
-// fault injections/repairs and KV-pressure sheds through one rendering
-// path, in event order.
+// timelineTable lists the fleet-state timeline: autoscaler actions, fault
+// injections/repairs, domain outages and straggler windows through one
+// rendering path, in event order.
 func timelineTable(r *localut.ClusterReport) *trace.Table {
 	t := trace.NewTable("Fleet timeline",
 		"t (s)", "kind", "action", "instance", "replica", "domain", "active",

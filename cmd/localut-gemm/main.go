@@ -11,51 +11,60 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"github.com/ais-snu/localut"
+	"github.com/ais-snu/localut/cmd/internal/cli"
 )
 
 func main() {
-	m := flag.Int("m", 768, "weight rows M")
-	k := flag.Int("k", 768, "reduction dimension K")
-	n := flag.Int("n", 128, "activation columns N")
-	fmtName := flag.String("fmt", "W1A3", "quantization format (W1A3, W1A4, W2A2, W4A4)")
-	design := flag.String("design", "all", "design: naive, ltc, op, oplc, oplcrc, localut, all")
-	p := flag.Int("p", 0, "force packing degree (0 = cost model)")
-	sliceK := flag.Int("slicek", 0, "force slice batch k (0 = cost model)")
-	stream := flag.Bool("stream", false, "force slice streaming (with -p)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	flag.Parse()
+	cli.Main("localut-gemm", func() error { return run(os.Args[1:], os.Stdout) })
+}
+
+// run is the command: it parses args, prints the comparison table to out
+// and returns an error for bad input or when no design could run.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("localut-gemm", flag.ExitOnError)
+	m := fs.Int("m", 768, "weight rows M")
+	k := fs.Int("k", 768, "reduction dimension K")
+	n := fs.Int("n", 128, "activation columns N")
+	fmtName := fs.String("fmt", "W1A3", "quantization format (W1A3, W1A4, W2A2, W4A4)")
+	design := fs.String("design", "all", "design: naive, ltc, op, oplc, oplcrc, localut, all")
+	p := fs.Int("p", 0, "force packing degree (0 = cost model)")
+	sliceK := fs.Int("slicek", 0, "force slice batch k (0 = cost model)")
+	stream := fs.Bool("stream", false, "force slice streaming (with -p)")
+	seed := fs.Int64("seed", 1, "workload seed")
+	fs.Parse(args) // ExitOnError: a bad flag exits here
 
 	f, err := localut.ParseFormat(*fmtName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sys := localut.NewSystem(localut.WithSeed(*seed))
 
 	plan, err := sys.ChoosePlan(f, *m, *k, *n)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("shape (%d, %d, %d) %s — cost model: p=%d streaming=%v k=%d (predicted %.3f ms/bank-pass)\n\n",
+	fmt.Fprintf(out, "shape (%d, %d, %d) %s — cost model: p=%d streaming=%v k=%d (predicted %.3f ms/bank-pass)\n\n",
 		*m, *k, *n, f.Name(), plan.P, plan.Streaming, plan.SliceK, plan.PredictedSeconds*1e3)
 
-	designs := map[string]localut.Design{
+	byName := map[string]localut.Design{
 		"naive": localut.DesignNaive, "ltc": localut.DesignLTC,
 		"op": localut.DesignOP, "oplc": localut.DesignOPLC,
 		"oplcrc": localut.DesignOPLCRC, "localut": localut.DesignLoCaLUT,
 	}
-	var run []localut.Design
+	var designs []localut.Design
 	if *design == "all" {
-		run = localut.Designs
+		designs = localut.Designs
 	} else {
-		d, ok := designs[strings.ToLower(*design)]
+		d, ok := byName[strings.ToLower(*design)]
 		if !ok {
-			fatal(fmt.Errorf("unknown design %q", *design))
+			return fmt.Errorf("unknown design %q", *design)
 		}
-		run = []localut.Design{d}
+		designs = []localut.Design{d}
 	}
 
 	var opts []localut.GEMMOption
@@ -70,13 +79,15 @@ func main() {
 		opts = append(opts, localut.WithStreaming())
 	}
 
-	fmt.Printf("%-10s %12s %12s %12s %10s %9s %s\n",
+	fmt.Fprintf(out, "%-10s %12s %12s %12s %10s %9s %s\n",
 		"design", "total (ms)", "kernel (ms)", "xfer (ms)", "energy (J)", "p/k", "check")
 	var base float64
-	for _, d := range run {
+	var lastErr error
+	for _, d := range designs {
 		res, err := sys.GEMM(f, *m, *k, *n, d, opts...)
 		if err != nil {
-			fmt.Printf("%-10s error: %v\n", d, err)
+			fmt.Fprintf(out, "%-10s error: %v\n", d, err)
+			lastErr = err
 			continue
 		}
 		if base == 0 {
@@ -86,13 +97,12 @@ func main() {
 		if res.Verified {
 			check = "OK"
 		}
-		fmt.Printf("%-10s %12.4f %12.4f %12.4f %10.4f %6d/%-2d %s (%.2fx)\n",
+		fmt.Fprintf(out, "%-10s %12.4f %12.4f %12.4f %10.4f %6d/%-2d %s (%.2fx)\n",
 			d, res.TotalSeconds*1e3, res.KernelSeconds*1e3, res.Transfer*1e3,
 			res.EnergyJ, res.P, res.SliceK, check, base/res.TotalSeconds)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "localut-gemm:", err)
-	os.Exit(1)
+	if base == 0 {
+		return fmt.Errorf("no design ran: %w", lastErr)
+	}
+	return nil
 }

@@ -92,6 +92,34 @@ func TestBadEnumsAreErrors(t *testing.T) {
 		badCase{"ServeCluster zero format", clusterCfg(func(c *ClusterConfig) { c.Format = Format{} }), "zero Format"},
 		badCase{"Infer zero format", infer(BERTBase, Format{}, DesignLoCaLUT), "zero Format"},
 	)
+	// Formats that parse but whose codes do not fit tensor storage: every
+	// entry point that draws synthetic operands must say so. (Cycles-only
+	// entry points draw none and price them fine.) These used to panic.
+	for _, name := range []string{"W9A9", "W8A9", "W9A8"} {
+		f, err := ParseFormat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases,
+			badCase{"GEMM " + name, func() error {
+				_, err := sys.GEMM(f, 64, 64, 8, DesignLoCaLUT)
+				return err
+			}, "too wide"},
+			badCase{"GEMMBatch " + name, func() error {
+				_, err := sys.GEMMBatch(f, []GEMMShape{{M: 64, K: 64, N: 8}}, DesignNaive)
+				return err
+			}, "too wide"},
+			badCase{"cycles-only GEMM full output " + name, func() error {
+				_, err := NewSystem(WithCyclesOnly()).GEMM(f, 64, 64, 8, DesignLoCaLUT, WithFullOutput())
+				return err
+			}, "too wide"},
+			badCase{"Infer " + name, infer(BERTBase, f, DesignLoCaLUT), "too wide"},
+		)
+	}
+	cases = append(cases, badCase{"GEMM negative shape", func() error {
+		_, err := sys.GEMM(W1A3, -4, 64, 8, DesignLoCaLUT)
+		return err
+	}, "invalid shape"})
 	for _, tc := range cases {
 		func() {
 			defer func() {

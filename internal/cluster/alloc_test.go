@@ -3,6 +3,7 @@ package cluster
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/kernels"
@@ -29,9 +30,9 @@ func steadyConfig(seconds float64) Config {
 	}
 }
 
-// mallocsOf runs the fleet and returns the heap objects it allocated and
-// the requests it admitted.
-func mallocsOf(t *testing.T, cfg Config) (mallocs uint64, admitted int) {
+// allocOf runs the fleet and returns the heap objects and bytes it
+// allocated and the requests it admitted.
+func allocOf(t *testing.T, cfg Config) (mallocs, bytes uint64, admitted int) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -41,7 +42,7 @@ func mallocsOf(t *testing.T, cfg Config) (mallocs uint64, admitted int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return after.Mallocs - before.Mallocs, rep.Admitted
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, rep.Admitted
 }
 
 // TestFleetAllocBudget is the allocation budget of the fleet's request
@@ -51,9 +52,9 @@ func mallocsOf(t *testing.T, cfg Config) (mallocs uint64, admitted int) {
 // per-request cost: request slab chunks and the occasional slice growth.
 // Before events, batches and completions were recycled this read 6.0.
 func TestFleetAllocBudget(t *testing.T) {
-	mallocsOf(t, steadyConfig(5)) // first-use work outside the two measured runs
-	m1, n1 := mallocsOf(t, steadyConfig(100))
-	m2, n2 := mallocsOf(t, steadyConfig(200))
+	allocOf(t, steadyConfig(5)) // first-use work outside the two measured runs
+	m1, _, n1 := allocOf(t, steadyConfig(100))
+	m2, _, n2 := allocOf(t, steadyConfig(200))
 	if n2-n1 < 15000 {
 		t.Fatalf("runs admitted %d and %d requests: too close to measure a 20k-request margin", n1, n2)
 	}
@@ -61,6 +62,32 @@ func TestFleetAllocBudget(t *testing.T) {
 	t.Logf("%d and %d requests, %d and %d mallocs: %.4f allocs per extra request", n1, n2, m1, m2, perReq)
 	if perReq > 0.25 {
 		t.Errorf("steady fleet allocates %.3f objects per request, budget 0.25", perReq)
+	}
+}
+
+// TestChaosBytesBudget is the memory bound of a hedged chaos fleet, by the
+// same difference of two runs: an extra admitted request may cost at most
+// 2.5 serve.Requests of heap — itself, its hedge twin and slack for slab
+// chunking — so nothing in the report or the loop keeps a per-request
+// record. With hedge entries on the timeline this read over 1000 bytes.
+func TestChaosBytesBudget(t *testing.T) {
+	mk := func(seconds float64) Config {
+		cfg := chaosConfig(1)
+		cfg.RatePerSec = 120
+		cfg.DurationSeconds = seconds
+		return cfg
+	}
+	allocOf(t, mk(5))
+	_, b1, n1 := allocOf(t, mk(100))
+	_, b2, n2 := allocOf(t, mk(200))
+	if n2-n1 < 10000 {
+		t.Fatalf("runs admitted %d and %d requests: too close to measure a 10k-request margin", n1, n2)
+	}
+	perReq := (float64(b2) - float64(b1)) / float64(n2-n1)
+	budget := 2.5 * float64(unsafe.Sizeof(serve.Request{}))
+	t.Logf("%d and %d requests, %d and %d bytes: %.1f bytes per extra request (budget %.0f)", n1, n2, b1, b2, perReq, budget)
+	if perReq > budget {
+		t.Errorf("hedged chaos fleet allocates %.1f bytes per request, budget %.0f", perReq, budget)
 	}
 }
 
@@ -80,7 +107,7 @@ func TestObsAllocBudget(t *testing.T) {
 		var w countingWriter
 		cfg := steadyConfig(seconds)
 		cfg.Recorder, cfg.Metrics = obs.NewStreamRecorder(1, &w), obs.NewMetrics(1)
-		mallocs, admitted = mallocsOf(t, cfg)
+		mallocs, _, admitted = allocOf(t, cfg)
 		if err := cfg.Recorder.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/ais-snu/localut/internal/audit"
@@ -37,9 +38,10 @@ func (cs *csim) auditRun() error {
 		UnavailableSeconds: cs.unavailableSeconds,
 	}
 	// The run's true end: completions bound the makespan, but repairs and
-	// straggler windows can land later during the drain, and capacity
-	// accounting must cover them.
-	simEnd := cs.makespan
+	// straggler windows can land later during the drain, as can a hedge
+	// issued for a request that is then shed, and capacity accounting
+	// must cover them.
+	simEnd := math.Max(cs.makespan, cs.requestEnd)
 	for _, t := range cs.timeline {
 		if t.Seconds > simEnd {
 			simEnd = t.Seconds

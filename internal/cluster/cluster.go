@@ -318,10 +318,14 @@ type csim struct {
 
 	offered, admitted, rejected, completed int
 
-	// timeline is the unified fleet event stream: scale, fault and KV
-	// events in event-loop order.
-	timeline []TimelineEvent
-	peak     int // peak routable-instance count
+	// timeline is the fleet-state transition stream: scale, fault,
+	// domain-outage and straggler events in event-loop order. requestEnd
+	// is the simulated time of the latest hedge issue/win or KV shed —
+	// per-request activity the timeline does not record but that can be
+	// the last thing a run does, so the auditor's run end must cover it.
+	timeline   []TimelineEvent
+	requestEnd float64
+	peak       int // peak routable-instance count
 
 	// Reliability accounting (fault injection, deadlines, KV budgets).
 	rematFull, rematReplica float64 // LUT re-materialization seconds
@@ -389,7 +393,7 @@ func (cs *csim) newMember(id int, st memberState, now float64) (*member, error) 
 	inst.OnFirstToken = cs.onFirstToken
 	inst.OnFinish = cs.onFinish
 	// The closure pins the member's ID so instance-level sheds carry their
-	// origin into the unified timeline and the trace.
+	// origin into the trace.
 	inst.OnShed = func(r *serve.Request, now float64, reason serve.ShedReason) {
 		cs.onInstanceShed(id, r, now, reason)
 	}

@@ -187,16 +187,18 @@ func (cs *csim) shedRequest(r *serve.Request, now float64, cause shedCause) {
 
 // onInstanceShed adapts an Instance's shed callback to cluster accounting;
 // inst is the shedding member's ID (pinned by the per-member closure).
-// KV-pressure sheds are fleet-health signals, so they also land on the
-// unified timeline.
+// KV-pressure sheds are per-request, so the member that shed goes to the
+// trace, not the timeline.
 func (cs *csim) onInstanceShed(inst int, r *serve.Request, now float64, reason serve.ShedReason) {
 	if reason == serve.ShedDeadline {
 		cs.shedRequest(r, now, shedExpired)
 		return
 	}
-	cs.timeline = append(cs.timeline, TimelineEvent{
-		Seconds: now, Kind: KindKV, Action: "kv-shed", Instance: inst, Replica: -1, Active: len(cs.active),
-	})
+	cs.requestEnd = now
+	if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
+		rec.Instant(0, 0, "kv-shed", now,
+			obs.Num("id", float64(r.ID)), obs.Num("member", float64(inst)))
+	}
 	cs.shedRequest(r, now, shedKVBudget)
 }
 

@@ -78,10 +78,7 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 	h.Attempts++
 	r.Twin = h
 	cs.hedges++
-	cs.timeline = append(cs.timeline, TimelineEvent{
-		Seconds: now, Kind: KindHedge, Action: "issue", Instance: best.inst.ID, Replica: -1,
-		Active: len(cs.active),
-	})
+	cs.requestEnd = now
 	if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
 		rec.Instant(0, 0, "hedge", now,
 			obs.Num("id", float64(r.ID)), obs.Num("to", float64(best.inst.ID)))
@@ -103,10 +100,11 @@ func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 	l.Dropped = true
 	if w.Hedge {
 		cs.hedgeWins++
-		cs.timeline = append(cs.timeline, TimelineEvent{
-			Seconds: now, Kind: KindHedge, Action: "win", Instance: w.Member, Replica: -1,
-			Active: len(cs.active),
-		})
+		cs.requestEnd = now
+		if rec := cs.cfg.Recorder; rec.Sampled(w.ID) {
+			rec.Instant(0, 0, "hedge-win", now,
+				obs.Num("id", float64(w.ID)), obs.Num("member", float64(w.Member)))
+		}
 	}
 	if l.Member >= 0 {
 		if found, waste := cs.members[l.Member].inst.Cancel(l, now); found {

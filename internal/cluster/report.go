@@ -216,9 +216,11 @@ type Report struct {
 	Instances []InstanceReport `json:"instances"`
 	Classes   []ClassReport    `json:"classes"`
 
-	// Timeline is the unified event stream: autoscaler actions, fault
-	// injections/repairs and KV-pressure sheds in event order (empty when
-	// no subsystem that writes to it is enabled).
+	// Timeline is the ordered stream of fleet-state transitions:
+	// autoscaler actions, fault injections/repairs, domain outages and
+	// straggler windows in event order (empty when no subsystem that
+	// writes to it is enabled). Per-request hedge and KV-shed detail is in
+	// the counters above and in the obs trace.
 	Timeline []TimelineEvent `json:"timeline,omitempty"`
 }
 

@@ -1,9 +1,12 @@
 package cluster
 
-// Timeline event kinds. One ordered stream carries autoscaler actions,
-// fault injections/repairs and KV-pressure sheds, replacing the separate
-// scaling and fault timelines: a crash and the scale-up it triggers read
-// in order, from one schema, through one rendering path.
+// Timeline event kinds. One ordered stream carries the fleet-state
+// transitions — autoscaler actions, fault injections/repairs, domain
+// outages and straggler windows — so a crash and the scale-up it triggers
+// read in order, from one schema, through one rendering path. Its length
+// depends on the chaos plan, never on the request count: per-request
+// hedge and KV-shed detail is in the report counters and the obs trace
+// (-trace-out).
 const (
 	// KindScale marks autoscaler activity: "tick", "up-start",
 	// "up-active", "drain-start", "down".
@@ -11,8 +14,6 @@ const (
 	// KindFault marks fault injection and recovery: "crash", "repair",
 	// "degrade", "replica-repair".
 	KindFault = "fault"
-	// KindKV marks KV-pressure sheds under the KVShed policy ("kv-shed").
-	KindKV = "kv"
 	// KindDomain marks correlated failure-domain activity: "outage" (every
 	// member of the domain crashes at once) and "repair" (the domain-wide
 	// repair window closes).
@@ -20,17 +21,14 @@ const (
 	// KindStraggler marks gray-failure windows: "start" opens a slowdown
 	// window on a member, "end" closes it.
 	KindStraggler = "straggler"
-	// KindHedge marks request hedging: "issue" duplicates a slow request
-	// onto a second member, "win" records the duplicate finishing first.
-	KindHedge = "hedge"
 )
 
 // TimelineEvent is one entry of the unified fleet timeline
 // (localut.ClusterTimelineEvent): autoscaler actions under KindScale,
 // fault injection and recovery under KindFault, correlated outages under
-// KindDomain, gray-failure windows under KindStraggler, hedge traffic
-// under KindHedge and KV-pressure sheds under KindKV. Events are appended
-// in event-loop order, so the slice is time-ordered and deterministic.
+// KindDomain and gray-failure windows under KindStraggler. Events are
+// appended in event-loop order, so the slice is time-ordered and
+// deterministic.
 type TimelineEvent struct {
 	Seconds float64 `json:"t_s"`
 	Kind    string  `json:"kind"`

@@ -151,7 +151,11 @@ func (r *Runner) runGEMM(sh GEMMShape, tokens int, seed int64) (*gemm.Report, fl
 		scale = float64(n) / float64(cap)
 		n = cap
 	}
-	rep, err := r.Engine.Run(r.Engine.NewPair(sh.M, sh.K, n, r.Fmt, seed), gemm.Options{Variant: r.Variant})
+	pair, err := r.Engine.NewPair(sh.M, sh.K, n, r.Fmt, seed)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dnn: %s %s: %w", r.Model.Name, sh.Name, err)
+	}
+	rep, err := r.Engine.Run(pair, gemm.Options{Variant: r.Variant})
 	if err != nil {
 		return nil, 0, fmt.Errorf("dnn: %s %s: %w", r.Model.Name, sh.Name, err)
 	}

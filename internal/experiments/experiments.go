@@ -126,7 +126,11 @@ func (s *Suite) scale(v, quick int) int {
 func (s *Suite) runGEMM(m, k, n int, f quant.Format, v kernels.Variant, opt gemm.Options) (*gemm.Report, error) {
 	opt.Variant = v
 	opt.NSplitOnly = true
-	return s.Engine.Run(s.Engine.NewPair(m, k, n, f, s.Seed), opt)
+	pair, err := s.Engine.NewPair(m, k, n, f, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return s.Engine.Run(pair, opt)
 }
 
 // clone returns a suite whose engine can be used concurrently with the

@@ -47,7 +47,10 @@ func GEMMSweepExec(m, k, n int, f quant.Format, exec gemm.ExecOptions) ([]SweepR
 	exec.FullGrid = true
 	e := gemm.NewEngine()
 	e.Exec = exec
-	pair := e.NewPair(m, k, n, f, 1)
+	pair, err := e.NewPair(m, k, n, f, 1)
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([]SweepRow, 0, len(kernels.Variants))
 	for _, v := range kernels.Variants {

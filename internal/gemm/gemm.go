@@ -314,12 +314,13 @@ func (e *Engine) plan(f quant.Format, tileM, k, tileN int, opt Options) (kernels
 // NewPair returns the synthetic M x K x N problem the engine's mode needs: a
 // shape-only pair in CyclesOnly mode, where no kernel reads an operand (and
 // drawing one would dominate the host cost), the seeded pair otherwise. It is
-// the one place that decides whether synthetic operands exist.
-func (e *Engine) NewPair(m, k, n int, f quant.Format, seed int64) *workload.GEMMPair {
+// the one place that decides whether synthetic operands exist, so a format
+// too wide for tensor storage is an error only when operands are drawn.
+func (e *Engine) NewPair(m, k, n int, f quant.Format, seed int64) (*workload.GEMMPair, error) {
 	if e.Exec.Mode == kernels.CyclesOnly {
-		return workload.NewShapePair(m, k, n, f)
+		return workload.NewShapePair(m, k, n, f), nil
 	}
-	return workload.NewGEMMPair(m, k, n, f, seed)
+	return workload.MakeGEMMPair(m, k, n, f, seed)
 }
 
 // Run executes one GEMM on the simulated system.

@@ -172,14 +172,17 @@ func TestNewPairFollowsMode(t *testing.T) {
 	seeded := workload.NewGEMMPair(m, k, n, quant.W1A3, 5)
 
 	fe := NewEngine()
-	if got := fe.NewPair(m, k, n, quant.W1A3, 5); !reflect.DeepEqual(got, seeded) {
+	if got, err := fe.NewPair(m, k, n, quant.W1A3, 5); err != nil || !reflect.DeepEqual(got, seeded) {
 		t.Error("functional NewPair is not workload.NewGEMMPair at the same seed")
 	}
 
 	for _, full := range []bool{false, true} {
 		ce := NewEngine()
 		ce.Exec = ExecOptions{Mode: kernels.CyclesOnly, FullGrid: full, Parallelism: 1}
-		shape := ce.NewPair(m, k, n, quant.W1A3, 5)
+		shape, err := ce.NewPair(m, k, n, quant.W1A3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if shape.W != nil || shape.A != nil {
 			t.Fatal("cycles-only NewPair built operands")
 		}

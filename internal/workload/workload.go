@@ -8,6 +8,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -27,14 +28,13 @@ func Gaussian(rows, cols int, seed int64) []float64 {
 // QuantizedGaussian quantizes a Gaussian matrix under the codec with
 // calibrated (distribution-aware) scaling. DNN weights and activations are
 // near-Gaussian post-normalization, so this is the distribution the PQ
-// error analysis and LUT column statistics see.
-func QuantizedGaussian(rows, cols int, codec quant.Codec, seed int64) *quant.Tensor {
-	t, err := quant.QuantizeCalibrated(Gaussian(rows, cols, seed), rows, cols, codec)
-	if err != nil {
-		// Shapes are caller-controlled constants; a failure here is a bug.
-		panic(err)
+// error analysis and LUT column statistics see. A codec wider than the
+// tensor's code storage, or a non-positive shape, is an error.
+func QuantizedGaussian(rows, cols int, codec quant.Codec, seed int64) (*quant.Tensor, error) {
+	if rows <= 0 || cols <= 0 {
+		return nil, fmt.Errorf("invalid shape %dx%d", rows, cols)
 	}
-	return t
+	return quant.QuantizeCalibrated(Gaussian(rows, cols, seed), rows, cols, codec)
 }
 
 // UniformCodes returns rows x cols codes drawn uniformly from the codec's
@@ -67,14 +67,30 @@ type GEMMPair struct {
 	A       *quant.Tensor // K x N
 }
 
-// NewGEMMPair generates a seeded W (M x K) and A (K x N) pair under the
-// format's codecs.
-func NewGEMMPair(m, k, n int, f quant.Format, seed int64) *GEMMPair {
-	return &GEMMPair{
-		M: m, K: k, N: n, Fmt: f,
-		W: QuantizedGaussian(m, k, f.Weight, seed),
-		A: QuantizedGaussian(k, n, f.Act, seed+1),
+// MakeGEMMPair generates a seeded W (M x K) and A (K x N) pair under the
+// format's codecs. It is the one place a format meets tensor storage: a
+// format that parses but whose codes do not fit (W9A9) is an error here.
+func MakeGEMMPair(m, k, n int, f quant.Format, seed int64) (*GEMMPair, error) {
+	w, err := QuantizedGaussian(m, k, f.Weight, seed)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s weights: %w", f.Name(), err)
 	}
+	a, err := QuantizedGaussian(k, n, f.Act, seed+1)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s activations: %w", f.Name(), err)
+	}
+	return &GEMMPair{M: m, K: k, N: n, Fmt: f, W: w, A: a}, nil
+}
+
+// NewGEMMPair is MakeGEMMPair for shapes and formats fixed in code; it
+// panics on an error. Anything taking a format from a flag or a caller
+// uses MakeGEMMPair.
+func NewGEMMPair(m, k, n int, f quant.Format, seed int64) *GEMMPair {
+	p, err := MakeGEMMPair(m, k, n, f, seed)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // FrobeniusError returns ||got-want||_F / ||want||_F over float matrices,

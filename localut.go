@@ -270,15 +270,20 @@ func WithPaperTiling() GEMMOption { return func(o *gemm.Options) { o.NSplitOnly 
 // executes it under the design.
 func (s *System) GEMM(f Format, m, k, n int, d Design, opts ...GEMMOption) (*GEMMResult, error) {
 	o := gemmOptions(d, opts)
-	return s.run(s.syntheticPair(f, m, k, n, s.seed, o.ComputeFull), d, o)
+	pair, err := s.syntheticPair(f, m, k, n, s.seed, o.ComputeFull)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(pair, d, o)
 }
 
 // syntheticPair builds the seeded problem of GEMM and GEMMBatch: whatever the
 // engine's mode needs (nothing but the shape under WithCyclesOnly), except
-// that WithFullOutput needs operands to multiply in either mode.
-func (s *System) syntheticPair(f Format, m, k, n int, seed int64, fullOutput bool) *workload.GEMMPair {
+// that WithFullOutput needs operands to multiply in either mode. A format
+// too wide for tensor storage is an error whenever operands are drawn.
+func (s *System) syntheticPair(f Format, m, k, n int, seed int64, fullOutput bool) (*workload.GEMMPair, error) {
 	if fullOutput {
-		return workload.NewGEMMPair(m, k, n, f.inner, seed)
+		return workload.MakeGEMMPair(m, k, n, f.inner, seed)
 	}
 	return s.engine.NewPair(m, k, n, f.inner, seed)
 }
@@ -347,7 +352,11 @@ func (s *System) GEMMBatch(f Format, shapes []GEMMShape, d Design, opts ...GEMMO
 	o := gemmOptions(d, opts)
 	pairs := make([]*workload.GEMMPair, len(shapes))
 	for i, sh := range shapes {
-		pairs[i] = s.syntheticPair(f, sh.M, sh.K, sh.N, s.seed+int64(i), o.ComputeFull)
+		p, err := s.syntheticPair(f, sh.M, sh.K, sh.N, s.seed+int64(i), o.ComputeFull)
+		if err != nil {
+			return nil, err
+		}
+		pairs[i] = p
 	}
 	reps, err := s.engine.RunBatch(pairs, o)
 	if err != nil {
