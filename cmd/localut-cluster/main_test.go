@@ -57,13 +57,13 @@ func renderJSON(t *testing.T, cfg localut.ClusterConfig) []byte {
 	return buf.Bytes()
 }
 
-// TestClusterJSONGolden pins the -json output byte for byte on a fixed
-// seed and a faulted-fleet config. A diff means the report schema, the
-// simulation's numbers or the fault schedule changed — all must be
-// deliberate; run `go test ./cmd/localut-cluster -update` to re-bless.
-func TestClusterJSONGolden(t *testing.T) {
-	got := renderJSON(t, goldenConfig())
-	path := filepath.Join("testdata", "cluster_bert_w1a3_faults.golden.json")
+// matchGolden compares got with testdata/name byte for byte, rewriting the
+// file first under -update. A mismatch means what the file pins changed;
+// that must be deliberate — run `go test ./cmd/localut-cluster -update` to
+// re-bless.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -77,9 +77,16 @@ func TestClusterJSONGolden(t *testing.T) {
 		t.Fatalf("%v (run with -update to create the golden file)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("JSON report drifted from %s (re-bless with -update if intentional)\ngot:\n%s\nwant:\n%s",
-			path, got, want)
+		t.Errorf("output drifted from %s (re-bless with -update if intentional)", path)
 	}
+}
+
+// TestClusterJSONGolden pins the -json output byte for byte on a fixed
+// seed and a faulted-fleet config. A diff means the report schema, the
+// simulation's numbers or the fault schedule changed — all must be
+// deliberate; run `go test ./cmd/localut-cluster -update` to re-bless.
+func TestClusterJSONGolden(t *testing.T) {
+	matchGolden(t, "cluster_bert_w1a3_faults.golden.json", renderJSON(t, goldenConfig()))
 }
 
 // chaosGoldenConfig is the fixed workload behind the chaos -json
@@ -110,22 +117,52 @@ func chaosGoldenConfig() localut.ClusterConfig {
 // and the timeline, hedge resolutions in the report counters. Re-bless
 // with -update.
 func TestClusterChaosJSONGolden(t *testing.T) {
-	got := renderJSON(t, chaosGoldenConfig())
-	path := filepath.Join("testdata", "cluster_opt125m_w1a3_chaos.golden.json")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	matchGolden(t, "cluster_opt125m_w1a3_chaos.golden.json", renderJSON(t, chaosGoldenConfig()))
+}
+
+// twoClassHedgeConfig is the fixed workload behind the ordered-stream
+// regression test: two classes whose hedge delays differ (0.2 s and 0.8 s),
+// so hedge timers are created out of time order across classes; the packed
+// scheduler over bounded queues, so hedge losers are cancelled out of the
+// middle of a queue the packer scans and MaxQueue admission reads its
+// length; faults and stragglers on, audited.
+func twoClassHedgeConfig() localut.ClusterConfig {
+	return localut.ClusterConfig{
+		Model: localut.OPT125M, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
+		Instances: 4,
+		Replicas:  2,
+		OutTokens: 4,
+		Scheduler: localut.SchedulePacked,
+		MaxQueue:  32,
+		Classes: []localut.ClusterClass{
+			{Name: "interactive", RatePerSec: 70, MaxTokens: 128, MeanTokens: 64, HedgeDelaySeconds: 0.2},
+			{Name: "batch", RatePerSec: 35, HedgeDelaySeconds: 0.8},
+		},
+		DurationSeconds: 30,
+		Seed:            3,
+		Audit:           true,
+		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: 8},
+		Faults:          localut.ClusterFaults{Enabled: true, MTTFSeconds: 60, MTTRSeconds: 2},
+		Stragglers:      localut.ClusterStragglers{Enabled: true, MTBFSeconds: 30, MeanDurationSeconds: 5, Slowdown: 4},
+		Hedge:           localut.ClusterHedge{Enabled: true, DelaySeconds: 0.5},
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create the golden file)", err)
+}
+
+// TestClusterTwoClassHedgeGolden pins the two-class hedged report byte for
+// byte. The golden was rendered by the eager-cancel, heap-only event loop
+// that preceded ordered event lanes and lazy queue cancellation, so it
+// holds both to the old behaviour; re-bless with -update only for a
+// deliberate model change.
+func TestClusterTwoClassHedgeGolden(t *testing.T) {
+	got := renderJSON(t, twoClassHedgeConfig())
+	matchGolden(t, "cluster_two_class_hedge.golden.json", got)
+	var rep localut.ClusterReport
+	if err := json.Unmarshal(got, &rep); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("chaos JSON report drifted from %s (re-bless with -update if intentional)", path)
+	if rep.HedgeCancels == 0 || rep.HedgeWins == 0 || rep.ShedQueueFull == 0 || rep.Crashes == 0 || rep.StragglerWindows == 0 {
+		t.Errorf("scenario no longer exercises what it pins: %d hedge cancels, %d hedge wins, %d queue-full sheds, %d crashes, %d straggler windows",
+			rep.HedgeCancels, rep.HedgeWins, rep.ShedQueueFull, rep.Crashes, rep.StragglerWindows)
 	}
 }
 
@@ -314,22 +351,7 @@ type traceFile struct {
 // file. Re-bless with -update after deliberate changes.
 func TestTraceGolden(t *testing.T) {
 	got, _ := obsRun(t, goldenConfig(), 1, 1)
-	path := filepath.Join("testdata", "cluster_bert_w1a3_faults.trace.golden.json")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create the golden file)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("trace export drifted from %s (re-bless with -update if intentional)", path)
-	}
+	matchGolden(t, "cluster_bert_w1a3_faults.trace.golden.json", got)
 	var tf traceFile
 	if err := json.Unmarshal(got, &tf); err != nil {
 		t.Fatalf("trace export is not valid JSON: %v", err)

@@ -69,7 +69,9 @@ func TestFleetAllocBudget(t *testing.T) {
 // same difference of two runs: an extra admitted request may cost at most
 // 2.5 serve.Requests of heap — itself, its hedge twin and slack for slab
 // chunking — so nothing in the report or the loop keeps a per-request
-// record. With hedge entries on the timeline this read over 1000 bytes.
+// record. It reads 2.2 (280 bytes against a 128-byte Request carved from
+// 143-request chunks); with hedge entries on the timeline it read over
+// 1000 bytes.
 func TestChaosBytesBudget(t *testing.T) {
 	mk := func(seconds float64) Config {
 		cfg := chaosConfig(1)

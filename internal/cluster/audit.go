@@ -79,6 +79,10 @@ func (cs *csim) auditRun() error {
 		})
 	}
 	vs := audit.CheckFleet(f)
+	if n := cs.nonFiniteSamples(); n > 0 {
+		vs = append(vs, audit.Violation{Invariant: "finite-latency",
+			Detail: fmt.Sprintf("%d latency samples were NaN or infinite and are missing from the report's statistics", n)})
+	}
 	if len(vs) == 0 {
 		return nil
 	}
@@ -89,4 +93,15 @@ func (cs *csim) auditRun() error {
 		b.WriteString(v.String())
 	}
 	return fmt.Errorf("%s", b.String())
+}
+
+// nonFiniteSamples counts the NaN and infinite samples the fleet's and the
+// classes' latency histograms refused to bucket.
+func (cs *csim) nonFiniteSamples() int64 {
+	n := cs.qLat.NonFinite + cs.sLat.NonFinite + cs.tLat.NonFinite + cs.ttft.NonFinite + cs.tpot.NonFinite
+	for i := range cs.classes {
+		c := &cs.classes[i]
+		n += c.tLat.NonFinite + c.ttft.NonFinite + c.tpot.NonFinite
+	}
+	return n
 }

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/ais-snu/localut/internal/dnn"
@@ -358,5 +360,30 @@ func TestChaosSaturatedAudited(t *testing.T) {
 	if rep.Admitted != rep.Completed+rep.Shed {
 		t.Errorf("request conservation broken: admitted %d != completed %d + shed %d",
 			rep.Admitted, rep.Completed, rep.Shed)
+	}
+}
+
+// TestAuditRejectsNonFiniteLatency pins the auditor's finite-latency
+// invariant: a clean run audits clean, and one NaN or infinite sample in
+// any latency histogram — fleet-wide or per class — is a violation, since
+// the histogram counted it in NonFinite and left it out of every statistic.
+func TestAuditRejectsNonFiniteLatency(t *testing.T) {
+	cfg := chaosConfig(1)
+	cfg.DurationSeconds = 5
+	for name, poison := range map[string]func(*csim){
+		"fleet TTFT":    func(cs *csim) { cs.ttft.Add(math.NaN()) },
+		"class latency": func(cs *csim) { cs.classes[0].tLat.Add(math.Inf(1)) },
+	} {
+		cs, err := newSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.run(); err != nil {
+			t.Fatalf("%s: clean run failed its audit: %v", name, err)
+		}
+		poison(cs)
+		if err := cs.auditRun(); err == nil || !strings.Contains(err.Error(), "finite-latency") {
+			t.Errorf("%s: audit of a run with a non-finite sample returned %v, want a finite-latency violation", name, err)
+		}
 	}
 }

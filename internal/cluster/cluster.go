@@ -272,6 +272,16 @@ const (
 	evHedge          = 14
 )
 
+// The event queue's ordered lanes (serve.EventQueue.PushOrdered): the two
+// streams this loop creates already in time order. Arrivals come from one
+// merged, sorted MultiArrival stream; a hedge timer is its arrival plus a
+// per-class constant, so timers are sorted within a class and the queue
+// sends the cross-class stragglers through its heap.
+const (
+	laneArrival = 0
+	laneHedge   = 1
+)
+
 // classState is one class's samplers, admission bucket and aggregation.
 type classState struct {
 	cfg     ClassConfig
@@ -689,7 +699,7 @@ func newSim(cfg Config) (*csim, error) {
 
 	// Seed the merged arrival stream and the autoscaler clock.
 	if t, class := cs.arrivals.Next(); t <= cfg.DurationSeconds {
-		cs.events.Push(serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
+		cs.events.PushOrdered(laneArrival, serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
 	}
 	if cfg.Autoscaler.Enabled {
 		cs.events.Push(serve.Event{At: cfg.Autoscaler.IntervalSeconds, Inst: -1, Kind: evScaleTick})
@@ -733,11 +743,11 @@ func (cs *csim) run() (*Report, error) {
 					return nil, err
 				}
 				if d := c.hedgeDelay; d > 0 {
-					cs.events.Push(serve.Event{At: now + d, Inst: -1, Kind: evHedge, Req: r})
+					cs.events.PushOrdered(laneHedge, serve.Event{At: now + d, Inst: -1, Kind: evHedge, Req: r})
 				}
 			}
 			if t, class := cs.arrivals.Next(); t <= cfg.DurationSeconds {
-				cs.events.Push(serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
+				cs.events.PushOrdered(laneArrival, serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
 			}
 		case evRetry:
 			if err := cs.route(ev.Req, now, ev.Lost); err != nil {

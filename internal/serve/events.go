@@ -39,32 +39,88 @@ func (e *Event) before(o *Event) bool {
 	return e.seq < o.seq
 }
 
-// EventQueue is a binary min-heap of events with a free list of entries.
+// EventQueue is a binary min-heap of events with a free list of entries,
+// plus two ordered lanes: FIFO rings of Event values held beside the heap
+// for streams whose events are created already in queue order (the
+// open-loop arrival re-arm, the constant-delay hedge timer). A lane push
+// and pop is a ring append and a head compare instead of a sift through
+// the heap, and on the fleet workloads such streams are half to two thirds
+// of all events.
+//
 // Push copies the event into a recycled entry and Pop copies it back out
 // and recycles the entry in the same call, so a steady-state loop
 // allocates no events and no pointer to a pooled entry ever leaves the
-// queue. Recycled entries are zeroed: the free list pins no request or
-// batch. The zero value is an empty queue.
+// queue. Recycled entries and popped ring slots are zeroed: the queue pins
+// no request or batch it no longer holds. The zero value is an empty
+// queue.
 type EventQueue struct {
-	heap []*Event
-	free []*Event
-	seq  int64
+	heap  []*Event
+	free  []*Event
+	lanes [2]lane
+	seq   int64
+}
+
+// lane is a FIFO ring of events in nondecreasing queue order. The ring's
+// length is zero or a power of two; n entries start at head.
+type lane struct {
+	ring    []Event
+	head, n int
+}
+
+// newest returns the lane's most recently appended entry (n > 0).
+func (l *lane) newest() *Event { return &l.ring[(l.head+l.n-1)&(len(l.ring)-1)] }
+
+// grow doubles the ring, unrolling the live entries to the front.
+func (l *lane) grow() {
+	ring := make([]Event, max(2*len(l.ring), 64))
+	k := copy(ring, l.ring[l.head:])
+	copy(ring[k:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
 }
 
 // Len reports the number of scheduled events.
-func (q *EventQueue) Len() int { return len(q.heap) }
+func (q *EventQueue) Len() int { return len(q.heap) + q.lanes[0].n + q.lanes[1].n }
 
 // Push schedules ev.
 func (q *EventQueue) Push(ev Event) {
+	ev.seq = q.seq
+	q.seq++
+	q.pushHeap(&ev)
+}
+
+// PushOrdered schedules ev on ordered lane 0 or 1: an append to the lane's
+// ring when ev does not sort before the lane's newest entry, and otherwise
+// an ordinary Push. The lane is a hint, never a promise the queue relies
+// on — an out-of-order event (two classes with different hedge delays, an
+// unsorted arrival trace) simply goes through the heap. ev draws its seq
+// from the same counter as Push either way, and Pop takes the least of
+// the heap top and the lane heads under before, which seq makes a total
+// order; the pop sequence is therefore exactly the one Push alone would
+// give.
+func (q *EventQueue) PushOrdered(ln int, ev Event) {
+	ev.seq = q.seq
+	q.seq++
+	l := &q.lanes[ln]
+	if l.n > 0 && ev.before(l.newest()) {
+		q.pushHeap(&ev)
+		return
+	}
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = ev
+	l.n++
+}
+
+// pushHeap copies the sequenced event into a pooled entry and sifts it up.
+func (q *EventQueue) pushHeap(ev *Event) {
 	var e *Event
 	if n := len(q.free); n > 0 {
 		e, q.free = q.free[n-1], q.free[:n-1]
 	} else {
 		e = new(Event)
 	}
-	*e = ev
-	e.seq = q.seq
-	q.seq++
+	*e = *ev
 	i := len(q.heap)
 	q.heap = append(q.heap, e)
 	for i > 0 {
@@ -89,8 +145,34 @@ func (q *EventQueue) Dispatch(inst *Instance, now float64) error {
 	return err
 }
 
-// Pop removes and returns the earliest event. The queue must not be empty.
+// Pop removes and returns the earliest event: the least, under before, of
+// the heap top and the two lane heads. The queue must not be empty.
 func (q *EventQueue) Pop() Event {
+	var least *Event
+	src := -1 // the heap, or a lane index
+	if len(q.heap) > 0 {
+		least = q.heap[0]
+	}
+	for i := range q.lanes {
+		if l := &q.lanes[i]; l.n > 0 {
+			if e := &l.ring[l.head]; least == nil || e.before(least) {
+				least, src = e, i
+			}
+		}
+	}
+	if src < 0 {
+		return q.popHeap()
+	}
+	l := &q.lanes[src]
+	ev := *least
+	*least = Event{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return ev
+}
+
+// popHeap removes and returns the heap's top entry.
+func (q *EventQueue) popHeap() Event {
 	h := q.heap
 	top := h[0]
 	n := len(h) - 1

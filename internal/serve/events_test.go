@@ -2,7 +2,9 @@ package serve
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -26,26 +28,47 @@ func (h *boxedHeap) Pop() interface{} {
 // reference through the same random interleaving of pushes and pops, with
 // timestamps and instances drawn from small sets so every level of the
 // (time, instance, sequence) order breaks ties, and requires identical pop
-// sequences. It also pins the recycling contract: Pop zeroes the entry it
-// returns to the free list, so the list pins no request or batch.
+// sequences. A third of the pushes go through PushOrdered on a random lane,
+// timed at, just above or just below the lane's newest entry, so lanes see
+// in-order appends, ties on time and instance, and out-of-order events
+// that must fall through to the heap. It also pins the recycling contract:
+// Pop zeroes the pooled entry or ring slot it vacates, so the queue pins
+// no request or batch it no longer holds.
 func TestEventQueueMatchesBoxedHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var q EventQueue
 	var ref boxedHeap
 	var seq int64
+	var now float64
+	var laneAt [2]float64
+	var appended, fellThrough, lanePops int
 	req := &Request{ID: 7}
 	for step := 0; step < 20000; step++ {
 		if q.Len() != ref.Len() {
 			t.Fatalf("step %d: queue holds %d events, reference %d", step, q.Len(), ref.Len())
 		}
 		if q.Len() == 0 || rng.Intn(100) < 52 {
-			ev := Event{At: float64(rng.Intn(40)), Inst: rng.Intn(5) - 1, Kind: step, Req: req, Batch: []*Request{req}}
-			q.Push(ev)
+			ev := Event{At: now + float64(rng.Intn(40)), Inst: rng.Intn(5) - 1, Kind: step, Req: req, Batch: []*Request{req}}
+			if rng.Intn(3) == 0 {
+				ln := rng.Intn(2)
+				ev.At = math.Max(laneAt[ln], now) + float64(rng.Intn(4)-1)
+				laneAt[ln] = math.Max(laneAt[ln], ev.At)
+				held := q.lanes[ln].n
+				q.PushOrdered(ln, ev)
+				if q.lanes[ln].n > held {
+					appended++
+				} else {
+					fellThrough++
+				}
+			} else {
+				q.Push(ev)
+			}
 			ev.seq = seq
 			seq++
 			heap.Push(&ref, &ev)
 			continue
 		}
+		held := [2]int{q.lanes[0].n, q.lanes[1].n}
 		got, want := q.Pop(), heap.Pop(&ref).(*Event)
 		if got.At != want.At || got.Inst != want.Inst || got.seq != want.seq || got.Kind != want.Kind {
 			t.Fatalf("step %d: popped (at %g, inst %d, seq %d), reference (at %g, inst %d, seq %d)",
@@ -54,9 +77,45 @@ func TestEventQueueMatchesBoxedHeap(t *testing.T) {
 		if got.Req != req || len(got.Batch) != 1 {
 			t.Fatalf("step %d: popped event lost its payload: %+v", step, got)
 		}
-		if e := q.free[len(q.free)-1]; e.Req != nil || e.Batch != nil || e.At != 0 || e.Kind != 0 || e.seq != 0 {
-			t.Fatalf("step %d: recycled entry not cleared: %+v", step, *e)
+		now = got.At
+		var vacated *Event // the ring slot behind a lane's head, else the pooled entry
+		for ln := range q.lanes {
+			if l := &q.lanes[ln]; l.n < held[ln] {
+				lanePops++
+				vacated = &l.ring[(l.head-1)&(len(l.ring)-1)]
+			}
 		}
+		if vacated == nil {
+			vacated = q.free[len(q.free)-1]
+		}
+		if !reflect.DeepEqual(*vacated, Event{}) {
+			t.Fatalf("step %d: vacated entry not cleared: %+v", step, *vacated)
+		}
+	}
+	t.Logf("%d lane appends, %d fall-throughs to the heap, %d lane pops", appended, fellThrough, lanePops)
+	if appended < 1000 || fellThrough < 1000 || lanePops < 1000 {
+		t.Errorf("%d lane appends, %d fall-throughs to the heap, %d lane pops: the lanes were not exercised", appended, fellThrough, lanePops)
+	}
+}
+
+// BenchmarkEventQueueMixed is the event mix measured on the steady fleet
+// workload: per two pops, one push on the ordered arrival lane and one
+// completion through the heap, at a standing depth of 200.
+func BenchmarkEventQueueMixed(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var q EventQueue
+	var now, nextArrival float64
+	for i := 0; i < 200; i++ {
+		q.Push(Event{At: rng.Float64(), Inst: i % 64, Kind: CompletionPrefill})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nextArrival += 0.005 * rng.Float64()
+		q.PushOrdered(0, Event{At: nextArrival, Inst: -1})
+		q.Push(Event{At: now + rng.Float64(), Inst: i % 64, Kind: CompletionPrefill})
+		q.Pop()
+		now = q.Pop().At
 	}
 }
 

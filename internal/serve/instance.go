@@ -33,16 +33,25 @@ type Request struct {
 	// copy (-1 while unrouted); Dropped marks a copy the traffic layer has
 	// retired (its twin won, or a fault displaced it past usefulness) so
 	// parked retry events can recognize it as dead.
-	Twin    *Request
-	Hedge   bool
-	Member  int
-	Dropped bool
-
-	// canceled marks a copy the owning Instance has been told to abandon
-	// mid-service; PrefillDone/StepDone/Crash skip canceled members.
-	canceled bool
+	Twin   *Request
+	Member int
 
 	Arrive, Start, FirstTok, Finish float64 // simulated seconds
+
+	// The four flags sit together so the struct is 128 bytes, which lets
+	// RequestSlab fill its allocation size class (see requestChunk).
+	Hedge   bool
+	Dropped bool
+	// canceled marks a copy the owning Instance has been told to abandon:
+	// PrefillDone/StepDone/Crash skip canceled members of a batch, and the
+	// admission queue drops canceled entries as it passes them. A canceled
+	// request is never admitted again.
+	canceled bool
+	// queued is set while the request waits in an Instance's admission
+	// queue (between push/pushFront and the pick that takes it), which is
+	// what lets Cancel leave the queue without searching it. A request
+	// waits in at most one queue at a time.
+	queued bool
 }
 
 // Expired reports whether the request's deadline (if any) has passed.
@@ -57,7 +66,12 @@ func (r *Request) Expired(now float64) bool {
 // request long after it finished, so recycling would alias live state.
 type RequestSlab struct{ free []Request }
 
-const requestChunk = 128
+// requestChunk fills a Go allocation size class: 143 128-byte requests and
+// the runtime's 8-byte malloc header are 18,312 bytes, served from the
+// 18,432-byte class with 120 to spare (a 128-request chunk of the former
+// 136-byte Request sat in the same class with 1,016 bytes of slack).
+// TestRequestChunkFillsSizeClass fails when a new field spills the class.
+const requestChunk = 143
 
 // New carves the next request and initializes it to v.
 func (s *RequestSlab) New(v Request) *Request {

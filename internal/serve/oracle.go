@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/energy"
 	"github.com/ais-snu/localut/internal/kernels"
@@ -13,9 +16,18 @@ type batchCost struct {
 	energyJ float64 // priced energy of the pass
 }
 
-// costKey identifies one distinct forward-pass shape.
-type costKey struct {
-	tokens, ctx int
+// costKey identifies one distinct forward-pass shape: the two dimensions
+// packed into one word, so the memo maps take the runtime's 64-bit-key path
+// instead of hashing a 16-byte struct on every priced pass.
+type costKey uint64
+
+// newCostKey packs a shape. Each dimension must fit in 31 bits; a shape
+// outside that range is an error, never a key that collides with another.
+func newCostKey(a, b int) (costKey, error) {
+	if a < 0 || a > math.MaxInt32 || b < 0 || b > math.MaxInt32 {
+		return 0, fmt.Errorf("serve: forward-pass shape (%d, %d) outside the oracle's range", a, b)
+	}
+	return costKey(a)<<32 | costKey(b), nil
 }
 
 // Oracle prices batched forward passes through the dnn/gemm planners in
@@ -64,7 +76,10 @@ func (o *Oracle) price(p *dnn.PhaseReport) batchCost {
 // batch prices one prefill pass: `tokens` padded prompt tokens attending
 // over a ctx-token context. Misses run the planners; hits are map lookups.
 func (o *Oracle) batch(tokens, ctx int) (batchCost, error) {
-	key := costKey{tokens, ctx}
+	key, err := newCostKey(tokens, ctx)
+	if err != nil {
+		return batchCost{}, err
+	}
 	cost, ok := o.prefill[key]
 	if !ok {
 		rep, err := o.runner.ForwardTokens(tokens, ctx)
@@ -83,7 +98,10 @@ func (o *Oracle) batch(tokens, ctx int) (batchCost, error) {
 // DistinctForwardSims — stays bounded by batch-size x context-bucket
 // combinations however long the generations run.
 func (o *Oracle) decodeStep(n, ctx int) (batchCost, error) {
-	key := costKey{n, ctx}
+	key, err := newCostKey(n, ctx)
+	if err != nil {
+		return batchCost{}, err
+	}
 	cost, ok := o.step[key]
 	if !ok {
 		rep, err := o.runner.DecodeStep(n, ctx)

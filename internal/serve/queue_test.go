@@ -1,0 +1,284 @@
+package serve
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+)
+
+// eagerQueue is the admission queue as it was before lazy cancellation,
+// kept as the behavioural reference: remove searches the queue and closes
+// the gap at once, so its slice holds live entries only.
+type eagerQueue struct {
+	items []*Request
+	head  int
+}
+
+func (q *eagerQueue) len() int          { return len(q.items) - q.head }
+func (q *eagerQueue) push(r *Request)   { q.items = append(q.items, r) }
+func (q *eagerQueue) at(i int) *Request { return q.items[q.head+i] }
+
+func (q *eagerQueue) pushFront(rs []*Request) {
+	if len(rs) == 0 {
+		return
+	}
+	if q.head >= len(rs) {
+		q.head -= len(rs)
+		copy(q.items[q.head:], rs)
+		return
+	}
+	items := make([]*Request, 0, len(rs)+q.len())
+	items = append(items, rs...)
+	items = append(items, q.items[q.head:]...)
+	q.items = items
+	q.head = 0
+}
+
+func (q *eagerQueue) popHead() *Request {
+	r := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	q.maybeCompact()
+	return r
+}
+
+func (q *eagerQueue) takeBucket(bucket, window, max int, out []*Request) []*Request {
+	last := q.head
+	for i := q.head; i < q.head+window && len(out) < max; i++ {
+		if r := q.items[i]; r.Padded == bucket {
+			out = append(out, r)
+			last = i
+		}
+	}
+	w := last
+	for i := last; i >= q.head; i-- {
+		if r := q.items[i]; r.Padded != bucket {
+			q.items[w] = r
+			w--
+		}
+	}
+	for i := q.head; i <= w; i++ {
+		q.items[i] = nil
+	}
+	q.head = w + 1
+	q.maybeCompact()
+	return out
+}
+
+func (q *eagerQueue) remove(r *Request) bool {
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i] == r {
+			copy(q.items[i:], q.items[i+1:])
+			q.items[len(q.items)-1] = nil
+			q.items = q.items[:len(q.items)-1]
+			return true
+		}
+	}
+	return false
+}
+
+func (q *eagerQueue) maybeCompact() {
+	if q.head > 1024 && q.head > len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		for i := n; i < len(q.items); i++ {
+			q.items[i] = nil
+		}
+		q.items = q.items[:n]
+		q.head = 0
+	}
+}
+
+// TestQueueMatchesEagerReference drives the lazy queue and the eager
+// reference through the same 50,000 random operations — push, popHead,
+// takeBucket with a random bucket, window and batch bound, pushFront of a
+// just-picked suffix (the KV-stall hand-back), and remove of the head, the
+// tail, a random waiting request, a just-picked one, an already cancelled
+// one and a stranger — and requires the same returned requests and the
+// same length at every step, a live head whenever the queue is non-empty,
+// and a backing array within 2*len()+1024 entries.
+func TestQueueMatchesEagerReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var q queue
+	var ref eagerQueue
+	var picked, refPicked []*Request // the most recent pick, not yet handed back
+	var cancelled []*Request
+	nextID, deepest, hits, misses := 0, 0, 0, 0
+	same := func(step int, what string, got, want []*Request) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %s returned %d requests, reference %d", step, what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: %s returned request %d at %d, reference %d", step, what, got[i].ID, i, want[i].ID)
+			}
+		}
+	}
+	remove := func(step int, what string, r *Request) {
+		t.Helper()
+		got, want := q.remove(r), ref.remove(r)
+		if got != want {
+			t.Fatalf("step %d: remove(%s, request %d) = %v, reference %v", step, what, r.ID, got, want)
+		}
+		if got {
+			hits++
+			cancelled = append(cancelled, r)
+		} else {
+			misses++
+		}
+	}
+	for step := 0; step < 50000; step++ {
+		// Filling, cancel-only and draining stretches in turn: the depth
+		// crosses the compaction threshold in both directions, and a deep
+		// queue loses most of its entries to cancellation with no pop to
+		// carry the dead ones away.
+		stretch := step / 6000 % 3
+		op := rng.Intn(8)
+		if stretch == 1 {
+			op = 7
+		}
+		switch {
+		case rng.Intn(100) < [...]int{80, 10, 20}[stretch] || ref.len() == 0:
+			r := &Request{ID: nextID, Padded: 64 * (1 + rng.Intn(4))}
+			nextID++
+			q.push(r)
+			ref.push(r)
+		case op < 2:
+			picked = append(picked[:0], q.popHead())
+			refPicked = append(refPicked[:0], ref.popHead())
+			same(step, "popHead", picked, refPicked)
+		case op < 4:
+			bucket := 64 * (1 + rng.Intn(4))
+			if rng.Intn(4) > 0 {
+				bucket = ref.at(0).Padded // what the packed scheduler asks for
+			}
+			window, max := 1+rng.Intn(min(ref.len(), 24)), 1+rng.Intn(8)
+			picked = q.takeBucket(bucket, window, max, picked[:0])
+			refPicked = ref.takeBucket(bucket, window, max, refPicked[:0])
+			same(step, "takeBucket", picked, refPicked)
+		case op < 5:
+			if n := len(picked); n > 0 {
+				k := rng.Intn(n + 1)
+				q.pushFront(picked[k:])
+				ref.pushFront(refPicked[k:])
+				picked, refPicked = picked[:k], refPicked[:k]
+			}
+		default:
+			switch kind := rng.Intn(8); {
+			case kind == 0:
+				remove(step, "head", ref.at(0))
+			case kind == 1:
+				remove(step, "tail", ref.at(ref.len()-1))
+			case kind == 2 && len(picked) > 0:
+				remove(step, "just picked", picked[rng.Intn(len(picked))])
+			case kind == 3 && len(cancelled) > 0:
+				remove(step, "already cancelled", cancelled[rng.Intn(len(cancelled))])
+			case kind == 4:
+				remove(step, "stranger", &Request{ID: -1})
+			default:
+				remove(step, "waiting", ref.at(rng.Intn(ref.len())))
+			}
+		}
+		if q.len() != ref.len() {
+			t.Fatalf("step %d: queue holds %d requests, reference %d", step, q.len(), ref.len())
+		}
+		if q.len() > 0 {
+			if h := q.at(0); h != ref.at(0) || h.canceled || !h.queued {
+				t.Fatalf("step %d: head is request %d (canceled %v, queued %v), reference head %d",
+					step, h.ID, h.canceled, h.queued, ref.at(0).ID)
+			}
+		}
+		if len(q.items) > 2*q.len()+1024 {
+			t.Fatalf("step %d: %d live requests in a backing array of %d", step, q.len(), len(q.items))
+		}
+		deepest = max(deepest, q.len())
+	}
+	for ref.len() > 0 {
+		if got, want := q.popHead(), ref.popHead(); got != want {
+			t.Fatalf("drain: popped request %d, reference %d", got.ID, want.ID)
+		}
+	}
+	if q.len() != 0 || q.dead != 0 {
+		t.Errorf("drained queue reports %d live and %d dead entries", q.len(), q.dead)
+	}
+	t.Logf("deepest queue %d, %d removals hit, %d missed", deepest, hits, misses)
+	if deepest < 2500 || hits < 2000 || misses < 500 {
+		t.Errorf("deepest queue %d, %d removals hit, %d missed: the walk did not cover compaction and both removal outcomes",
+			deepest, hits, misses)
+	}
+}
+
+// BenchmarkQueueCancel is the hedge-loser path at a standing depth of 256:
+// each round admits a keeper and a loser, pops the head and cancels the
+// oldest waiting loser. Losers are cancelled 64 rounds after admission,
+// when 128 keepers still wait ahead of them, so every cancellation is from
+// the middle of the queue. The eager reference runs the same rounds for
+// comparison.
+func BenchmarkQueueCancel(b *testing.B) {
+	type fifo interface {
+		push(*Request)
+		popHead() *Request
+		remove(*Request) bool
+	}
+	// A request is reused 4096 admissions after its own, long after it left
+	// the queue and compaction dropped any cancelled entry pointing at it.
+	pool := make([]Request, 4096)
+	for _, bc := range []struct {
+		name string
+		q    fifo
+	}{{"lazy", &queue{}}, {"eager", &eagerQueue{}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			q, admitted := bc.q, 0
+			admit := func() *Request {
+				r := &pool[admitted%len(pool)]
+				*r = Request{ID: admitted}
+				admitted++
+				q.push(r)
+				return r
+			}
+			for i := 0; i < 128; i++ {
+				admit()
+			}
+			var losers [64]*Request // oldest at i%64
+			for i := range losers {
+				admit()
+				losers[i] = admit()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.popHead()
+				if !q.remove(losers[i%len(losers)]) {
+					b.Fatal("the loser was not waiting")
+				}
+				admit()
+				losers[i%len(losers)] = admit()
+			}
+		})
+	}
+}
+
+// TestRequestChunkFillsSizeClass pins the slab arithmetic requestChunk's
+// comment states: a Request is at most 128 bytes and one chunk is served
+// from the 18,432-byte allocation class, so a new field that spills either
+// fails here instead of silently costing every request more heap.
+func TestRequestChunkFillsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Request{}); size > 128 {
+		t.Errorf("Request is %d bytes, budget 128: keep the flags together and the chunk arithmetic in step", size)
+	}
+	// The smallest of a few readings: another goroutine's allocation can
+	// only add to a TotalAlloc delta.
+	least := ^uint64(0)
+	for try := 0; try < 5; try++ {
+		var slab RequestSlab
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := slab.New(Request{})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(r)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 18432 {
+		t.Errorf("one %d-request chunk allocates %d bytes, more than the 18,432-byte size class", requestChunk, least)
+	}
+}

@@ -7,15 +7,40 @@ import (
 
 // queue is the FIFO admission queue. Head pops are O(1); the packing
 // scheduler removes scattered entries from a bounded prefix, which costs
-// O(window) per batch.
+// O(window) per batch; cancellation is O(1) and lazy.
+//
+// Lazy cancellation: remove does not search. It marks the request
+// canceled, counts it in dead and leaves its entry where it is; popHead
+// and takeBucket drop dead entries as they pass them. The invariants that
+// keep this invisible to callers:
+//
+//   - a live entry has r.queued set and r.canceled clear; a dead entry has
+//     r.canceled set. A Request waits in at most one queue at a time, so
+//     the flags on the request identify its entry without a search;
+//   - items[head] is live whenever len() > 0, so the head the schedulers
+//     read is never a cancelled request, and when the last live entry
+//     leaves, the dead tail is dropped with it;
+//   - len() counts live entries only: MaxQueue admission, the queue-depth
+//     gauge and the packing window read what an eager removal would give;
+//   - settle squeezes dead entries out with the consumed prefix, so the
+//     backing array stays within 2*len()+1024 entries.
 type queue struct {
 	items []*Request
 	head  int
+	dead  int // cancelled entries still in items[head:]
 }
 
-func (q *queue) len() int          { return len(q.items) - q.head }
-func (q *queue) push(r *Request)   { q.items = append(q.items, r) }
+func (q *queue) len() int { return len(q.items) - q.head - q.dead }
+
+// at returns the i-th entry behind the head, dead entries included: at(0)
+// is the live head the schedulers read; only tests of a queue nothing was
+// cancelled from look further.
 func (q *queue) at(i int) *Request { return q.items[q.head+i] }
+
+func (q *queue) push(r *Request) {
+	r.queued = true
+	q.items = append(q.items, r)
+}
 
 // pushFront returns requests to the front of the queue in order (the
 // first element becomes the new head). The KV-budget policies use it to
@@ -24,12 +49,15 @@ func (q *queue) pushFront(rs []*Request) {
 	if len(rs) == 0 {
 		return
 	}
+	for _, r := range rs {
+		r.queued = true
+	}
 	if q.head >= len(rs) {
 		q.head -= len(rs)
 		copy(q.items[q.head:], rs)
 		return
 	}
-	items := make([]*Request, 0, len(rs)+q.len())
+	items := make([]*Request, 0, len(rs)+len(q.items)-q.head)
 	items = append(items, rs...)
 	items = append(items, q.items[q.head:]...)
 	q.items = items
@@ -38,30 +66,41 @@ func (q *queue) pushFront(rs []*Request) {
 
 func (q *queue) popHead() *Request {
 	r := q.items[q.head]
+	r.queued = false
 	q.items[q.head] = nil
 	q.head++
-	q.maybeCompact()
+	q.settle()
 	return r
 }
 
 // takeBucket appends to out, in queue order, the first requests among the
-// leading window entries whose padded length is bucket — the head's, so
-// the head is always taken — until out holds max, and removes them.
+// leading window live entries whose padded length is bucket — the head's,
+// so the head is always taken — until out holds max, and removes them.
 // Survivors at or before the last pick shift toward it so the queue stays
-// contiguous.
+// contiguous; dead entries in that stretch are dropped on the way.
 func (q *queue) takeBucket(bucket, window, max int, out []*Request) []*Request {
 	last := q.head
-	for i := q.head; i < q.head+window && len(out) < max; i++ {
-		if r := q.items[i]; r.Padded == bucket {
+	for i, seen := q.head, 0; seen < window && len(out) < max; i++ {
+		r := q.items[i]
+		if r.canceled {
+			continue
+		}
+		seen++
+		if r.Padded == bucket {
+			r.queued = false
 			out = append(out, r)
 			last = i
 		}
 	}
-	// Every bucket member up to last was taken, so what remains there is
-	// exactly the other buckets' requests; compact them back to front.
+	// Every live bucket member up to last was taken, so what remains live
+	// there is exactly the other buckets' requests; compact them back to
+	// front.
 	w := last
 	for i := last; i >= q.head; i-- {
-		if r := q.items[i]; r.Padded != bucket {
+		switch r := q.items[i]; {
+		case r.canceled:
+			q.dead--
+		case r.Padded != bucket:
 			q.items[w] = r
 			w--
 		}
@@ -70,34 +109,44 @@ func (q *queue) takeBucket(bucket, window, max int, out []*Request) []*Request {
 		q.items[i] = nil
 	}
 	q.head = w + 1
-	q.maybeCompact()
+	q.settle()
 	return out
 }
 
-// remove deletes one request from anywhere in the queue, preserving the
-// order of the survivors, and reports whether it was present. Request
-// cancellation (hedge losers) is the only caller; it is O(queue length).
+// remove cancels one waiting request in O(1) and reports whether it was
+// waiting: the entry stays behind as a dead one (see queue). Request
+// cancellation (hedge losers) is the only caller.
 func (q *queue) remove(r *Request) bool {
-	for i := q.head; i < len(q.items); i++ {
-		if q.items[i] == r {
-			copy(q.items[i:], q.items[i+1:])
-			q.items[len(q.items)-1] = nil
-			q.items = q.items[:len(q.items)-1]
-			return true
-		}
+	if !r.queued {
+		return false
 	}
-	return false
+	r.queued = false
+	r.canceled = true
+	q.dead++
+	q.settle()
+	return true
 }
 
-// maybeCompact reclaims the dead prefix once it dominates the backing array.
-func (q *queue) maybeCompact() {
-	if q.head > 1024 && q.head > len(q.items)/2 {
-		n := copy(q.items, q.items[q.head:])
-		for i := n; i < len(q.items); i++ {
-			q.items[i] = nil
+// settle restores the queue's invariants after entries left it: dead
+// entries at the head are dropped so items[head] is live, and the backing
+// array is compacted once consumed and dead slots dominate it.
+func (q *queue) settle() {
+	for q.dead > 0 && q.items[q.head].canceled {
+		q.items[q.head] = nil
+		q.head++
+		q.dead--
+	}
+	if gone := q.head + q.dead; gone > 1024 && gone > len(q.items)/2 {
+		n := 0
+		for _, r := range q.items[q.head:] {
+			if !r.canceled {
+				q.items[n] = r
+				n++
+			}
 		}
+		clear(q.items[n:])
 		q.items = q.items[:n]
-		q.head = 0
+		q.head, q.dead = 0, 0
 	}
 }
 

@@ -346,6 +346,12 @@ type Report struct {
 // the Instance (CompletionPrefill, CompletionStep).
 const evArrival = 0
 
+// laneArrival is the ordered event lane (EventQueue.PushOrdered) of the
+// open-loop arrival stream and of a replayed trace, which are created in
+// time order (an unsorted trace falls through to the heap entry by entry).
+// Closed-loop client re-arms are not time-ordered and use Push.
+const laneArrival = 0
+
 // sim is the traffic layer of one single-appliance run: arrivals, length
 // sampling and latency aggregation around one Instance.
 type sim struct {
@@ -468,7 +474,7 @@ func Run(cfg Config) (*Report, error) {
 				// so nothing is dropped in that case.
 				continue
 			}
-			s.events.Push(Event{At: t, Kind: evArrival, Client: -1})
+			s.events.PushOrdered(laneArrival, Event{At: t, Kind: evArrival, Client: -1})
 		}
 	case cfg.Clients > 0:
 		if s.think, err = workload.NewArrivalSampler(1/cfg.ThinkSeconds, cfg.Seed+2); err != nil {
@@ -484,7 +490,7 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		if t := s.arrivals.Next(); t <= cfg.DurationSeconds {
-			s.events.Push(Event{At: t, Kind: evArrival, Client: -1})
+			s.events.PushOrdered(laneArrival, Event{At: t, Kind: evArrival, Client: -1})
 		}
 	}
 
@@ -514,7 +520,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			if s.arrivals != nil {
 				if t := now + s.arrivals.Next(); t <= cfg.DurationSeconds {
-					s.events.Push(Event{At: t, Kind: evArrival, Client: -1})
+					s.events.PushOrdered(laneArrival, Event{At: t, Kind: evArrival, Client: -1})
 				}
 			}
 		case CompletionPrefill:
@@ -527,6 +533,12 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	cfg.Metrics.Finish(s.makespan)
+	// A non-finite latency is a simulator bug. The histograms count such
+	// samples without bucketing them, so the statistics would silently miss
+	// them; fail the run instead (localut-serve -audit included).
+	if n := s.qLat.NonFinite + s.sLat.NonFinite + s.tLat.NonFinite + s.ttft.NonFinite + s.tpot.NonFinite; n > 0 {
+		return nil, fmt.Errorf("serve: %d latency samples were NaN or infinite", n)
+	}
 	return s.report(), nil
 }
 

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ais-snu/localut/internal/dnn"
@@ -258,6 +260,47 @@ func TestOracleStepMemoKeysOnCtxBucket(t *testing.T) {
 	}
 	if c.seconds <= a.seconds {
 		t.Errorf("longer context did not cost more: %g <= %g", c.seconds, a.seconds)
+	}
+}
+
+// TestOracleShapeOutOfRange pins the packed memo key's checked conversion:
+// a dimension that does not fit the key is an error from the oracle, not a
+// key shared with some other shape.
+func TestOracleShapeOutOfRange(t *testing.T) {
+	cfg, err := testConfig().withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracle(&cfg)
+	for _, shape := range [][2]int{{-1, 64}, {64, -1}, {math.MaxInt32 + 1, 64}, {64, math.MaxInt32 + 1}} {
+		if _, err := o.batch(shape[0], shape[1]); err == nil {
+			t.Errorf("batch%v priced a shape outside the key's range", shape)
+		}
+		if _, err := o.decodeStep(shape[0], shape[1]); err == nil {
+			t.Errorf("decodeStep%v priced a shape outside the key's range", shape)
+		}
+	}
+	if o.DistinctSims() != 0 {
+		t.Errorf("rejected shapes left %d entries in the memo", o.DistinctSims())
+	}
+	a, _ := newCostKey(1, 2)
+	b, _ := newCostKey(2, 1)
+	if a == b {
+		t.Error("the key does not distinguish (1, 2) from (2, 1)")
+	}
+}
+
+// TestServeNonFiniteLatencyIsAnError replays a trace holding a NaN arrival
+// time: every latency of that request is NaN. The histograms refuse the
+// samples — they used to panic with an index out of range — and Run fails
+// instead of returning statistics that silently miss them.
+func TestServeNonFiniteLatencyIsAnError(t *testing.T) {
+	cfg := testConfig()
+	cfg.RatePerSec = 0
+	cfg.ArrivalTimes = []float64{0.1, math.NaN(), 0.2}
+	rep, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "NaN or infinite") {
+		t.Fatalf("Run returned report %v and error %v, want a non-finite latency error", rep, err)
 	}
 }
 

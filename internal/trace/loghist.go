@@ -25,8 +25,11 @@ const (
 // of insertion order, so aggregations built on it stay byte-reproducible.
 //
 // Bucket edges are looked up, not recomputed: edges caches Min*Base^i per
-// index, filled on first use by the one expression that defines an edge, so
-// Add costs a single math.Log for the first guess plus table compares.
+// index, filled on first use by the one expression that defines an edge.
+// Add takes its first guess at the bucket from the sample's own bits — the
+// float's exponent plus a 256-entry log2 table on its top mantissa bits —
+// and the edge table then decides, so no Add calls math.Log and every
+// count is what comparing against the edges alone would give.
 type LogHistogram struct {
 	Base   float64 // bucket width ratio, > 1
 	Min    float64 // lower edge of bucket 0, > 0
@@ -36,11 +39,25 @@ type LogHistogram struct {
 	Sum    float64 // exact running sum, in insertion order
 	MinV   float64 // exact smallest sample (valid when N > 0)
 	MaxV   float64 // exact largest sample (valid when N > 0)
+	// NonFinite counts NaN and ±Inf samples. They are not bucketed and
+	// touch no other field: a non-finite latency is a simulator bug for
+	// the auditor to report, not a value to aggregate.
+	NonFinite int64
 
 	edges []float64 // edges[i] = Min*Base^i, grown on demand
-	// 1/math.Log(Base) and math.Log(Min), cached on first Add.
-	invLogBase, logMin float64
+	// 1/math.Log2(Base) and math.Log2(Min), cached on first Add.
+	invLog2Base, log2Min float64
 }
+
+// mantissaLog2[k] is log2 of the midpoint of the k-th of 256 equal slices
+// of [1, 2): Add's estimate of log2 of a mantissa whose top eight bits are
+// k, off by at most 0.003 — a twentieth of a default bucket.
+var mantissaLog2 = func() (t [256]float64) {
+	for k := range t {
+		t[k] = math.Log2(1 + (float64(k)+0.5)/256)
+	}
+	return t
+}()
 
 // NewLogHistogram builds an empty histogram with the package defaults.
 func NewLogHistogram() *LogHistogram {
@@ -64,8 +81,13 @@ func (h *LogHistogram) growEdges(i int) {
 	}
 }
 
-// Add counts one sample.
+// Add counts one sample. A NaN or infinite sample only increments
+// NonFinite.
 func (h *LogHistogram) Add(v float64) {
+	if v-v != 0 { // NaN or ±Inf
+		h.NonFinite++
+		return
+	}
 	h.N++
 	h.Sum += v
 	if h.N == 1 || v < h.MinV {
@@ -78,12 +100,20 @@ func (h *LogHistogram) Add(v float64) {
 		h.Under++
 		return
 	}
-	if h.invLogBase == 0 {
-		h.invLogBase, h.logMin = 1/math.Log(h.Base), math.Log(h.Min)
+	if h.invLog2Base == 0 {
+		h.invLog2Base, h.log2Min = 1/math.Log2(h.Base), math.Log2(h.Min)
 	}
-	i := int((math.Log(v) - h.logMin) * h.invLogBase)
-	// Float log can land one bucket off at the edges; nudge until
-	// edge(i) <= v < edge(i+1) holds exactly.
+	// v >= Min > 0, so the sign bit is clear and bits>>52 is the biased
+	// exponent alone. (A denormal v under a denormal Min reads a too-high
+	// exponent; the guess is then far off and still only a guess.)
+	bits := math.Float64bits(v)
+	log2v := float64(int(bits>>52)-1023) + mantissaLog2[bits>>44&0xff]
+	i := int((log2v - h.log2Min) * h.invLog2Base)
+	if i < 0 {
+		i = 0 // the table's error under a sample at Min, scaled by a Base near 1
+	}
+	// The guess can land a bucket off; nudge until edge(i) <= v < edge(i+1)
+	// holds exactly.
 	for i > 0 && v < h.edge(i) {
 		i--
 	}
@@ -103,6 +133,7 @@ func (h *LogHistogram) Merge(other *LogHistogram) error {
 		return fmt.Errorf("trace: merging log histogram base=%g min=%g into base=%g min=%g",
 			other.Base, other.Min, h.Base, h.Min)
 	}
+	h.NonFinite += other.NonFinite
 	if other.N == 0 {
 		return nil
 	}

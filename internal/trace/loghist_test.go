@@ -201,9 +201,10 @@ func TestFixedHistogramMergeQuantile(t *testing.T) {
 	}
 }
 
-// refAdd is the pre-table Add, kept as the reference the table-driven Add
-// must match bucket for bucket: two math.Log calls for the first guess and
-// a math.Pow per edge probe.
+// refAdd is the pre-table Add, kept as the reference Add must match bucket
+// for bucket: math.Log for the first guess (of v and Min apart, so a huge
+// v over a tiny Min cannot overflow the quotient) and a math.Pow per edge
+// probe. It takes finite samples only.
 func refAdd(h *LogHistogram, v float64) {
 	lo := func(i int) float64 { return h.Min * math.Pow(h.Base, float64(i)) }
 	h.N++
@@ -218,7 +219,7 @@ func refAdd(h *LogHistogram, v float64) {
 		h.Under++
 		return
 	}
-	i := int(math.Log(v/h.Min) / math.Log(h.Base))
+	i := int((math.Log(v) - math.Log(h.Min)) / math.Log(h.Base))
 	for i > 0 && v < lo(i) {
 		i--
 	}
@@ -253,10 +254,10 @@ func refQuantile(h *LogHistogram, q float64) float64 {
 func sameAggregate(t *testing.T, what string, got, want *LogHistogram) {
 	t.Helper()
 	if got.Under != want.Under || got.N != want.N || got.Sum != want.Sum ||
-		got.MinV != want.MinV || got.MaxV != want.MaxV {
-		t.Fatalf("%s: aggregates differ:\n got Under=%d N=%d Sum=%v MinV=%v MaxV=%v\nwant Under=%d N=%d Sum=%v MinV=%v MaxV=%v",
-			what, got.Under, got.N, got.Sum, got.MinV, got.MaxV,
-			want.Under, want.N, want.Sum, want.MinV, want.MaxV)
+		got.MinV != want.MinV || got.MaxV != want.MaxV || got.NonFinite != want.NonFinite {
+		t.Fatalf("%s: aggregates differ:\n got Under=%d N=%d Sum=%v MinV=%v MaxV=%v NonFinite=%d\nwant Under=%d N=%d Sum=%v MinV=%v MaxV=%v NonFinite=%d",
+			what, got.Under, got.N, got.Sum, got.MinV, got.MaxV, got.NonFinite,
+			want.Under, want.N, want.Sum, want.MinV, want.MaxV, want.NonFinite)
 	}
 	if len(got.Counts) != len(want.Counts) {
 		t.Fatalf("%s: %d buckets, reference has %d", what, len(got.Counts), len(want.Counts))
@@ -330,6 +331,76 @@ func TestLogHistogramBucketIdentity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLogHistogramNonFinite pins what Add does with a sample that is not a
+// number: it counts it in NonFinite and touches nothing else — these
+// samples used to panic with an index out of range — and Merge carries the
+// count across.
+func TestLogHistogramNonFinite(t *testing.T) {
+	got, want := NewLogHistogram(), NewLogHistogram()
+	for _, v := range []float64{0.5, math.NaN(), 2e-12, math.Inf(1), 3, math.Inf(-1)} {
+		got.Add(v)
+		if v-v == 0 {
+			refAdd(want, v)
+		}
+	}
+	want.NonFinite = 3
+	sameAggregate(t, "non-finite", got, want)
+	if q := got.Quantile(1); q != 3 {
+		t.Errorf("Quantile(1) = %v with non-finite samples refused, want the largest finite sample 3", q)
+	}
+	sum := NewLogHistogram()
+	onlyBad := NewLogHistogram()
+	onlyBad.Add(math.NaN())
+	for _, h := range []*LogHistogram{got, onlyBad} {
+		if err := sum.Merge(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum.NonFinite != 4 || sum.N != 3 {
+		t.Errorf("merged histogram counts %d non-finite and %d finite samples, want 4 and 3", sum.NonFinite, sum.N)
+	}
+}
+
+// FuzzLogHistogramAdd feeds Add any float64 under any valid (Base, Min) —
+// values outside the harness's valid ranges fall back to the defaults. Add
+// must not panic; a non-finite sample only counts in NonFinite; a finite
+// one leaves exactly the state the math.Log-seeded reference leaves, and
+// when it is at least Min, lands in the bucket i with Min*Base^i <= v <
+// Min*Base^(i+1). The committed corpus holds bucket edges and their
+// neighbouring floats, denormals, MaxFloat64, the infinities, NaN and -0.
+func FuzzLogHistogramAdd(f *testing.F) {
+	f.Fuzz(func(t *testing.T, base, min, v float64) {
+		// Base stays clear of 1 so the bucket count, and with it the edge
+		// table this one Add grows, stays in the low hundreds of thousands.
+		if !(base >= 1.01 && base <= 16) {
+			base = logHistBase
+		}
+		if !(min >= math.SmallestNonzeroFloat64 && min <= 1e300) {
+			min = logHistMin
+		}
+		got := &LogHistogram{Base: base, Min: min}
+		want := &LogHistogram{Base: base, Min: min}
+		got.Add(v)
+		if v-v != 0 {
+			want.NonFinite = 1
+		} else {
+			refAdd(want, v)
+		}
+		sameAggregate(t, "fuzzed sample", got, want)
+		if v-v != 0 || v < min {
+			if len(got.Counts) != 0 {
+				t.Fatalf("sample %v under Min %v was bucketed: %v", v, min, got.Counts)
+			}
+			return
+		}
+		i := len(got.Counts) - 1
+		lo, hi := min*math.Pow(base, float64(i)), min*math.Pow(base, float64(i+1))
+		if got.Counts[i] != 1 || !(lo <= v && v < hi) {
+			t.Fatalf("sample %v (Base %v, Min %v) counted %d in bucket %d = [%v, %v)", v, base, min, got.Counts[i], i, lo, hi)
+		}
+	})
 }
 
 func BenchmarkLogHistogramAdd(b *testing.B) {
