@@ -158,8 +158,22 @@ func run() error {
 
 // fleetConfig is the facade config the flags describe. A chaos layer is
 // enabled by its trigger flag: -mttf, -domains, -straggler-mtbf,
-// -hedge-delay.
+// -hedge-delay. A trigger enables its layer when positive, so a negative or
+// NaN value would run a healthy fleet and exit 0; it is refused by name.
 func (o *options) fleetConfig() (localut.ClusterConfig, error) {
+	for _, trigger := range []struct {
+		flag  string
+		value float64
+	}{
+		{"-hedge-delay", o.hedgeDelay},
+		{"-mttf", o.faults.MTTFSeconds},
+		{"-straggler-mtbf", o.stragglers.MTBFSeconds},
+		{"-domains", float64(o.domains.Count)},
+	} {
+		if !(trigger.value >= 0) {
+			return localut.ClusterConfig{}, fmt.Errorf("%s %g must be zero (off) or positive", trigger.flag, trigger.value)
+		}
+	}
 	cfg := localut.ClusterConfig{
 		Instances:       o.instances,
 		Replicas:        o.Replicas,

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ais-snu/localut"
@@ -451,6 +452,44 @@ func TestObsEdgeCases(t *testing.T) {
 	})
 }
 
+// TestTriggerFlagsRejectNegativeAndNaN: each chaos layer is switched on by
+// a positive trigger flag, so a negative or NaN trigger used to mean "off" —
+// a healthy fleet and exit 0 where -deadline -1 or -mttr -1 are errors.
+// fleetConfig must refuse it and name the flag; zero and positive values
+// still mean off and on.
+func TestTriggerFlagsRejectNegativeAndNaN(t *testing.T) {
+	config := func(args ...string) (localut.ClusterConfig, error) {
+		t.Helper()
+		var o options
+		fs := flag.NewFlagSet("localut-cluster", flag.ContinueOnError)
+		o.register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return o.fleetConfig()
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"-hedge-delay", "-1"}, {"-hedge-delay", "NaN"},
+		{"-mttf", "-5"}, {"-mttf", "NaN"},
+		{"-straggler-mtbf", "-1"}, {"-straggler-mtbf", "NaN"},
+		{"-domains", "-2"},
+	} {
+		if _, err := config(tc.flag, tc.value); err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s %s: got %v, want an error naming the flag", tc.flag, tc.value, err)
+		}
+	}
+	cfg, err := config("-hedge-delay", "0.5", "-mttf", "30", "-straggler-mtbf", "60", "-domains", "4", "-domain-mtbf", "20")
+	if err != nil || !cfg.Hedge.Enabled || !cfg.Faults.Enabled || !cfg.Stragglers.Enabled || !cfg.Domains.Enabled {
+		t.Errorf("positive triggers: %v, layers enabled hedge=%t faults=%t stragglers=%t domains=%t",
+			err, cfg.Hedge.Enabled, cfg.Faults.Enabled, cfg.Stragglers.Enabled, cfg.Domains.Enabled)
+	}
+	cfg, err = config()
+	if err != nil || cfg.Hedge.Enabled || cfg.Faults.Enabled || cfg.Stragglers.Enabled || cfg.Domains.Enabled {
+		t.Errorf("zero triggers: %v, layers enabled hedge=%t faults=%t stragglers=%t domains=%t",
+			err, cfg.Hedge.Enabled, cfg.Faults.Enabled, cfg.Stragglers.Enabled, cfg.Domains.Enabled)
+	}
+}
+
 // TestParseClasses covers the class-flag parser.
 func TestParseClasses(t *testing.T) {
 	got, err := parseClasses("interactive:300:200, batch:100")
@@ -461,5 +500,65 @@ func TestParseClasses(t *testing.T) {
 		if _, err := parseClasses(bad); err == nil {
 			t.Errorf("parseClasses(%q) accepted", bad)
 		}
+	}
+}
+
+// wideLeastOutstandingConfig is the fixed workload behind the wide-fleet
+// regression test: a least-outstanding fleet two bitset words wide (66
+// members) under about 1.2x overload. The autoscaler drains member 65 at
+// the first tick with work aboard and then launches members 66 to 68 while
+// arrivals still flow, so the router meets IDs created mid-run; hedging at
+// 0.15 s runs the fewest-outstanding hedge pick beside the router's;
+// independent faults with a degraded fraction, two domain outages that
+// take 13 members at a time and straggler windows move members out of and
+// back into the routable set; 16-deep queues fill, so the router's pick is
+// refused and the first member with room takes the request; 1.5 s
+// deadlines expire queued work inside Dispatch. Audited.
+func wideLeastOutstandingConfig() localut.ClusterConfig {
+	return localut.ClusterConfig{
+		Model: localut.OPT125M, Format: localut.W1A3, Design: localut.DesignLoCaLUT,
+		Instances:       66,
+		Replicas:        2,
+		OutTokens:       4,
+		MaxQueue:        16,
+		Router:          localut.RouteLeastOutstanding,
+		RatePerSec:      1350,
+		DurationSeconds: 5,
+		Seed:            4,
+		Audit:           true,
+		Deadlines:       localut.ClusterDeadlines{DefaultSeconds: 1.5},
+		Autoscaler: localut.ClusterAutoscaler{Enabled: true, MinInstances: 64, MaxInstances: 68,
+			IntervalSeconds: 1, SLOSeconds: 0.2, ScaleDownFactor: 0.99, WarmupSeconds: 0.5, DrainSeconds: 0.5},
+		Faults:     localut.ClusterFaults{Enabled: true, MTTFSeconds: 60, MTTRSeconds: 0.5, DegradedFraction: 0.4, LUTRematGBps: 400},
+		Domains:    localut.ClusterDomains{Enabled: true, Count: 5, MTBFSeconds: 12, MTTRSeconds: 0.5},
+		Stragglers: localut.ClusterStragglers{Enabled: true, MTBFSeconds: 60, MeanDurationSeconds: 5, Slowdown: 4},
+		Hedge:      localut.ClusterHedge{Enabled: true, DelaySeconds: 0.15},
+	}
+}
+
+// TestClusterWideLeastOutstandingGolden pins the wide least-outstanding
+// report byte for byte. The golden was rendered by the router and the hedge
+// pick that scanned the routable list on every request, before the load
+// index replaced both scans, so it holds the index to their every choice;
+// re-bless with -update only for a deliberate model change.
+func TestClusterWideLeastOutstandingGolden(t *testing.T) {
+	got := renderJSON(t, wideLeastOutstandingConfig())
+	matchGolden(t, "cluster_wide_least_outstanding.golden.json", got)
+	var rep localut.ClusterReport
+	if err := json.Unmarshal(got, &rep); err != nil {
+		t.Fatal(err)
+	}
+	launched := 0 // requests served by members the initial fleet did not have
+	for _, ir := range rep.Instances {
+		if ir.ID >= rep.InstancesInitial {
+			launched += ir.Requests
+		}
+	}
+	if rep.Router != "least-outstanding" || rep.InstancesInitial < 66 || launched == 0 ||
+		rep.HedgeCancels == 0 || rep.HedgeDrops == 0 || rep.Crashes == 0 || rep.DegradedEvents == 0 ||
+		rep.DomainOutages == 0 || rep.StragglerWindows == 0 || rep.ShedQueueFull == 0 || rep.ShedExpired == 0 || rep.Retries == 0 {
+		t.Errorf("scenario no longer exercises what it pins: %s router over %d members, %d requests on launched members, %d hedge cancels, %d hedge drops, %d crashes, %d degraded, %d domain outages, %d straggler windows, %d queue-full and %d expired sheds, %d retries",
+			rep.Router, rep.InstancesInitial, launched, rep.HedgeCancels, rep.HedgeDrops, rep.Crashes, rep.DegradedEvents,
+			rep.DomainOutages, rep.StragglerWindows, rep.ShedQueueFull, rep.ShedExpired, rep.Retries)
 	}
 }

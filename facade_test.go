@@ -1,6 +1,7 @@
 package localut
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -116,6 +117,23 @@ func TestBadEnumsAreErrors(t *testing.T) {
 			badCase{"Infer " + name, infer(BERTBase, f, DesignLoCaLUT), "too wide"},
 		)
 	}
+	// An arrival rate that is not a positive finite number: at +Inf every
+	// inter-arrival gap is zero and the run never left t = 0 (it hung,
+	// growing without bound); NaN passed every `<= 0` check and simulated
+	// nothing, successfully.
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		v := v
+		cases = append(cases,
+			badCase{"Serve rate", serveCfg(func(c *ServeConfig) { c.RatePerSec = v }), "arrival rate"},
+			badCase{"ServeCluster rate", clusterCfg(func(c *ClusterConfig) { c.RatePerSec = v }), "arrival rate"},
+			badCase{"ServeCluster class rate", clusterCfg(func(c *ClusterConfig) {
+				c.Classes = []ClusterClass{{Name: "a", RatePerSec: 10}, {Name: "b", RatePerSec: v}}
+			}), "arrival rate"},
+		)
+	}
+	cases = append(cases, badCase{"Serve think time", serveCfg(func(c *ServeConfig) {
+		c.RatePerSec, c.Clients, c.ThinkSeconds = 0, 4, math.NaN()
+	}), "think time NaN"})
 	cases = append(cases, badCase{"GEMM negative shape", func() error {
 		_, err := sys.GEMM(W1A3, -4, 64, 8, DesignLoCaLUT)
 		return err

@@ -79,6 +79,19 @@ func (cs *csim) auditRun() error {
 		})
 	}
 	vs := audit.CheckFleet(f)
+	// The load index must file exactly the routable members, each under its
+	// instance's own count; a member filed elsewhere means a call that moved
+	// the count was not followed by a re-file.
+	for _, m := range cs.members {
+		want := -1
+		if m.state == stateActive {
+			want = m.inst.Outstanding()
+		}
+		if got := cs.load.filed(m.inst.ID); got != want {
+			vs = append(vs, audit.Violation{Invariant: "load-index",
+				Detail: fmt.Sprintf("member %d is filed under %d outstanding requests, want %d (-1 = not routable)", m.inst.ID, got, want)})
+		}
+	}
 	if n := cs.nonFiniteSamples(); n > 0 {
 		vs = append(vs, audit.Violation{Invariant: "finite-latency",
 			Detail: fmt.Sprintf("%d latency samples were NaN or infinite and are missing from the report's statistics", n)})

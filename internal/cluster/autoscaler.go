@@ -115,7 +115,7 @@ func (cs *csim) launch(now float64) {
 	}
 	cs.members = append(cs.members, m)
 	cs.scaleEvent(now, "up-start", id, len(cs.active))
-	cs.events.Push(serve.Event{At: now + cs.cfg.Autoscaler.WarmupSeconds, Inst: id, Kind: evInstanceUp})
+	cs.events.Push(&serve.Event{At: now + cs.cfg.Autoscaler.WarmupSeconds, Inst: int32(id), Kind: evInstanceUp})
 }
 
 // drainOne stops routing to the highest-ID active instance; it retires
@@ -139,5 +139,5 @@ func (cs *csim) maybeRetire(m *member, now float64) {
 		return
 	}
 	m.retireScheduled = true
-	cs.events.Push(serve.Event{At: now + cs.cfg.Autoscaler.DrainSeconds, Inst: m.inst.ID, Kind: evInstanceDown})
+	cs.events.Push(&serve.Event{At: now + cs.cfg.Autoscaler.DrainSeconds, Inst: int32(m.inst.ID), Kind: evInstanceDown})
 }

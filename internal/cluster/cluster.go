@@ -225,7 +225,7 @@ type member struct {
 	// injection is off); crashAt/unavail track outage windows; repairAt is
 	// the pending repair time while crashed, so an overlapping domain
 	// outage can tell whether it extends the window.
-	lifeEpoch int
+	lifeEpoch int32
 	faultRNG  *rand.Rand
 	crashAt   float64
 	repairAt  float64
@@ -306,9 +306,11 @@ type csim struct {
 	oracles map[kernels.Variant]*serve.Oracle
 	rt      router
 
-	// active lists the routable members in ID order; setState rebuilds it
-	// at every lifecycle transition, so routing never rescans the fleet.
+	// active lists the routable members in ID order and load files them by
+	// outstanding count; setState rebuilds both at every lifecycle
+	// transition, so routing never rescans the fleet.
 	active []*member
+	load   loadIndex
 	events serve.EventQueue
 	slab   serve.RequestSlab
 
@@ -364,19 +366,33 @@ type csim struct {
 
 // setState is the one lifecycle transition: it moves m to state st, bumps
 // its life epoch so fault events scheduled against the old state die,
-// rebuilds the routable list and tracks its peak.
+// rebuilds the routable list and the load index over it, and tracks the
+// list's peak.
 func (cs *csim) setState(m *member, st memberState) {
 	m.state = st
 	m.lifeEpoch++
 	cs.active = cs.active[:0]
+	cs.load.reset(len(cs.members))
 	for _, o := range cs.members {
 		if o.state == stateActive {
 			cs.active = append(cs.active, o)
+			cs.load.insert(o.inst.ID, o.inst.Outstanding())
 		}
 	}
 	if len(cs.active) > cs.peak {
 		cs.peak = len(cs.active)
 	}
+}
+
+// dispatch starts m's idle replicas at now, schedules their completions
+// and files m's outstanding count in the load index. It is the loop's only
+// call of EventQueue.Dispatch and follows every Admit, PrefillDone and
+// StepDone, so one re-file here covers all four ways those move the count
+// (Dispatch itself sheds expired and KV-refused work).
+func (cs *csim) dispatch(m *member, now float64) error {
+	err := cs.events.Dispatch(m.inst, now)
+	cs.load.file(m.inst.ID, m.inst.Outstanding())
+	return err
 }
 
 // designFor cycles the heterogeneous-design list over instance IDs.
@@ -699,10 +715,10 @@ func newSim(cfg Config) (*csim, error) {
 
 	// Seed the merged arrival stream and the autoscaler clock.
 	if t, class := cs.arrivals.Next(); t <= cfg.DurationSeconds {
-		cs.events.PushOrdered(laneArrival, serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
+		cs.events.PushOrdered(laneArrival, &serve.Event{At: t, Inst: -1, Kind: evArrival, Arg: int32(class)})
 	}
 	if cfg.Autoscaler.Enabled {
-		cs.events.Push(serve.Event{At: cfg.Autoscaler.IntervalSeconds, Inst: -1, Kind: evScaleTick})
+		cs.events.Push(&serve.Event{At: cfg.Autoscaler.IntervalSeconds, Inst: -1, Kind: evScaleTick})
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Bind(cs.metricsCols(), cs.sampleMetrics)
@@ -722,7 +738,7 @@ func (cs *csim) run() (*Report, error) {
 		switch ev.Kind {
 		case evArrival:
 			cs.offered++
-			c := &cs.classes[ev.Class]
+			c := &cs.classes[ev.Arg]
 			c.offered++
 			if c.bucket != nil && !c.bucket.admit(now) {
 				cs.rejected++
@@ -731,7 +747,7 @@ func (cs *csim) run() (*Report, error) {
 					rec.Instant(0, 0, "reject", now, obs.Str("class", c.cfg.Name))
 				}
 			} else {
-				r := cs.newRequest(now, ev.Class)
+				r := cs.newRequest(now, int(ev.Arg))
 				cs.admitted++
 				c.admitted++
 				if rec := cfg.Recorder; rec.Sampled(r.ID) {
@@ -743,27 +759,29 @@ func (cs *csim) run() (*Report, error) {
 					return nil, err
 				}
 				if d := c.hedgeDelay; d > 0 {
-					cs.events.PushOrdered(laneHedge, serve.Event{At: now + d, Inst: -1, Kind: evHedge, Req: r})
+					cs.events.PushOrdered(laneHedge, &serve.Event{At: now + d, Inst: -1, Kind: evHedge, Req: r})
 				}
 			}
 			if t, class := cs.arrivals.Next(); t <= cfg.DurationSeconds {
-				cs.events.PushOrdered(laneArrival, serve.Event{At: t, Inst: -1, Kind: evArrival, Class: class})
+				cs.events.PushOrdered(laneArrival, &serve.Event{At: t, Inst: -1, Kind: evArrival, Arg: int32(class)})
 			}
 		case evRetry:
-			if err := cs.route(ev.Req, now, ev.Lost); err != nil {
+			if err := cs.route(ev.Req, now, ev.Flag); err != nil {
 				return nil, err
 			}
 		case serve.CompletionPrefill, serve.CompletionStep:
-			m := cs.members[ev.Inst]
-			if ev.Epoch != m.inst.ReplicaEpoch(ev.Replica) {
+			m, rep := cs.members[ev.Inst], int(ev.Arg)
+			if int(ev.Epoch) != m.inst.ReplicaEpoch(rep) {
 				break // the pass was vaporized by a crash or replica loss
 			}
 			if ev.Kind == serve.CompletionPrefill {
-				m.inst.PrefillDone(ev.Replica, ev.Batch, now)
+				// The epoch matched, so this is the replica's running pass
+				// and its batch is the replica's in-flight buffer.
+				m.inst.PrefillDone(rep, m.inst.Inflight(rep), now)
 			} else {
-				m.inst.StepDone(ev.Replica, now)
+				m.inst.StepDone(rep, now)
 			}
-			if err := cs.events.Dispatch(m.inst, now); err != nil {
+			if err := cs.dispatch(m, now); err != nil {
 				return nil, err
 			}
 			cs.maybeRetire(m, now)
@@ -796,7 +814,7 @@ func (cs *csim) run() (*Report, error) {
 			active, warming, draining := cs.fleetCounts()
 			if next := now + cfg.Autoscaler.IntervalSeconds; next <= cfg.DurationSeconds ||
 				cs.outstandingTotal() > 0 || active+warming+draining > cfg.Autoscaler.MinInstances {
-				cs.events.Push(serve.Event{At: next, Inst: -1, Kind: evScaleTick})
+				cs.events.Push(&serve.Event{At: next, Inst: -1, Kind: evScaleTick})
 			}
 		case evInstanceUp:
 			m := cs.members[ev.Inst]
@@ -804,12 +822,12 @@ func (cs *csim) run() (*Report, error) {
 			m.activeAt = now
 			cs.scheduleFault(m, now)
 			cs.scheduleStraggler(m, now)
-			cs.scaleEvent(now, "up-active", ev.Inst, len(cs.active))
+			cs.scaleEvent(now, "up-active", int(ev.Inst), len(cs.active))
 		case evInstanceDown:
 			m := cs.members[ev.Inst]
 			cs.setState(m, stateDown)
 			m.downAt = now
-			cs.scaleEvent(now, "down", ev.Inst, len(cs.active))
+			cs.scaleEvent(now, "down", int(ev.Inst), len(cs.active))
 		}
 	}
 	cfg.Metrics.Finish(cs.makespan)

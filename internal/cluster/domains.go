@@ -93,7 +93,7 @@ func (cs *csim) scheduleDomainOutage(d int, now float64) {
 	if at > cs.cfg.DurationSeconds {
 		return
 	}
-	cs.events.Push(serve.Event{At: at, Inst: -1, Kind: evDomainOutage, Domain: d})
+	cs.events.Push(&serve.Event{At: at, Inst: -1, Kind: evDomainOutage, Arg: int32(d)})
 }
 
 // onDomainOutage fail-stops every active member of the domain under one
@@ -102,7 +102,7 @@ func (cs *csim) scheduleDomainOutage(d int, now float64) {
 // window when it ends later — the overlap merges into a single
 // crash-to-repair span so outage time is never double-counted.
 func (cs *csim) onDomainOutage(ev *serve.Event, now float64) {
-	d := ev.Domain
+	d := int(ev.Arg)
 	ds := &cs.domains[d]
 	ds.outages++
 	cs.domainOutages++
@@ -128,12 +128,12 @@ func (cs *csim) onDomainOutage(ev *serve.Event, now float64) {
 				m.lifeEpoch++
 				m.repairAt = repairAt
 				cs.domainOverlaps++
-				cs.events.Push(serve.Event{At: repairAt, Inst: m.inst.ID,
+				cs.events.Push(&serve.Event{At: repairAt, Inst: int32(m.inst.ID),
 					Kind: evInstanceRepair, Epoch: m.lifeEpoch})
 			}
 		}
 	}
-	cs.events.Push(serve.Event{At: repairAt, Inst: -1, Kind: evDomainRepair, Domain: d})
+	cs.events.Push(&serve.Event{At: repairAt, Inst: -1, Kind: evDomainRepair, Arg: int32(d)})
 	cs.scheduleDomainOutage(d, now)
 }
 
@@ -142,15 +142,16 @@ func (cs *csim) onDomainOutage(ev *serve.Event, now float64) {
 // repair events; if a later outage extended the window, this marker is
 // stale and is skipped.
 func (cs *csim) onDomainRepair(ev *serve.Event, now float64) {
+	d := int(ev.Arg)
 	for _, m := range cs.members {
-		if m.domain == ev.Domain && m.state == stateCrashed && m.repairAt > now {
+		if m.domain == d && m.state == stateCrashed && m.repairAt > now {
 			return // extended by a later outage; its own marker follows
 		}
 	}
 	cs.timeline = append(cs.timeline, TimelineEvent{
 		Seconds: now, Kind: KindDomain, Action: "repair", Instance: -1, Replica: -1,
-		Active: len(cs.active), Domain: ev.Domain,
+		Active: len(cs.active), Domain: d,
 	})
 	cs.cfg.Recorder.Instant(0, 0, "domain-repair", now,
-		obs.Num("domain", float64(ev.Domain)), obs.Num("active", float64(len(cs.active))))
+		obs.Num("domain", float64(d)), obs.Num("active", float64(len(cs.active))))
 }

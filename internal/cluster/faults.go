@@ -216,7 +216,7 @@ func (cs *csim) scheduleFault(m *member, now float64) {
 	if at > cs.cfg.DurationSeconds {
 		return
 	}
-	cs.events.Push(serve.Event{At: at, Inst: m.inst.ID, Kind: evInstanceFault, Epoch: m.lifeEpoch, Degrade: degrade})
+	cs.events.Push(&serve.Event{At: at, Inst: int32(m.inst.ID), Kind: evInstanceFault, Epoch: m.lifeEpoch, Flag: degrade})
 }
 
 // onFault lands a scheduled fault: a degraded-mode replica loss when the
@@ -228,11 +228,14 @@ func (cs *csim) onFault(ev *serve.Event, now float64) {
 		return // the member left service before the fault landed
 	}
 	f := &cs.cfg.Faults
-	if ev.Degrade && m.inst.UpReplicas() > 1 {
+	if ev.Flag && m.inst.UpReplicas() > 1 {
 		lost, rep := m.inst.FailReplica(now)
+		// The instance stays routable with fewer requests aboard and
+		// nothing is dispatched here, so the new count is filed now.
+		cs.load.file(m.inst.ID, m.inst.Outstanding())
 		cs.degradedEvents++
-		cs.faultEvent(now, "degrade", ev.Inst, rep, len(cs.active), 0)
-		cs.events.Push(serve.Event{At: now + m.faultRNG.ExpFloat64()*f.MTTRSeconds + cs.rematReplica,
+		cs.faultEvent(now, "degrade", m.inst.ID, rep, len(cs.active), 0)
+		cs.events.Push(&serve.Event{At: now + m.faultRNG.ExpFloat64()*f.MTTRSeconds + cs.rematReplica,
 			Inst: ev.Inst, Kind: evReplicaRepair})
 		for _, r := range lost {
 			cs.requeue(r, now, true)
@@ -255,7 +258,7 @@ func (cs *csim) crashMember(m *member, now, repairAt float64) {
 	m.straggling = false // the replacement hardware starts healthy
 	cs.crashes++
 	cs.faultEvent(now, "crash", m.inst.ID, -1, len(cs.active), 0)
-	cs.events.Push(serve.Event{At: repairAt, Inst: m.inst.ID, Kind: evInstanceRepair, Epoch: m.lifeEpoch})
+	cs.events.Push(&serve.Event{At: repairAt, Inst: int32(m.inst.ID), Kind: evInstanceRepair, Epoch: m.lifeEpoch})
 	for _, r := range queued {
 		cs.requeue(r, now, false)
 	}
@@ -280,10 +283,10 @@ func (cs *csim) onRepair(ev *serve.Event, now float64) error {
 	m.unavail += rec
 	cs.unavailableSeconds += rec
 	cs.recoverTimes = append(cs.recoverTimes, rec)
-	cs.faultEvent(now, "repair", ev.Inst, -1, len(cs.active), rec)
+	cs.faultEvent(now, "repair", m.inst.ID, -1, len(cs.active), rec)
 	cs.scheduleFault(m, now)
 	cs.scheduleStraggler(m, now)
-	return cs.events.Dispatch(m.inst, now)
+	return cs.dispatch(m, now)
 }
 
 // onReplicaRepair restores a degraded member's lowest failed replica. A
@@ -298,8 +301,8 @@ func (cs *csim) onReplicaRepair(ev *serve.Event, now float64) error {
 	if rep < 0 {
 		return nil
 	}
-	cs.faultEvent(now, "replica-repair", ev.Inst, rep, len(cs.active), 0)
-	return cs.events.Dispatch(m.inst, now)
+	cs.faultEvent(now, "replica-repair", m.inst.ID, rep, len(cs.active), 0)
+	return cs.dispatch(m, now)
 }
 
 // requeue re-disposes a request displaced by a fault. Queued work on a
@@ -326,7 +329,7 @@ func (cs *csim) requeue(r *serve.Request, now float64, lost bool) {
 		}
 	}
 	r.Member = -1
-	cs.events.Push(serve.Event{At: at, Inst: -1, Kind: evRetry, Req: r, Lost: lost})
+	cs.events.Push(&serve.Event{At: at, Inst: -1, Kind: evRetry, Req: r, Flag: lost})
 }
 
 // route admits r to the fleet: router pick first, then — under bounded
@@ -350,10 +353,10 @@ func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
 		}
 		// The whole fleet is down; poll again after a backoff (repairs are
 		// always scheduled, so this terminates).
-		cs.events.Push(serve.Event{At: now + cs.cfg.Retry.backoff(r.Attempts), Inst: -1, Kind: evRetry, Req: r, Lost: lost})
+		cs.events.Push(&serve.Event{At: now + cs.cfg.Retry.backoff(r.Attempts), Inst: -1, Kind: evRetry, Req: r, Flag: lost})
 		return nil
 	}
-	m := cs.rt.pick(cs.active, r)
+	m := cs.rt.pick(cs, r)
 	if !m.inst.Admit(r) {
 		m = nil
 		for _, cand := range cs.active {
@@ -375,5 +378,5 @@ func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
 		cs.reprefillTokens += int64(r.Tokens)
 		r.Generated = 0
 	}
-	return cs.events.Dispatch(m.inst, now)
+	return cs.dispatch(m, now)
 }

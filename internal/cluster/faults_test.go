@@ -324,3 +324,83 @@ func TestRetryBackoff(t *testing.T) {
 		}
 	}
 }
+
+// TestStalePrefillNeverReadsNewBatch is the fleet loop's half of the serve
+// package's test of the same name: completion events carry no batch, so the
+// loop reads a finished prefill's members from the replica's in-flight
+// buffer — and must therefore drop, on the epoch check, a completion whose
+// pass a crash or a replica loss voided, even when it pops while the same
+// replica runs a new pass. Here the voided request's retry is that new
+// pass: delivered by the stale completion, it would finish one pass length
+// after its first start instead of after its second, and the audit's
+// busy-time ledger would not balance.
+func TestStalePrefillNeverReadsNewBatch(t *testing.T) {
+	// run routes two 64-token requests at t = 0, one to each replica of a
+	// one-member fleet, applies fault at t = 1 ms and drains the fleet.
+	run := func(name string, fault func(cs *csim, m *member)) (first, second *serve.Request, rep *Report) {
+		t.Helper()
+		cfg := testConfig()
+		cfg.Instances = 1
+		cfg.Base.Replicas = 2
+		cfg.Base.MaxBatch = 1 // one request per pass
+		cfg.Base.MinTokens, cfg.Base.MaxTokens, cfg.Base.MeanTokens = 64, 64, 64
+		cfg.RatePerSec = 1e-9 // no arrival inside the window: the test routes by hand
+		cfg.Retry = RetryConfig{BackoffSeconds: 1e-3}
+		// Faults on, so a fleet with nothing routable parks work instead of
+		// failing, but none is ever drawn; a repair takes about a microsecond.
+		cfg.Faults = FaultConfig{Enabled: true, MTTFSeconds: 1e15, MTTRSeconds: 1e-6, LUTRematGBps: 1e9}
+		cs, err := newSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.events.Len() != 0 {
+			t.Fatalf("%s: %d events scheduled before the test routed anything", name, cs.events.Len())
+		}
+		m := cs.members[0]
+		first, second = cs.newRequest(0, 0), cs.newRequest(0, 0)
+		for _, r := range []*serve.Request{first, second} {
+			if err := cs.route(r, 0, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b := m.inst.Inflight(1); len(b) != 1 || b[0] != second {
+			t.Fatalf("%s: replica 1 is not running the second request: in flight %v", name, b)
+		}
+		// route bypassed the arrival case's counters; the audit reads them.
+		cs.offered, cs.admitted = 2, 2
+		cs.classes[0].offered, cs.classes[0].admitted = 2, 2
+		if fault != nil {
+			fault(cs, m)
+		}
+		if rep, err = cs.run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Completed != 2 {
+			t.Fatalf("%s: %d of 2 requests completed", name, rep.Completed)
+		}
+		return first, second, rep
+	}
+	_, undisturbed, _ := run("no fault", nil)
+	pass := undisturbed.Finish // one 64-token prefill pass, started at t = 0
+	if pass < 10e-3 {
+		t.Fatalf("a pass takes %g s: too short for a retry at 2 ms to overlap the voided completion", pass)
+	}
+	for name, fault := range map[string]func(cs *csim, m *member){
+		"crash": func(cs *csim, m *member) { cs.crashMember(m, 1e-3, 1e-3) },
+		"replica loss": func(cs *csim, m *member) {
+			cs.onFault(&serve.Event{Inst: 0, Epoch: m.lifeEpoch, Flag: true}, 1e-3)
+		},
+	} {
+		// The lost work backs off 1 ms and restarts at t = 2 ms; its voided
+		// completion is still queued for t = pass, inside the new pass.
+		_, second, rep := run(name, fault)
+		if rep.Retries == 0 || second.Attempts != 2 || second.Start != 2e-3 {
+			t.Fatalf("%s: %d retries; the second request made %d attempts, the last started at %g, want a retry at 0.002",
+				name, rep.Retries, second.Attempts, second.Start)
+		}
+		if want := second.Start + pass; second.Finish != want {
+			t.Errorf("%s: the retried request finished at %g, want %g (restart + one pass); the voided completion was due at %g",
+				name, second.Finish, want, pass)
+		}
+	}
+}

@@ -44,22 +44,15 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 		return nil
 	}
 	// Fewest-outstanding pick among the other members, ties to the lowest
-	// ID. The primary router is not consulted: a stateful router
-	// (round-robin) must not see hedge traffic, or enabling hedging would
-	// perturb primary routing.
-	var best *member
-	for _, m := range cs.active {
-		if m.inst.ID == r.Member {
-			continue
-		}
-		if best == nil || m.inst.Outstanding() < best.inst.Outstanding() ||
-			(m.inst.Outstanding() == best.inst.Outstanding() && m.inst.ID < best.inst.ID) {
-			best = m
-		}
-	}
-	if best == nil {
+	// ID, read from the load index with the serving member left out. The
+	// primary router is not consulted: a stateful router (round-robin) must
+	// not see hedge traffic, or enabling hedging would perturb primary
+	// routing.
+	id := cs.load.least(r.Member)
+	if id < 0 {
 		return nil // no second member to hedge onto
 	}
+	best := cs.members[id]
 	h := cs.slab.New(serve.Request{
 		ID:     r.ID,
 		Client: -1,
@@ -83,7 +76,7 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 		rec.Instant(0, 0, "hedge", now,
 			obs.Num("id", float64(r.ID)), obs.Num("to", float64(best.inst.ID)))
 	}
-	return cs.events.Dispatch(best.inst, now)
+	return cs.dispatch(best, now)
 }
 
 // resolveHedge settles a hedged pair at the winner's first token (for
@@ -107,7 +100,11 @@ func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 		}
 	}
 	if l.Member >= 0 {
-		if found, waste := cs.members[l.Member].inst.Cancel(l, now); found {
+		lm := cs.members[l.Member]
+		found, waste := lm.inst.Cancel(l, now)
+		// Cancel ends in no dispatch, so the count it moved is filed here.
+		cs.load.file(l.Member, lm.inst.Outstanding())
+		if found {
 			cs.hedgeCancels++
 			cs.hedgeWaste += waste
 			return

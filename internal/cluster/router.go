@@ -49,12 +49,12 @@ func ParseRouterPolicy(s string) (RouterPolicy, error) {
 	return 0, fmt.Errorf("cluster: unknown router %q (want round-robin, least-outstanding, weighted-kv or shape-affinity)", s)
 }
 
-// router picks the target instance for one admitted request. The routable
-// slice is non-empty and ordered by instance ID; implementations must be
-// deterministic pure functions of that slice, the request and their own
-// internal counters.
+// router picks the target instance for one admitted request among the
+// routable members: cs.active, non-empty and ordered by instance ID, which
+// cs.load files by outstanding count. Implementations must be deterministic
+// pure functions of that set, the request and their own internal counters.
 type router interface {
-	pick(routable []*member, r *serve.Request) *member
+	pick(cs *csim, r *serve.Request) *member
 }
 
 func newRouter(p RouterPolicy) (router, error) {
@@ -75,29 +75,27 @@ type rrRouter struct {
 	n int
 }
 
-func (r *rrRouter) pick(routable []*member, _ *serve.Request) *member {
-	m := routable[r.n%len(routable)]
+func (r *rrRouter) pick(cs *csim, _ *serve.Request) *member {
+	m := cs.active[r.n%len(cs.active)]
 	r.n++
 	return m
 }
 
 type leastOutstandingRouter struct{}
 
-func (leastOutstandingRouter) pick(routable []*member, _ *serve.Request) *member {
-	best := routable[0]
-	for _, m := range routable[1:] {
-		if m.inst.Outstanding() < best.inst.Outstanding() {
-			best = m
-		}
-	}
-	return best
+// pick reads the load index: the lowest ID among the members with the
+// fewest outstanding requests, at a cost that does not grow with the fleet.
+func (leastOutstandingRouter) pick(cs *csim, _ *serve.Request) *member {
+	return cs.members[cs.load.least(-1)]
 }
 
 type freeKVRouter struct{}
 
-func (freeKVRouter) pick(routable []*member, _ *serve.Request) *member {
-	best := routable[0]
-	for _, m := range routable[1:] {
+// pick scans the routable list: free KV moves with every decode step of
+// every live request, so there is no small count to file members under.
+func (freeKVRouter) pick(cs *csim, _ *serve.Request) *member {
+	best := cs.active[0]
+	for _, m := range cs.active[1:] {
 		switch free, bestFree := m.inst.KVFreeBytes(), best.inst.KVFreeBytes(); {
 		case free > bestFree:
 			best = m
@@ -110,8 +108,8 @@ func (freeKVRouter) pick(routable []*member, _ *serve.Request) *member {
 
 type shapeAffinityRouter struct{}
 
-func (shapeAffinityRouter) pick(routable []*member, r *serve.Request) *member {
-	quantum := routable[0].inst.Cfg.TokenQuantum
+func (shapeAffinityRouter) pick(cs *csim, r *serve.Request) *member {
+	quantum := cs.active[0].inst.Cfg.TokenQuantum
 	bucket := r.Padded / quantum
-	return routable[bucket%len(routable)]
+	return cs.active[bucket%len(cs.active)]
 }

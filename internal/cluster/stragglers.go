@@ -61,7 +61,7 @@ func (cs *csim) scheduleStraggler(m *member, now float64) {
 	if at > cs.cfg.DurationSeconds {
 		return
 	}
-	cs.events.Push(serve.Event{At: at, Inst: m.inst.ID, Kind: evStragglerStart, Epoch: m.lifeEpoch})
+	cs.events.Push(&serve.Event{At: at, Inst: int32(m.inst.ID), Kind: evStragglerStart, Epoch: m.lifeEpoch})
 }
 
 // onStragglerStart opens a slowdown window on the member: subsequent
@@ -78,12 +78,12 @@ func (cs *csim) onStragglerStart(ev *serve.Event, now float64) {
 	m.stragglerWindows++
 	cs.stragglerWindows++
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		Seconds: now, Kind: KindStraggler, Action: "start", Instance: ev.Inst, Replica: -1,
+		Seconds: now, Kind: KindStraggler, Action: "start", Instance: m.inst.ID, Replica: -1,
 		Active: len(cs.active),
 	})
-	cs.cfg.Recorder.Instant(ev.Inst+1, 0, "straggler", now,
+	cs.cfg.Recorder.Instant(m.inst.ID+1, 0, "straggler", now,
 		obs.Num("slowdown", f.Slowdown))
-	cs.events.Push(serve.Event{At: now + m.stragRNG.ExpFloat64()*f.MeanDurationSeconds,
+	cs.events.Push(&serve.Event{At: now + m.stragRNG.ExpFloat64()*f.MeanDurationSeconds,
 		Inst: ev.Inst, Kind: evStragglerEnd, Epoch: m.lifeEpoch})
 }
 
@@ -98,9 +98,9 @@ func (cs *csim) onStragglerEnd(ev *serve.Event, now float64) {
 	m.inst.SetSlowdown(1)
 	m.straggling = false
 	cs.timeline = append(cs.timeline, TimelineEvent{
-		Seconds: now, Kind: KindStraggler, Action: "end", Instance: ev.Inst, Replica: -1,
+		Seconds: now, Kind: KindStraggler, Action: "end", Instance: m.inst.ID, Replica: -1,
 		Active: len(cs.active),
 	})
-	cs.cfg.Recorder.Instant(ev.Inst+1, 0, "straggler-end", now)
+	cs.cfg.Recorder.Instant(m.inst.ID+1, 0, "straggler-end", now)
 	cs.scheduleStraggler(m, now)
 }

@@ -791,6 +791,12 @@ func (inst *Instance) UpReplicas() int {
 // an older epoch refer to state that no longer exists.
 func (inst *Instance) ReplicaEpoch(rep int) int { return inst.repEpoch[rep] }
 
+// Inflight returns the prefill batch of replica rep's running pass — the
+// Batch of the CompletionPrefill Dispatch returned for it, for a caller
+// that kept only the completion's replica and epoch and has checked the
+// epoch against ReplicaEpoch. Empty between passes.
+func (inst *Instance) Inflight(rep int) []*Request { return inst.inflight[rep] }
+
 // PrefillDone delivers a CompletionPrefill back to the instance: batch
 // members emit their first token (OnFirstToken), join the replica's live
 // decode batch when more tokens remain, or finish. The batch buffer is

@@ -436,7 +436,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		if s.think != nil && r.Client >= 0 {
 			if t := now + s.think.Next(); t <= s.cfg.DurationSeconds {
-				s.events.Push(Event{At: t, Kind: evArrival, Client: r.Client})
+				s.events.Push(&Event{At: t, Kind: evArrival, Arg: int32(r.Client)})
 			}
 		}
 	}
@@ -474,15 +474,15 @@ func Run(cfg Config) (*Report, error) {
 				// so nothing is dropped in that case.
 				continue
 			}
-			s.events.PushOrdered(laneArrival, Event{At: t, Kind: evArrival, Client: -1})
+			s.events.PushOrdered(laneArrival, &Event{At: t, Kind: evArrival, Arg: -1})
 		}
 	case cfg.Clients > 0:
 		if s.think, err = workload.NewArrivalSampler(1/cfg.ThinkSeconds, cfg.Seed+2); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: think time %g s: %w", cfg.ThinkSeconds, err)
 		}
 		for c := 0; c < cfg.Clients; c++ {
 			if t := s.think.Next(); t <= cfg.DurationSeconds {
-				s.events.Push(Event{At: t, Kind: evArrival, Client: c})
+				s.events.Push(&Event{At: t, Kind: evArrival, Arg: int32(c)})
 			}
 		}
 	default:
@@ -490,7 +490,7 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		if t := s.arrivals.Next(); t <= cfg.DurationSeconds {
-			s.events.PushOrdered(laneArrival, Event{At: t, Kind: evArrival, Client: -1})
+			s.events.PushOrdered(laneArrival, &Event{At: t, Kind: evArrival, Arg: -1})
 		}
 	}
 
@@ -504,7 +504,7 @@ func Run(cfg Config) (*Report, error) {
 		cfg.Metrics.Advance(now)
 		switch ev.Kind {
 		case evArrival:
-			r := s.newRequest(now, ev.Client)
+			r := s.newRequest(now, int(ev.Arg))
 			s.requests++
 			admitted := s.inst.Admit(r)
 			if rec.Sampled(r.ID) {
@@ -520,13 +520,22 @@ func Run(cfg Config) (*Report, error) {
 			}
 			if s.arrivals != nil {
 				if t := now + s.arrivals.Next(); t <= cfg.DurationSeconds {
-					s.events.PushOrdered(laneArrival, Event{At: t, Kind: evArrival, Client: -1})
+					s.events.PushOrdered(laneArrival, &Event{At: t, Kind: evArrival, Arg: -1})
 				}
 			}
-		case CompletionPrefill:
-			s.inst.PrefillDone(ev.Replica, ev.Batch, now)
-		case CompletionStep:
-			s.inst.StepDone(ev.Replica, now)
+		case CompletionPrefill, CompletionStep:
+			// Nothing in this loop voids a pass, so the epoch always matches;
+			// the check stays because it is the condition under which the
+			// replica's in-flight buffer is this completion's batch.
+			rep := int(ev.Arg)
+			if int(ev.Epoch) != s.inst.ReplicaEpoch(rep) {
+				break
+			}
+			if ev.Kind == CompletionPrefill {
+				s.inst.PrefillDone(rep, s.inst.Inflight(rep), now)
+			} else {
+				s.inst.StepDone(rep, now)
+			}
 		}
 		if err := s.events.Dispatch(s.inst, now); err != nil {
 			return nil, err

@@ -19,10 +19,15 @@ type ArrivalSampler struct {
 }
 
 // NewArrivalSampler builds a Poisson arrival source with the given mean
-// rate (requests per second).
+// rate (requests per second), which must be positive and finite. Every
+// traffic layer draws its gaps here — the open loop, each class of a
+// MultiArrival and the closed loop's think times — so this is where a rate
+// that would break them all is refused: at +Inf every gap is zero and the
+// stream never leaves t = 0, and NaN fails every comparison a caller could
+// have guarded with.
 func NewArrivalSampler(ratePerSec float64, seed int64) (*ArrivalSampler, error) {
-	if ratePerSec <= 0 {
-		return nil, fmt.Errorf("workload: arrival rate %g must be positive", ratePerSec)
+	if !(ratePerSec > 0) || math.IsInf(ratePerSec, 1) {
+		return nil, fmt.Errorf("workload: arrival rate %g must be positive and finite", ratePerSec)
 	}
 	return &ArrivalSampler{rng: rand.New(rand.NewSource(seed)), rate: ratePerSec}, nil
 }

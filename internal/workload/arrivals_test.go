@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/ais-snu/localut/internal/quant"
@@ -50,12 +51,18 @@ func TestArrivalMeanRate(t *testing.T) {
 	}
 }
 
+// TestArrivalRejectsBadRate: a rate that is not a positive finite number
+// is an error from the one constructor all three traffic layers share. At
+// +Inf every gap is zero, so an open loop re-armed at t = 0 forever; NaN
+// passed every `rate <= 0` guard above it and produced NaN timestamps.
 func TestArrivalRejectsBadRate(t *testing.T) {
-	if _, err := NewArrivalSampler(0, 1); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := NewArrivalSampler(-5, 1); err == nil {
-		t.Error("negative rate accepted")
+	for _, rate := range []float64{0, -5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := NewArrivalSampler(rate, 1); err == nil || !strings.Contains(err.Error(), "arrival rate") {
+			t.Errorf("rate %g: got %v, want an error naming the arrival rate", rate, err)
+		}
+		if _, err := NewMultiArrival([]float64{100, rate}, 1); err == nil || !strings.Contains(err.Error(), "class 1") {
+			t.Errorf("class rate %g: got %v, want an error naming class 1", rate, err)
+		}
 	}
 }
 
