@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/ais-snu/localut/internal/cluster"
 	"github.com/ais-snu/localut/internal/serve"
@@ -134,6 +135,57 @@ func TestBadEnumsAreErrors(t *testing.T) {
 	cases = append(cases, badCase{"Serve think time", serveCfg(func(c *ServeConfig) {
 		c.RatePerSec, c.Clients, c.ThinkSeconds = 0, 4, math.NaN()
 	}), "think time NaN"})
+	// A NaN in a chaos plan passed every `<= 0` check: the fault, domain and
+	// straggler draws then scheduled events at t = NaN and the run never
+	// returned; a NaN hedge delay ran and hedged nothing. +Inf is refused
+	// wherever it is a mean, a backoff or a slowdown.
+	faults := func(edit func(*ClusterConfig)) func() error {
+		return clusterCfg(func(c *ClusterConfig) {
+			c.Instances, c.Faults = 2, ClusterFaults{Enabled: true, MTTFSeconds: 0.5}
+			edit(c)
+		})
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		v := v
+		cases = append(cases,
+			badCase{"fault MTTF", faults(func(c *ClusterConfig) { c.Faults.MTTFSeconds = v }), "MTTFSeconds"},
+			badCase{"fault MTTR", faults(func(c *ClusterConfig) { c.Faults.MTTRSeconds = v }), "MTTRSeconds"},
+			badCase{"domain MTBF", clusterCfg(func(c *ClusterConfig) {
+				c.Domains = ClusterDomains{Enabled: true, MTBFSeconds: v}
+			}), "MTBFSeconds"},
+			badCase{"domain MTTR", clusterCfg(func(c *ClusterConfig) {
+				c.Domains = ClusterDomains{Enabled: true, MTBFSeconds: 0.5, MTTRSeconds: v}
+			}), "MTTRSeconds"},
+			badCase{"straggler MTBF", clusterCfg(func(c *ClusterConfig) {
+				c.Stragglers = ClusterStragglers{Enabled: true, MTBFSeconds: v}
+			}), "MTBFSeconds"},
+			badCase{"straggler duration", clusterCfg(func(c *ClusterConfig) {
+				c.Stragglers = ClusterStragglers{Enabled: true, MTBFSeconds: 0.5, MeanDurationSeconds: v}
+			}), "MeanDurationSeconds"},
+			badCase{"straggler slowdown", clusterCfg(func(c *ClusterConfig) {
+				c.Stragglers = ClusterStragglers{Enabled: true, MTBFSeconds: 0.5, Slowdown: v}
+			}), "Slowdown"},
+			badCase{"retry backoff", faults(func(c *ClusterConfig) {
+				c.Retry = ClusterRetry{BackoffSeconds: v, BackoffCapSeconds: math.Inf(1)}
+			}), "BackoffSeconds"},
+		)
+	}
+	cases = append(cases,
+		badCase{"fault degraded fraction", faults(func(c *ClusterConfig) { c.Faults.DegradedFraction = math.NaN() }), "DegradedFraction"},
+		badCase{"fault remat bandwidth", faults(func(c *ClusterConfig) { c.Faults.LUTRematGBps = math.NaN() }), "LUTRematGBps"},
+		badCase{"retry backoff cap", faults(func(c *ClusterConfig) { c.Retry.BackoffCapSeconds = math.NaN() }), "BackoffCapSeconds"},
+		badCase{"hedge delay", clusterCfg(func(c *ClusterConfig) {
+			c.Instances, c.Hedge = 2, ClusterHedge{Enabled: true, DelaySeconds: math.NaN()}
+		}), "DelaySeconds"},
+	)
+	// A trace entry that is not a time used to surface only after the run,
+	// as non-finite latency samples (the finite arrivals' too).
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		v := v
+		cases = append(cases, badCase{"Serve arrival trace", serveCfg(func(c *ServeConfig) {
+			c.RatePerSec, c.ArrivalTimes = 0, []float64{0.1, 0.2, v, 0.3}
+		}), "ArrivalTimes[2]"})
+	}
 	cases = append(cases, badCase{"GEMM negative shape", func() error {
 		_, err := sys.GEMM(W1A3, -4, 64, 8, DesignLoCaLUT)
 		return err
@@ -145,6 +197,9 @@ func TestBadEnumsAreErrors(t *testing.T) {
 					t.Errorf("%s: panic %v", tc.name, r)
 				}
 			}()
+			// A hang would otherwise only surface as the package timeout.
+			guard := time.AfterFunc(10*time.Second, func() { panic("no answer on bad input: " + tc.name) })
+			defer guard.Stop()
 			err := tc.run()
 			if err == nil {
 				t.Errorf("%s: accepted", tc.name)

@@ -63,8 +63,8 @@ func NewBank(t Timing) *Bank { return &Bank{T: t, openRow: -1} }
 func (b *Bank) reset(t Timing) { *b = Bank{T: t, openRow: -1} }
 
 // access applies the timing for one column command on the byte address. It
-// is the per-burst reference semantics; the streaming entry points batch it
-// row by row (see stream) and tests pin the equivalence.
+// is the per-burst reference semantics; train prices whole transfers in its
+// terms and tests pin the equivalence.
 func (b *Bank) access(addr int64) {
 	row := addr / b.T.RowBytes
 	switch {
@@ -82,62 +82,56 @@ func (b *Bank) access(addr int64) {
 	}
 }
 
-// stream applies the timing of a sequential burst train over [addr, addr+n)
-// in O(rows touched) instead of O(bursts): within one DRAM row only the
-// first burst can miss, every subsequent burst is a TCCD row hit, so each
-// row contributes one access() outcome plus a closed-form hit count. The
-// counters and cycle total are bit-identical to burst-by-burst access.
-// Returns the number of bursts issued.
-func (b *Bank) stream(addr, n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	total := (n + b.T.BurstBytes - 1) / b.T.BurstBytes
-	done := int64(0)
-	for done < total {
-		cur := addr + done*b.T.BurstBytes
-		rowEnd := (cur/b.T.RowBytes + 1) * b.T.RowBytes
-		inRow := (rowEnd - cur + b.T.BurstBytes - 1) / b.T.BurstBytes
-		if inRow > total-done {
-			inRow = total - done
-		}
-		b.access(cur)
-		b.Cycles += (inRow - 1) * b.T.TCCD
-		b.RowHits += inRow - 1
-		done += inRow
-	}
-	return total
-}
-
-// Read streams n bytes starting at addr through column commands.
-func (b *Bank) Read(addr, n int64) {
-	b.Reads += b.stream(addr, n)
-}
-
-// readTrain applies count back-to-back Reads of n bytes at addr, addr+n, ...
-// in O(1): the first burst is one access() outcome, row(last burst) -
-// row(first burst) later bursts each open the next row, and every other burst
-// is a TCCD hit. doc.go ("Command trains") shows why that is exact.
-func (b *Bank) readTrain(addr, n, count int64) {
-	if n <= 0 || count <= 0 {
-		return
-	}
-	perRead := (n + b.T.BurstBytes - 1) / b.T.BurstBytes
-	bursts := count * perRead
-	lastRow := (addr + (count-1)*n + (perRead-1)*b.T.BurstBytes) / b.T.RowBytes
-	b.access(addr)
+// train applies the timing of bursts column commands whose start addresses
+// rise from first to last in steps of at most BurstBytes, in O(1): the first
+// burst is one access() outcome, row(last) - row(first) later bursts each
+// open the next row, and every other burst is a TCCD hit. doc.go ("Command
+// trains") shows why that is exact. Callers count the bursts as Reads or
+// Writes.
+func (b *Bank) train(first, last, bursts int64) {
+	lastRow := last / b.T.RowBytes
+	b.access(first)
 	misses := lastRow - b.openRow
 	hits := bursts - 1 - misses
 	b.Cycles += misses*(b.T.TRP+b.T.TRCD+b.T.TCL) + hits*b.T.TCCD
 	b.Activates += misses
 	b.RowHits += hits
 	b.openRow = lastRow
+}
+
+// bursts is the number of column commands a transfer of n > 0 bytes issues.
+func (t Timing) bursts(n int64) int64 { return (n + t.BurstBytes - 1) / t.BurstBytes }
+
+// Read streams n bytes starting at addr through column commands.
+func (b *Bank) Read(addr, n int64) {
+	if n <= 0 {
+		return
+	}
+	bursts := b.T.bursts(n)
+	b.train(addr, addr+(bursts-1)*b.T.BurstBytes, bursts)
 	b.Reads += bursts
+}
+
+// readTrain applies count back-to-back Reads of n bytes at addr, addr+n, ...
+// as one train: every Read issues its bursts from its own start, so the last
+// burst begins at the last Read's address plus its whole bursts but one.
+func (b *Bank) readTrain(addr, n, count int64) {
+	if n <= 0 || count <= 0 {
+		return
+	}
+	perRead := b.T.bursts(n)
+	b.train(addr, addr+(count-1)*n+(perRead-1)*b.T.BurstBytes, count*perRead)
+	b.Reads += count * perRead
 }
 
 // Write streams n bytes to addr.
 func (b *Bank) Write(addr, n int64) {
-	b.Writes += b.stream(addr, n)
+	if n <= 0 {
+		return
+	}
+	bursts := b.T.bursts(n)
+	b.train(addr, addr+(bursts-1)*b.T.BurstBytes, bursts)
+	b.Writes += bursts
 }
 
 // Seconds converts accumulated cycles to seconds.
@@ -302,6 +296,46 @@ func (u *LUTPIM) ConfigureSlices(canonColBytes, reorderColBytes int64) error {
 	return nil
 }
 
+// sliceHash spreads consecutive activation groups over the LUT regions: group
+// idx reads its canonical column at h % dCanon and its reordering column at
+// (h>>7) % dReorder, h = idx*sliceHash, each d the room left in the region.
+const sliceHash = 2654435761
+
+// sliceOffsets holds those two offsets for one idx and steps them to the
+// next idx without multiplying or dividing: h grows by sliceHash, so the
+// first offset grows by sliceHash mod dCanon and the second by
+// (sliceHash>>7) mod dReorder plus the carry out of h's low seven bits, and
+// each sum stays below twice its divisor, so one conditional subtract reduces
+// it. Unlike idx*sliceHash the walk cannot wrap int64.
+type sliceOffsets struct {
+	canon, reorder         int64
+	low                    int64 // h & 127
+	dCanon, dReorder       int64
+	stepCanon, stepReorder int64
+}
+
+// newSliceOffsets returns the offsets of idx 0 under the two divisors (>= 1).
+func newSliceOffsets(dCanon, dReorder int64) sliceOffsets {
+	return sliceOffsets{
+		dCanon: dCanon, dReorder: dReorder,
+		stepCanon: sliceHash % dCanon, stepReorder: (sliceHash >> 7) % dReorder,
+	}
+}
+
+// next advances to idx+1.
+func (o *sliceOffsets) next() {
+	o.canon += o.stepCanon
+	if o.canon >= o.dCanon {
+		o.canon -= o.dCanon
+	}
+	o.low += sliceHash & 127
+	o.reorder += o.stepReorder + o.low>>7
+	o.low &= 127
+	if o.reorder >= o.dReorder {
+		o.reorder -= o.dReorder
+	}
+}
+
 // RunGEMM simulates one bank's share: for every batch of Units activation
 // groups, slices stream into the unit SRAMs, then packed weight bursts are
 // looked up by all units in parallel.
@@ -337,6 +371,14 @@ func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 	reorderBase := lutBase + lutRegion
 	oBase := reorderBase + reorderRegion
 
+	// Both slice lengths are fixed for the run, so their burst counts and the
+	// distance from a slice's first burst to its last are too.
+	canonBursts, reorderBursts := u.T.bursts(u.CanonColBytes), u.T.bursts(u.ReorderColBytes)
+	canonSpan, reorderSpan := (canonBursts-1)*u.T.BurstBytes, (reorderBursts-1)*u.T.BurstBytes
+	// The loops below visit activation groups n*groups+g0+j = 0, 1, 2, ... in
+	// order, ragged last batch included, so the offsets step with them.
+	off := newSliceOffsets(lutRegion-u.CanonColBytes, reorderRegion-u.ReorderColBytes)
+
 	var macs int64
 	var computeCycles int64
 	rowCompute := int64(float64(1) / u.LookupsPerCycle)
@@ -350,10 +392,12 @@ func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 			// columns come from effectively random rows of their tables,
 			// so each of the two loads opens its own row.
 			for j := 0; j < batch; j++ {
-				h := int64(n*groups+g0+j) * 2654435761
-				b.Read(lutBase+h%(lutRegion-u.CanonColBytes), u.CanonColBytes)
-				b.Read(reorderBase+(h>>7)%(reorderRegion-u.ReorderColBytes), u.ReorderColBytes)
+				canon, reorder := lutBase+off.canon, reorderBase+off.reorder
+				b.train(canon, canon+canonSpan, canonBursts)
+				b.train(reorder, reorder+reorderSpan, reorderBursts)
+				off.next()
 			}
+			b.Reads += int64(batch) * (canonBursts + reorderBursts)
 			// Per-batch activation metadata (column/permutation ids).
 			b.Read(oBase+int64(g.M)*2+int64(n*groups+g0)*4, int64(batch)*4)
 			// Weight streaming: one burst carries packed vectors for the

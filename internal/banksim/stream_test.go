@@ -1,12 +1,13 @@
 package banksim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // refBank replays the per-burst reference semantics (one access per burst)
-// against which the row-grouped stream fast path must stay bit-identical.
+// against which the closed-form train must stay bit-identical.
 type refBank struct{ b *Bank }
 
 func (r refBank) read(addr, n int64) {
@@ -28,7 +29,7 @@ func (r refBank) write(addr, n int64) {
 // spans, interleaved reads and writes — and requires identical cycles and
 // counters throughout.
 func TestStreamMatchesPerBurstReference(t *testing.T) {
-	for _, tm := range []Timing{HBM2(), DDR4()} {
+	for _, tm := range streamGeometries() {
 		rng := rand.New(rand.NewSource(42))
 		fast := NewBank(tm)
 		ref := refBank{b: NewBank(tm)}
@@ -42,9 +43,7 @@ func TestStreamMatchesPerBurstReference(t *testing.T) {
 				fast.Write(addr, n)
 				ref.write(addr, n)
 			}
-			if fast.Cycles != ref.b.Cycles || fast.Reads != ref.b.Reads ||
-				fast.Writes != ref.b.Writes || fast.Activates != ref.b.Activates ||
-				fast.RowHits != ref.b.RowHits || fast.openRow != ref.b.openRow {
+			if *fast != *ref.b {
 				t.Fatalf("step %d (addr=%d n=%d): fast %+v != ref %+v", i, addr, n, *fast, *ref.b)
 			}
 		}
@@ -58,5 +57,89 @@ func TestStreamZeroLength(t *testing.T) {
 	b.Write(128, 0)
 	if b.Cycles != 0 || b.Reads != 0 || b.Writes != 0 {
 		t.Fatalf("zero-length transfer charged: %+v", *b)
+	}
+}
+
+// streamGeometries are the row/burst shapes FuzzBankStream draws from: the two
+// shipped timings, a row that is not a power of two, and a row of one burst.
+func streamGeometries() []Timing {
+	odd, single := HBM2(), HBM2()
+	odd.RowBytes, odd.BurstBytes = 96, 32
+	single.RowBytes, single.BurstBytes = 64, 64
+	return []Timing{HBM2(), DDR4(), odd, single}
+}
+
+// FuzzBankStream lets the fuzzer hunt for one Read or Write, from any
+// row-buffer state, that the closed form prices differently from one access
+// per burst. The seed corpus is committed under testdata/fuzz/FuzzBankStream.
+func FuzzBankStream(f *testing.F) {
+	geoms := streamGeometries()
+	f.Fuzz(func(t *testing.T, geom, state uint8, addr, n int64, write bool) {
+		tm := geoms[int(geom)%len(geoms)]
+		c := trainCase{tm: tm, state: int(state % 3), addr: fold(addr) % (1 << 30), n: 1 + fold(n)%(4*tm.RowBytes)}
+		fast, ref := c.startBank(), refBank{b: c.startBank()}
+		if write {
+			fast.Write(c.addr, c.n)
+			ref.write(c.addr, c.n)
+		} else {
+			fast.Read(c.addr, c.n)
+			ref.read(c.addr, c.n)
+		}
+		if *fast != *ref.b {
+			t.Fatalf("%+v write=%v:\n fast  %+v\n burst %+v", c, write, *fast, *ref.b)
+		}
+	})
+}
+
+// TestSliceOffsetsMatchHash steps the slice offsets through 2^20 consecutive
+// activation groups and requires the hash formula's own value at each, under
+// divisors small enough that every wrap lands on the divisor exactly many
+// times, around the seven-bit boundary, and at the sizes Fig. 20 runs.
+func TestSliceOffsetsMatchHash(t *testing.T) {
+	steps := int64(1 << 20)
+	if testing.Short() {
+		steps = 1 << 16
+	}
+	for _, d := range [][2]int64{
+		{1, 1}, {2, 3}, {3, 2}, {127, 128}, {128, 129}, {1000, 7},
+		{sliceHash, sliceHash >> 7}, {sliceHash + 1, sliceHash>>7 + 1},
+		{lutRegion - 256, reorderRegion - 256}, {lutRegion - 512, reorderRegion - 4096}, {lutRegion - 1, reorderRegion - 1},
+	} {
+		off := newSliceOffsets(d[0], d[1])
+		for idx := int64(0); idx < steps; idx++ {
+			h := idx * sliceHash
+			if off.canon != h%d[0] || off.reorder != (h>>7)%d[1] {
+				t.Fatalf("divisors %v idx %d: stepped to (%d, %d), hash gives (%d, %d)",
+					d, idx, off.canon, off.reorder, h%d[0], (h>>7)%d[1])
+			}
+			off.next()
+		}
+	}
+}
+
+// BenchmarkLUTPIMShare runs one bank's share of Fig. 20's 4096 GEMM at the
+// deepest and the shallowest packing the figure uses (both stream 256 B
+// slices) and reports host time per slice Read, two per activation group.
+func BenchmarkLUTPIMShare(b *testing.B) {
+	g := GEMMSpec{M: 1024, K: 4096, N: 256}
+	for _, p := range []int{8, 2} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			u, err := NewLUTPIM(HBM2(), p, 1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := u.ConfigureSlices(256, 256); err != nil {
+				b.Fatal(err)
+			}
+			bank := NewBank(u.T)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := u.RunGEMMOn(bank, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			slices := float64(b.N) * float64(2*g.N*(g.K/p))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/slices, "ns/slice")
+		})
 	}
 }

@@ -97,45 +97,49 @@ func FuzzBankTrain(f *testing.F) {
 		if ddr {
 			tm = DDR4()
 		}
-		abs := func(v int64) int64 {
-			if v < 0 {
-				return -(v + 1)
-			}
-			return v
-		}
 		trainCase{
 			tm: tm, state: int(state % 3),
-			addr:  abs(addr) % (1 << 30),
-			n:     1 + abs(n)%(4*tm.RowBytes),
-			count: 1 + abs(count)%300,
+			addr:  fold(addr) % (1 << 30),
+			n:     1 + fold(n)%(4*tm.RowBytes),
+			count: 1 + fold(count)%300,
 		}.check(t)
 	})
 }
 
-// loopSIMD is SIMDPIM.RunGEMMOn's command stream as it was before the read
-// train: one Read per weight row, a Write on every (BurstBytes/2)-th column.
+// fold maps any fuzzed int64, MinInt64 included, onto the non-negative ones.
+func fold(v int64) int64 {
+	if v < 0 {
+		return -(v + 1)
+	}
+	return v
+}
+
+// loopSIMD is SIMDPIM.RunGEMMOn's command stream one access per burst: a read
+// per weight row, a write on every (BurstBytes/2)-th column. It runs none of
+// Read, Write, readTrain or train.
 func loopSIMD(s *SIMDPIM, g GEMMSpec) *Result {
-	b := NewBank(s.T)
+	b := refBank{b: NewBank(s.T)}
 	const elemBytes = 2
 	wBase := int64(0)
 	aBase := int64(g.M) * int64(g.K) * elemBytes
 	oBase := aBase + int64(g.K)*int64(g.N)*elemBytes
 	for n := 0; n < g.N; n++ {
-		b.Read(aBase+int64(n)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
+		b.read(aBase+int64(n)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
 		for m := 0; m < g.M; m++ {
-			b.Read(wBase+int64(m)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
+			b.read(wBase+int64(m)*int64(g.K)*elemBytes, int64(g.K)*elemBytes)
 			if n%int(s.T.BurstBytes/elemBytes) == 0 {
-				b.Write(oBase+int64(m)*elemBytes, elemBytes)
+				b.write(oBase+int64(m)*elemBytes, elemBytes)
 			}
 		}
 	}
-	return result(b, int64(g.M)*int64(g.K)*int64(g.N))
+	return result(b.b, int64(g.M)*int64(g.K)*int64(g.N))
 }
 
-// loopLUT is LUTPIM.RunGEMMOn's command stream as it was before the read
-// train: one Read, one MAC increment and one compute increment per weight row.
+// loopLUT is LUTPIM.RunGEMMOn's command stream one access per burst, each
+// slice offset from the hash formula itself: a read, a MAC increment and a
+// compute increment per weight row.
 func loopLUT(u *LUTPIM, g GEMMSpec) *Result {
-	b := NewBank(u.T)
+	b := refBank{b: NewBank(u.T)}
 	groups := (g.K + u.P - 1) / u.P
 	wBase := int64(0)
 	lutBase := int64(groups) * int64(g.M) * int64(u.WeightRowBytes)
@@ -150,30 +154,33 @@ func loopLUT(u *LUTPIM, g GEMMSpec) *Result {
 			}
 			for j := 0; j < batch; j++ {
 				h := int64(n*groups+g0+j) * 2654435761
-				b.Read(lutBase+h%(lutRegion-u.CanonColBytes), u.CanonColBytes)
-				b.Read(reorderBase+(h>>7)%(reorderRegion-u.ReorderColBytes), u.ReorderColBytes)
+				b.read(lutBase+h%(lutRegion-u.CanonColBytes), u.CanonColBytes)
+				b.read(reorderBase+(h>>7)%(reorderRegion-u.ReorderColBytes), u.ReorderColBytes)
 			}
-			b.Read(oBase+int64(g.M)*2+int64(n*groups+g0)*4, int64(batch)*4)
+			b.read(oBase+int64(g.M)*2+int64(n*groups+g0)*4, int64(batch)*4)
 			for m := 0; m < g.M; m++ {
-				b.Read(wBase+int64((g0/u.Units)*g.M+m)*int64(batch*u.WeightRowBytes),
+				b.read(wBase+int64((g0/u.Units)*g.M+m)*int64(batch*u.WeightRowBytes),
 					int64(batch*u.WeightRowBytes))
 				macs += int64(batch) * int64(u.P)
 				computeCycles += int64(float64(1) / u.LookupsPerCycle)
 			}
 		}
-		b.Write(oBase+int64(n)*int64(g.M)*2, int64(g.M)*2)
+		b.write(oBase+int64(n)*int64(g.M)*2, int64(g.M)*2)
 	}
-	if computeCycles > b.Cycles {
-		b.Cycles = computeCycles
+	if computeCycles > b.b.Cycles {
+		b.b.Cycles = computeCycles
 	}
-	return result(b, macs)
+	return result(b.b, macs)
 }
 
 // TestRunGEMMMatchesLoopReference requires both unit simulators to report
-// every Result field exactly as their pre-train loops did, on shapes that
+// every Result field exactly as their per-burst loops do, on shapes that
 // reach the ragged edges: a last group batch narrower than the unit array,
-// single-row and single-column shares, K below the packing degree, and a
-// unit array whose lookups (not the command stream) set the cycle count.
+// single-row and single-column shares, K below the packing degree, a unit
+// array whose lookups (not the command stream) set the cycle count, a reorder
+// column longer than a DRAM row on either timing, and a share with more than
+// 2^20 activation groups, whose slice offsets wrap their regions about a
+// hundred thousand times.
 func TestRunGEMMMatchesLoopReference(t *testing.T) {
 	specs := []GEMMSpec{
 		{M: 64, K: 200, N: 20}, // groups % Units != 0 at every p below
@@ -182,17 +189,21 @@ func TestRunGEMMMatchesLoopReference(t *testing.T) {
 		{M: 5, K: 3, N: 17}, // K < P
 		{M: 256, K: 1024, N: 48},
 	}
+	// 1366 groups or more per column at every p below: past 2^20 in all.
+	manyGroups := GEMMSpec{M: 2, K: 8192, N: 800}
 	type lutCfg struct {
 		p, rowBytes, entryBytes int
 		canon, reorder          int64
 		units                   int
 		lookups                 float64
+		manyGroups              bool // slices short enough for the per-burst reference on that share
 	}
 	lutCfgs := []lutCfg{
-		{p: 4, rowBytes: 1, entryBytes: 2, canon: 32, reorder: 16, units: 16, lookups: 0.5},
+		{p: 4, rowBytes: 1, entryBytes: 2, canon: 32, reorder: 16, units: 16, lookups: 0.5, manyGroups: true},
+		{p: 6, rowBytes: 3, entryBytes: 1, canon: 64, reorder: 192, units: 16, lookups: 0.01, manyGroups: true}, // compute-bound
 		{p: 8, rowBytes: 1, entryBytes: 2, canon: 512, reorder: 256, units: 16, lookups: 0.5},
 		{p: 3, rowBytes: 2, entryBytes: 4, canon: 500, reorder: 4096, units: 5, lookups: 0.5},
-		{p: 6, rowBytes: 3, entryBytes: 1, canon: 64, reorder: 192, units: 16, lookups: 0.01}, // compute-bound
+		{p: 5, rowBytes: 1, entryBytes: 1, canon: 243, reorder: 20000, units: 7, lookups: 0.5}, // reorder > a DDR4 row
 	}
 	for _, tm := range []Timing{HBM2(), DDR4()} {
 		for _, g := range specs {
@@ -204,15 +215,17 @@ func TestRunGEMMMatchesLoopReference(t *testing.T) {
 			if want := loopSIMD(simd, g); *got != *want {
 				t.Errorf("SIMD %+v burst=%d:\n got  %+v\n want %+v", g, tm.BurstBytes, *got, *want)
 			}
-			for _, c := range lutCfgs {
-				u, err := NewLUTPIM(tm, c.p, c.rowBytes, c.entryBytes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := u.ConfigureSlices(c.canon, c.reorder); err != nil {
-					t.Fatal(err)
-				}
-				u.Units, u.LookupsPerCycle = c.units, c.lookups
+		}
+		for _, c := range lutCfgs {
+			u, err := NewLUTPIM(tm, c.p, c.rowBytes, c.entryBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.ConfigureSlices(c.canon, c.reorder); err != nil {
+				t.Fatal(err)
+			}
+			u.Units, u.LookupsPerCycle = c.units, c.lookups
+			check := func(g GEMMSpec) {
 				got, err := u.RunGEMM(g)
 				if err != nil {
 					t.Fatal(err)
@@ -220,6 +233,12 @@ func TestRunGEMMMatchesLoopReference(t *testing.T) {
 				if want := loopLUT(u, g); *got != *want {
 					t.Errorf("LUT %+v %+v burst=%d:\n got  %+v\n want %+v", c, g, tm.BurstBytes, *got, *want)
 				}
+			}
+			for _, g := range specs {
+				check(g)
+			}
+			if c.manyGroups && !testing.Short() {
+				check(manyGroups)
 			}
 		}
 	}

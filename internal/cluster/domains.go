@@ -47,10 +47,10 @@ func (d DomainConfig) withDefaults() (DomainConfig, error) {
 	switch {
 	case d.Count < 1:
 		return d, fmt.Errorf("cluster: domain Count %d must be at least 1", d.Count)
-	case d.MTBFSeconds <= 0:
-		return d, fmt.Errorf("cluster: failure domains need a positive MTBFSeconds")
-	case d.MTTRSeconds <= 0:
-		return d, fmt.Errorf("cluster: domain MTTRSeconds %g must be positive", d.MTTRSeconds)
+	case !positiveFinite(d.MTBFSeconds):
+		return d, fmt.Errorf("cluster: domain MTBFSeconds %g must be positive and finite", d.MTBFSeconds)
+	case !positiveFinite(d.MTTRSeconds):
+		return d, fmt.Errorf("cluster: domain MTTRSeconds %g must be positive and finite", d.MTTRSeconds)
 	}
 	return d, nil
 }

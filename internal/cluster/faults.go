@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/ais-snu/localut/internal/obs"
 	"github.com/ais-snu/localut/internal/serve"
@@ -50,17 +51,27 @@ func (f FaultConfig) withDefaults() (FaultConfig, error) {
 		f.LUTRematGBps = 16
 	}
 	switch {
-	case f.MTTFSeconds <= 0:
-		return f, fmt.Errorf("cluster: fault injection needs a positive MTTFSeconds")
-	case f.MTTRSeconds <= 0:
-		return f, fmt.Errorf("cluster: MTTRSeconds %g must be positive", f.MTTRSeconds)
-	case f.DegradedFraction < 0 || f.DegradedFraction > 1:
+	case !positiveFinite(f.MTTFSeconds):
+		return f, fmt.Errorf("cluster: fault MTTFSeconds %g must be positive and finite", f.MTTFSeconds)
+	case !positiveFinite(f.MTTRSeconds):
+		return f, fmt.Errorf("cluster: fault MTTRSeconds %g must be positive and finite", f.MTTRSeconds)
+	case !(f.DegradedFraction >= 0 && f.DegradedFraction <= 1):
 		return f, fmt.Errorf("cluster: DegradedFraction %g outside [0, 1]", f.DegradedFraction)
-	case f.LUTRematGBps <= 0:
+	case !(f.LUTRematGBps > 0):
 		return f, fmt.Errorf("cluster: LUTRematGBps %g must be positive", f.LUTRematGBps)
 	}
 	return f, nil
 }
+
+// positiveFinite reports whether x can be the mean of an exponential draw, a
+// delay added to simulated time or a factor on a pass's cost. The chaos plans
+// validate by what a field must be, not by what it must not: a NaN passes
+// every `x <= 0` test and then schedules events at t = NaN, which the loop
+// never gets past. +Inf is refused with it, because a draw of zero times an
+// infinite mean is NaN again and an event at t = +Inf ends no run; where +Inf
+// is a meaningful "never" (the hedge delay, the backoff cap, the
+// re-materialization bandwidth) the field is checked with !(x > 0) alone.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // RetryConfig governs re-service of work displaced by faults. Queued
 // requests on a crashed instance reroute immediately (their service never
@@ -90,8 +101,10 @@ func (r RetryConfig) withDefaults() (RetryConfig, error) {
 	switch {
 	case r.MaxAttempts < 1:
 		return r, fmt.Errorf("cluster: retry MaxAttempts %d must be at least 1", r.MaxAttempts)
-	case r.BackoffSeconds <= 0 || r.BackoffCapSeconds <= 0:
-		return r, fmt.Errorf("cluster: retry backoff must be positive")
+	case !positiveFinite(r.BackoffSeconds):
+		return r, fmt.Errorf("cluster: retry BackoffSeconds %g must be positive and finite", r.BackoffSeconds)
+	case !(r.BackoffCapSeconds > 0):
+		return r, fmt.Errorf("cluster: retry BackoffCapSeconds %g must be positive", r.BackoffCapSeconds)
 	case r.BackoffCapSeconds < r.BackoffSeconds:
 		return r, fmt.Errorf("cluster: retry backoff cap %g below initial backoff %g",
 			r.BackoffCapSeconds, r.BackoffSeconds)

@@ -28,8 +28,8 @@ func (h HedgeConfig) withDefaults() (HedgeConfig, error) {
 	if !h.Enabled {
 		return h, nil
 	}
-	if h.DelaySeconds <= 0 {
-		return h, fmt.Errorf("cluster: hedging needs a positive DelaySeconds")
+	if !(h.DelaySeconds > 0) {
+		return h, fmt.Errorf("cluster: hedge DelaySeconds %g must be positive", h.DelaySeconds)
 	}
 	return h, nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/ais-snu/localut/internal/obs"
 	"github.com/ais-snu/localut/internal/serve"
@@ -40,12 +41,12 @@ func (s StragglerConfig) withDefaults() (StragglerConfig, error) {
 		s.Slowdown = 4
 	}
 	switch {
-	case s.MTBFSeconds <= 0:
-		return s, fmt.Errorf("cluster: straggler injection needs a positive MTBFSeconds")
-	case s.MeanDurationSeconds <= 0:
-		return s, fmt.Errorf("cluster: straggler MeanDurationSeconds %g must be positive", s.MeanDurationSeconds)
-	case s.Slowdown <= 1:
-		return s, fmt.Errorf("cluster: straggler Slowdown %g must exceed 1", s.Slowdown)
+	case !positiveFinite(s.MTBFSeconds):
+		return s, fmt.Errorf("cluster: straggler MTBFSeconds %g must be positive and finite", s.MTBFSeconds)
+	case !positiveFinite(s.MeanDurationSeconds):
+		return s, fmt.Errorf("cluster: straggler MeanDurationSeconds %g must be positive and finite", s.MeanDurationSeconds)
+	case !(s.Slowdown > 1) || math.IsInf(s.Slowdown, 1):
+		return s, fmt.Errorf("cluster: straggler Slowdown %g must exceed 1 and be finite", s.Slowdown)
 	}
 	return s, nil
 }

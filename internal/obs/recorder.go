@@ -153,7 +153,7 @@ func (r *Recorder) end(b []byte, args []Arg, always bool) {
 			case math.IsNaN(a.Val) || math.IsInf(a.Val, 0):
 				b = append(b, "null"...) // JSON has no spelling for these
 			default:
-				b = strconv.AppendFloat(b, a.Val, 'g', -1, 64)
+				b = appendNum(b, a.Val)
 			}
 		}
 		b = append(b, '}')
@@ -286,6 +286,20 @@ func (r *Recorder) Abandon() {
 func appendTrack(b []byte, pid, tid int) []byte {
 	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
 	return strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+}
+
+// appendNum appends a finite v with the bytes of strconv.AppendFloat(b, v,
+// 'g', -1, 64). That format spells a whole number below 1e6 in magnitude as
+// its plain decimal digits (1e6 is where it turns to an exponent, "1e+06"),
+// and every value on the hot hooks is such a count, so those skip the
+// shortest-float search. -0 is "-0" there and stays with strconv.
+func appendNum(b []byte, v float64) []byte {
+	if -1e6 < v && v < 1e6 {
+		if n := int64(v); float64(n) == v && (n != 0 || !math.Signbit(v)) {
+			return strconv.AppendInt(b, n, 10)
+		}
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // appendMicros renders a simulated-seconds timestamp in microseconds with

@@ -359,6 +359,10 @@ func FuzzRecorderJSON(f *testing.F) {
 	f.Add("a\"b\\c", "<cat>", "k&", "line\nbreak\ttab\x00nul\x1f", 1e-9, 1e9, math.NaN(), -3, -1)
 	f.Add("h\u00e9llo\u2028\u2029", "\xff\xfe", "", "\U0001f600 \xed\xa0\x80", 123.456789, 5e-10, math.Inf(-1), 1<<31, 1<<40)
 	f.Add("</script>", "'", "\\u0000", "\r\x7f", 9007199254.740993, 1e-7, 1e21, 12, 1)
+	// Either side of the whole-number path's edges (see appendNum).
+	for _, num := range []float64{999999, 1e6, -999999, -1e6, math.Copysign(0, -1), 0.5, 1 << 53} {
+		f.Add("decode", "req", "n", "default", 0.25, 0.001, num, 2, 3)
+	}
 	f.Fuzz(func(t *testing.T, name, cat, key, val string, ts, dur, num float64, pid, id int) {
 		for _, s := range []float64{ts, dur, ts + dur} {
 			if x := s * 1e6; math.IsNaN(x) || math.IsInf(x, 0) {
@@ -389,6 +393,30 @@ func FuzzRecorderJSON(f *testing.F) {
 			t.Fatalf("not valid JSON:\n%s", got.Bytes())
 		}
 	})
+}
+
+// TestNumIntegerPathMatchesStrconv holds appendNum to strconv on every whole
+// number the integer path takes and the first ones past it in each
+// direction, then on fractions, negative zero and magnitudes beside them.
+func TestNumIntegerPathMatchesStrconv(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		if got, want := string(appendNum(nil, v)), strconv.FormatFloat(v, 'g', -1, 64); got != want {
+			t.Fatalf("appendNum(%v) = %q, strconv gives %q", v, got, want)
+		}
+	}
+	for n := -1_000_001; n <= 1_000_001; n++ {
+		check(float64(n))
+	}
+	for _, v := range []float64{
+		math.Copysign(0, -1), 0.5, -0.5, 127.5, 999999.5, -999999.5, math.Nextafter(1e6, 0), math.Nextafter(-1e6, 0),
+		1 << 53, -(1 << 53), 1e21, math.MaxInt64, math.MaxFloat64, math.SmallestNonzeroFloat64,
+	} {
+		check(v)
+	}
+	if got := string(appendNum(nil, 1e6)); got != "1e+06" {
+		t.Errorf("the format no longer turns to an exponent at 1e6 (%q): the integer path's bound is wrong", got)
+	}
 }
 
 // BenchmarkRecorder prices one request's hooks on a streaming recorder:

@@ -464,9 +464,11 @@ func Run(cfg Config) (*Report, error) {
 	// Seed the arrival process.
 	switch {
 	case len(cfg.ArrivalTimes) > 0:
-		for _, t := range cfg.ArrivalTimes {
-			if t < 0 {
-				return nil, fmt.Errorf("serve: negative arrival time %g in trace", t)
+		for i, t := range cfg.ArrivalTimes {
+			// Written so that a NaN fails: it is below nothing, and one
+			// arrival at t = NaN poisons every latency sample of the run.
+			if !(t >= 0) || math.IsInf(t, 1) {
+				return nil, fmt.Errorf("serve: ArrivalTimes[%d] = %g must be a finite non-negative time", i, t)
 			}
 			if t > cfg.DurationSeconds {
 				// The arrival window applies to every source; with an unset

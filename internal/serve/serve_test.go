@@ -290,14 +290,16 @@ func TestOracleShapeOutOfRange(t *testing.T) {
 	}
 }
 
-// TestServeNonFiniteLatencyIsAnError replays a trace holding a NaN arrival
-// time: every latency of that request is NaN. The histograms refuse the
-// samples — they used to panic with an index out of range — and Run fails
-// instead of returning statistics that silently miss them.
+// TestServeNonFiniteLatencyIsAnError runs on an engine clocked so slowly
+// that every pass is priced at +Inf seconds (a NaN arrival time, the older
+// way here, is a validation error now: TestBadEnumsAreErrors). The
+// histograms refuse the samples — they used to panic with an index out of
+// range — and Run fails instead of returning statistics that silently miss
+// them.
 func TestServeNonFiniteLatencyIsAnError(t *testing.T) {
 	cfg := testConfig()
-	cfg.RatePerSec = 0
-	cfg.ArrivalTimes = []float64{0.1, math.NaN(), 0.2}
+	cfg.Engine = gemm.NewEngine()
+	cfg.Engine.Cfg.ClockHz = math.SmallestNonzeroFloat64
 	rep, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "NaN or infinite") {
 		t.Fatalf("Run returned report %v and error %v, want a non-finite latency error", rep, err)
