@@ -2,6 +2,7 @@ package banksim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Timing holds the DRAM bank command timings (in device cycles) and
@@ -35,13 +36,26 @@ func DDR4() Timing {
 	}
 }
 
-// Validate rejects nonsense timings.
+// Validate rejects nonsense timings; each error names the field and its value.
+// A NaN TCK fails, and so does +Inf, which would price every run at +Inf
+// seconds.
 func (t Timing) Validate() error {
-	if t.TCK <= 0 || t.TRCD <= 0 || t.TCL <= 0 || t.TRP <= 0 || t.TCCD <= 0 {
-		return fmt.Errorf("banksim: nonpositive timing %+v", t)
+	if !(t.TCK > 0) || math.IsInf(t.TCK, 1) {
+		return fmt.Errorf("banksim: TCK %g ns must be positive and finite", t.TCK)
 	}
-	if t.RowBytes <= 0 || t.BurstBytes <= 0 || t.RowBytes%t.BurstBytes != 0 {
-		return fmt.Errorf("banksim: bad geometry row=%d burst=%d", t.RowBytes, t.BurstBytes)
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"TRCD", t.TRCD}, {"TCL", t.TCL}, {"TRP", t.TRP}, {"TCCD", t.TCCD},
+		{"RowBytes", t.RowBytes}, {"BurstBytes", t.BurstBytes},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("banksim: %s %d must be positive", f.name, f.v)
+		}
+	}
+	if t.RowBytes%t.BurstBytes != 0 {
+		return fmt.Errorf("banksim: RowBytes %d is not a multiple of BurstBytes %d", t.RowBytes, t.BurstBytes)
 	}
 	return nil
 }
@@ -62,41 +76,51 @@ func NewBank(t Timing) *Bank { return &Bank{T: t, openRow: -1} }
 // timing, recycling the struct for per-worker reuse (see ArenaRunner).
 func (b *Bank) reset(t Timing) { *b = Bank{T: t, openRow: -1} }
 
-// access applies the timing for one column command on the byte address. It
-// is the per-burst reference semantics; train prices whole transfers in its
-// terms and tests pin the equivalence.
-func (b *Bank) access(addr int64) {
-	row := addr / b.T.RowBytes
-	switch {
-	case b.openRow == row:
-		b.Cycles += b.T.TCCD
-		b.RowHits++
-	case b.openRow < 0:
-		b.Cycles += b.T.TRCD + b.T.TCL
-		b.openRow = row
-		b.Activates++
-	default:
-		b.Cycles += b.T.TRP + b.T.TRCD + b.T.TCL
-		b.openRow = row
-		b.Activates++
-	}
+// rowState is the part of a Bank the charging rule updates: the open row (-1
+// when precharged), cycles, activates and row hits. It is four words, so a
+// loop that copies it into a local keeps it in registers.
+type rowState struct {
+	open, cycles, activates, hits int64
 }
 
-// train applies the timing of bursts column commands whose start addresses
-// rise from first to last in steps of at most BurstBytes, in O(1): the first
-// burst is one access() outcome, row(last) - row(first) later bursts each
-// open the next row, and every other burst is a TCCD hit. doc.go ("Command
-// trains") shows why that is exact. Callers count the bursts as Reads or
-// Writes.
-func (b *Bank) train(first, last, bursts int64) {
-	lastRow := last / b.T.RowBytes
-	b.access(first)
-	misses := lastRow - b.openRow
+// rows returns the bank's row state; setRows stores one back.
+func (b *Bank) rows() rowState { return rowState{b.openRow, b.Cycles, b.Activates, b.RowHits} }
+
+func (b *Bank) setRows(s rowState) {
+	b.openRow, b.Cycles, b.Activates, b.RowHits = s.open, s.cycles, s.activates, s.hits
+}
+
+// train is the charging rule. It prices bursts column commands whose first
+// burst starts in row first and whose last burst starts in row last, rows
+// that never decrease and never skip from one burst to the next. Of the
+// bursts after the first, last-first open the next row, each a TRP+TRCD+TCL
+// conflict, and the rest are TCCD hits. The first burst is one more hit on
+// the open row, TRCD+TCL on a precharged bank, or one more conflict. doc.go
+// ("Command trains") shows why that is exact.
+func (s rowState) train(t *Timing, first, last, bursts int64) rowState {
+	misses := last - first
 	hits := bursts - 1 - misses
-	b.Cycles += misses*(b.T.TRP+b.T.TRCD+b.T.TCL) + hits*b.T.TCCD
-	b.Activates += misses
-	b.RowHits += hits
-	b.openRow = lastRow
+	switch {
+	case s.open == first:
+		hits++
+	case s.open < 0:
+		s.cycles += t.TRCD + t.TCL
+		s.activates++
+	default:
+		misses++
+	}
+	s.cycles += misses*(t.TRP+t.TRCD+t.TCL) + hits*t.TCCD
+	s.activates += misses
+	s.hits += hits
+	s.open = last
+	return s
+}
+
+// train applies the rule to bursts column commands whose start addresses rise
+// from first to last in steps of at most BurstBytes. Callers count the bursts
+// as Reads or Writes.
+func (b *Bank) train(first, last, bursts int64) {
+	b.setRows(b.rows().train(&b.T, first/b.T.RowBytes, last/b.T.RowBytes, bursts))
 }
 
 // bursts is the number of column commands a transfer of n > 0 bytes issues.
@@ -301,39 +325,68 @@ func (u *LUTPIM) ConfigureSlices(canonColBytes, reorderColBytes int64) error {
 // (h>>7) % dReorder, h = idx*sliceHash, each d the room left in the region.
 const sliceHash = 2654435761
 
-// sliceOffsets holds those two offsets for one idx and steps them to the
-// next idx without multiplying or dividing: h grows by sliceHash, so the
-// first offset grows by sliceHash mod dCanon and the second by
-// (sliceHash>>7) mod dReorder plus the carry out of h's low seven bits, and
-// each sum stays below twice its divisor, so one conditional subtract reduces
-// it. Unlike idx*sliceHash the walk cannot wrap int64.
-type sliceOffsets struct {
-	canon, reorder         int64
-	low                    int64 // h & 127
-	dCanon, dReorder       int64
-	stepCanon, stepReorder int64
+// sliceCursor is one slice stream at one idx: its offset off in [0, d) and
+// the DRAM row and in-row column of base+off, where its first burst starts.
+// It is three words, so a loop keeps it in registers.
+type sliceCursor struct{ off, row, col int64 }
+
+// sliceWalk steps a sliceCursor from idx to idx+1 without multiplying or
+// dividing. h grows by sliceHash, so the canonical offset grows by
+// sliceHash mod d, and the reordering offset by (sliceHash>>7) mod d plus the
+// carry out of h's low seven bits. Each sum stays below twice d, so one
+// conditional subtract reduces it. The step and the wrap by d are split once
+// into whole rows and leftover bytes, so the cursor's column takes at most one
+// carry or borrow from its row per step. Unlike idx*sliceHash the walk cannot
+// wrap int64.
+type sliceWalk struct {
+	d, step            int64
+	rowBytes           int64
+	stepRows, stepCols int64
+	wrapRows, wrapCols int64
+	// A slice's last burst starts span bytes after its first: spanRows whole
+	// rows later, plus one more when the column reaches spanLim.
+	spanRows, spanLim int64
 }
 
-// newSliceOffsets returns the offsets of idx 0 under the two divisors (>= 1).
-func newSliceOffsets(dCanon, dReorder int64) sliceOffsets {
-	return sliceOffsets{
-		dCanon: dCanon, dReorder: dReorder,
-		stepCanon: sliceHash % dCanon, stepReorder: (sliceHash >> 7) % dReorder,
+// newSliceWalk returns the walk of a stream with room d >= 1 and offset step
+// step < d, whose slices' last bursts start span bytes after their first.
+func newSliceWalk(t Timing, d, step, span int64) sliceWalk {
+	r := t.RowBytes
+	return sliceWalk{
+		d: d, step: step, rowBytes: r,
+		stepRows: step / r, stepCols: step % r,
+		wrapRows: d / r, wrapCols: d % r,
+		spanRows: span / r, spanLim: r - span%r,
 	}
 }
 
-// next advances to idx+1.
-func (o *sliceOffsets) next() {
-	o.canon += o.stepCanon
-	if o.canon >= o.dCanon {
-		o.canon -= o.dCanon
+// start returns the cursor of idx 0, offset 0 from base.
+func (w *sliceWalk) start(base int64) sliceCursor {
+	return sliceCursor{row: base / w.rowBytes, col: base % w.rowBytes}
+}
+
+// last returns the row the cursor's last burst starts in.
+func (w *sliceWalk) last(c sliceCursor) int64 {
+	return c.row + w.spanRows - (w.spanLim-1-c.col)>>63
+}
+
+// next steps the cursor by step+carry, carry 0 or 1. The column's carry is a
+// sign mask: the in-row column is effectively random, so a branch on it would
+// mispredict often.
+func (w *sliceWalk) next(c sliceCursor, carry int64) sliceCursor {
+	c.off += w.step + carry
+	c.col += w.stepCols + carry
+	m := (w.rowBytes - 1 - c.col) >> 63 // -1 when the column passed the row
+	c.col -= w.rowBytes & m
+	c.row += w.stepRows - m
+	if c.off >= w.d {
+		c.off -= w.d
+		c.col -= w.wrapCols
+		m = c.col >> 63 // -1 when the column borrowed from the row
+		c.col += w.rowBytes & m
+		c.row += m - w.wrapRows
 	}
-	o.low += sliceHash & 127
-	o.reorder += o.stepReorder + o.low>>7
-	o.low &= 127
-	if o.reorder >= o.dReorder {
-		o.reorder -= o.dReorder
-	}
+	return c
 }
 
 // RunGEMM simulates one bank's share: for every batch of Units activation
@@ -374,10 +427,13 @@ func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 	// Both slice lengths are fixed for the run, so their burst counts and the
 	// distance from a slice's first burst to its last are too.
 	canonBursts, reorderBursts := u.T.bursts(u.CanonColBytes), u.T.bursts(u.ReorderColBytes)
-	canonSpan, reorderSpan := (canonBursts-1)*u.T.BurstBytes, (reorderBursts-1)*u.T.BurstBytes
+	dCanon, dReorder := lutRegion-u.CanonColBytes, reorderRegion-u.ReorderColBytes
+	canonWalk := newSliceWalk(u.T, dCanon, sliceHash%dCanon, (canonBursts-1)*u.T.BurstBytes)
+	reorderWalk := newSliceWalk(u.T, dReorder, (sliceHash>>7)%dReorder, (reorderBursts-1)*u.T.BurstBytes)
 	// The loops below visit activation groups n*groups+g0+j = 0, 1, 2, ... in
-	// order, ragged last batch included, so the offsets step with them.
-	off := newSliceOffsets(lutRegion-u.CanonColBytes, reorderRegion-u.ReorderColBytes)
+	// order, ragged last batch included, so the cursors step with them.
+	canon, reorder := canonWalk.start(lutBase), reorderWalk.start(reorderBase)
+	var low int64 // h & 127
 
 	var macs int64
 	var computeCycles int64
@@ -391,12 +447,16 @@ func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 			// Slice streaming: each unit's canonical and reordering
 			// columns come from effectively random rows of their tables,
 			// so each of the two loads opens its own row.
+			rs := b.rows()
 			for j := 0; j < batch; j++ {
-				canon, reorder := lutBase+off.canon, reorderBase+off.reorder
-				b.train(canon, canon+canonSpan, canonBursts)
-				b.train(reorder, reorder+reorderSpan, reorderBursts)
-				off.next()
+				rs = rs.train(&u.T, canon.row, canonWalk.last(canon), canonBursts)
+				rs = rs.train(&u.T, reorder.row, reorderWalk.last(reorder), reorderBursts)
+				canon = canonWalk.next(canon, 0)
+				low += sliceHash & 127
+				reorder = reorderWalk.next(reorder, low>>7)
+				low &= 127
 			}
+			b.setRows(rs)
 			b.Reads += int64(batch) * (canonBursts + reorderBursts)
 			// Per-batch activation metadata (column/permutation ids).
 			b.Read(oBase+int64(g.M)*2+int64(n*groups+g0)*4, int64(batch)*4)

@@ -1,8 +1,51 @@
 package banksim
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
+
+// TestTimingValidation requires every bad field, a NaN or +Inf TCK included,
+// to be an error that names the field, from Validate and from both units'
+// RunGEMM (a +Inf TCK used to report Seconds: +Inf with a nil error).
+func TestTimingValidation(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		mod   func(*Timing)
+	}{
+		{"TCK", func(t *Timing) { t.TCK = 0 }},
+		{"TCK", func(t *Timing) { t.TCK = math.NaN() }},
+		{"TCK", func(t *Timing) { t.TCK = math.Inf(1) }},
+		{"TCK", func(t *Timing) { t.TCK = math.Inf(-1) }},
+		{"TRCD", func(t *Timing) { t.TRCD = 0 }},
+		{"TCL", func(t *Timing) { t.TCL = -1 }},
+		{"TRP", func(t *Timing) { t.TRP = 0 }},
+		{"TCCD", func(t *Timing) { t.TCCD = 0 }},
+		{"RowBytes", func(t *Timing) { t.RowBytes = 0 }},
+		{"BurstBytes", func(t *Timing) { t.BurstBytes = -32 }},
+		{"RowBytes", func(t *Timing) { t.RowBytes = 33 }}, // not a burst multiple
+	} {
+		tm := HBM2()
+		tc.mod(&tm)
+		u, err := NewLUTPIM(tm, 4, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.ConfigureSlices(32, 16); err != nil {
+			t.Fatal(err)
+		}
+		_, simdErr := NewSIMDPIM(tm).RunGEMM(GEMMSpec{M: 8, K: 64, N: 2})
+		_, lutErr := u.RunGEMM(GEMMSpec{M: 8, K: 64, N: 2})
+		for _, err := range []error{tm.Validate(), simdErr, lutErr} {
+			if err == nil {
+				t.Errorf("%s: timing %+v accepted", tc.field, tm)
+			} else if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s: error %q does not name the field", tc.field, err)
+			}
+		}
+	}
+}
 
 func TestBankRowBuffer(t *testing.T) {
 	tm := HBM2()
@@ -37,19 +80,6 @@ func TestReadBurstCount(t *testing.T) {
 	}
 	if b.Activates != 1 {
 		t.Errorf("activates = %d, want 1 (sequential stream)", b.Activates)
-	}
-}
-
-func TestTimingValidation(t *testing.T) {
-	bad := HBM2()
-	bad.TRCD = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted zero tRCD")
-	}
-	bad = HBM2()
-	bad.RowBytes = 33 // not a burst multiple
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted misaligned row size")
 	}
 }
 

@@ -18,47 +18,60 @@
 // # Command trains
 //
 // Fig. 20/21-style studies sweep sizes and precisions, so host cost per bank
-// matters. Commands are charged at two granularities, the second
-// bit-identical to the first (tests and two fuzz targets pin them against
-// each other):
+// matters. A column command is a TCCD hit on the open row, TRCD+TCL on a
+// precharged bank, or TRP+TRCD+TCL on a row conflict. The package writes that
+// rule once, as rowState.train, which prices a whole train of column commands
+// in O(1) from the row its first burst starts in, the row its last burst
+// starts in and the burst count. Tests replay one command per burst (access,
+// in the test files) as the reference, and two fuzz targets pin the two
+// against each other. Read and Write are one transfer's bursts; readTrain is
+// count back-to-back Reads of n bytes at addr, addr+n, ...
 //
-//   - access: one column command — a TCCD hit on the open row, TRCD+TCL on
-//     a precharged bank, TRP+TRCD+TCL on a row conflict. Tests replay it
-//     burst by burst as the reference;
-//   - train: any run of column commands whose start addresses rise in steps
-//     of at most BurstBytes, in O(1), from the first burst's address, the
-//     last burst's address and the burst count. Read and Write are one
-//     transfer's bursts; readTrain is count back-to-back Reads of n bytes at
-//     addr, addr+n, ...
-//
-// Why train is exact: a transfer issues ceil(n/BurstBytes) bursts from its
+// Why the rule is exact: a transfer issues ceil(n/BurstBytes) bursts from its
 // own (possibly unaligned) start, so burst start addresses rise by BurstBytes
 // inside a transfer and, in a readTrain, by n-(ceil(n/BurstBytes)-1)*BurstBytes,
 // which lies in (0, BurstBytes], between Reads. BurstBytes <= RowBytes
 // (Timing.Validate), so the row of successive bursts never decreases and
-// never skips: after the first burst (one access outcome) exactly
-// row(last burst)-row(first burst) bursts open a new row, each a TRP+TRCD+TCL
-// conflict because a row is open by then, and every other burst is a TCCD
-// hit. The row that counts is the one the last burst starts in, not the one
-// the transfer's last byte falls in: an unaligned tail can spill into a row
-// no command opens. train counts the outcomes access would have produced;
-// nothing is approximated.
+// never skips: after the first burst exactly row(last burst)-row(first burst)
+// bursts open a new row, each a TRP+TRCD+TCL conflict because a row is open
+// by then, and every other burst is a TCCD hit. The first burst adds one hit
+// if its row is open, one conflict if another row is, and TRCD+TCL on a
+// precharged bank. The row that counts is the one the last burst starts in,
+// not the one the transfer's last byte falls in: an unaligned tail can spill
+// into a row no command opens. The rule counts the outcomes per-burst access
+// would have produced; nothing is approximated.
 //
 // Both units stream their M weight rows as trains — LUTPIM always (the rows
 // of a group batch are contiguous), SIMDPIM on the columns that interleave
 // no output write — so a bank costs O(N*K/p) host work, not O(N*K/p*M).
 //
 // What is left per activation group is LUTPIM's two slice loads, and they
-// neither divide by a slice length nor hash. Both slice lengths are fixed for
-// a run, so their burst counts are computed once. The offsets are h % dCanon
-// and (h>>7) % dReorder with h = idx*2654435761, and idx = n*groups+g0+j
-// takes the values 0, 1, 2, ... in order across RunGEMMOn's three loops (a
-// column's last batch may be narrower than the unit array; the next column
-// still resumes at the next idx), so h grows by a constant: the first offset
-// moves by 2654435761 mod dCanon and the second by (2654435761>>7) mod
-// dReorder plus the carry out of h's low seven bits, each reduced by one
-// conditional subtract (sliceOffsets; a test checks every step against the
-// formula).
+// neither divide nor hash. The rule's state (open row, cycles, activates, row
+// hits) is four words, so RunGEMMOn copies it into a local for each unit
+// batch and writes it back after; inside the batch it stays in registers.
+// Both slice lengths are fixed for a run, so their burst counts, and the
+// distance span from a slice's first burst to its last, are computed once.
+// The offsets are h % dCanon and (h>>7) % dReorder with h = idx*2654435761,
+// and idx = n*groups+g0+j takes the values 0, 1, 2, ... in order across
+// RunGEMMOn's three loops (a column's last batch may be narrower than the unit
+// array; the next column still resumes at the next idx), so h grows by a
+// constant: the first offset moves by 2654435761 mod dCanon and the second by
+// (2654435761>>7) mod dReorder plus the carry out of h's low seven bits, each
+// reduced by one conditional subtract.
+//
+// A slice cursor (sliceCursor, stepped by sliceWalk) carries, beside the
+// offset, the row and in-row column of base+offset, so the rows the rule
+// needs cost no division either. The step, the wrap by d and the span are
+// each split once into whole rows and leftover bytes. Adding the leftover
+// bytes of the step (plus h's carry) to a column below RowBytes leaves it
+// below twice RowBytes, so at most one carry into the row fixes it;
+// subtracting the leftover bytes of d on a wrap borrows at most one row; and
+// the last burst's row is the first burst's plus the span's whole rows plus
+// one exactly when the column reaches RowBytes minus the span's leftover
+// bytes. The column's carry and borrow are taken with sign masks, because
+// the in-row column is effectively random and a branch on it mispredicts;
+// the wrap stays a branch with the offset's. Tests check every step of the
+// offsets and of the rows against the division formulas.
 //
 // # Multi-bank sharded execution
 //

@@ -6,6 +6,27 @@ import (
 	"testing"
 )
 
+// access applies the timing for one column command on the byte address: a
+// TCCD hit on the open row, TRCD+TCL on a precharged bank, TRP+TRCD+TCL on a
+// row conflict. It is the per-burst reference the closed-form rule is pinned
+// to, written out independently of it.
+func (b *Bank) access(addr int64) {
+	row := addr / b.T.RowBytes
+	switch {
+	case b.openRow == row:
+		b.Cycles += b.T.TCCD
+		b.RowHits++
+	case b.openRow < 0:
+		b.Cycles += b.T.TRCD + b.T.TCL
+		b.openRow = row
+		b.Activates++
+	default:
+		b.Cycles += b.T.TRP + b.T.TRCD + b.T.TCL
+		b.openRow = row
+		b.Activates++
+	}
+}
+
 // refBank replays the per-burst reference semantics (one access per burst)
 // against which the closed-form train must stay bit-identical.
 type refBank struct{ b *Bank }
@@ -91,7 +112,7 @@ func FuzzBankStream(f *testing.F) {
 	})
 }
 
-// TestSliceOffsetsMatchHash steps the slice offsets through 2^20 consecutive
+// TestSliceOffsetsMatchHash steps the slice walks through 2^20 consecutive
 // activation groups and requires the hash formula's own value at each, under
 // divisors small enough that every wrap lands on the divisor exactly many
 // times, around the seven-bit boundary, and at the sizes Fig. 20 runs.
@@ -105,14 +126,65 @@ func TestSliceOffsetsMatchHash(t *testing.T) {
 		{sliceHash, sliceHash >> 7}, {sliceHash + 1, sliceHash>>7 + 1},
 		{lutRegion - 256, reorderRegion - 256}, {lutRegion - 512, reorderRegion - 4096}, {lutRegion - 1, reorderRegion - 1},
 	} {
-		off := newSliceOffsets(d[0], d[1])
+		canonWalk := newSliceWalk(HBM2(), d[0], sliceHash%d[0], 0)
+		reorderWalk := newSliceWalk(HBM2(), d[1], (sliceHash>>7)%d[1], 0)
+		canon, reorder := canonWalk.start(0), reorderWalk.start(0)
+		var low int64
 		for idx := int64(0); idx < steps; idx++ {
 			h := idx * sliceHash
-			if off.canon != h%d[0] || off.reorder != (h>>7)%d[1] {
+			if canon.off != h%d[0] || reorder.off != (h>>7)%d[1] {
 				t.Fatalf("divisors %v idx %d: stepped to (%d, %d), hash gives (%d, %d)",
-					d, idx, off.canon, off.reorder, h%d[0], (h>>7)%d[1])
+					d, idx, canon.off, reorder.off, h%d[0], (h>>7)%d[1])
 			}
-			off.next()
+			canon = canonWalk.next(canon, 0)
+			low += sliceHash & 127
+			reorder = reorderWalk.next(reorder, low>>7)
+			low &= 127
+		}
+	}
+}
+
+// TestSliceCursorMatchesDivision steps both slice cursors through 2^20
+// consecutive activation groups and requires the rows of each slice's first
+// and last burst to be those the direct formula gives by division, on both
+// shipped timings and a row that is not a power of two, from bases that are
+// not row-aligned, with spans shorter and longer than a row.
+func TestSliceCursorMatchesDivision(t *testing.T) {
+	steps := int64(1 << 20)
+	if testing.Short() {
+		steps = 1 << 16
+	}
+	odd := HBM2()
+	odd.RowBytes, odd.BurstBytes = 96, 32
+	for _, tm := range []Timing{HBM2(), DDR4(), odd} {
+		for _, c := range []struct{ base, canonCol, reorderCol int64 }{
+			{base: 12345, canonCol: 256, reorderCol: 256},
+			{base: 3*tm.RowBytes + tm.RowBytes/2 + 5, canonCol: 512, reorderCol: 20000},
+			{base: tm.RowBytes - 1, canonCol: tm.RowBytes, reorderCol: 1},
+		} {
+			canonBase, reorderBase := c.base, c.base+lutRegion
+			dCanon, dReorder := lutRegion-c.canonCol, reorderRegion-c.reorderCol
+			canonSpan := (tm.bursts(c.canonCol) - 1) * tm.BurstBytes
+			reorderSpan := (tm.bursts(c.reorderCol) - 1) * tm.BurstBytes
+			canonWalk := newSliceWalk(tm, dCanon, sliceHash%dCanon, canonSpan)
+			reorderWalk := newSliceWalk(tm, dReorder, (sliceHash>>7)%dReorder, reorderSpan)
+			canon, reorder := canonWalk.start(canonBase), reorderWalk.start(reorderBase)
+			var low int64
+			for idx := int64(0); idx < steps; idx++ {
+				h := idx * sliceHash
+				ca, ra := canonBase+h%dCanon, reorderBase+(h>>7)%dReorder
+				got := [4]int64{canon.row, canonWalk.last(canon), reorder.row, reorderWalk.last(reorder)}
+				want := [4]int64{ca / tm.RowBytes, (ca + canonSpan) / tm.RowBytes,
+					ra / tm.RowBytes, (ra + reorderSpan) / tm.RowBytes}
+				if got != want {
+					t.Fatalf("row %d B, %+v, idx %d: cursor rows (first, last) canon, reorder %v, division gives %v",
+						tm.RowBytes, c, idx, got, want)
+				}
+				canon = canonWalk.next(canon, 0)
+				low += sliceHash & 127
+				reorder = reorderWalk.next(reorder, low>>7)
+				low &= 127
+			}
 		}
 	}
 }

@@ -180,7 +180,8 @@ func loopLUT(u *LUTPIM, g GEMMSpec) *Result {
 // array whose lookups (not the command stream) set the cycle count, a reorder
 // column longer than a DRAM row on either timing, and a share with more than
 // 2^20 activation groups, whose slice offsets wrap their regions about a
-// hundred thousand times.
+// hundred thousand times — on both shipped timings and a 96 B row, which is
+// not a power of two, so the slice cursors' carries land off any alignment.
 func TestRunGEMMMatchesLoopReference(t *testing.T) {
 	specs := []GEMMSpec{
 		{M: 64, K: 200, N: 20}, // groups % Units != 0 at every p below
@@ -205,7 +206,9 @@ func TestRunGEMMMatchesLoopReference(t *testing.T) {
 		{p: 3, rowBytes: 2, entryBytes: 4, canon: 500, reorder: 4096, units: 5, lookups: 0.5},
 		{p: 5, rowBytes: 1, entryBytes: 1, canon: 243, reorder: 20000, units: 7, lookups: 0.5}, // reorder > a DDR4 row
 	}
-	for _, tm := range []Timing{HBM2(), DDR4()} {
+	odd := HBM2()
+	odd.RowBytes, odd.BurstBytes = 96, 32
+	for _, tm := range []Timing{HBM2(), DDR4(), odd} {
 		for _, g := range specs {
 			simd := NewSIMDPIM(tm)
 			got, err := simd.RunGEMM(g)

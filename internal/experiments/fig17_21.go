@@ -265,6 +265,9 @@ func (s *Suite) Fig20() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Formats that resolve to the same unit (W1A3 and W1A4 both run p=8
+		// over 256 one-byte rows) are simulated once per size.
+		units := map[banksim.LUTPIM]*banksim.Grid{}
 		for _, f := range quant.Formats {
 			p, spec := unitMaxP(f)
 			u, err := banksim.NewLUTPIM(tm, p, spec.WeightRowBytes(), spec.EntryBytes())
@@ -276,9 +279,12 @@ func (s *Suite) Fig20() (*Result, error) {
 			if err := u.ConfigureSlices(canonCol, reorderCol); err != nil {
 				return nil, err
 			}
-			lutRes, err := banksim.RunShards(u, specs, s.Parallelism)
-			if err != nil {
-				return nil, err
+			lutRes, ok := units[*u]
+			if !ok {
+				if lutRes, err = banksim.RunShards(u, specs, s.Parallelism); err != nil {
+					return nil, err
+				}
+				units[*u] = lutRes
 			}
 			sp := simd.Seconds / lutRes.Seconds
 			tab.Add(sz, f.Name(), p, simd.Seconds, lutRes.Seconds, sp)

@@ -19,6 +19,22 @@
 // updates) host cost. Mode-equivalence tests pin that guarantee for every
 // kernel.
 //
+// # Column fold
+//
+// A cost program also charges each distinct column once. In OP, OP(DRAM),
+// OP+LC, OP+LC+RC, LoCaLUT and LTC, every per-column loop starts with
+// n = x.foldColumns(n, t.N). On an accounting DPU with N >= 3 that runs
+// column 0, adds N-2 copies of its delta to Cycles, to every event class and
+// to every breakdown bucket, and runs column N-1. The copies are exact
+// because a cost-mode column's charges depend only on the tile shape: the
+// same instruction counts, the same transfer sizes (a DMA's cycles depend on
+// its size, not its offset), in the same order, and every column both
+// starts and ends on a breakdown charge. Its offsets are linear in n and
+// only bounds-checked, so with both extreme columns run the checks of the
+// ones between cannot fail. Functional mode runs every column. Naive does
+// not fold: its cost program already charges a whole chunk of columns as one
+// batch, and a tile rarely spans more than one chunk.
+//
 // Kernels are stateless after construction — all mutable state lives in the
 // DPU and Tile passed to Run — so one kernel instance may execute many bank
 // tiles concurrently from the sharded engine. Shared LUT tables come from

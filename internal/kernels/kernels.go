@@ -238,6 +238,9 @@ type bk struct {
 	d    *pim.DPU
 	last int64
 	b    Breakdown
+	// The meter and breakdown as column 0 began (foldColumns).
+	m0 pim.Meter
+	b0 Breakdown
 }
 
 func newBK(d *pim.DPU) *bk { return &bk{d: d, last: d.Meter.Cycles} }
@@ -247,6 +250,41 @@ func (x *bk) charge(bucket *int64) {
 	now := x.d.Meter.Cycles
 	*bucket += now - x.last
 	x.last = now
+}
+
+// foldColumns is the first statement of every per-column loop of a cost
+// program: n = x.foldColumns(n, cols). On an accounting DPU with cols >= 3 it
+// snapshots the meter and breakdown as column 0 begins and, as column 1 would
+// begin, charges cols-2 more copies of column 0's delta to Cycles, every
+// event class and every breakdown bucket, then returns cols-1 so the loop
+// runs the last column. Otherwise it returns n. doc.go ("Column fold") shows
+// why the copies are exact.
+func (x *bk) foldColumns(n, cols int) int {
+	if cols < 3 || !x.d.CostOnly() {
+		return n
+	}
+	switch n {
+	case 0:
+		x.m0, x.b0 = x.d.Meter, x.b
+	case 1:
+		c := int64(cols - 2)
+		m := &x.d.Meter
+		m.Cycles += c * (m.Cycles - x.m0.Cycles)
+		for i := range m.Counts {
+			m.Counts[i] += c * (m.Counts[i] - x.m0.Counts[i])
+		}
+		b, b0 := &x.b, &x.b0
+		b.CanonAccess += c * (b.CanonAccess - b0.CanonAccess)
+		b.ReorderAccess += c * (b.ReorderAccess - b0.ReorderAccess)
+		b.IdxCalc += c * (b.IdxCalc - b0.IdxCalc)
+		b.Transfer += c * (b.Transfer - b0.Transfer)
+		b.LUTLoad += c * (b.LUTLoad - b0.LUTLoad)
+		b.Accumulate += c * (b.Accumulate - b0.Accumulate)
+		b.Other += c * (b.Other - b0.Other)
+		x.last = m.Cycles
+		return cols - 1
+	}
+	return n
 }
 
 // result assembles the Result from the DPU meter.

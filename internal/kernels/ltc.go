@@ -164,6 +164,7 @@ func (k *LTCKernel) RunRequest(req *Request) (*Result, error) {
 	accs := grow(&ws.planeAcc, bw)
 
 	for n := 0; n < t.N; n++ {
+		n = x.foldColumns(n, t.N)
 		if err := dmaIn(d, aSeg, int64(n*colRec), aBuf, colRec); err != nil {
 			return nil, err
 		}

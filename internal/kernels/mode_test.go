@@ -10,10 +10,22 @@ import (
 )
 
 // modeKernels enumerates every kernel implementation (the six designs plus
-// the Fig. 3(a) DRAM-resident OP candidate) at representative design points.
+// the Fig. 3(a) DRAM-resident OP candidate) at representative design points:
+// for W4A4, at the smaller packing degrees its 8-bit LUT rows leave room for.
 func modeKernels(t *testing.T, f quant.Format) []Kernel {
 	t.Helper()
 	c := DefaultCosts()
+	if f == quant.W4A4 {
+		return []Kernel{
+			NewNaiveKernel(c),
+			NewLTCKernel(c),
+			NewOPKernel(c, lut.MustSpec(f, 1)),
+			NewOPDRAMKernel(c, lut.MustSpec(f, 2)),
+			NewOPLCKernel(c, lut.MustSpec(f, 2)),
+			NewOPLCRCKernel(c, lut.MustSpec(f, 1)),
+			NewStreamKernel(c, lut.MustSpec(f, 3), 1),
+		}
+	}
 	return []Kernel{
 		NewNaiveKernel(c),
 		NewLTCKernel(c),
@@ -28,15 +40,20 @@ func modeKernels(t *testing.T, f quant.Format) []Kernel {
 // TestCyclesOnlyMatchesFunctional pins the tentpole guarantee at kernel
 // granularity: the cost program charges bit-identical cycles, event counts
 // and phase breakdowns to the functional data program, for every kernel,
-// across shapes including ragged group/chunk edges.
+// across shapes including ragged group/chunk edges. The column counts also
+// cover the cost program's column fold (foldColumns): two columns bypass it,
+// three fold one copy, and 33 fold 31 copies of a column with a ragged chunk
+// and a ragged group.
 func TestCyclesOnlyMatchesFunctional(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{16, 24, 8},
 		{300, 64, 5}, // crosses the wChunk=256 boundary with a ragged tail
 		{64, 250, 3}, // K not a multiple of any tested p
 		{1, 7, 1},    // degenerate tile
+		{40, 24, 2},
+		{300, 250, 33},
 	}
-	for _, f := range []quant.Format{quant.W1A3, quant.W2A2} {
+	for _, f := range []quant.Format{quant.W1A3, quant.W2A2, quant.W4A4} {
 		for _, kn := range modeKernels(t, f) {
 			for _, sh := range shapes {
 				pair := workload.NewGEMMPair(sh.m, sh.k, sh.n, f, 7)

@@ -92,6 +92,7 @@ func (k *OPDRAMKernel) RunRequest(req *Request) (*Result, error) {
 	entry := grow(&ws.entry, bo)
 	x := ws.newBK(d)
 	for n := 0; n < t.N; n++ {
+		n = x.foldColumns(n, t.N)
 		if err := dmaIn(d, st.metaSeg, int64(n*g*recBytes), metaBuf, g*recBytes); err != nil {
 			return nil, err
 		}

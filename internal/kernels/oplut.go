@@ -229,6 +229,7 @@ func (k *OPKernel) RunRequest(req *Request) (*Result, error) {
 	}
 
 	for n := 0; n < t.N; n++ {
+		n = x.foldColumns(n, t.N)
 		if err := dmaIn(d, st.metaSeg, int64(n*g*recBytes), metaBuf, g*recBytes); err != nil {
 			return nil, err
 		}
@@ -378,6 +379,7 @@ func (k *OPLCKernel) RunRequest(req *Request) (*Result, error) {
 
 	wb := spec.Fmt.Weight.Bits
 	for n := 0; n < t.N; n++ {
+		n = x.foldColumns(n, t.N)
 		if err := dmaIn(d, st.metaSeg, int64(n*g*recBytes), metaBuf, g*recBytes); err != nil {
 			return nil, err
 		}
@@ -557,6 +559,7 @@ func (k *OPLCRCKernel) RunRequest(req *Request) (*Result, error) {
 	}
 
 	for n := 0; n < t.N; n++ {
+		n = x.foldColumns(n, t.N)
 		if err := dmaIn(d, st.metaSeg, int64(n*g*recBytes), metaBuf, g*recBytes); err != nil {
 			return nil, err
 		}

@@ -129,6 +129,7 @@ func (k *StreamKernel) RunRequest(req *Request) (*Result, error) {
 
 	x := ws.newBK(d)
 	for n := 0; n < t.N; n++ {
+		n = x.foldColumns(n, t.N)
 		if err := dmaIn(d, st.metaSeg, int64(n*g*recBytes), metaBuf, g*recBytes); err != nil {
 			return nil, err
 		}

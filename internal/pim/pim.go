@@ -20,6 +20,7 @@ package pim
 
 import (
 	"fmt"
+	"math"
 )
 
 // EventClass enumerates the charged event kinds. The Meter tracks one
@@ -128,21 +129,34 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate checks the configuration for obvious nonsense.
+// Validate checks the configuration for obvious nonsense; each error names the
+// field and its value. The checks are written so a NaN fails them, and a clock
+// or rate of +Inf, which would price work at zero time, is rejected too.
 func (c *Config) Validate() error {
-	switch {
-	case c.Ranks <= 0 || c.BanksPerRank <= 0:
-		return fmt.Errorf("pim: topology %dx%d invalid", c.Ranks, c.BanksPerRank)
-	case c.MRAMBytes <= 0 || c.WRAMBytes <= 0:
-		return fmt.Errorf("pim: capacities invalid")
-	case c.ClockHz <= 0:
-		return fmt.Errorf("pim: clock %g invalid", c.ClockHz)
-	case c.DMABytesPerCycle <= 0:
-		return fmt.Errorf("pim: DMA rate %g invalid", c.DMABytesPerCycle)
-	case c.LUTBudgetFrac <= 0 || c.LUTBudgetFrac > 1:
-		return fmt.Errorf("pim: LUT budget fraction %g outside (0,1]", c.LUTBudgetFrac)
-	case c.HostToPIMBW <= 0 || c.PIMToHostBW <= 0 || c.HostBroadcastBW <= 0:
-		return fmt.Errorf("pim: host bandwidths must be positive")
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"Ranks", int64(c.Ranks)}, {"BanksPerRank", int64(c.BanksPerRank)},
+		{"MRAMBytes", c.MRAMBytes}, {"WRAMBytes", int64(c.WRAMBytes)},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("pim: %s %d must be positive", f.name, f.v)
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"ClockHz", c.ClockHz}, {"DMABytesPerCycle", c.DMABytesPerCycle},
+		{"HostToPIMBW", c.HostToPIMBW}, {"PIMToHostBW", c.PIMToHostBW}, {"HostBroadcastBW", c.HostBroadcastBW},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("pim: %s %g must be positive and finite", f.name, f.v)
+		}
+	}
+	if !(c.LUTBudgetFrac > 0 && c.LUTBudgetFrac <= 1) {
+		return fmt.Errorf("pim: LUTBudgetFrac %g outside (0,1]", c.LUTBudgetFrac)
 	}
 	return nil
 }

@@ -23,21 +23,40 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
+// TestConfigValidation requires every bad field, NaN and +Inf included, to be
+// an error that names the field.
 func TestConfigValidation(t *testing.T) {
-	mods := []func(*Config){
-		func(c *Config) { c.Ranks = 0 },
-		func(c *Config) { c.MRAMBytes = 0 },
-		func(c *Config) { c.ClockHz = -1 },
-		func(c *Config) { c.DMABytesPerCycle = 0 },
-		func(c *Config) { c.LUTBudgetFrac = 0 },
-		func(c *Config) { c.LUTBudgetFrac = 1.5 },
-		func(c *Config) { c.HostToPIMBW = 0 },
-	}
-	for i, mod := range mods {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		mod   func(*Config)
+	}{
+		{"Ranks", func(c *Config) { c.Ranks = 0 }},
+		{"BanksPerRank", func(c *Config) { c.BanksPerRank = -1 }},
+		{"MRAMBytes", func(c *Config) { c.MRAMBytes = 0 }},
+		{"WRAMBytes", func(c *Config) { c.WRAMBytes = 0 }},
+		{"ClockHz", func(c *Config) { c.ClockHz = -1 }},
+		{"ClockHz", func(c *Config) { c.ClockHz = nan }},
+		{"ClockHz", func(c *Config) { c.ClockHz = inf }},
+		{"DMABytesPerCycle", func(c *Config) { c.DMABytesPerCycle = 0 }},
+		{"DMABytesPerCycle", func(c *Config) { c.DMABytesPerCycle = nan }},
+		{"DMABytesPerCycle", func(c *Config) { c.DMABytesPerCycle = inf }},
+		{"LUTBudgetFrac", func(c *Config) { c.LUTBudgetFrac = 0 }},
+		{"LUTBudgetFrac", func(c *Config) { c.LUTBudgetFrac = 1.5 }},
+		{"LUTBudgetFrac", func(c *Config) { c.LUTBudgetFrac = nan }},
+		{"LUTBudgetFrac", func(c *Config) { c.LUTBudgetFrac = inf }},
+		{"HostToPIMBW", func(c *Config) { c.HostToPIMBW = 0 }},
+		{"HostToPIMBW", func(c *Config) { c.HostToPIMBW = nan }},
+		{"PIMToHostBW", func(c *Config) { c.PIMToHostBW = inf }},
+		{"HostBroadcastBW", func(c *Config) { c.HostBroadcastBW = math.Inf(-1) }},
+	} {
 		cfg := DefaultConfig()
-		mod(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("mod %d: invalid config accepted", i)
+		tc.mod(&cfg)
+		err := cfg.Validate()
+		if err == nil {
+			t.Errorf("%s: invalid config accepted: %+v", tc.field, cfg)
+		} else if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name the field", tc.field, err)
 		}
 	}
 }

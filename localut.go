@@ -216,6 +216,9 @@ func NewSystem(opts ...Option) *System {
 
 // ChoosePlan runs the §IV-D cost model for a GEMM shape.
 func (s *System) ChoosePlan(f Format, m, k, n int) (Plan, error) {
+	if err := s.engine.Cfg.Validate(); err != nil {
+		return Plan{}, err
+	}
 	c, err := costmodel.Choose(s.engine.Model, f.inner, m, k, n, &s.engine.Cfg)
 	if err != nil {
 		return Plan{}, err

@@ -2,6 +2,7 @@ package localut
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -206,10 +207,17 @@ func TestWithLUTBudgetCapacityTradeoff(t *testing.T) {
 			rc.TotalSeconds, rf.TotalSeconds, rc.Verified)
 	}
 
-	// An invalid budget must surface as an error, not a panic.
-	bad := NewSystem(WithLUTBudget(0))
-	if _, err := bad.GEMM(W1A3, 64, 64, 4, DesignLoCaLUT); err == nil {
-		t.Error("accepted a zero LUT budget")
+	// An invalid budget must surface as an error naming the field, not a
+	// panic or a costmodel error about packing degrees.
+	for _, frac := range []float64{0, math.NaN(), math.Inf(1)} {
+		bad := NewSystem(WithLUTBudget(frac))
+		_, gemmErr := bad.GEMM(W1A3, 64, 64, 4, DesignLoCaLUT)
+		_, planErr := bad.ChoosePlan(W1A3, 64, 64, 4)
+		for _, err := range []error{gemmErr, planErr} {
+			if err == nil || !strings.Contains(err.Error(), "LUTBudgetFrac") {
+				t.Errorf("LUT budget %g: error %v, want one naming LUTBudgetFrac", frac, err)
+			}
+		}
 	}
 }
 
