@@ -178,6 +178,42 @@ func TestBadEnumsAreErrors(t *testing.T) {
 			c.Instances, c.Hedge = 2, ClusterHedge{Enabled: true, DelaySeconds: math.NaN()}
 		}), "DelaySeconds"},
 	)
+	// The serve and cluster floats a NaN used to pass: a NaN duration
+	// returned an empty report and +Inf never returned (arrivals re-armed
+	// forever); a NaN token-bucket rate refused every request; a NaN mean
+	// length surfaced only as an impossible forward-pass shape; the rest were
+	// accepted and ignored. +Inf stays valid where it means "never".
+	class := func(edit func(*ClusterClass)) func() error {
+		return clusterCfg(func(c *ClusterConfig) {
+			cc := ClusterClass{Name: "a", RatePerSec: 10}
+			edit(&cc)
+			c.Admission, c.Classes = AdmitTokenBucket, []ClusterClass{cc}
+		})
+	}
+	nan := math.NaN()
+	for _, v := range []float64{nan, math.Inf(1)} {
+		v := v
+		cases = append(cases,
+			badCase{"Serve duration", serveCfg(func(c *ServeConfig) { c.DurationSeconds = v }), "DurationSeconds"},
+			badCase{"ServeCluster duration", clusterCfg(func(c *ClusterConfig) { c.DurationSeconds = v }), "DurationSeconds"},
+			badCase{"Serve output mean", serveCfg(func(c *ServeConfig) { c.OutTokensMean = v }), "OutTokensMean"},
+			badCase{"ServeCluster class output mean", class(func(cc *ClusterClass) { cc.OutTokensMean = v }), "OutTokensMean"},
+		)
+	}
+	cases = append(cases,
+		badCase{"Serve encoder output mean", serveCfg(func(c *ServeConfig) { c.Model, c.OutTokensMean = BERTBase, nan }), "OutTokensMean"},
+		badCase{"Serve mean tokens", serveCfg(func(c *ServeConfig) { c.MeanTokens = nan }), "MeanTokens"},
+		badCase{"ServeCluster mean tokens", clusterCfg(func(c *ClusterConfig) { c.MeanTokens = nan }), "MeanTokens"},
+		badCase{"ServeCluster deadline", clusterCfg(func(c *ClusterConfig) { c.Deadlines.DefaultSeconds = nan }), "DeadlineSeconds"},
+		badCase{"class mean tokens", class(func(cc *ClusterClass) { cc.MeanTokens = nan }), "MeanTokens"},
+		badCase{"class admit rate", class(func(cc *ClusterClass) { cc.AdmitRatePerSec = nan }), "AdmitRatePerSec"},
+		badCase{"class admit burst", class(func(cc *ClusterClass) { cc.AdmitBurst = nan }), "AdmitBurst"},
+		badCase{"class TTFT SLO", class(func(cc *ClusterClass) { cc.TTFTp99SLO = nan }), "TTFTp99SLO"},
+		badCase{"class latency SLO", class(func(cc *ClusterClass) { cc.LatencyP99SLO = nan }), "LatencyP99SLO"},
+		badCase{"class TPOT SLO", class(func(cc *ClusterClass) { cc.TPOTp99SLO = nan }), "TPOTp99SLO"},
+		badCase{"class deadline", class(func(cc *ClusterClass) { cc.DeadlineSeconds = nan }), "DeadlineSeconds"},
+		badCase{"class hedge delay", class(func(cc *ClusterClass) { cc.HedgeDelaySeconds = nan }), "HedgeDelaySeconds"},
+	)
 	// A trace entry that is not a time used to surface only after the run,
 	// as non-finite latency samples (the finite arrivals' too).
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/ais-snu/localut/internal/kernels"
@@ -53,7 +54,10 @@ type ClassConfig struct {
 }
 
 // validate rejects nonsensical class fields early — before inheritance
-// against the base template resolves the zero values.
+// against the base template resolves the zero values — and is the one place
+// they are checked. Every float check is written so that NaN fails it; +Inf
+// is a valid bound, deadline, delay or SLO (never reached), but not a mean
+// output length.
 func (c ClassConfig) validate(idx int) error {
 	name := c.Name
 	if name == "" {
@@ -62,21 +66,29 @@ func (c ClassConfig) validate(idx int) error {
 	switch {
 	case c.RatePerSec <= 0:
 		return fmt.Errorf("cluster: class %q rate %g must be positive", name, c.RatePerSec)
-	case c.MinTokens < 0 || c.MaxTokens < 0 || c.MeanTokens < 0:
+	case c.MinTokens < 0 || c.MaxTokens < 0:
 		return fmt.Errorf("cluster: class %q has a negative length distribution", name)
 	case c.MinTokens > 0 && c.MaxTokens > 0 && c.MinTokens > c.MaxTokens:
 		return fmt.Errorf("cluster: class %q length bounds inverted (min %d > max %d)",
 			name, c.MinTokens, c.MaxTokens)
-	case c.OutTokens < 0 || c.OutTokensMean < 0 || c.OutTokensMax < 0:
+	case c.OutTokens < 0 || c.OutTokensMax < 0:
 		return fmt.Errorf("cluster: class %q has negative decode settings", name)
-	case c.AdmitRatePerSec < 0 || c.AdmitBurst < 0:
-		return fmt.Errorf("cluster: class %q has a negative admission budget", name)
-	case c.TTFTp99SLO < 0 || c.LatencyP99SLO < 0 || c.TPOTp99SLO < 0:
-		return fmt.Errorf("cluster: class %q has a negative SLO", name)
-	case c.DeadlineSeconds < 0:
-		return fmt.Errorf("cluster: class %q has a negative deadline", name)
-	case c.HedgeDelaySeconds < 0:
-		return fmt.Errorf("cluster: class %q has a negative hedge delay", name)
+	case !(c.OutTokensMean == 0 || c.OutTokensMean >= 1) || math.IsInf(c.OutTokensMean, 1):
+		return fmt.Errorf("cluster: class %q OutTokensMean %g must be 0 or a finite count of at least 1 token",
+			name, c.OutTokensMean)
+	}
+	for _, f := range []struct {
+		field string
+		v     float64
+	}{
+		{"MeanTokens", c.MeanTokens},
+		{"AdmitRatePerSec", c.AdmitRatePerSec}, {"AdmitBurst", c.AdmitBurst},
+		{"TTFTp99SLO", c.TTFTp99SLO}, {"LatencyP99SLO", c.LatencyP99SLO}, {"TPOTp99SLO", c.TPOTp99SLO},
+		{"DeadlineSeconds", c.DeadlineSeconds}, {"HedgeDelaySeconds", c.HedgeDelaySeconds},
+	} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("cluster: class %q %s %g must not be negative or NaN", name, f.field, f.v)
+		}
 	}
 	return nil
 }
@@ -167,11 +179,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Instances < 1 {
 		return c, fmt.Errorf("cluster: fleet size %d must be at least 1", c.Instances)
 	}
-	if c.DurationSeconds <= 0 {
-		return c, fmt.Errorf("cluster: duration %g must be positive", c.DurationSeconds)
+	if !positiveFinite(c.DurationSeconds) {
+		return c, fmt.Errorf("cluster: DurationSeconds %g must be a positive finite number", c.DurationSeconds)
 	}
-	if c.DeadlineSeconds < 0 {
-		return c, fmt.Errorf("cluster: deadline %g must not be negative", c.DeadlineSeconds)
+	if !(c.DeadlineSeconds >= 0) {
+		return c, fmt.Errorf("cluster: DeadlineSeconds %g must not be negative or NaN", c.DeadlineSeconds)
 	}
 	for i, cc := range c.Classes {
 		if err := cc.validate(i); err != nil {
@@ -540,14 +552,12 @@ func (cs *csim) newRequest(t float64, class int) *serve.Request {
 	return r
 }
 
-// normalizeClass resolves a class's inherited fields against the base
-// template and validates the decode settings.
+// normalizeClass resolves a validated class's inherited fields against the
+// base template and checks what only the base can tell: whether the model
+// decodes.
 func normalizeClass(c ClassConfig, base *serve.Config, idx int) (ClassConfig, error) {
 	if c.Name == "" {
 		c.Name = fmt.Sprintf("class%d", idx)
-	}
-	if c.RatePerSec <= 0 {
-		return c, fmt.Errorf("cluster: class %q rate %g must be positive", c.Name, c.RatePerSec)
 	}
 	if c.MinTokens == 0 {
 		c.MinTokens = base.MinTokens
@@ -570,9 +580,6 @@ func normalizeClass(c ClassConfig, base *serve.Config, idx int) (ClassConfig, er
 		c.OutTokensMax = base.OutTokensMax
 	}
 	if c.OutTokensMean > 0 {
-		if c.OutTokensMean < 1 {
-			return c, fmt.Errorf("cluster: class %q output-length mean %g must be at least 1 token", c.Name, c.OutTokensMean)
-		}
 		if c.OutTokensMax == 0 {
 			c.OutTokensMax = int(4 * c.OutTokensMean)
 		}
@@ -580,15 +587,8 @@ func normalizeClass(c ClassConfig, base *serve.Config, idx int) (ClassConfig, er
 			c.OutTokensMean = float64(c.OutTokensMax)
 		}
 	}
-	switch {
-	case c.OutTokens < 0 || c.OutTokensMean < 0 || c.OutTokensMax < 0:
-		return c, fmt.Errorf("cluster: class %q has negative decode settings", c.Name)
-	case (c.OutTokens > 0 || c.OutTokensMean > 0) && !base.Model.Decoder:
+	if (c.OutTokens > 0 || c.OutTokensMean > 0) && !base.Model.Decoder {
 		return c, fmt.Errorf("cluster: class %q decodes on non-decoder model %s", c.Name, base.Model.Name)
-	case c.AdmitRatePerSec < 0 || c.AdmitBurst < 0:
-		return c, fmt.Errorf("cluster: class %q has a negative admission budget", c.Name)
-	case c.TTFTp99SLO < 0 || c.LatencyP99SLO < 0 || c.TPOTp99SLO < 0:
-		return c, fmt.Errorf("cluster: class %q has a negative SLO", c.Name)
 	}
 	if c.AdmitRatePerSec == 0 {
 		c.AdmitRatePerSec = c.RatePerSec

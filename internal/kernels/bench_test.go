@@ -64,6 +64,10 @@ func BenchmarkOPKernel(b *testing.B) {
 	benchModes(b, func() Kernel { return NewOPKernel(DefaultCosts(), lut.MustSpec(quant.W1A3, 2)) })
 }
 
+func BenchmarkOPDRAMKernel(b *testing.B) {
+	benchModes(b, func() Kernel { return NewOPDRAMKernel(DefaultCosts(), lut.MustSpec(quant.W1A3, 4)) })
+}
+
 func BenchmarkOPLCKernel(b *testing.B) {
 	benchModes(b, func() Kernel { return NewOPLCKernel(DefaultCosts(), lut.MustSpec(quant.W1A3, 4)) })
 }

@@ -318,15 +318,24 @@ func byteWidthFor(maxExclusive int64) int {
 // offsets in the minimal width the LUT footprint requires, so low-bit
 // configurations keep their transfer advantage.
 func MetaRecordBytes(v Variant, spec lut.Spec) int {
+	colB, sigB := metaLayout(v, spec)
+	return colB + sigB
+}
+
+// metaLayout splits a variant's record into its two fields: the byte offset
+// of the group's LUT column (colB bytes), then what finds a weight vector's
+// entry in it (sigB bytes) — nothing for OP, the p sort-permutation bytes
+// for OP+LC, the byte offset of the reordering column otherwise.
+func metaLayout(v Variant, spec lut.Spec) (colB, sigB int) {
 	switch v {
 	case OP:
-		return byteWidthFor(spec.OpCols() * int64(spec.EntryBytes()))
+		return byteWidthFor(spec.OpCols() * int64(spec.EntryBytes())), 0
 	case OPLC:
-		return byteWidthFor(spec.CanonicalBytes()) + spec.P
+		return byteWidthFor(spec.CanonicalBytes()), spec.P
 	case OPLCRC, LoCaLUT:
-		return byteWidthFor(spec.CanonicalBytes()) + byteWidthFor(spec.ReorderBytes())
+		return byteWidthFor(spec.CanonicalBytes()), byteWidthFor(spec.ReorderBytes())
 	}
-	return 0
+	return 0, 0
 }
 
 // chunkBytes is the staging granularity for raw-code DMA transfers.

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/ais-snu/localut/internal/lut"
@@ -119,21 +120,34 @@ func TestCyclesOnlyLeavesOutputUntouched(t *testing.T) {
 }
 
 // TestAccountingDPUCapacityParity checks that capacity exhaustion fails
-// identically in both modes — the WRAM bound is part of the cost model.
+// identically in both modes — the WRAM and MRAM bounds are part of the cost
+// model — for every packed-LUT design, and that the error names the design.
 func TestAccountingDPUCapacityParity(t *testing.T) {
-	f := quant.W4A4
-	// p=4 makes the combined W4A4 LUTs far exceed the default WRAM budget.
-	kn := NewOPLCRCKernel(DefaultCosts(), lut.MustSpec(f, 4))
-	cfg := pim.DefaultConfig()
-	pair := workload.NewGEMMPair(8, 16, 4, f, 7)
-	tile, _ := NewTile(8, 16, 4, f, pair.W.Codes, pair.A.Codes)
-	_, ferr := kn.Run(pim.NewDPU(&cfg), tile)
-	shapeTile, _ := NewShapeTile(8, 16, 4, f)
-	_, cerr := kn.Run(pim.NewAccountingDPU(&cfg), shapeTile)
-	if (ferr == nil) != (cerr == nil) {
-		t.Fatalf("mode error divergence: functional=%v cycles-only=%v", ferr, cerr)
+	c := DefaultCosts()
+	cases := []*LUTKernel{
+		NewOPKernel(c, lut.MustSpec(quant.W1A3, 4)),          // 64 KB LUT over the WRAM budget
+		NewOPDRAMKernel(c, lut.MustSpec(quant.W4A4, 4)),      // 2^32-entry LUT over the MRAM budget
+		NewOPLCKernel(c, lut.MustSpec(quant.W1A3, 6)),        // 110 KB canonical LUT over WRAM
+		NewOPLCRCKernel(c, lut.MustSpec(quant.W4A4, 4)),      // combined LUTs over WRAM
+		NewStreamKernel(c, lut.MustSpec(quant.W4A4, 4), 1),   // combined LUTs over MRAM
+		NewStreamKernel(c, lut.MustSpec(quant.W1A3, 8), 100), // 100 slice pairs over WRAM
 	}
-	if ferr != nil && ferr.Error() != cerr.Error() {
-		t.Fatalf("mode error text divergence:\n functional  %v\n cycles-only %v", ferr, cerr)
+	cfg := pim.DefaultConfig()
+	for _, kn := range cases {
+		f := kn.Spec.Fmt
+		pair := workload.NewGEMMPair(8, 16, 4, f, 7)
+		tile, _ := NewTile(8, 16, 4, f, pair.W.Codes, pair.A.Codes)
+		_, ferr := kn.Run(pim.NewDPU(&cfg), tile)
+		shapeTile, _ := NewShapeTile(8, 16, 4, f)
+		_, cerr := kn.Run(pim.NewAccountingDPU(&cfg), shapeTile)
+		if ferr == nil || cerr == nil {
+			t.Fatalf("%s: accepted an over-budget design: functional=%v cycles-only=%v", kn.Name(), ferr, cerr)
+		}
+		if ferr.Error() != cerr.Error() {
+			t.Fatalf("%s: mode error text divergence:\n functional  %v\n cycles-only %v", kn.Name(), ferr, cerr)
+		}
+		if want := "kernels: " + kn.Name() + ": "; !strings.HasPrefix(ferr.Error(), want) {
+			t.Errorf("error %q does not start with %q", ferr, want)
+		}
 	}
 }

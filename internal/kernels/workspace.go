@@ -24,7 +24,6 @@ type Workspace struct {
 	actCodes []int    // staging: one group's activation codes (p)
 	sorted   []int    // canonicalization scratch (p)
 	sperm    []int    // stable sorting permutation scratch (p)
-	codes    []uint32 // packing scratch (p)
 	coefs    []int32  // LTC plane coefficients (bw)
 	planeAcc []int32  // LTC per-plane partial sums (bw)
 	entry    []byte   // OP(DRAM) per-lookup DMA landing pad (bo)

@@ -106,8 +106,14 @@ type Config struct {
 // Arrival-source fields are left untouched — the cluster simulator drives
 // instances from its own traffic layer and calls this directly.
 func (c Config) NormalizeInstance() (Config, error) {
-	if c.Model.Layers == 0 {
+	// Every float check is written so that NaN fails it.
+	switch {
+	case c.Model.Layers == 0:
 		return c, fmt.Errorf("serve: config has no model")
+	case !(c.MeanTokens >= 0):
+		return c, fmt.Errorf("serve: MeanTokens %g must be a non-negative number", c.MeanTokens)
+	case !(c.OutTokensMean >= 0) || math.IsInf(c.OutTokensMean, 1):
+		return c, fmt.Errorf("serve: OutTokensMean %g must be a non-negative finite number", c.OutTokensMean)
 	}
 	if c.Engine == nil {
 		c.Engine = gemm.NewEngine()
@@ -172,9 +178,8 @@ func (c Config) NormalizeInstance() (Config, error) {
 			c.Replicas, c.Engine.Cfg.Ranks)
 	case c.OutTokens < 0:
 		return c, fmt.Errorf("serve: %d decode tokens", c.OutTokens)
-	case c.OutTokensMean < 0 || c.OutTokensMax < 0:
-		return c, fmt.Errorf("serve: negative output-length distribution (mean %g, max %d)",
-			c.OutTokensMean, c.OutTokensMax)
+	case c.OutTokensMax < 0:
+		return c, fmt.Errorf("serve: negative OutTokensMax %d", c.OutTokensMax)
 	case (c.OutTokens > 0 || c.OutTokensMean > 0) && !c.Model.Decoder:
 		return c, fmt.Errorf("serve: %s is not a decoder model (OutTokens must be 0)", c.Model.Name)
 	}
@@ -203,8 +208,8 @@ func (c Config) withDefaults() (Config, error) {
 		c.ThinkSeconds = 0.1
 	}
 	switch {
-	case c.DurationSeconds <= 0:
-		return c, fmt.Errorf("serve: duration %g must be positive", c.DurationSeconds)
+	case !(c.DurationSeconds > 0) || math.IsInf(c.DurationSeconds, 1):
+		return c, fmt.Errorf("serve: DurationSeconds %g must be a positive finite number", c.DurationSeconds)
 	case len(c.ArrivalTimes) == 0 && c.Clients == 0 && c.RatePerSec <= 0:
 		return c, fmt.Errorf("serve: no arrival source (set RatePerSec, Clients or ArrivalTimes)")
 	case c.Clients < 0:
