@@ -226,6 +226,42 @@ func TestBadEnumsAreErrors(t *testing.T) {
 		_, err := sys.GEMM(W1A3, -4, 64, 8, DesignLoCaLUT)
 		return err
 	}, "invalid shape"})
+	// A forced packing degree outside what lut.NewSpec accepts panicked in
+	// the planner; a negative slice batch was ignored off the streaming path.
+	for _, c := range badPlans() {
+		c := c
+		cases = append(cases, badCase{"GEMM " + c.String(), func() error {
+			_, err := NewSystem(WithCyclesOnly()).GEMM(W1A3, 64, 64, 8, c.d, c.opts()...)
+			return err
+		}, c.want()})
+	}
+	// The autoscaler's floats: +Inf in a duration left a tick or a
+	// transition that never landed, and the run hung; NaN passed every check.
+	scaler := func(edit func(*ClusterAutoscaler)) func() error {
+		return clusterCfg(func(c *ClusterConfig) {
+			c.Instances, c.Autoscaler = 1, ClusterAutoscaler{Enabled: true, SLOSeconds: 1}
+			edit(&c.Autoscaler)
+		})
+	}
+	for _, v := range []float64{nan, math.Inf(1)} {
+		v := v
+		cases = append(cases,
+			badCase{"autoscaler interval", scaler(func(a *ClusterAutoscaler) { a.IntervalSeconds = v }), "IntervalSeconds"},
+			badCase{"autoscaler warmup", scaler(func(a *ClusterAutoscaler) { a.WarmupSeconds = v }), "WarmupSeconds"},
+			badCase{"autoscaler drain", scaler(func(a *ClusterAutoscaler) { a.DrainSeconds = v }), "DrainSeconds"},
+		)
+	}
+	cases = append(cases,
+		badCase{"autoscaler SLO", scaler(func(a *ClusterAutoscaler) { a.SLOSeconds = nan }), "SLOSeconds"},
+		badCase{"autoscaler scale-down factor", scaler(func(a *ClusterAutoscaler) { a.ScaleDownFactor = nan }), "ScaleDownFactor"},
+		// Domain outages price re-materialization at the fault plan's
+		// bandwidth even when the plan is off; -5 used to report negative
+		// unavailability that passed the audit.
+		badCase{"domain remat bandwidth", clusterCfg(func(c *ClusterConfig) {
+			c.Domains = ClusterDomains{Enabled: true, MTBFSeconds: 0.5}
+			c.Faults.LUTRematGBps = -5
+		}), "LUTRematGBps"},
+	)
 	for _, tc := range cases {
 		func() {
 			defer func() {

@@ -141,6 +141,9 @@ func CheckFleet(f *Fleet) []Violation {
 		in := &f.Instances[i]
 		id := in.ID
 		unavailSum += in.UnavailableSeconds
+		if !(in.UnavailableSeconds >= 0) {
+			add("unavailable-nonnegative", "instance %d: unavailable %g s is negative or NaN", id, in.UnavailableSeconds)
+		}
 		if in.Admitted != in.Finished+in.Shed+in.Canceled+in.Displaced+in.Outstanding {
 			add("instance-conservation",
 				"instance %d: admitted %d != finished %d + shed %d + canceled %d + displaced %d + outstanding %d",

@@ -52,6 +52,7 @@ func TestCheckFleetViolations(t *testing.T) {
 		"negative energy":  {func(f *Fleet) { f.Instances[0].EnergyJ = -1 }, "energy-nonnegative"},
 		"pinned kv":        {func(f *Fleet) { f.Instances[0].KVPinnedEndBytes = 4096 }, "kv-balance"},
 		"unavail mismatch": {func(f *Fleet) { f.Instances[0].UnavailableSeconds = 2 }, "unavailable-sum"},
+		"negative unavail": {func(f *Fleet) { f.Instances[0].UnavailableSeconds = -90 }, "unavailable-nonnegative"},
 		"lost repair":      {func(f *Fleet) { f.RepairWindowSeconds = 2 }, "unavailable-evidence"},
 	}
 	for name, tc := range cases {

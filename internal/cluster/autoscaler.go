@@ -60,9 +60,20 @@ func (a AutoscalerConfig) withDefaults(initial int) (AutoscalerConfig, error) {
 	if a.DrainSeconds == 0 {
 		a.DrainSeconds = 1
 	}
+	// Every check fails on NaN. An infinite SLO never scales up, but an
+	// infinite interval, warm-up or drain leaves a tick or a transition that
+	// never lands, and the run never ends.
 	switch {
-	case a.SLOSeconds <= 0:
-		return a, fmt.Errorf("cluster: autoscaler needs a positive SLOSeconds target")
+	case !(a.SLOSeconds > 0):
+		return a, fmt.Errorf("cluster: autoscaler SLOSeconds %g must be positive", a.SLOSeconds)
+	case !positiveFinite(a.IntervalSeconds):
+		return a, fmt.Errorf("cluster: autoscaler IntervalSeconds %g must be positive and finite", a.IntervalSeconds)
+	case !positiveFinite(a.WarmupSeconds):
+		return a, fmt.Errorf("cluster: autoscaler WarmupSeconds %g must be positive and finite", a.WarmupSeconds)
+	case !positiveFinite(a.DrainSeconds):
+		return a, fmt.Errorf("cluster: autoscaler DrainSeconds %g must be positive and finite", a.DrainSeconds)
+	case !(a.ScaleDownFactor > 0 && a.ScaleDownFactor < 1):
+		return a, fmt.Errorf("cluster: autoscaler ScaleDownFactor %g outside (0, 1)", a.ScaleDownFactor)
 	case a.MinInstances < 1:
 		return a, fmt.Errorf("cluster: autoscaler MinInstances %d must be at least 1", a.MinInstances)
 	case a.MaxInstances < a.MinInstances:
@@ -70,10 +81,6 @@ func (a AutoscalerConfig) withDefaults(initial int) (AutoscalerConfig, error) {
 	case initial < a.MinInstances || initial > a.MaxInstances:
 		return a, fmt.Errorf("cluster: initial fleet %d outside autoscaler bounds [%d, %d]",
 			initial, a.MinInstances, a.MaxInstances)
-	case a.IntervalSeconds <= 0 || a.WarmupSeconds < 0 || a.DrainSeconds < 0:
-		return a, fmt.Errorf("cluster: negative autoscaler timing")
-	case a.ScaleDownFactor <= 0 || a.ScaleDownFactor >= 1:
-		return a, fmt.Errorf("cluster: ScaleDownFactor %g outside (0, 1)", a.ScaleDownFactor)
 	}
 	return a, nil
 }

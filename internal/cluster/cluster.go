@@ -194,7 +194,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Autoscaler, err = c.Autoscaler.withDefaults(c.Instances); err != nil {
 		return c, err
 	}
-	if c.Faults, err = c.Faults.withDefaults(); err != nil {
+	if c.Faults, err = c.Faults.withDefaults(c.Domains.Enabled); err != nil {
 		return c, err
 	}
 	if c.Domains, err = c.Domains.withDefaults(); err != nil {
@@ -685,16 +685,12 @@ func newSim(cfg Config) (*csim, error) {
 	// LUT budget rewritten at the modeled bandwidth (one replica's share
 	// for degraded-mode repairs). This is the capacity-computation
 	// tradeoff's availability face: bigger tables recover slower. Domain
-	// outages pay it too, at the fault plan's bandwidth (or its default
-	// when only domains are enabled).
+	// outages pay it too, at the fault plan's bandwidth, which withDefaults
+	// fills and checks whenever either is enabled.
 	if cfg.Faults.Enabled || cfg.Domains.Enabled {
-		gbps := cfg.Faults.LUTRematGBps
-		if gbps == 0 {
-			gbps = 16
-		}
 		pcfg := &base.Engine.Cfg
 		lutBytes := int64(pcfg.Ranks*pcfg.BanksPerRank) * pcfg.MRAMLUTBudget()
-		cs.rematFull = float64(lutBytes) / (gbps * 1e9)
+		cs.rematFull = float64(lutBytes) / (cfg.Faults.LUTRematGBps * 1e9)
 		cs.rematReplica = cs.rematFull / float64(base.Replicas)
 	}
 

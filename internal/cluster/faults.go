@@ -39,16 +39,24 @@ type FaultConfig struct {
 	LUTRematGBps float64
 }
 
-// withDefaults fills and validates the fault plan.
-func (f FaultConfig) withDefaults() (FaultConfig, error) {
+// withDefaults fills and validates the fault plan. Domain outages also pay
+// the re-materialization surcharge at LUTRematGBps, so with domains enabled
+// that field is filled and checked even when the plan itself is off.
+func (f FaultConfig) withDefaults(domains bool) (FaultConfig, error) {
+	if !f.Enabled && !domains {
+		return f, nil
+	}
+	if f.LUTRematGBps == 0 {
+		f.LUTRematGBps = 16
+	}
+	if !(f.LUTRematGBps > 0) {
+		return f, fmt.Errorf("cluster: LUTRematGBps %g must be positive", f.LUTRematGBps)
+	}
 	if !f.Enabled {
 		return f, nil
 	}
 	if f.MTTRSeconds == 0 {
 		f.MTTRSeconds = 5
-	}
-	if f.LUTRematGBps == 0 {
-		f.LUTRematGBps = 16
 	}
 	switch {
 	case !positiveFinite(f.MTTFSeconds):
@@ -57,8 +65,6 @@ func (f FaultConfig) withDefaults() (FaultConfig, error) {
 		return f, fmt.Errorf("cluster: fault MTTRSeconds %g must be positive and finite", f.MTTRSeconds)
 	case !(f.DegradedFraction >= 0 && f.DegradedFraction <= 1):
 		return f, fmt.Errorf("cluster: DegradedFraction %g outside [0, 1]", f.DegradedFraction)
-	case !(f.LUTRematGBps > 0):
-		return f, fmt.Errorf("cluster: LUTRematGBps %g must be positive", f.LUTRematGBps)
 	}
 	return f, nil
 }

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/quant"
 	"github.com/ais-snu/localut/internal/stripemap"
@@ -35,7 +36,7 @@ type choiceKey struct {
 // variantKey identifies one ChooseForVariant decision.
 type variantKey struct {
 	fmt  quant.Format
-	kind SizeKind
+	v    kernels.Variant
 	wram int64
 }
 
@@ -48,7 +49,7 @@ func hashChoiceKey(key choiceKey) uint64 {
 
 func hashVariantKey(key variantKey) uint64 {
 	return uint64(key.fmt.Weight.Bits)*31 ^ uint64(key.fmt.Act.Bits)*131 ^
-		uint64(key.kind)<<7 ^ uint64(key.wram)
+		uint64(key.v)<<7 ^ uint64(key.wram)
 }
 
 // Cache memoizes cost-model decisions. The zero value is not ready; use
@@ -83,12 +84,12 @@ func (c *Cache) Choose(m Model, f quant.Format, M, K, N int, cfg *pim.Config) (C
 }
 
 // ChooseForVariant is a memoized ChooseForVariant.
-func (c *Cache) ChooseForVariant(f quant.Format, kind SizeKind, cfg *pim.Config) (int, error) {
-	key := variantKey{fmt: f, kind: kind, wram: cfg.WRAMLUTBudget()}
+func (c *Cache) ChooseForVariant(f quant.Format, v kernels.Variant, cfg *pim.Config) (int, error) {
+	key := variantKey{fmt: f, v: v, wram: cfg.WRAMLUTBudget()}
 	if p, ok := c.variants.Lookup(key); ok {
 		return p, nil
 	}
-	p, err := ChooseForVariant(f, kind, cfg)
+	p, err := ChooseForVariant(f, v, cfg)
 	if err != nil {
 		return 0, err
 	}

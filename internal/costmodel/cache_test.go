@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/quant"
 )
@@ -61,18 +62,18 @@ func TestCacheKeyedByBudget(t *testing.T) {
 func TestCacheForVariant(t *testing.T) {
 	cfg := pim.DefaultConfig()
 	cache := NewCache()
-	for _, kind := range []SizeKind{SizeOpPacked, SizeCanonical, SizeCombined} {
-		want, err := ChooseForVariant(quant.W2A2, kind, &cfg)
+	for _, v := range []kernels.Variant{kernels.OP, kernels.OPLC, kernels.OPLCRC} {
+		want, err := ChooseForVariant(quant.W2A2, v, &cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			got, err := cache.ChooseForVariant(quant.W2A2, kind, &cfg)
+			got, err := cache.ChooseForVariant(quant.W2A2, v, &cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
-				t.Fatalf("kind %d: cached p=%d, want %d", kind, got, want)
+				t.Fatalf("%v: cached p=%d, want %d", v, got, want)
 			}
 		}
 	}
@@ -93,7 +94,7 @@ func TestCacheConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := cache.ChooseForVariant(f, SizeCombined, &cfg); err != nil {
+				if _, err := cache.ChooseForVariant(f, kernels.OPLCRC, &cfg); err != nil {
 					t.Error(err)
 					return
 				}

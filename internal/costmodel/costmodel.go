@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/lut"
 	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/quant"
@@ -20,19 +21,23 @@ type Model struct {
 	// the paper leads with.
 	LD float64
 	// LLocal is the time for one reordering lookup + one canonical lookup
-	// + accumulation ("12 instructions"), in seconds.
+	// + accumulation (the RCInstr instructions of §VI-I), in seconds.
 	LLocal float64
-	// RCInstr, StreamBaseInstr and OutUpdateInstr mirror the kernel cost
-	// table: the buffer-resident group costs RCInstr; the streaming group
-	// costs StreamBaseInstr + OutUpdateInstr/k.
+	// RCInstr, StreamBaseInstr and OutUpdateInstr are the kernel cost
+	// table's instruction split: the buffer-resident group costs RCInstr;
+	// the streaming group costs StreamBaseInstr + OutUpdateInstr/k.
 	RCInstr, StreamBaseInstr, OutUpdateInstr float64
 }
 
-// Default returns the UPMEM-profiled constants of the paper.
+// Default returns the UPMEM-profiled constants of the paper, with the
+// instruction split read from kernels.DefaultCosts.
 func Default() Model {
+	c := kernels.DefaultCosts()
 	return Model{
 		LD: 1.36e-9, LLocal: 3.27e-8,
-		RCInstr: 12, StreamBaseInstr: 10, OutUpdateInstr: 3,
+		RCInstr:         float64(c.RCGroupInstr()),
+		StreamBaseInstr: float64(c.RCGroupInstr() - c.RCAccumInstr + c.RCStreamRegInstr),
+		OutUpdateInstr:  float64(c.RCOutUpdateInstr),
 	}
 }
 
@@ -76,41 +81,17 @@ func (m Model) BreakEvenM(bw, pStar, pLocal int) float64 {
 		float64(pLocal) / float64(pStar-pLocal)
 }
 
-// SizeKind selects which LUT footprint a packing-degree search constrains.
-type SizeKind int
-
-const (
-	// SizeOpPacked is the plain operation-packed LUT (OP baseline).
-	SizeOpPacked SizeKind = iota
-	// SizeCanonical is the canonical LUT alone (OP+LC: reordering is done
-	// in software, so only the canonical table occupies the buffer).
-	SizeCanonical
-	// SizeCombined is canonical + reordering LUT (OP+LC+RC and LoCaLUT).
-	SizeCombined
-)
-
-// specSize returns the footprint of the given kind.
-func specSize(s lut.Spec, kind SizeKind) int64 {
-	switch kind {
-	case SizeOpPacked:
-		return s.OpPackedBytes()
-	case SizeCanonical:
-		return s.CanonicalBytes()
-	default:
-		return s.CombinedBytes()
-	}
-}
-
-// MaxP returns the largest packing degree whose LUT footprint (per kind)
-// fits the byte budget and stays buildable, or 0 if even p=1 does not fit.
-func MaxP(f quant.Format, budget int64, kind SizeKind) int {
+// MaxP returns the largest packing degree at which the packed-LUT design v's
+// footprint (kernels.TableBytes) fits the byte budget and stays buildable, or
+// 0 if even p=1 does not fit.
+func MaxP(f quant.Format, budget int64, v kernels.Variant) int {
 	best := 0
 	for p := 1; ; p++ {
 		s, err := lut.NewSpec(f, p)
 		if err != nil {
 			break
 		}
-		size := specSize(s, kind)
+		size := kernels.TableBytes(v, s)
 		if size > budget || size > lut.MaxBuildBytes {
 			// Footprints grow monotonically in p; stop at first overflow.
 			break
@@ -143,8 +124,8 @@ func Choose(m Model, f quant.Format, M, K, N int, cfg *pim.Config) (Choice, erro
 	if M <= 0 || K <= 0 || N <= 0 {
 		return Choice{}, fmt.Errorf("costmodel: invalid GEMM shape %dx%dx%d", M, K, N)
 	}
-	pLocal := MaxP(f, cfg.WRAMLUTBudget(), SizeCombined)
-	pDRAM := MaxP(f, cfg.MRAMLUTBudget(), SizeCombined)
+	pLocal := MaxP(f, cfg.WRAMLUTBudget(), kernels.LoCaLUT)
+	pDRAM := MaxP(f, cfg.MRAMLUTBudget(), kernels.LoCaLUT)
 	if pDRAM == 0 {
 		return Choice{}, fmt.Errorf("costmodel: no packing degree fits the MRAM budget for %s", f.Name())
 	}
@@ -201,12 +182,12 @@ func MaxSliceK(spec lut.Spec, cfg *pim.Config) int {
 }
 
 // ChooseForVariant picks the packing degree for the non-streaming design
-// points of §VI-A (OP, OP+LC, OP+LC+RC): the largest p whose table of the
-// variant's kind fits the WRAM budget.
-func ChooseForVariant(f quant.Format, kind SizeKind, cfg *pim.Config) (int, error) {
-	p := MaxP(f, cfg.WRAMLUTBudget(), kind)
+// points of §VI-A (OP, OP+LC, OP+LC+RC): the largest p whose tables fit the
+// WRAM budget.
+func ChooseForVariant(f quant.Format, v kernels.Variant, cfg *pim.Config) (int, error) {
+	p := MaxP(f, cfg.WRAMLUTBudget(), v)
 	if p == 0 {
-		return 0, fmt.Errorf("costmodel: no packing degree of kind %d fits WRAM for %s", kind, f.Name())
+		return 0, fmt.Errorf("costmodel: no packing degree of %v fits WRAM for %s", v, f.Name())
 	}
 	return p, nil
 }

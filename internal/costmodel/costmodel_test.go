@@ -2,8 +2,11 @@ package costmodel
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/ais-snu/localut/internal/kernels"
+	"github.com/ais-snu/localut/internal/lut"
 	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/quant"
 )
@@ -12,6 +15,10 @@ func TestDefaultConstants(t *testing.T) {
 	m := Default()
 	if m.LD != 1.36e-9 || m.LLocal != 3.27e-8 {
 		t.Errorf("constants %g %g", m.LD, m.LLocal)
+	}
+	// The §VI-I split, as kernels.DefaultCosts states it.
+	if m.RCInstr != 12 || m.StreamBaseInstr != 10 || m.OutUpdateInstr != 3 {
+		t.Errorf("instruction split %g/%g/%g, want 12/10/3", m.RCInstr, m.StreamBaseInstr, m.OutUpdateInstr)
 	}
 }
 
@@ -75,28 +82,28 @@ func TestMaxPMatchesPaper(t *testing.T) {
 	cases := []struct {
 		f      quant.Format
 		budget int64
-		kind   SizeKind
+		v      kernels.Variant
 		want   int
 	}{
-		{quant.W1A3, cfg.MRAMLUTBudget(), SizeCombined, 8},
-		{quant.W1A3, cfg.WRAMLUTBudget(), SizeCombined, 5},
-		{quant.W1A3, cfg.MRAMLUTBudget(), SizeOpPacked, 6},
-		{quant.W1A3, cfg.WRAMLUTBudget(), SizeOpPacked, 3},
+		{quant.W1A3, cfg.MRAMLUTBudget(), kernels.LoCaLUT, 8},
+		{quant.W1A3, cfg.WRAMLUTBudget(), kernels.LoCaLUT, 5},
+		{quant.W1A3, cfg.MRAMLUTBudget(), kernels.OP, 6},
+		{quant.W1A3, cfg.WRAMLUTBudget(), kernels.OP, 3},
 		// W4A4: canonical LUT at p=4 needs ~254 MB -> p_DRAM = 3 (Fig. 18a
 		// sweeps p = 1..3); buffer holds p=2.
-		{quant.W4A4, cfg.MRAMLUTBudget(), SizeCombined, 3},
-		{quant.W4A4, cfg.WRAMLUTBudget(), SizeCombined, 2},
+		{quant.W4A4, cfg.MRAMLUTBudget(), kernels.LoCaLUT, 3},
+		{quant.W4A4, cfg.WRAMLUTBudget(), kernels.LoCaLUT, 2},
 		// W2A2: Fig. 18(b) sweeps p = 4..6; p_DRAM must reach >= 6,
 		// buffer holds 4.
-		{quant.W2A2, cfg.WRAMLUTBudget(), SizeCombined, 4},
+		{quant.W2A2, cfg.WRAMLUTBudget(), kernels.LoCaLUT, 4},
 	}
 	for _, c := range cases {
-		if got := MaxP(c.f, c.budget, c.kind); got != c.want {
-			t.Errorf("MaxP(%s, %d, kind %d) = %d, want %d",
-				c.f.Name(), c.budget, c.kind, got, c.want)
+		if got := MaxP(c.f, c.budget, c.v); got != c.want {
+			t.Errorf("MaxP(%s, %d, %v) = %d, want %d",
+				c.f.Name(), c.budget, c.v, got, c.want)
 		}
 	}
-	if got := MaxP(quant.W2A2, cfg.MRAMLUTBudget(), SizeCombined); got < 6 {
+	if got := MaxP(quant.W2A2, cfg.MRAMLUTBudget(), kernels.LoCaLUT); got < 6 {
 		t.Errorf("W2A2 p_DRAM = %d, want >= 6", got)
 	}
 }
@@ -167,13 +174,62 @@ func TestChooseValidation(t *testing.T) {
 
 func TestChooseForVariant(t *testing.T) {
 	cfg := pim.DefaultConfig()
-	p, err := ChooseForVariant(quant.W1A3, SizeOpPacked, &cfg)
+	p, err := ChooseForVariant(quant.W1A3, kernels.OP, &cfg)
 	if err != nil || p != 3 {
 		t.Errorf("OP p = %d err %v, want 3", p, err)
 	}
-	p, err = ChooseForVariant(quant.W1A3, SizeCanonical, &cfg)
+	p, err = ChooseForVariant(quant.W1A3, kernels.OPLC, &cfg)
 	if err != nil || p != 5 {
 		t.Errorf("LC p = %d err %v, want 5", p, err)
+	}
+}
+
+// TestPlannerAndKernelAgreeOnFootprint: the packing degree the planner picks
+// for a packed design runs in that design's cycles-only kernel, and one more
+// is refused by the kernel's budget check wherever lut.NewSpec accepts it.
+// LoCaLUT is checked streaming, at MaxP over the MRAM budget.
+func TestPlannerAndKernelAgreeOnFootprint(t *testing.T) {
+	cfg := pim.DefaultConfig()
+	c := kernels.DefaultCosts()
+	for _, f := range quant.Formats {
+		for _, v := range []kernels.Variant{kernels.OP, kernels.OPLC, kernels.OPLCRC, kernels.LoCaLUT} {
+			p := MaxP(f, cfg.MRAMLUTBudget(), v)
+			if v != kernels.LoCaLUT {
+				var err error
+				if p, err = ChooseForVariant(f, v, &cfg); err != nil {
+					t.Fatalf("%v %s: %v", v, f.Name(), err)
+				}
+			}
+			run := func(p int) error {
+				spec := lut.MustSpec(f, p)
+				var kn kernels.Kernel
+				switch v {
+				case kernels.OP:
+					kn = kernels.NewOPKernel(c, spec)
+				case kernels.OPLC:
+					kn = kernels.NewOPLCKernel(c, spec)
+				case kernels.OPLCRC:
+					kn = kernels.NewOPLCRCKernel(c, spec)
+				default:
+					kn = kernels.NewStreamKernel(c, spec, 1)
+				}
+				tile, err := kernels.NewShapeTile(16, 24, 3, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = kn.Run(pim.NewAccountingDPU(&cfg), tile)
+				return err
+			}
+			if err := run(p); err != nil {
+				t.Errorf("%v %s: kernel refuses the planner's p=%d: %v", v, f.Name(), p, err)
+			}
+			if _, err := lut.NewSpec(f, p+1); err != nil {
+				continue
+			}
+			if err := run(p + 1); err == nil || !strings.Contains(err.Error(), "LUT budget") {
+				t.Errorf("%v %s: p=%d past the planner's %d: error %v, want the budget check", v, f.Name(), p+1, p, err)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,12 @@
 // initialization (§V-A) to pick the packing degree p*, the residence of the
 // LUTs, and the slice batch k.
 //
+// The model owns only Eq. 2's profiled constants, L_D and L_local. The
+// instruction split that refines L_local for streaming comes from
+// kernels.DefaultCosts, and the LUT footprint a packing-degree search
+// constrains is kernels.TableBytes, so the model prices the kernels'
+// own table and their own budget check.
+//
 // Because a serving workload replays a handful of shapes across layers,
 // batch members and bank shards, the package also provides Cache, a
 // thread-safe memoization of the selection keyed by (model constants,

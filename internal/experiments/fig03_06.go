@@ -27,7 +27,7 @@ func (s *Suite) Fig03() (*Result, error) {
 	res := newResult("fig03", "capacity-computation candidates (Fig. 3c)", tab)
 
 	scale := float64(nFull) / float64(nSim)
-	pBufMax := costmodel.MaxP(f, cfg.WRAMLUTBudget(), costmodel.SizeOpPacked)
+	pBufMax := costmodel.MaxP(f, cfg.WRAMLUTBudget(), kernels.OP)
 	var dramAtPBuf, bufAtPBuf float64
 	for p := 1; p <= 6; p++ {
 		tile, err := s.kernelTile(m, k, nSim, f)

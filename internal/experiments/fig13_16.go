@@ -77,7 +77,7 @@ func (s *Suite) Fig13() (*Result, error) {
 			// the bank ("for each chosen k, we select the highest p
 			// possible in the remaining memory space").
 			p := 0
-			for cand := 1; cand <= costmodel.MaxP(mf.fmt, cfg.MRAMLUTBudget(), costmodel.SizeCombined); cand++ {
+			for cand := 1; cand <= costmodel.MaxP(mf.fmt, cfg.MRAMLUTBudget(), kernels.LoCaLUT); cand++ {
 				spec := lut.MustSpec(mf.fmt, cand)
 				if int64(kk)*spec.SliceBytes() <= cfg.WRAMLUTBudget() {
 					p = cand

@@ -88,7 +88,7 @@ func (s *Suite) Fig18() (*Result, error) {
 	costs := s.Engine.Costs
 	var errSum, errN float64
 	for _, c := range cases {
-		pLocal := costmodel.MaxP(c.f, cfg.WRAMLUTBudget(), costmodel.SizeCombined)
+		pLocal := costmodel.MaxP(c.f, cfg.WRAMLUTBudget(), kernels.LoCaLUT)
 		choice, err := costmodel.Choose(model, c.f, c.m, kDim, nFull, &cfg)
 		if err != nil {
 			return nil, err

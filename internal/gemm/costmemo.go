@@ -88,14 +88,11 @@ func (e *Engine) costKeyFor(rep *Report, f quant.Format, m, k, n int) costKey {
 }
 
 // runCost executes the kernel's cost program for an m x k x n tile on an
-// accounting DPU, routing through the memo when the engine has one.
+// accounting DPU, routing through the engine's memo.
 func (e *Engine) runCost(kn kernels.Kernel, rep *Report, f quant.Format, m, k, n int) (costRecord, error) {
-	var key costKey
-	if e.CostRecords != nil {
-		key = e.costKeyFor(rep, f, m, k, n)
-		if rec, ok := e.CostRecords.lookup(key); ok {
-			return rec, nil
-		}
+	key := e.costKeyFor(rep, f, m, k, n)
+	if rec, ok := e.CostRecords.lookup(key); ok {
+		return rec, nil
 	}
 	tile, err := kernels.NewShapeTile(m, k, n, f)
 	if err != nil {
@@ -107,8 +104,6 @@ func (e *Engine) runCost(kn kernels.Kernel, rep *Report, f quant.Format, m, k, n
 		return costRecord{}, err
 	}
 	rec := costRecord{cycles: res.Cycles, meter: dpu.Meter, breakdown: res.Breakdown}
-	if e.CostRecords != nil {
-		e.CostRecords.store(key, rec)
-	}
+	e.CostRecords.store(key, rec)
 	return rec, nil
 }

@@ -26,12 +26,12 @@ type Engine struct {
 	// representative-tile vs full-grid bank simulation).
 	Exec ExecOptions
 	// Decisions memoizes cost-model choices across runs, batch members and
-	// bank shards. Nil falls back to uncached selection.
+	// bank shards. NewEngine sets it and Clone shares it.
 	Decisions *costmodel.Cache
 	// CostRecords memoizes cycles-only bank cost records across runs, batch
 	// members and bank shards (the key embeds the machine config and cost
-	// table, so sharing it across Clone'd engines is safe). Nil falls back
-	// to unmemoized cost runs.
+	// table, so sharing it across Clone'd engines is safe). NewEngine sets
+	// it and Clone shares it.
 	CostRecords *CostMemo
 	// arenas recycles per-worker execution contexts (DPU, kernel workspace,
 	// tile storage) across runs, batch members and bank shards. Shared by
@@ -56,29 +56,15 @@ func NewEngine() *Engine {
 	}
 }
 
-// choose routes a §IV-D decision through the memoized cache when present.
-func (e *Engine) choose(f quant.Format, m, k, n int) (costmodel.Choice, error) {
-	if e.Decisions != nil {
-		return e.Decisions.Choose(e.Model, f, m, k, n, &e.Cfg)
-	}
-	return costmodel.Choose(e.Model, f, m, k, n, &e.Cfg)
-}
-
-// chooseForVariant is the cached packing-degree pick for the fixed designs.
-func (e *Engine) chooseForVariant(f quant.Format, kind costmodel.SizeKind) (int, error) {
-	if e.Decisions != nil {
-		return e.Decisions.ChooseForVariant(f, kind, &e.Cfg)
-	}
-	return costmodel.ChooseForVariant(f, kind, &e.Cfg)
-}
-
 // Options selects the design point and reporting detail for one GEMM.
 type Options struct {
 	// Variant picks the kernel design.
 	Variant kernels.Variant
-	// ForceP overrides the packing degree (0 = cost-model choice).
+	// ForceP overrides the packing degree of the packed-LUT designs (0 =
+	// cost-model choice).
 	ForceP int
-	// ForceK overrides the slice batch (0 = cost-model choice).
+	// ForceK overrides LoCaLUT's slice batch (0 = cost-model choice; a
+	// negative value is an error for every design).
 	ForceK int
 	// ForceStreaming forces LUT residence for the LoCaLUT variant when
 	// ForceP is set: true = slice streaming even if the buffer would fit.
@@ -201,32 +187,23 @@ func (e *Engine) estimateTileCycles(v kernels.Variant, f quant.Format, tileM, k,
 		wdma := float64(tileM) * float64(tileN) * (bw*g4/2/dmaRate + float64(e.Cfg.DMASetupCycles))
 		return build + look + wdma
 	case kernels.OP, kernels.OPLC, kernels.OPLCRC:
-		kind := costmodel.SizeOpPacked
-		perGroup := float64(e.Costs.OPGroupInstr)
-		switch v {
-		case kernels.OPLC:
-			kind = costmodel.SizeCanonical
-		case kernels.OPLCRC:
-			kind = costmodel.SizeCombined
-			perGroup = float64(e.Costs.RCIdxCalcInstr + e.Costs.RCReorderAccInstr +
-				e.Costs.RCCanonAccInstr + e.Costs.RCAccumInstr)
-		}
-		p := costmodel.MaxP(f, e.Cfg.WRAMLUTBudget(), kind)
-		if p < 1 {
-			p = 1
-		}
+		p := max(costmodel.MaxP(f, e.Cfg.WRAMLUTBudget(), v), 1)
 		spec, err := lut.NewSpec(f, p)
 		if err != nil {
 			return mnk
 		}
-		if v == kernels.OPLC {
+		perGroup := float64(e.Costs.OPGroupInstr)
+		switch v {
+		case kernels.OPLC:
 			perGroup = float64(e.Costs.LCSWPerElement)*float64(p) + float64(e.Costs.LCSWGroupInstr)
+		case kernels.OPLCRC:
+			perGroup = float64(e.Costs.RCGroupInstr())
 		}
-		lutLoad := float64(specSizeFor(spec, kind)) / dmaRate
+		lutLoad := float64(kernels.TableBytes(v, spec)) / dmaRate
 		groups := float64((k + p - 1) / p)
 		return lutLoad + float64(tileM)*float64(tileN)*groups*perGroup
 	case kernels.LoCaLUT:
-		choice, err := e.choose(f, tileM, k, tileN)
+		choice, err := e.Decisions.Choose(e.Model, f, tileM, k, tileN, &e.Cfg)
 		if err != nil {
 			return mnk
 		}
@@ -235,80 +212,71 @@ func (e *Engine) estimateTileCycles(v kernels.Variant, f quant.Format, tileM, k,
 	return mnk
 }
 
-func specSizeFor(s lut.Spec, kind costmodel.SizeKind) int64 {
-	switch kind {
-	case costmodel.SizeOpPacked:
-		return s.OpPackedBytes()
-	case costmodel.SizeCanonical:
-		return s.CanonicalBytes()
-	default:
-		return s.CombinedBytes()
+// plan resolves the kernel for the report's tile shape and records its
+// packing degree, residence and slice batch in rep. The packed-LUT designs
+// share one path: a forced p or the cost model's, then one spec. Only
+// LoCaLUT picks a residence and a slice batch (K is 1 when buffer-resident);
+// the other designs report K = 0 and ignore ForceStreaming and ForceK.
+func (e *Engine) plan(rep *Report, f quant.Format, k int, opt Options) (kernels.Kernel, lut.Spec, error) {
+	v := opt.Variant
+	if opt.ForceK < 0 {
+		return nil, lut.Spec{}, fmt.Errorf("gemm: ForceK %d must not be negative", opt.ForceK)
 	}
-}
-
-// plan resolves the kernel and its parameters for the tile shape.
-func (e *Engine) plan(f quant.Format, tileM, k, tileN int, opt Options) (kernels.Kernel, int, int, bool, error) {
-	switch opt.Variant {
+	switch v {
 	case kernels.Naive:
-		return kernels.NewNaiveKernel(e.Costs), 0, 0, false, nil
+		return kernels.NewNaiveKernel(e.Costs), lut.Spec{}, nil
 	case kernels.LTC:
-		return kernels.NewLTCKernel(e.Costs), 0, 0, false, nil
-	case kernels.OP:
-		p := opt.ForceP
+		return kernels.NewLTCKernel(e.Costs), lut.Spec{}, nil
+	case kernels.OP, kernels.OPLC, kernels.OPLCRC, kernels.LoCaLUT:
+	default:
+		return nil, lut.Spec{}, fmt.Errorf("gemm: unknown variant %v", v)
+	}
+	var err error
+	p, sliceK := opt.ForceP, opt.ForceK
+	switch {
+	case v != kernels.LoCaLUT:
 		if p == 0 {
-			var err error
-			if p, err = e.chooseForVariant(f, costmodel.SizeOpPacked); err != nil {
-				return nil, 0, 0, false, err
-			}
+			p, err = e.Decisions.ChooseForVariant(f, v, &e.Cfg)
 		}
-		return kernels.NewOPKernel(e.Costs, lut.MustSpec(f, p)), p, 0, false, nil
-	case kernels.OPLC:
-		p := opt.ForceP
-		if p == 0 {
-			var err error
-			if p, err = e.chooseForVariant(f, costmodel.SizeCanonical); err != nil {
-				return nil, 0, 0, false, err
-			}
-		}
-		return kernels.NewOPLCKernel(e.Costs, lut.MustSpec(f, p)), p, 0, false, nil
-	case kernels.OPLCRC:
-		p := opt.ForceP
-		if p == 0 {
-			var err error
-			if p, err = e.chooseForVariant(f, costmodel.SizeCombined); err != nil {
-				return nil, 0, 0, false, err
-			}
-		}
-		return kernels.NewOPLCRCKernel(e.Costs, lut.MustSpec(f, p)), p, 0, false, nil
-	case kernels.LoCaLUT:
+	case p == 0:
 		// The full design consults the cost model per shape (§V-A) and
 		// falls back to the buffer-resident kernel when streaming loses.
-		var choice costmodel.Choice
-		if opt.ForceP != 0 {
-			choice = costmodel.Choice{P: opt.ForceP, Streaming: opt.ForceStreaming, K: opt.ForceK}
-			if choice.K == 0 {
-				choice.K = costmodel.MaxSliceK(lut.MustSpec(f, opt.ForceP), &e.Cfg)
-				if choice.K == 0 {
-					choice.K = 1
-				}
-			}
-		} else {
-			var err error
-			choice, err = e.choose(f, tileM, k, tileN)
-			if err != nil {
-				return nil, 0, 0, false, err
-			}
-			if opt.ForceK != 0 {
-				choice.K = opt.ForceK
-			}
+		var c costmodel.Choice
+		c, err = e.Decisions.Choose(e.Model, f, rep.TileM, k, rep.TileN, &e.Cfg)
+		p, rep.Streaming = c.P, c.Streaming
+		if sliceK == 0 {
+			sliceK = c.K
 		}
-		if choice.Streaming {
-			return kernels.NewStreamKernel(e.Costs, lut.MustSpec(f, choice.P), choice.K),
-				choice.P, choice.K, true, nil
-		}
-		return kernels.NewOPLCRCKernel(e.Costs, lut.MustSpec(f, choice.P)), choice.P, 1, false, nil
+	default:
+		rep.Streaming = opt.ForceStreaming
 	}
-	return nil, 0, 0, false, fmt.Errorf("gemm: unknown variant %v", opt.Variant)
+	if err != nil {
+		return nil, lut.Spec{}, err
+	}
+	spec, err := lut.NewSpec(f, p)
+	if err != nil {
+		return nil, lut.Spec{}, fmt.Errorf("gemm: ForceP %d: %w", p, err)
+	}
+	rep.P = p
+	var kn kernels.Kernel
+	switch {
+	case v == kernels.OP:
+		kn = kernels.NewOPKernel(e.Costs, spec)
+	case v == kernels.OPLC:
+		kn = kernels.NewOPLCKernel(e.Costs, spec)
+	case v == kernels.OPLCRC:
+		kn = kernels.NewOPLCRCKernel(e.Costs, spec)
+	case rep.Streaming:
+		if sliceK == 0 {
+			sliceK = max(costmodel.MaxSliceK(spec, &e.Cfg), 1)
+		}
+		rep.K = sliceK
+		kn = kernels.NewStreamKernel(e.Costs, spec, sliceK)
+	default:
+		rep.K = 1
+		kn = kernels.NewOPLCRCKernel(e.Costs, spec)
+	}
+	return kn, spec, nil
 }
 
 // NewPair returns the synthetic M x K x N problem the engine's mode needs: a
@@ -352,14 +320,13 @@ func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
 	tileM := (pair.M + gridM - 1) / gridM
 	tileN := (pair.N + gridN - 1) / gridN
 
-	kn, p, sliceK, streaming, err := e.plan(pair.Fmt, tileM, pair.K, tileN, opt)
+	rep := &Report{
+		Variant: opt.Variant,
+		GridM:   gridM, GridN: gridN, TileM: tileM, TileN: tileN, Rounds: rounds,
+	}
+	kn, spec, err := e.plan(rep, pair.Fmt, pair.K, opt)
 	if err != nil {
 		return nil, err
-	}
-
-	rep := &Report{
-		Variant: opt.Variant, P: p, K: sliceK, Streaming: streaming,
-		GridM: gridM, GridN: gridN, TileM: tileM, TileN: tileN, Rounds: rounds,
 	}
 
 	if e.Exec.FullGrid {
@@ -422,9 +389,9 @@ func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
 		e.finishRepresentative(rep, res.Cycles, &ar.dpu.Meter, &res.Breakdown, rounds, gridM*gridN)
 	}
 
-	e.chargeHost(rep, pair, p, opt.Variant)
-	e.chargeTransfers(rep, pair, p, opt.Variant, gridM, gridN)
-	e.chargeInit(rep, pair, p, opt.Variant, streaming, gridN)
+	e.chargeHost(rep, pair, opt.Variant)
+	e.chargeTransfers(rep, pair, spec, opt.Variant, gridM, gridN)
+	e.chargeInit(rep, pair, spec, opt.Variant, gridN)
 
 	rep.Total = rep.HostSeconds + rep.Transfer + rep.KernelSeconds
 
@@ -477,7 +444,7 @@ func (e *Engine) hostSeconds(n int64) float64 { return float64(n) / e.HostOpsPer
 // chargeHost accounts the online host pipeline: activation quantization,
 // canonicalization (sort + pack + rank) for LUT variants, and output
 // dequantization. Weight-side preparation is offline (chargeInit).
-func (e *Engine) chargeHost(rep *Report, pair *workload.GEMMPair, p int, v kernels.Variant) {
+func (e *Engine) chargeHost(rep *Report, pair *workload.GEMMPair, v kernels.Variant) {
 	actElems := int64(pair.K) * int64(pair.N)
 	outElems := int64(pair.M) * int64(pair.N)
 
@@ -510,58 +477,42 @@ func (e *Engine) chargeHost(rep *Report, pair *workload.GEMMPair, p int, v kerne
 }
 
 // actBytesPerColumn returns the per-column activation payload each bank
-// receives under the variant's staging format.
-func actBytesPerColumn(f quant.Format, K, p int, v kernels.Variant) int64 {
+// receives under the variant's staging format (spec is zero for Naive and
+// LTC).
+func actBytesPerColumn(spec lut.Spec, K int, v kernels.Variant) int64 {
 	switch v {
 	case kernels.Naive:
 		return int64(K)
 	case kernels.LTC:
 		return int64(K) + 4
-	default:
-		g := int64((K + p - 1) / p)
-		return g * int64(kernels.MetaRecordBytes(v, lut.MustSpec(f, p)))
 	}
+	g := int64((K + spec.P - 1) / spec.P)
+	return g * int64(kernels.MetaRecordBytes(v, spec))
 }
 
 // chargeTransfers accounts the steady-state host<->PIM traffic: activation
 // metadata scattered to the N-stripes, its replication to the gridM
 // M-stripes (identical payloads, shipped with UPMEM's rank-symmetric
 // broadcast), and the output gather.
-func (e *Engine) chargeTransfers(rep *Report, pair *workload.GEMMPair, p int, v kernels.Variant, gridM, gridN int) {
-	unique := actBytesPerColumn(pair.Fmt, pair.K, p, v) * int64(pair.N)
+func (e *Engine) chargeTransfers(rep *Report, pair *workload.GEMMPair, spec lut.Spec, v kernels.Variant, gridM, gridN int) {
+	unique := actBytesPerColumn(spec, pair.K, v) * int64(pair.N)
 	outBytes := int64(pair.M) * int64(pair.N) * 4
 	rep.Transfer = float64(unique)/e.Cfg.HostToPIMBW + float64(outBytes)/e.Cfg.PIMToHostBW
 	if gridM > 1 {
 		rep.Transfer += float64(unique) / e.Cfg.HostBroadcastBW
 	}
-	rep.Meter.Counts[pim.EvHostToPIM] += unique * int64(min2(gridM, 2))
+	rep.Meter.Counts[pim.EvHostToPIM] += unique * int64(min(gridM, 2))
 	rep.Meter.Counts[pim.EvPIMToHost] += outBytes
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // chargeInit accounts one-time per-layer setup: LUT construction on the
 // host, LUT broadcast to all banks, and weight staging (weights are
-// replicated across the gridN column stripes).
-func (e *Engine) chargeInit(rep *Report, pair *workload.GEMMPair, p int, v kernels.Variant, streaming bool, gridN int) {
-	var lutBytes int64
-	switch v {
-	case kernels.OP:
-		lutBytes = lut.MustSpec(pair.Fmt, p).OpPackedBytes()
-	case kernels.OPLC:
-		lutBytes = lut.MustSpec(pair.Fmt, p).CanonicalBytes()
-	case kernels.OPLCRC, kernels.LoCaLUT:
-		lutBytes = lut.MustSpec(pair.Fmt, p).CombinedBytes()
-	}
-	wBytes := int64(pair.M) * int64((pair.K+max(p, 1)-1)/max(p, 1))
-	if v == kernels.Naive || v == kernels.LTC {
-		wBytes = int64(pair.M) * int64(pair.K)
-	}
+// replicated across the gridN column stripes; Naive and LTC, whose spec is
+// zero, stage one byte per weight).
+func (e *Engine) chargeInit(rep *Report, pair *workload.GEMMPair, spec lut.Spec, v kernels.Variant, gridN int) {
+	lutBytes := kernels.TableBytes(v, spec)
+	p := max(spec.P, 1)
+	wBytes := int64(pair.M) * int64((pair.K+p-1)/p)
 	// Weight tiles are identical across the gridN column stripes, so their
 	// replication also rides the broadcast path.
 	wXfer := float64(wBytes) / e.Cfg.HostToPIMBW
@@ -570,13 +521,6 @@ func (e *Engine) chargeInit(rep *Report, pair *workload.GEMMPair, p int, v kerne
 	}
 	rep.InitSeconds = e.hostSeconds(lutBytes*2) + // host-side table fill
 		float64(lutBytes)/e.Cfg.HostBroadcastBW + wXfer
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Speedup is a convenience: baseline.Total / candidate.Total.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/ais-snu/localut/internal/kernels"
+	"github.com/ais-snu/localut/internal/lut"
 	"github.com/ais-snu/localut/internal/quant"
 	"github.com/ais-snu/localut/internal/workload"
 )
@@ -94,7 +95,7 @@ func TestMetaRecordWidths(t *testing.T) {
 		{kernels.OP, quant.W1A3, 3, 2},      // 512-entry row -> 2 B
 	}
 	for _, c := range cases {
-		got := actBytesPerColumn(c.f, c.p, c.p, c.v) // K = p -> one group
+		got := actBytesPerColumn(lut.MustSpec(c.f, c.p), c.p, c.v) // K = p -> one group
 		if got != c.want {
 			t.Errorf("%v %s p=%d: record = %d B, want %d", c.v, c.f.Name(), c.p, got, c.want)
 		}

@@ -23,6 +23,11 @@
 // buffers, the slice stream, the functional lookup and the per-chunk
 // charges.
 //
+// A design's LUT footprint is written once, in TableBytes. The budget check
+// reads it, and so do the planner's packing-degree search
+// (costmodel.MaxP), its grid estimate and its LUT-init charge, so a p the
+// planner picks is a p the kernel accepts.
+//
 // Every kernel is functional *and* cycle-charged: it computes the exact
 // integer tile product by moving real bytes through the pim.DPU's MRAM, DMA
 // and WRAM objects, while charging the documented instruction budget of its

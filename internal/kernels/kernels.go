@@ -139,6 +139,12 @@ func DefaultCosts() Costs {
 	}
 }
 
+// RCGroupInstr is the buffer-resident reordering-LUT group of §VI-I,
+// IdxCalc+Reorder+Canon+Accum: the "12 instructions" L_local times.
+func (c Costs) RCGroupInstr() int64 {
+	return c.RCIdxCalcInstr + c.RCReorderAccInstr + c.RCCanonAccInstr + c.RCAccumInstr
+}
+
 // Tile is one bank's share of a GEMM: O[m][n] = sum_k W[m][k] * A[k][n]
 // over decoded code values. W codes are row-major M x K, A codes are
 // row-major K x N, O is row-major M x N.
@@ -320,6 +326,23 @@ func byteWidthFor(maxExclusive int64) int {
 func MetaRecordBytes(v Variant, spec lut.Spec) int {
 	colB, sigB := metaLayout(v, spec)
 	return colB + sigB
+}
+
+// TableBytes is the LUT footprint of a packed-LUT design at spec: the
+// operation-packed table (OP), the canonical table (OP+LC), or the canonical
+// plus the reordering table (OP+LC+RC, LoCaLUT). Naive and LTC hold no
+// host-built table. The kernels check it against their budget and the
+// planner searches p with it, so the two cannot disagree.
+func TableBytes(v Variant, spec lut.Spec) int64 {
+	switch v {
+	case OP:
+		return spec.OpPackedBytes()
+	case OPLC:
+		return spec.CanonicalBytes()
+	case OPLCRC, LoCaLUT:
+		return spec.CombinedBytes()
+	}
+	return 0
 }
 
 // metaLayout splits a variant's record into its two fields: the byte offset

@@ -242,13 +242,10 @@ func (k *LUTKernel) RunRequest(req *Request) (*Result, error) {
 
 	// The budget check: the tables against the memory they live in, and a
 	// slice batch against WRAM.
-	tabBytes := spec.OpPackedBytes()
-	if idx != concat {
-		tabBytes = spec.CanonicalBytes()
-	}
-	need, reorderBytes := tabBytes, int64(0)
+	need := TableBytes(k.v, spec)
+	tabBytes, reorderBytes := need, int64(0)
 	if idx == reorderLUT {
-		need, reorderBytes = spec.CombinedBytes(), spec.ReorderBytes()
+		tabBytes, reorderBytes = spec.CanonicalBytes(), spec.ReorderBytes()
 	}
 	mem, budget := "WRAM", d.Cfg.WRAMLUTBudget()
 	if res != inWRAM {
