@@ -1,25 +1,29 @@
 // Package cli is the plumbing localut-serve, localut-cluster and
-// localut-bench share: the error exit, the -o/-json/-csv output selection,
-// the appliance and request-shape flags both serving commands take, and
-// the name parsers of the internal sweep paths.
+// localut-bench share: the error exit, the output, observability and
+// profile flags and the command-line run of both serving commands, the
+// appliance and request-shape flags they take, the one resolver of their
+// name flags to facade values, the sweep-list parser, and the refusal of a
+// flag a mode would drop. The serving commands are clients of the public
+// facade: every mode of each builds one config from these flags and runs it
+// through one System, and every flag is honoured or refused by name in
+// every mode.
 package cli
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/ais-snu/localut"
-	"github.com/ais-snu/localut/internal/dnn"
-	"github.com/ais-snu/localut/internal/gemm"
-	"github.com/ais-snu/localut/internal/kernels"
-	"github.com/ais-snu/localut/internal/quant"
-	"github.com/ais-snu/localut/internal/serve"
+	"github.com/ais-snu/localut/cmd/internal/obsfiles"
+	"github.com/ais-snu/localut/internal/prof"
 	"github.com/ais-snu/localut/internal/trace"
 )
 
@@ -34,30 +38,58 @@ func Main(name string, run func() error) {
 	}
 }
 
-// Output is the -o/-json/-csv selection of the serving commands.
+// Output is what the serving commands write: the -o/-json/-csv report
+// selection, the -trace-out/-metrics-out observability files and the
+// -cpuprofile/-memprofile profiles.
 type Output struct {
 	Path      string
 	JSON, CSV bool
+
+	TraceOut, MetricsOut   string
+	TraceSample            int
+	MetricsInterval        time.Duration
+	CPUProfile, MemProfile string
 }
 
-// Register binds the three flags.
+// Register binds the flags.
 func (o *Output) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Path, "o", "", "write output to this file instead of stdout")
 	fs.BoolVar(&o.JSON, "json", false, "emit JSON")
 	fs.BoolVar(&o.CSV, "csv", false, "emit CSV")
+	fs.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
+	fs.IntVar(&o.TraceSample, "trace-sample", 1, "keep every N-th request's lifecycle span in the trace")
+	fs.StringVar(&o.MetricsOut, "metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
+	fs.DurationVar(&o.MetricsInterval, "metrics-interval", time.Second, "time-series sampling interval")
+	fs.StringVar(&o.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&o.MemProfile, "memprofile", "", "write a post-GC pprof heap profile to this file at exit")
 }
 
-// Open returns the writer -o selects (standard output when unset) and its
-// closer, whose error the caller reports: the file has just been written.
-func (o *Output) Open() (io.Writer, func() error, error) {
+// Run parses the command line into the flags registered on
+// flag.CommandLine, starts the requested profiles and runs execute on the
+// parsed flags, writing to the file -o names (standard output when unset).
+// The -o file's close error is reported with execute's: the file has just
+// been written. The profiles stop when Run returns, so a failing run still
+// leaves usable profiles.
+func (o *Output) Run(execute func(*flag.FlagSet, io.Writer) error) error {
+	flag.Parse()
+	stop, err := prof.Start(o.CPUProfile, o.MemProfile)
+	if err != nil {
+		return err
+	}
+	defer stop()
 	if o.Path == "" {
-		return os.Stdout, func() error { return nil }, nil
+		return execute(flag.CommandLine, os.Stdout)
 	}
 	f, err := os.Create(o.Path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return f, f.Close, nil
+	return errors.Join(execute(flag.CommandLine, f), f.Close())
+}
+
+// Obs opens the -trace-out and -metrics-out files (see obsfiles.Open).
+func (o *Output) Obs() (localut.ObsConfig, func() error, error) {
+	return obsfiles.Open(o.TraceOut, o.TraceSample, o.MetricsOut, o.MetricsInterval.Seconds())
 }
 
 // Table writes t as CSV under -csv and as an aligned text table otherwise.
@@ -66,6 +98,16 @@ func (o *Output) Table(w io.Writer, t *trace.Table) error {
 		return t.CSV(w)
 	}
 	return t.Render(w)
+}
+
+// Sweep writes a sweep's table the way Table does, and its point count and
+// host wall-clock since start to standard error.
+func (o *Output) Sweep(w io.Writer, t *trace.Table, what string, start time.Time) error {
+	if err := o.Table(w, t); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%d %s points in %.2fs host wall-clock\n", len(t.Rows), what, time.Since(start).Seconds())
+	return nil
 }
 
 // WriteJSON writes v the way -json does: two-space indented, one document.
@@ -130,81 +172,64 @@ func (w *Workload) System() *localut.System {
 	return localut.NewSystem(opts...)
 }
 
-// Instance is the per-appliance serve.Config the flags describe — the
-// template the internal sweep drivers vary — on its own engine when
-// -ranks overrides the testbed. Arrival source, window and seed are the
-// caller's.
-func (w *Workload) Instance() (serve.Config, error) {
-	mc, err := ModelConfig(w.Model)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	f, err := quant.ParseFormat(w.Format)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	v, err := VariantByName(w.Design)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	pol, err := serve.ParsePolicy(w.Scheduler)
-	if err != nil {
-		return serve.Config{}, err
-	}
-	c := serve.Config{
-		Model: mc, Fmt: f, Variant: v,
-		Replicas:      w.Replicas,
-		MaxBatch:      w.MaxBatch,
-		Scheduler:     pol,
-		MinTokens:     w.MinTokens,
-		MaxTokens:     w.MaxTokens,
-		MeanTokens:    w.MeanTokens,
-		TokenQuantum:  w.Quantum,
-		OutTokens:     w.OutTokens,
-		OutTokensMean: w.OutTokensMean,
-		OutTokensMax:  w.OutTokensMax,
-	}
-	if w.Ranks > 0 {
-		c.Engine = gemm.NewEngine()
-		c.Engine.Cfg.Ranks = w.Ranks
-	}
-	return c, nil
+// Names are the facade values the name flags select.
+type Names struct {
+	Model     localut.Model
+	Format    localut.Format
+	Design    localut.Design
+	Scheduler localut.SchedulerPolicy
+	// Designs is the command's comma-separated -designs list (nil when
+	// the list is empty).
+	Designs []localut.Design
 }
 
-// ModelConfig maps a CLI model name to its dnn config, case-insensitively.
-func ModelConfig(name string) (dnn.ModelConfig, error) {
-	switch strings.ToLower(name) {
-	case "bert-base":
-		return dnn.BERTBase(), nil
-	case "opt-125m":
-		return dnn.OPT125M(), nil
-	case "vit-base":
-		return dnn.ViTBase(), nil
+// Names resolves -model, -fmt, -design, -scheduler and the command's
+// -designs list through the facade's parsers; a bad name is an error rather
+// than a default.
+func (w *Workload) Names(designs string) (Names, error) {
+	var n Names
+	var err error
+	if n.Model, err = localut.ParseModel(w.Model); err != nil {
+		return n, err
 	}
-	return dnn.ModelConfig{}, fmt.Errorf("unknown model %q (want bert-base, opt-125m or vit-base)", name)
-}
-
-// VariantByName resolves a design by its paper name, case-insensitively.
-func VariantByName(s string) (kernels.Variant, error) {
-	for _, v := range kernels.Variants {
-		if strings.EqualFold(s, v.String()) {
-			return v, nil
-		}
+	if n.Format, err = localut.ParseFormat(w.Format); err != nil {
+		return n, err
 	}
-	return 0, fmt.Errorf("unknown design %q", s)
-}
-
-// Variants resolves a comma-separated design list.
-func Variants(list string) ([]kernels.Variant, error) {
-	var out []kernels.Variant
-	for _, name := range strings.Split(list, ",") {
-		v, err := VariantByName(strings.TrimSpace(name))
+	if n.Design, err = localut.ParseDesign(w.Design); err != nil {
+		return n, err
+	}
+	if n.Scheduler, err = localut.ParseSchedulerPolicy(w.Scheduler); err != nil {
+		return n, err
+	}
+	if designs == "" {
+		return n, nil
+	}
+	for _, name := range strings.Split(designs, ",") {
+		d, err := localut.ParseDesign(strings.TrimSpace(name))
 		if err != nil {
-			return nil, err
+			return n, err
 		}
-		out = append(out, v)
+		n.Designs = append(n.Designs, d)
 	}
-	return out, nil
+	return n, nil
+}
+
+// Refuse is the error for the first flag set on fs (in name order) that a
+// mode would drop: one refused reports true for. A mode honours every
+// flag it does not refuse.
+func Refuse(fs *flag.FlagSet, mode string, refused func(name string) bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && refused(f.Name) {
+			err = fmt.Errorf("-%s is not honoured with %s", f.Name, mode)
+		}
+	})
+	return err
+}
+
+// Among reports whether a flag name is one of names.
+func Among(names ...string) func(string) bool {
+	return func(name string) bool { return slices.Contains(names, name) }
 }
 
 // ParseNums parses a comma-separated list of sweep values ("25, 50,100").

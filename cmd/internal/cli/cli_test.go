@@ -3,9 +3,10 @@ package cli
 import (
 	"flag"
 	"io"
+	"reflect"
 	"testing"
 
-	"github.com/ais-snu/localut/internal/kernels"
+	"github.com/ais-snu/localut"
 )
 
 // TestParseNums covers the sweep-list parser's error paths, and the zero
@@ -27,38 +28,59 @@ func TestParseNums(t *testing.T) {
 	}
 }
 
-// TestWorkloadInstance checks the flags reach the serve.Config template,
-// names parse in any case, and a bad name is an error rather than a default.
-func TestWorkloadInstance(t *testing.T) {
-	parse := func(args ...string) (*Workload, error) {
+// TestWorkloadNames checks the name flags resolve to facade values (model,
+// design and scheduler in any case), a -designs list splits and trims, and
+// a bad name is an error rather than a default.
+func TestWorkloadNames(t *testing.T) {
+	parse := func(args ...string) *Workload {
 		var w Workload
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		w.Register(fs)
-		return &w, fs.Parse(args)
-	}
-	w, err := parse("-model", "OPT-125M", "-design", "op+lc", "-scheduler", "FCFS", "-ranks", "8", "-out-tokens", "4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := w.Instance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Model.Name != "OPT-125M" || c.Variant != kernels.OPLC || c.Scheduler.String() != "fcfs" ||
-		c.Engine == nil || c.Engine.Cfg.Ranks != 8 || c.OutTokens != 4 || c.Replicas != 4 || c.TokenQuantum != 64 {
-		t.Errorf("Instance() = %+v", c)
-	}
-	for _, bad := range [][]string{{"-model", "gpt"}, {"-fmt", "W9"}, {"-design", "fast"}, {"-scheduler", "lifo"}} {
-		w, err := parse(bad...)
-		if err != nil {
+		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Instance(); err == nil {
-			t.Errorf("Instance() accepted %v", bad)
+		return &w
+	}
+	n, err := parse("-model", "OPT-125M", "-fmt", "W2A2", "-design", "op+lc", "-scheduler", "FCFS").Names("LoCaLUT, naivepim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Model != localut.OPT125M || n.Format != localut.W2A2 || n.Design != localut.DesignOPLC ||
+		n.Scheduler != localut.ScheduleFCFS || !reflect.DeepEqual(n.Designs, []localut.Design{localut.DesignLoCaLUT, localut.DesignNaive}) {
+		t.Errorf("Names() = %+v", n)
+	}
+	if n, err := parse().Names(""); err != nil || n.Designs != nil || n.Scheduler != localut.SchedulePacked {
+		t.Errorf("default Names() = %+v, %v", n, err)
+	}
+	for _, bad := range [][]string{{"-model", "gpt"}, {"-fmt", "W9"}, {"-design", "fast"}, {"-scheduler", "lifo"}} {
+		if _, err := parse(bad...).Names(""); err == nil {
+			t.Errorf("Names() accepted %v", bad)
 		}
 	}
-	if vs, err := Variants("LoCaLUT, naivepim"); err != nil || len(vs) != 2 || vs[1] != kernels.Naive {
-		t.Errorf("Variants = %v, %v", vs, err)
+	if _, err := parse().Names("LoCaLUT,,OP"); err == nil {
+		t.Error("Names() accepted an empty -designs entry")
+	}
+}
+
+// TestRefuse checks a refused flag is named only when it was set, and a
+// flag set to its default value still counts as set.
+func TestRefuse(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	a := fs.Int("a", 0, "")
+	fs.Int("b", 0, "")
+	fs.Int("c", 0, "")
+	if err := fs.Parse([]string{"-c", "0", "-a", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Refuse(fs, "-sweep", Among("b")); err != nil {
+		t.Errorf("unset -b refused: %v", err)
+	}
+	if err := Refuse(fs, "-sweep", Among("b", "c")); err == nil || err.Error() != "-c is not honoured with -sweep" {
+		t.Errorf("-c set to its default: got %v", err)
+	}
+	if err := Refuse(fs, "-chaos", func(name string) bool { return name != "c" }); err == nil || *a != 1 ||
+		err.Error() != "-a is not honoured with -chaos" {
+		t.Errorf("allow-list refusal: got %v", err)
 	}
 }

@@ -15,26 +15,26 @@
 //	localut-cluster -sweep 500,1000,2000 -fleets 2,4,8
 //
 // Output is a summary table plus per-instance and per-class sections;
-// -json and -csv switch formats, -o writes to a file.
+// -json and -csv switch formats, -o writes to a file. Every mode but the
+// fixed -chaos scenarios runs the one ClusterConfig the flags describe, a
+// sweep overriding only what it sweeps; every flag is honoured in every
+// mode or refused by name.
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/ais-snu/localut"
 	"github.com/ais-snu/localut/cmd/internal/cli"
-	"github.com/ais-snu/localut/cmd/internal/obsfiles"
-	"github.com/ais-snu/localut/internal/cluster"
-	"github.com/ais-snu/localut/internal/experiments"
-	"github.com/ais-snu/localut/internal/prof"
-	"github.com/ais-snu/localut/internal/serve"
 	"github.com/ais-snu/localut/internal/trace"
 )
 
@@ -70,11 +70,7 @@ type options struct {
 	chaos                                int
 	sweep, fleets, mttfSweep, hedgeSweep string
 
-	timeline               bool
-	traceOut, metricsOut   string
-	traceSample            int
-	metricsInterval        time.Duration
-	cpuProfile, memProfile string
+	timeline bool
 }
 
 func (o *options) register(fs *flag.FlagSet) {
@@ -116,12 +112,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.fleets, "fleets", "", "comma-separated fleet sizes for -sweep (default: -instances)")
 	fs.StringVar(&o.mttfSweep, "mttf-sweep", "", "comma-separated MTTF values (seconds; 0 = fault-free baseline) for a reliability sweep")
 	fs.BoolVar(&o.timeline, "timeline", false, "print the fleet-state timeline: scale, fault, domain-outage and straggler transitions (table output only; per-request hedge and KV-shed detail is in -trace-out)")
-	fs.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
-	fs.IntVar(&o.traceSample, "trace-sample", 1, "keep every N-th request's lifecycle span in the trace")
-	fs.StringVar(&o.metricsOut, "metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
-	fs.DurationVar(&o.metricsInterval, "metrics-interval", time.Second, "time-series sampling interval")
-	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
-	fs.StringVar(&o.memProfile, "memprofile", "", "write a post-GC pprof heap profile to this file at exit")
 }
 
 func main() { cli.Main("localut-cluster", run) }
@@ -129,31 +119,44 @@ func main() { cli.Main("localut-cluster", run) }
 func run() error {
 	var o options
 	o.register(flag.CommandLine)
-	flag.Parse()
+	return o.out.Run(o.execute)
+}
 
-	stopProf, err := prof.Start(o.cpuProfile, o.memProfile)
-	if err != nil {
-		return err
-	}
-	defer stopProf()
+// chaosFlags are the flags -chaos honours: it runs fixed scenarios.
+var chaosFlags = []string{"chaos", "j", "o", "json", "csv", "audit", "cpuprofile", "memprofile"}
 
-	w, closeOut, err := o.out.Open()
-	if err != nil {
-		return err
+// execute runs the mode the flags in fs select, writing its output to w.
+// Every mode but -chaos runs the one ClusterConfig the flags describe on
+// one System, a sweep overriding only the fields it sweeps; a flag the
+// mode would drop is refused by name.
+func (o *options) execute(fs *flag.FlagSet, w io.Writer) error {
+	if o.chaos > 0 {
+		if err := cli.Refuse(fs, "-chaos", func(name string) bool { return !slices.Contains(chaosFlags, name) }); err != nil {
+			return err
+		}
+		return runChaos(w, o)
 	}
+	sweeps := []string{"json", "timeline", "trace-out", "metrics-out"} // no sweep writes these
+	mode, refused, run := "a single run", []string{"fleets"}, o.runFleet
 	switch {
-	case o.chaos > 0:
-		err = runChaos(w, &o)
 	case o.hedgeSweep != "":
-		err = runHedgeSweep(w, &o)
+		mode, refused, run = "-hedge-sweep", append(sweeps, "sweep", "mttf-sweep", "fleets", "hedge-delay"), o.runHedgeSweep
 	case o.mttfSweep != "":
-		err = runMTTFSweep(w, &o)
+		mode, refused, run = "-mttf-sweep", append(sweeps, "sweep", "fleets", "mttf"), o.runMTTFSweep
 	case o.sweep != "":
-		err = runSweep(w, &o)
-	default:
-		err = runFleet(w, &o)
+		mode, refused, run = "-sweep", append(sweeps, "rate", "classes"), o.runSweep
+		if o.fleets != "" {
+			refused = append(refused, "instances")
+		}
 	}
-	return errors.Join(err, closeOut())
+	if err := cli.Refuse(fs, mode, cli.Among(refused...)); err != nil {
+		return err
+	}
+	cfg, err := o.fleetConfig()
+	if err != nil {
+		return err
+	}
+	return run(w, o.System(), cfg)
 }
 
 // fleetConfig is the facade config the flags describe. A chaos layer is
@@ -204,19 +207,11 @@ func (o *options) fleetConfig() (localut.ClusterConfig, error) {
 	cfg.Domains.Enabled = o.domains.Count > 0
 	cfg.Stragglers.Enabled = o.stragglers.MTBFSeconds > 0
 
-	var err error
-	if cfg.Model, err = localut.ParseModel(o.Model); err != nil {
+	n, err := o.Names(o.designs)
+	if err != nil {
 		return cfg, err
 	}
-	if cfg.Format, err = localut.ParseFormat(o.Format); err != nil {
-		return cfg, err
-	}
-	if cfg.Design, err = localut.ParseDesign(o.Design); err != nil {
-		return cfg, err
-	}
-	if cfg.Scheduler, err = localut.ParseSchedulerPolicy(o.Scheduler); err != nil {
-		return cfg, err
-	}
+	cfg.Model, cfg.Format, cfg.Design, cfg.Designs, cfg.Scheduler = n.Model, n.Format, n.Design, n.Designs, n.Scheduler
 	if cfg.Router, err = localut.ParseRouterPolicy(o.router); err != nil {
 		return cfg, err
 	}
@@ -226,34 +221,21 @@ func (o *options) fleetConfig() (localut.ClusterConfig, error) {
 	if cfg.KVPolicy, err = localut.ParseKVPolicy(o.kv); err != nil {
 		return cfg, err
 	}
-	if o.designs != "" {
-		for _, name := range strings.Split(o.designs, ",") {
-			d, err := localut.ParseDesign(strings.TrimSpace(name))
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Designs = append(cfg.Designs, d)
-		}
-	}
 	cfg.Classes, err = parseClasses(o.classes)
 	return cfg, err
 }
 
 // runFleet is the default mode: one cluster simulation, reported as a
 // summary table plus per-instance and per-class sections.
-func runFleet(w io.Writer, o *options) error {
-	cfg, err := o.fleetConfig()
-	if err != nil {
-		return err
-	}
-	obsCfg, closeObs, err := obsfiles.Open(o.traceOut, o.traceSample, o.metricsOut, o.metricsInterval.Seconds())
+func (o *options) runFleet(w io.Writer, sys *localut.System, cfg localut.ClusterConfig) error {
+	obsCfg, closeObs, err := o.out.Obs()
 	if err != nil {
 		return err
 	}
 	cfg.Obs = obsCfg
 
 	start := time.Now()
-	rep, err := o.System().ServeCluster(cfg)
+	rep, err := sys.ServeCluster(cfg)
 	if err := errors.Join(err, closeObs()); err != nil {
 		return err
 	}
@@ -420,108 +402,88 @@ func parseClasses(s string) ([]localut.ClusterClass, error) {
 	return out, nil
 }
 
-// sweepBase is the cluster.Config the three sweep drivers vary: the fleet
-// the flags describe, chaos layers off. Each driver adds the layer it
-// sweeps.
-func (o *options) sweepBase() (cluster.Config, error) {
-	inst, err := o.Instance()
-	if err != nil {
-		return cluster.Config{}, err
-	}
-	inst.MaxQueue = o.maxQueue
-	if inst.KVPolicy, err = serve.ParseKVPolicy(o.kv); err != nil {
-		return cluster.Config{}, err
-	}
-	cfg := cluster.Config{
-		Base:            inst,
-		Instances:       o.instances,
-		RatePerSec:      o.rate,
-		DurationSeconds: o.Duration.Seconds(),
-		Seed:            o.Seed,
-		DeadlineSeconds: o.deadline,
-		Retry:           o.retry,
-		Audit:           o.audit,
-	}
-	if cfg.Router, err = cluster.ParseRouterPolicy(o.router); err != nil {
-		return cfg, err
-	}
-	cfg.Admission, err = cluster.ParseAdmissionPolicy(o.admission)
-	return cfg, err
-}
-
-// sweepTable writes one sweep's table and its wall-clock line.
-func sweepTable(w io.Writer, o *options, t *trace.Table, what string, points int, start time.Time) error {
-	if err := o.out.Table(w, t); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%d %s points in %.2fs host wall-clock\n", points, what, time.Since(start).Seconds())
-	return nil
-}
-
-// runSweep drives the experiments fleet-scaling driver over -sweep rates
-// and -fleets sizes.
-func runSweep(w io.Writer, o *options) error {
+// runSweep is the fleet-scaling sweep: cfg at each -sweep rate, as the
+// single default class, for each -fleets size (default: -instances).
+func (o *options) runSweep(w io.Writer, sys *localut.System, cfg localut.ClusterConfig) error {
 	rates, err := cli.ParseNums(o.sweep, false)
 	if err != nil {
 		return err
 	}
-	fleets := []int{o.instances}
+	fleets := []float64{float64(o.instances)}
 	if o.fleets != "" {
-		fs, err := cli.ParseNums(o.fleets, false)
-		if err != nil {
+		if fleets, err = cli.ParseNums(o.fleets, false); err != nil {
 			return err
 		}
-		fleets = fleets[:0]
-		for _, f := range fs {
-			fleets = append(fleets, int(f))
+	}
+	t := trace.NewTable(
+		fmt.Sprintf("Fleet scaling: %s %s on %s, %s router, %s window",
+			cfg.Model, cfg.Format.Name(), cfg.Design, cfg.Router, o.Duration),
+		"fleet", "rate/s", "offered/s", "throughput/s", "tokens/s",
+		"rejected", "p50 (s)", "p99 (s)", "ttft p99 (s)",
+		"energy/req (J)", "peak", "requests")
+	start := time.Now()
+	for _, f := range fleets {
+		for _, r := range rates {
+			cfg.Instances, cfg.RatePerSec = int(f), r
+			rep, err := sys.ServeCluster(cfg)
+			if err != nil {
+				return err
+			}
+			t.Add(cfg.Instances, r, rep.OfferedPerSec, rep.ThroughputPerSec, rep.TokensPerSec,
+				rep.Rejected, rep.Latency.P50, rep.Latency.P99, rep.TTFT.P99,
+				rep.EnergyPerRequestJ, rep.InstancesPeak, rep.Admitted)
 		}
 	}
-	base, err := o.sweepBase()
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	points, err := experiments.ClusterCurve(base, fleets, rates)
-	if err != nil {
-		return err
-	}
-	return sweepTable(w, o, experiments.ClusterTable(
-		fmt.Sprintf("Fleet scaling: %s %s on %s, %s router, %s window",
-			base.Base.Model.Name, base.Base.Fmt.Name(), base.Base.Variant, base.Router, o.Duration), points),
-		"sweep", len(points), start)
+	return o.out.Sweep(w, t, "sweep", start)
 }
 
-// runMTTFSweep drives the experiments reliability driver: goodput and
-// recovery tax per (design, MTTF), with MTTF 0 as the fault-free
-// baseline each design is normalized against.
-func runMTTFSweep(w io.Writer, o *options) error {
+// ratio is a/b, or 0 without a positive b (a sweep without its baseline).
+func ratio(a, b float64) float64 {
+	if b > 0 {
+		return a / b
+	}
+	return 0
+}
+
+// runMTTFSweep is the reliability sweep: goodput and recovery tax per
+// (design, MTTF), MTTF 0 being each design's fault-free baseline. -designs
+// (default: -design) is the swept list, so every point is homogeneous.
+func (o *options) runMTTFSweep(w io.Writer, sys *localut.System, cfg localut.ClusterConfig) error {
 	mttfs, err := cli.ParseNums(o.mttfSweep, true)
 	if err != nil {
 		return err
 	}
-	designs := o.designs
-	if designs == "" {
-		designs = o.Design
+	designs := cfg.Designs
+	if len(designs) == 0 {
+		designs = []localut.Design{cfg.Design}
 	}
-	variants, err := cli.Variants(designs)
-	if err != nil {
-		return err
-	}
-	base, err := o.sweepBase()
-	if err != nil {
-		return err
-	}
-	base.Faults = o.faults // the driver sets Enabled and MTTFSeconds per point
-
-	start := time.Now()
-	points, err := experiments.ReliabilityCurve(base, variants, mttfs)
-	if err != nil {
-		return err
-	}
-	return sweepTable(w, o, experiments.ReliabilityTable(
+	cfg.Designs = nil
+	t := trace.NewTable(
 		fmt.Sprintf("Reliability: %s %s, %d instances at %g req/s, %s window",
-			base.Base.Model.Name, base.Base.Fmt.Name(), o.instances, o.rate, o.Duration), points),
-		"reliability", len(points), start)
+			cfg.Model, cfg.Format.Name(), cfg.Instances, cfg.RatePerSec, o.Duration),
+		"design", "mttf (s)", "throughput/s", "goodput/s", "goodput ratio",
+		"miss rate", "crashes", "retries", "reprefill", "shed",
+		"unavail (s)", "recover p99 (s)", "p99 (s)")
+	start := time.Now()
+	for _, d := range designs {
+		baseline := 0.0
+		for _, mttf := range mttfs {
+			cfg.Design = d
+			cfg.Faults.Enabled, cfg.Faults.MTTFSeconds = mttf > 0, mttf
+			rep, err := sys.ServeCluster(cfg)
+			if err != nil {
+				return err
+			}
+			if mttf == 0 {
+				baseline = rep.GoodputPerSec
+			}
+			t.Add(d.String(), mttf, rep.ThroughputPerSec, rep.GoodputPerSec, ratio(rep.GoodputPerSec, baseline),
+				ratio(float64(rep.Admitted-rep.Good), float64(rep.Admitted)),
+				rep.Crashes, rep.Retries, rep.ReprefillTokens, rep.Shed,
+				rep.UnavailableSeconds, rep.TimeToRecover.P99, rep.Latency.P99)
+		}
+	}
+	return o.out.Sweep(w, t, "reliability", start)
 }
 
 // chaosScenario is one named failure mix for the -chaos seed sweep.
@@ -638,39 +600,40 @@ func runChaos(w io.Writer, o *options) error {
 	return nil
 }
 
-// runHedgeSweep drives the experiments hedging driver: TTFT tail and
-// hedge waste per trigger delay under straggler injection, with delay 0
-// as the no-hedge baseline. Straggler flags default to the canonical
-// gray-failure scenario (MTBF 80s, 5s windows, 4x slowdown) when unset.
-func runHedgeSweep(w io.Writer, o *options) error {
+// runHedgeSweep is the hedging sweep: TTFT tail and hedge waste per
+// trigger delay under straggler injection, delay 0 being the no-hedge
+// baseline. Unset straggler flags default to the canonical gray-failure
+// scenario (MTBF 80s, 5s windows, 4x slowdown), whose stream is decoupled
+// from hedging: every point sees the same slowdown schedule.
+func (o *options) runHedgeSweep(w io.Writer, sys *localut.System, cfg localut.ClusterConfig) error {
 	delays, err := cli.ParseNums(o.hedgeSweep, true)
 	if err != nil {
 		return err
 	}
-	base, err := o.sweepBase()
-	if err != nil {
-		return err
-	}
-	strag := o.stragglers
+	strag := &cfg.Stragglers
 	strag.Enabled = true
-	if strag.MTBFSeconds == 0 {
-		strag.MTBFSeconds = 80
-	}
-	if strag.MeanDurationSeconds == 0 {
-		strag.MeanDurationSeconds = 5
-	}
-	if strag.Slowdown == 0 {
-		strag.Slowdown = 4
-	}
-	base.Stragglers = strag
-
-	start := time.Now()
-	points, err := experiments.HedgeCurve(base, delays)
-	if err != nil {
-		return err
-	}
-	return sweepTable(w, o, experiments.HedgeTable(
+	strag.MTBFSeconds = cmp.Or(strag.MTBFSeconds, 80)
+	strag.MeanDurationSeconds = cmp.Or(strag.MeanDurationSeconds, 5)
+	strag.Slowdown = cmp.Or(strag.Slowdown, 4)
+	t := trace.NewTable(
 		fmt.Sprintf("Hedging: %s %s, %d instances at %g req/s, stragglers %gx every %gs",
-			base.Base.Model.Name, base.Base.Fmt.Name(), o.instances, o.rate, strag.Slowdown, strag.MTBFSeconds), points),
-		"hedging", len(points), start)
+			cfg.Model, cfg.Format.Name(), cfg.Instances, cfg.RatePerSec, strag.Slowdown, strag.MTBFSeconds),
+		"hedge delay (s)", "ttft p99 (s)", "ttft ratio", "p99 (s)",
+		"goodput/s", "straggler windows", "hedges", "wins",
+		"waste (s)", "waste frac")
+	start := time.Now()
+	baseline := 0.0
+	for _, d := range delays {
+		cfg.Hedge = localut.ClusterHedge{Enabled: d > 0, DelaySeconds: d}
+		rep, err := sys.ServeCluster(cfg)
+		if err != nil {
+			return err
+		}
+		if d == 0 {
+			baseline = rep.TTFT.P99
+		}
+		t.Add(d, rep.TTFT.P99, ratio(rep.TTFT.P99, baseline), rep.Latency.P99, rep.GoodputPerSec, rep.StragglerWindows,
+			rep.HedgesIssued, rep.HedgeWins, rep.HedgeWastedSeconds, ratio(rep.HedgeWastedSeconds, rep.BusySeconds))
+	}
+	return o.out.Sweep(w, t, "hedging", start)
 }

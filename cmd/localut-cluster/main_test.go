@@ -2,20 +2,24 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/ais-snu/localut"
-	"github.com/ais-snu/localut/cmd/internal/cli"
 	"github.com/ais-snu/localut/internal/cluster"
+	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/quant"
 	"github.com/ais-snu/localut/internal/serve"
+	"github.com/ais-snu/localut/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -206,9 +210,11 @@ func TestClusterChaosGoldenHasChaos(t *testing.T) {
 // into the instance template, plans passed through.
 func directConfig(t *testing.T, cfg localut.ClusterConfig, seed int64) cluster.Config {
 	t.Helper()
-	model, err := cli.ModelConfig(cfg.Model.String())
-	if err != nil {
-		t.Fatal(err)
+	var model dnn.ModelConfig
+	for _, m := range []dnn.ModelConfig{dnn.BERTBase(), dnn.OPT125M(), dnn.ViTBase()} {
+		if m.Name == cfg.Model.String() {
+			model = m
+		}
 	}
 	format, err := quant.ParseFormat(cfg.Format.Name())
 	if err != nil {
@@ -560,5 +566,233 @@ func TestClusterWideLeastOutstandingGolden(t *testing.T) {
 		t.Errorf("scenario no longer exercises what it pins: %s router over %d members, %d requests on launched members, %d hedge cancels, %d hedge drops, %d crashes, %d degraded, %d domain outages, %d straggler windows, %d queue-full and %d expired sheds, %d retries",
 			rep.Router, rep.InstancesInitial, launched, rep.HedgeCancels, rep.HedgeDrops, rep.Crashes, rep.DegradedEvents,
 			rep.DomainOutages, rep.StragglerWindows, rep.ShedQueueFull, rep.ShedExpired, rep.Retries)
+	}
+}
+
+// execute parses args with the command's own flag registration and runs
+// the mode they select, returning what it wrote.
+func execute(args ...string) ([]byte, error) {
+	var o options
+	fs := flag.NewFlagSet("localut-cluster", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o.register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err := o.execute(fs, &buf)
+	return buf.Bytes(), err
+}
+
+// sweep runs a -csv sweep and returns its rows keyed by column header.
+func sweep(t *testing.T, args ...string) []map[string]string {
+	t.Helper()
+	out, err := execute(append(args, "-csv")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(bytes.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]map[string]string, 0, len(recs)-1)
+	for _, rec := range recs[1:] {
+		row := map[string]string{}
+		for i, col := range recs[0] {
+			row[col] = rec[i]
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// num reads a numeric cell.
+func num(t *testing.T, row map[string]string, col string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(row[col], 64)
+	if err != nil {
+		t.Fatalf("column %q: %v (row %v)", col, err, row)
+	}
+	return v
+}
+
+// TestSweepFleetScaling pins the -sweep's purpose: at an offered load that
+// saturates one appliance, adding appliances cuts p99 latency and raises
+// drain throughput.
+func TestSweepFleetScaling(t *testing.T) {
+	rows := sweep(t, "-model", "bert-base", "-duration", "2s", "-sweep", "600", "-fleets", "1,4")
+	if len(rows) != 2 || rows[0]["fleet"] != "1" || rows[1]["fleet"] != "4" || num(t, rows[0], "rate/s") != 600 {
+		t.Fatalf("row identity wrong: %v", rows)
+	}
+	one, four := rows[0], rows[1]
+	if num(t, four, "p99 (s)") >= num(t, one, "p99 (s)") {
+		t.Errorf("4 instances did not beat 1 at p99: %v", rows)
+	}
+	if num(t, four, "throughput/s") <= num(t, one, "throughput/s") {
+		t.Errorf("4 instances did not raise drain throughput: %v", rows)
+	}
+}
+
+// TestMTTFSweep pins the reliability sweep: rows in (design, MTTF) input
+// order, each design's MTTF-0 row its own baseline (goodput ratio exactly
+// 1), and a finite MTTF crashes members and keeps at most that goodput.
+func TestMTTFSweep(t *testing.T) {
+	rows := sweep(t, "-mttf-sweep", "0,30", "-designs", "LoCaLUT,OP+LC", "-model", "bert-base",
+		"-instances", "4", "-rate", "30", "-duration", "60s", "-deadline", "5", "-mttr", "2")
+	var order []string
+	for _, r := range rows {
+		order = append(order, r["design"]+"@"+r["mttf (s)"])
+	}
+	if want := []string{"LoCaLUT@0", "LoCaLUT@30.000", "OP+LC@0", "OP+LC@30.000"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("rows %v, want %v", order, want)
+	}
+	for i := 0; i < len(rows); i += 2 {
+		base, faulted := rows[i], rows[i+1]
+		if base["goodput ratio"] != "1.000" || base["crashes"] != "0" {
+			t.Errorf("baseline row %v: want ratio 1 and no crashes", base)
+		}
+		if num(t, faulted, "crashes") == 0 || num(t, faulted, "goodput ratio") > 1 {
+			t.Errorf("faulted row %v: want crashes and ratio <= 1", faulted)
+		}
+	}
+}
+
+// TestHedgeSweepTailTradeoff pins the -hedge-sweep's purpose: against the
+// delay-0 baseline, a well-chosen delay cuts TTFT p99 while wasting under
+// 10% of fleet busy time, on one straggler schedule shared by every point.
+func TestHedgeSweepTailTradeoff(t *testing.T) {
+	rows := sweep(t, "-hedge-sweep", "0,0.2", "-model", "opt-125m", "-out-tokens", "4", "-replicas", "2",
+		"-instances", "8", "-rate", "30", "-duration", "60s", "-deadline", "8", "-audit")
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
+	}
+	base, hedged := rows[0], rows[1]
+	if base["hedge delay (s)"] != "0" || base["ttft ratio"] != "1.000" || base["hedges"] != "0" {
+		t.Errorf("baseline row %v: want delay 0, ratio 1, no hedges", base)
+	}
+	if base["straggler windows"] == "0" || hedged["straggler windows"] != base["straggler windows"] {
+		t.Errorf("straggler schedule not shared: %s vs %s windows", base["straggler windows"], hedged["straggler windows"])
+	}
+	if num(t, hedged, "hedges") == 0 || num(t, hedged, "wins") == 0 {
+		t.Errorf("hedged row issued no hedges or won none: %v", hedged)
+	}
+	if num(t, hedged, "ttft p99 (s)") >= num(t, base, "ttft p99 (s)") {
+		t.Errorf("hedging did not improve TTFT p99: %v", rows)
+	}
+	if f := num(t, hedged, "waste frac"); f <= 0 || f >= 0.10 {
+		t.Errorf("waste fraction %g outside (0, 0.10)", f)
+	}
+}
+
+// TestSweepsDeterministic: every sweep is byte-identical across runs and
+// -j levels.
+func TestSweepsDeterministic(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sweep", "100,400", "-fleets", "1,2", "-duration", "5s", "-designs", "LoCaLUT,OP+LC"},
+		{"-mttf-sweep", "0,20", "-instances", "2", "-rate", "20", "-duration", "30s", "-deadline", "5"},
+		{"-hedge-sweep", "0,0.3", "-model", "opt-125m", "-out-tokens", "4", "-instances", "4", "-rate", "20", "-duration", "30s"},
+	} {
+		a, errA := execute(append(args, "-j", "1")...)
+		b, errB := execute(append(args, "-j", "4")...)
+		if errA != nil || errB != nil || len(a) == 0 || !bytes.Equal(a, b) {
+			t.Errorf("%v differs across -j 1 and -j 4 (%v, %v)\n%s\n%s", args, errA, errB, a, b)
+		}
+	}
+}
+
+// cells renders values the way a table cell does.
+func cells(vals ...interface{}) []string {
+	t := trace.NewTable("", make([]string, len(vals))...)
+	t.Add(vals...)
+	return t.Rows[0]
+}
+
+// TestSweepPointIsSingleRun: a sweep row is the single run its flags
+// describe, with the swept value given by its own flag. Each case sets a
+// flag the sweeps once dropped: -designs and -autoscale for -sweep,
+// -classes for -mttf-sweep and -mttf for -hedge-sweep, whose straggler
+// defaults are spelled out because a single run has none.
+func TestSweepPointIsSingleRun(t *testing.T) {
+	single := func(args ...string) *localut.ClusterReport {
+		t.Helper()
+		out, err := execute(append(args, "-json")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep localut.ClusterReport
+		if err := json.Unmarshal(out, &rep); err != nil {
+			t.Fatal(err)
+		}
+		return &rep
+	}
+	t.Run("sweep", func(t *testing.T) {
+		flags := []string{"-model", "bert-base", "-duration", "30s", "-designs", "LoCaLUT,OP+LC",
+			"-autoscale", "-slo", "0.5", "-max-instances", "4", "-interval", "1s"}
+		row := sweep(t, append(flags, "-sweep", "400", "-fleets", "2")...)[0]
+		rep := single(append(flags, "-rate", "400", "-instances", "2")...)
+		got := []string{row["throughput/s"], row["p99 (s)"], row["energy/req (J)"], row["peak"], row["requests"]}
+		if want := cells(rep.ThroughputPerSec, rep.Latency.P99, rep.EnergyPerRequestJ, rep.InstancesPeak, rep.Admitted); !reflect.DeepEqual(got, want) {
+			t.Errorf("sweep row %v, single run %v", got, want)
+		}
+	})
+	t.Run("mttf-sweep", func(t *testing.T) {
+		flags := []string{"-model", "bert-base", "-instances", "4", "-duration", "30s", "-deadline", "5",
+			"-classes", "hot:40,cool:10", "-mttr", "2"}
+		row := sweep(t, append(flags, "-mttf-sweep", "20", "-designs", "OP+LC")...)[0]
+		rep := single(append(flags, "-mttf", "20", "-design", "OP+LC")...)
+		got := []string{row["throughput/s"], row["goodput/s"], row["crashes"], row["retries"], row["p99 (s)"]}
+		if want := cells(rep.ThroughputPerSec, rep.GoodputPerSec, rep.Crashes, rep.Retries, rep.Latency.P99); !reflect.DeepEqual(got, want) {
+			t.Errorf("sweep row %v, single run %v", got, want)
+		}
+	})
+	t.Run("hedge-sweep", func(t *testing.T) {
+		flags := []string{"-model", "opt-125m", "-out-tokens", "4", "-replicas", "2", "-instances", "8",
+			"-rate", "30", "-duration", "30s", "-mttf", "20", "-mttr", "2",
+			"-straggler-mtbf", "80", "-straggler-duration", "5", "-straggler-slowdown", "4"}
+		row := sweep(t, append(flags, "-hedge-sweep", "0.2")...)[0]
+		rep := single(append(flags, "-hedge-delay", "0.2")...)
+		got := []string{row["ttft p99 (s)"], row["p99 (s)"], row["goodput/s"], row["hedges"], row["wins"]}
+		if want := cells(rep.TTFT.P99, rep.Latency.P99, rep.GoodputPerSec, rep.HedgesIssued, rep.HedgeWins); !reflect.DeepEqual(got, want) {
+			t.Errorf("sweep row %v, single run %v", got, want)
+		}
+	})
+}
+
+// TestDroppedFlagsRefused: a flag the selected mode would drop is an error
+// naming it, and nothing is written.
+func TestDroppedFlagsRefused(t *testing.T) {
+	dir := t.TempDir()
+	traceOut, metricsOut := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv")
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-fleets", []string{"-fleets", "2,4"}},
+		{"-fleets", []string{"-mttf-sweep", "0,30", "-fleets", "2,4"}},
+		{"-trace-out", []string{"-sweep", "10", "-trace-out", traceOut}},
+		{"-metrics-out", []string{"-sweep", "10", "-metrics-out", metricsOut}},
+		{"-trace-out", []string{"-mttf-sweep", "0", "-trace-out", traceOut}},
+		{"-metrics-out", []string{"-mttf-sweep", "0", "-metrics-out", metricsOut}},
+		{"-trace-out", []string{"-hedge-sweep", "0", "-trace-out", traceOut}},
+		{"-metrics-out", []string{"-hedge-sweep", "0", "-metrics-out", metricsOut}},
+		{"-trace-out", []string{"-chaos", "1", "-trace-out", traceOut}},
+		{"-metrics-out", []string{"-chaos", "1", "-metrics-out", metricsOut}},
+		{"-model", []string{"-chaos", "1", "-model", "opt-125m"}},
+		{"-rate", []string{"-sweep", "10", "-rate", "5"}},
+		{"-classes", []string{"-sweep", "10", "-classes", "a:5"}},
+		{"-instances", []string{"-sweep", "10", "-fleets", "2", "-instances", "3"}},
+		{"-mttf", []string{"-mttf-sweep", "0", "-mttf", "5"}},
+		{"-hedge-delay", []string{"-hedge-sweep", "0", "-hedge-delay", "0.5"}},
+		{"-sweep", []string{"-hedge-sweep", "0", "-sweep", "10"}},
+		{"-json", []string{"-sweep", "10", "-json"}},
+		{"-timeline", []string{"-mttf-sweep", "0", "-timeline"}},
+	} {
+		out, err := execute(tc.args...)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") || len(out) > 0 {
+			t.Errorf("%v: got %v and %d bytes, want an error naming %s", tc.args, err, len(out), tc.flag)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) > 0 {
+		t.Errorf("a refused run wrote %d files", len(files))
 	}
 }

@@ -16,7 +16,9 @@
 //	localut-serve -model bert-base -sweep 25,50,100,200,400 [-designs "OP+LC+RC,LoCaLUT"]
 //
 // Output is a key/value table by default; -json and -csv switch formats,
-// -hist adds a latency histogram, -o writes to a file.
+// -hist adds a latency histogram, -o writes to a file. Both modes run the
+// one ServeConfig the flags describe, -sweep overriding the design and rate
+// per point; every flag is honoured in every mode or refused by name.
 package main
 
 import (
@@ -30,10 +32,7 @@ import (
 
 	"github.com/ais-snu/localut"
 	"github.com/ais-snu/localut/cmd/internal/cli"
-	"github.com/ais-snu/localut/cmd/internal/obsfiles"
 	"github.com/ais-snu/localut/internal/audit"
-	"github.com/ais-snu/localut/internal/experiments"
-	"github.com/ais-snu/localut/internal/prof"
 	"github.com/ais-snu/localut/internal/trace"
 )
 
@@ -47,74 +46,53 @@ type options struct {
 	think   time.Duration
 	sweep   string
 	designs string
+	hist    bool
+	audit   bool
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	o.Workload.Register(fs)
+	o.out.Register(fs)
+	fs.Float64Var(&o.rate, "rate", 100, "open-loop Poisson arrival rate (requests/sec)")
+	fs.IntVar(&o.clients, "clients", 0, "closed-loop client count (overrides -rate)")
+	fs.DurationVar(&o.think, "think", 100*time.Millisecond, "closed-loop mean think time")
+	fs.StringVar(&o.sweep, "sweep", "", "comma-separated arrival rates for a saturation sweep")
+	fs.StringVar(&o.designs, "designs", "", "comma-separated designs for -sweep (default: -design)")
+	fs.BoolVar(&o.hist, "hist", false, "print the latency histogram (table output only)")
+	fs.BoolVar(&o.audit, "audit", false, "run the conservation auditor on the final report and fail on any violation")
 }
 
 func main() { cli.Main("localut-serve", run) }
 
 func run() error {
 	var o options
-	o.Workload.Register(flag.CommandLine)
-	o.out.Register(flag.CommandLine)
-	flag.Float64Var(&o.rate, "rate", 100, "open-loop Poisson arrival rate (requests/sec)")
-	flag.IntVar(&o.clients, "clients", 0, "closed-loop client count (overrides -rate)")
-	flag.DurationVar(&o.think, "think", 100*time.Millisecond, "closed-loop mean think time")
-	flag.StringVar(&o.sweep, "sweep", "", "comma-separated arrival rates for a saturation sweep")
-	flag.StringVar(&o.designs, "designs", "", "comma-separated designs for -sweep (default: -design)")
-	hist := flag.Bool("hist", false, "print the latency histogram (table output only)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (load in Perfetto or chrome://tracing)")
-	traceSample := flag.Int("trace-sample", 1, "keep every N-th request's lifecycle span in the trace")
-	metricsOut := flag.String("metrics-out", "", "write interval time-series metrics to this file (.json = JSON, else CSV)")
-	metricsInterval := flag.Duration("metrics-interval", time.Second, "time-series sampling interval")
-	auditFlag := flag.Bool("audit", false, "run the conservation auditor on the final report and fail on any violation")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a post-GC pprof heap profile to this file at exit")
-	flag.Parse()
+	o.register(flag.CommandLine)
+	return o.out.Run(o.execute)
+}
 
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-
-	w, closeOut, err := o.out.Open()
-	if err != nil {
-		return err
-	}
+// execute runs the mode the flags in fs select, writing its output to w:
+// the one ServeConfig they describe, run once or once per sweep point.
+func (o *options) execute(fs *flag.FlagSet, w io.Writer) error {
+	mode, refused := "a single run", cli.Among("designs")
 	if o.sweep != "" {
-		return errors.Join(runSweep(w, &o), closeOut())
+		mode, refused = "-sweep", cli.Among("rate", "clients", "json", "hist", "trace-out", "metrics-out")
 	}
-
-	m, err := localut.ParseModel(o.Model)
+	if err := cli.Refuse(fs, mode, refused); err != nil {
+		return err
+	}
+	n, err := o.Names(o.designs)
 	if err != nil {
 		return err
 	}
-	f, err := localut.ParseFormat(o.Format)
-	if err != nil {
-		return err
-	}
-	d, err := localut.ParseDesign(o.Design)
-	if err != nil {
-		return err
-	}
-	pol, err := localut.ParseSchedulerPolicy(o.Scheduler)
-	if err != nil {
-		return err
-	}
-	obsCfg, closeObs, err := obsfiles.Open(*traceOut, *traceSample, *metricsOut, metricsInterval.Seconds())
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	rep, err := o.System().Serve(localut.ServeConfig{
-		Model: m, Format: f, Design: d,
+	cfg := localut.ServeConfig{
+		Model: n.Model, Format: n.Format, Design: n.Design,
 		Replicas:        o.Replicas,
 		RatePerSec:      o.rate,
 		Clients:         o.clients,
 		ThinkSeconds:    o.think.Seconds(),
 		DurationSeconds: o.Duration.Seconds(),
 		MaxBatch:        o.MaxBatch,
-		Scheduler:       pol,
+		Scheduler:       n.Scheduler,
 		MinTokens:       o.MinTokens,
 		MaxTokens:       o.MaxTokens,
 		MeanTokens:      o.MeanTokens,
@@ -122,13 +100,23 @@ func run() error {
 		OutTokens:       o.OutTokens,
 		OutTokensMean:   o.OutTokensMean,
 		OutTokensMax:    o.OutTokensMax,
-		Obs:             obsCfg,
-	})
+	}
+	if o.sweep != "" {
+		return o.runSweep(w, cfg, n.Designs)
+	}
+
+	obsCfg, closeObs, err := o.out.Obs()
+	if err != nil {
+		return err
+	}
+	cfg.Obs = obsCfg
+	start := time.Now()
+	rep, err := o.System().Serve(cfg)
 	if err := errors.Join(err, closeObs()); err != nil {
 		return err
 	}
 	wall := time.Since(start).Seconds()
-	if *auditFlag {
+	if o.audit {
 		if err := auditServe(rep); err != nil {
 			return err
 		}
@@ -139,13 +127,13 @@ func run() error {
 		err = cli.WriteJSON(w, rep)
 	} else {
 		err = o.out.Table(w, reportTable(rep))
-		if err == nil && !o.out.CSV && *hist && len(rep.LatencyHistogram) > 0 {
+		if err == nil && !o.out.CSV && o.hist && len(rep.LatencyHistogram) > 0 {
 			h := &trace.Histogram{Lo: 0, Hi: rep.LatencyHistogramHi, Counts: rep.LatencyHistogram}
 			fmt.Fprintf(w, "\nlatency histogram (s):\n")
 			err = h.Render(w)
 		}
 	}
-	if err := errors.Join(err, closeOut()); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "simulated %d requests (%d batches, %d distinct forward sims) in %.2fs host wall-clock\n",
@@ -217,38 +205,41 @@ func reportTable(r *localut.ServeReport) *trace.Table {
 	return t
 }
 
-// runSweep drives the experiments saturation-curve driver.
-func runSweep(w io.Writer, o *options) error {
+// runSweep is the saturation sweep: cfg at each -sweep rate for each
+// -designs design (default: -design), one table row per run, every run on
+// one System. The swept rate is the only arrival source.
+func (o *options) runSweep(w io.Writer, cfg localut.ServeConfig, designs []localut.Design) error {
 	rates, err := cli.ParseNums(o.sweep, false)
 	if err != nil {
 		return err
 	}
-	base, err := o.Instance()
-	if err != nil {
-		return err
+	if len(designs) == 0 {
+		designs = []localut.Design{cfg.Design}
 	}
-	base.DurationSeconds = o.Duration.Seconds()
-	base.Seed = o.Seed
-	if o.designs == "" {
-		o.designs = o.Design
-	}
-	designs, err := cli.Variants(o.designs)
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	points, err := experiments.ServingCurve(base, designs, rates)
-	if err != nil {
-		return err
-	}
-	table := experiments.ServingTable(
+	t := trace.NewTable(
 		fmt.Sprintf("Latency–throughput saturation: %s %s, %v replicas, %s scheduler, %s window",
-			base.Model.Name, base.Fmt.Name(), base.Replicas, base.Scheduler, o.Duration), points)
-	if err := o.out.Table(w, table); err != nil {
-		return err
+			cfg.Model, cfg.Format.Name(), cfg.Replicas, cfg.Scheduler, o.Duration),
+		"design", "rate/s", "offered/s", "throughput/s", "tokens/s",
+		"p50 (s)", "p95 (s)", "p99 (s)", "ttft p99 (s)", "tpot p99 (s)",
+		"util", "batch", "requests")
+	sys := o.System()
+	start := time.Now()
+	for _, d := range designs {
+		for _, r := range rates {
+			cfg.Design, cfg.RatePerSec = d, r
+			rep, err := sys.Serve(cfg)
+			if err != nil {
+				return err
+			}
+			if o.audit {
+				if err := auditServe(rep); err != nil {
+					return err
+				}
+			}
+			t.Add(rep.Design, r, rep.OfferedPerSec, rep.ThroughputPerSec, rep.TokensPerSec,
+				rep.Latency.P50, rep.Latency.P95, rep.Latency.P99, rep.TTFT.P99, rep.TPOT.P99,
+				rep.RankUtilization, rep.MeanBatchSize, rep.Requests)
+		}
 	}
-	fmt.Fprintf(os.Stderr, "%d sweep points in %.2fs host wall-clock\n",
-		len(points), time.Since(start).Seconds())
-	return nil
+	return o.out.Sweep(w, t, "sweep", start)
 }

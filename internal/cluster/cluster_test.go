@@ -438,3 +438,73 @@ func TestBucket(t *testing.T) {
 		t.Fatal("refill did not restore admission")
 	}
 }
+
+// TestOneMemberFleetMatchesServeRun pins the equivalence a single event
+// loop would rely on: a one-member, admit-all, round-robin fleet fed the
+// appliance's config, rate, window and seed is the same simulation as
+// serve.Run, down to the shed count, the latency populations, the energy
+// bill and the KV gauge. The KV-budget cases run on four ranks with 95 %
+// of each bank given to LUTs, so a 1k-token prompt fills a replica.
+func TestOneMemberFleetMatchesServeRun(t *testing.T) {
+	opt, bert := dnn.OPT125M(), dnn.BERTBase()
+	for _, tc := range []struct {
+		name     string
+		c        serve.Config
+		kvBudget bool
+	}{
+		{"opt-sampled-fcfs", serve.Config{Model: opt, Fmt: quant.W1A3, Variant: kernels.LoCaLUT, Scheduler: serve.FCFS, OutTokensMean: 16, RatePerSec: 40}, false},
+		{"bert-packed-queue8", serve.Config{Model: bert, Fmt: quant.W1A3, Variant: kernels.LoCaLUT, Scheduler: serve.Packed, MaxQueue: 8, RatePerSec: 400}, false},
+		{"opt-kv-shed", serve.Config{Model: opt, Fmt: quant.W1A3, Variant: kernels.LoCaLUT, OutTokens: 64, MaxTokens: 2048, MeanTokens: 1024, KVPolicy: serve.KVShed, RatePerSec: 30}, true},
+		{"opt-w2a2-op-stall", serve.Config{Model: opt, Fmt: quant.W2A2, Variant: kernels.OP, Replicas: 2, OutTokens: 32, MaxTokens: 2048, MeanTokens: 1024, KVPolicy: serve.KVStall, RatePerSec: 20}, true},
+		{"vit-w4a4-ltc", serve.Config{Model: dnn.ViTBase(), Fmt: quant.W4A4, Variant: kernels.LTC, RatePerSec: 20}, false},
+		{"bert-w1a4-naive", serve.Config{Model: bert, Fmt: quant.W1A4, Variant: kernels.Naive, RatePerSec: 10}, false},
+	} {
+		c := tc.c
+		c.DurationSeconds, c.Seed = 10, 3
+		engine := func() *gemm.Engine {
+			if !tc.kvBudget {
+				return nil
+			}
+			e := gemm.NewEngine()
+			e.Cfg.Ranks, e.Cfg.LUTBudgetFrac = 4, 0.95
+			return e
+		}
+		c.Engine = engine()
+		want, err := serve.Run(c)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		c.Engine = engine()
+		rep, err := Run(Config{Base: c, Instances: 1, RatePerSec: c.RatePerSec, DurationSeconds: c.DurationSeconds, Seed: c.Seed})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		m := rep.Instances[0]
+		for _, f := range []struct {
+			field     string
+			got, want interface{}
+		}{
+			{"requests", rep.Admitted, want.Requests}, {"completed", rep.Completed, want.Completed}, {"shed", rep.Shed, want.Shed},
+			{"queue", rep.Queue, want.Queue}, {"service", rep.Service, want.Service}, {"latency", rep.Latency, want.Latency},
+			{"ttft", rep.TTFT, want.TTFT}, {"tpot", rep.TPOT, want.TPOT},
+			{"makespan", rep.MakespanSeconds, want.MakespanSeconds},
+			{"energy", rep.EnergyJ, want.EnergyJ}, {"energy/request", rep.EnergyPerRequestJ, want.EnergyPerRequestJ},
+			{"tokens in", rep.TokensIn, want.TokensIn}, {"tokens padded", rep.TokensPadded, want.TokensPadded},
+			{"tokens out", rep.TokensOut, want.TokensOut},
+			{"kv peak", rep.KVPeakBytes, want.KVPeakBytes}, {"kv capacity", rep.KVCapacityBytes, want.KVCapacityBytes},
+			{"kv mean", rep.KVMeanBytes, want.KVMeanBytes}, {"kv mean utilization", rep.KVMeanUtilization, want.KVMeanUtilization},
+			{"distinct sims", rep.DistinctForwardSims, want.DistinctForwardSims},
+			{"offered/s", rep.OfferedPerSec, want.OfferedPerSec}, {"throughput/s", rep.ThroughputPerSec, want.ThroughputPerSec},
+			{"batches", m.Batches, want.Batches}, {"decode steps", m.DecodeSteps, want.DecodeSteps},
+			{"mean batch size", m.MeanBatchSize, want.MeanBatchSize}, {"utilization", m.Utilization, want.RankUtilization},
+			{"pim share", m.PIMShare, want.PIMUtilization},
+		} {
+			if f.got != f.want {
+				t.Errorf("%s: %s %v, serve.Run %v", tc.name, f.field, f.got, f.want)
+			}
+		}
+		if (c.MaxQueue > 0 || c.KVPolicy == serve.KVShed) && want.Shed == 0 {
+			t.Errorf("%s: no request shed, so the case pins no shed path", tc.name)
+		}
+	}
+}

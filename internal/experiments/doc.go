@@ -10,5 +10,7 @@
 // engine shares the process-wide decision and LUT caches. The bank-level
 // studies (Fig. 20/21) run their channel x bank grids through banksim's
 // sharded multi-bank runner, and GEMMSweep drives the gemm engine's
-// full-grid mode for localut-bench's -sweep/-compare commands.
+// full-grid mode for localut-bench's -sweep/-compare commands. The serving
+// sweeps are not drivers here: localut-serve and localut-cluster run them
+// through the public facade, where every flag is honoured or refused.
 package experiments
