@@ -3,7 +3,6 @@ package cluster
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/kernels"
@@ -46,32 +45,41 @@ func allocOf(t *testing.T, cfg Config) (mallocs, bytes uint64, admitted int) {
 }
 
 // TestFleetAllocBudget is the allocation budget of the fleet's request
-// path: a steady run twice as long may allocate at most 0.25 objects per
-// extra request. Taking the difference of two runs cancels what a run
-// allocates once — instances, oracle memos, the report — and leaves the
-// per-request cost: request slab chunks and the occasional slice growth.
-// Before events, batches and completions were recycled this read 6.0.
+// path: a steady run twice as long may allocate at most 0.25 objects and
+// 16 bytes per extra request. Taking the difference of two runs cancels
+// what a run allocates once — instances, oracle memos, the report — and
+// leaves the per-request cost: the occasional slice growth, and request
+// slab chunks while finished requests are not recycled. Before events,
+// batches and completions were recycled this read 6.0 objects; before
+// requests were, 131 bytes (a 128-byte Request and its chunk's slack).
+// Recycled, it reads under 1 byte.
 func TestFleetAllocBudget(t *testing.T) {
 	allocOf(t, steadyConfig(5)) // first-use work outside the two measured runs
-	m1, _, n1 := allocOf(t, steadyConfig(100))
-	m2, _, n2 := allocOf(t, steadyConfig(200))
+	m1, b1, n1 := allocOf(t, steadyConfig(100))
+	m2, b2, n2 := allocOf(t, steadyConfig(200))
 	if n2-n1 < 15000 {
 		t.Fatalf("runs admitted %d and %d requests: too close to measure a 20k-request margin", n1, n2)
 	}
 	perReq := (float64(m2) - float64(m1)) / float64(n2-n1)
-	t.Logf("%d and %d requests, %d and %d mallocs: %.4f allocs per extra request", n1, n2, m1, m2, perReq)
+	bytesPerReq := (float64(b2) - float64(b1)) / float64(n2-n1)
+	t.Logf("%d and %d requests, %d and %d mallocs, %d and %d bytes: %.4f allocs and %.2f bytes per extra request",
+		n1, n2, m1, m2, b1, b2, perReq, bytesPerReq)
 	if perReq > 0.25 {
 		t.Errorf("steady fleet allocates %.3f objects per request, budget 0.25", perReq)
+	}
+	if bytesPerReq > 16 {
+		t.Errorf("steady fleet allocates %.1f bytes per request, budget 16: finished requests are not being recycled", bytesPerReq)
 	}
 }
 
 // TestChaosBytesBudget is the memory bound of a hedged chaos fleet, by the
 // same difference of two runs: an extra admitted request may cost at most
-// 2.5 serve.Requests of heap — itself, its hedge twin and slack for slab
-// chunking — so nothing in the report or the loop keeps a per-request
-// record. It reads 2.2 (280 bytes against a 128-byte Request carved from
-// 143-request chunks); with hedge entries on the timeline it read over
-// 1000 bytes.
+// 176 bytes of heap, so nothing in the report or the loop keeps a
+// per-request record. Finished and shed requests are recycled, but the
+// loser of a hedge race, original or duplicate, and a copy a fault
+// retired go to the garbage collector; this reads 150 bytes. It read 280
+// before requests were recycled (budget 2.5 128-byte Requests, 320), and
+// over 1000 with hedge entries on the timeline.
 func TestChaosBytesBudget(t *testing.T) {
 	mk := func(seconds float64) Config {
 		cfg := chaosConfig(1)
@@ -86,10 +94,10 @@ func TestChaosBytesBudget(t *testing.T) {
 		t.Fatalf("runs admitted %d and %d requests: too close to measure a 10k-request margin", n1, n2)
 	}
 	perReq := (float64(b2) - float64(b1)) / float64(n2-n1)
-	budget := 2.5 * float64(unsafe.Sizeof(serve.Request{}))
-	t.Logf("%d and %d requests, %d and %d bytes: %.1f bytes per extra request (budget %.0f)", n1, n2, b1, b2, perReq, budget)
+	const budget = 176
+	t.Logf("%d and %d requests, %d and %d bytes: %.1f bytes per extra request (budget %d)", n1, n2, b1, b2, perReq, budget)
 	if perReq > budget {
-		t.Errorf("hedged chaos fleet allocates %.1f bytes per request, budget %.0f", perReq, budget)
+		t.Errorf("hedged chaos fleet allocates %.1f bytes per request, budget %d", perReq, budget)
 	}
 }
 

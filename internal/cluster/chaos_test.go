@@ -287,6 +287,30 @@ func TestHedgingImprovesTailUnderStragglers(t *testing.T) {
 	}
 }
 
+// TestHedgeTimerHoldsShedRequest pins the hold a hedge timer keeps on its
+// request. Routing can shed an arrival at once when every bounded queue is
+// full, before the arrival schedules the request's hedge timer; had the
+// shed freed the slot, the next arrival would reuse it and the timer would
+// hedge that other request. The hold goes on when the request is carved,
+// so a shed leaves it to the timer, and onHedgeTimer fails the run if it
+// ever finds its request's hold gone.
+func TestHedgeTimerHoldsShedRequest(t *testing.T) {
+	cfg := faultConfig()
+	cfg.Faults = FaultConfig{}
+	cfg.RatePerSec = 150 // several times the fleet's capacity: arrivals shed
+	cfg.DurationSeconds = 10
+	cfg.Base.MaxQueue = 2
+	cfg.Hedge = HedgeConfig{Enabled: true, DelaySeconds: 0.02}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ShedQueueFull == 0 || rep.HedgesIssued == 0 {
+		t.Fatalf("queue-full sheds %d, hedges %d: the run must do both", rep.ShedQueueFull, rep.HedgesIssued)
+	}
+	t.Logf("%d admitted, %d shed with full queues, %d hedges issued", rep.Admitted, rep.ShedQueueFull, rep.HedgesIssued)
+}
+
 // TestChaosConfigValidation rejects nonsensical chaos plans with clear
 // errors before any simulation state is built.
 func TestChaosConfigValidation(t *testing.T) {

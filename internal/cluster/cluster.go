@@ -465,9 +465,10 @@ func (cs *csim) onFirstToken(r *serve.Request, now float64) {
 	}
 }
 
-// onFinish aggregates a completed request's latencies; prefill-only
-// requests feed the autoscaler window here (their completion is their
-// response start, which also settles a hedge race).
+// onFinish aggregates a completed request's latencies and frees it (a
+// pending hedge timer frees it later instead); prefill-only requests feed
+// the autoscaler window here (their completion is their response start,
+// which also settles a hedge race).
 func (cs *csim) onFinish(r *serve.Request, now float64) {
 	if r.Twin != nil {
 		cs.resolveHedge(r, now)
@@ -501,6 +502,7 @@ func (cs *csim) onFinish(r *serve.Request, now float64) {
 	if now > cs.makespan {
 		cs.makespan = now
 	}
+	cs.slab.Free(r)
 }
 
 // fleetCounts tallies the lifecycle states.
@@ -527,7 +529,9 @@ func (cs *csim) outstandingTotal() int {
 	return total
 }
 
-// newRequest samples one request of the given class arriving at t.
+// newRequest samples one request of the given class arriving at t. Under
+// hedging it comes Held for the timer the arrival will schedule: routing
+// can shed it at once, and the timer must not point at a freed slot.
 func (cs *csim) newRequest(t float64, class int) *serve.Request {
 	c := &cs.classes[class]
 	tok := c.lengths.Next()
@@ -544,6 +548,7 @@ func (cs *csim) newRequest(t float64, class int) *serve.Request {
 		OutLen: out,
 		Member: -1,
 		Arrive: t,
+		Held:   c.hedgeDelay > 0,
 	})
 	if c.deadline > 0 {
 		r.Deadline = t + c.deadline

@@ -172,10 +172,11 @@ func (c shedCause) String() string {
 	}
 }
 
-// shedRequest accounts a dropped request. After the drain, every admitted
-// request is exactly one of: completed or shed — hedge duplicates are
-// copies of an already-admitted request, so losing one while its twin
-// lives is hedge bookkeeping, not a shed.
+// shedRequest accounts a dropped request and frees it. After the drain,
+// every admitted request is exactly one of: completed or shed — hedge
+// duplicates are copies of an already-admitted request, so losing one
+// while its twin lives is hedge bookkeeping, not a shed, and the copy is
+// left to the garbage collector.
 func (cs *csim) shedRequest(r *serve.Request, now float64, cause shedCause) {
 	if r.Twin != nil {
 		cs.dropHedgeCopy(r, now)
@@ -202,6 +203,7 @@ func (cs *csim) shedRequest(r *serve.Request, now float64, cause shedCause) {
 	if now > cs.makespan {
 		cs.makespan = now
 	}
+	cs.slab.Free(r)
 }
 
 // onInstanceShed adapts an Instance's shed callback to cluster accounting;

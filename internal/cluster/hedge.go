@@ -36,11 +36,21 @@ func (h HedgeConfig) withDefaults() (HedgeConfig, error) {
 
 // onHedgeTimer fires DelaySeconds after a request's arrival: if the
 // request is still waiting for its first token, a duplicate is issued to
-// a second member. Requests already served, shed, displaced into a
-// parked retry, or hedged (a twin exists) are left alone.
+// a second member. Requests already producing tokens, displaced into a
+// parked retry, or hedged (a twin exists) are left alone. The timer held
+// the request since its arrival; it lets go here, and frees a request
+// that finished or was shed in the meantime.
 func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 	r := ev.Req
-	if r.Finish > 0 || r.FirstTok > 0 || r.Dropped || r.Twin != nil || r.Member < 0 {
+	if !r.Held {
+		return fmt.Errorf("cluster: hedge timer of request %d holds a freed slot", r.ID)
+	}
+	r.Held = false
+	if r.Finish > 0 || r.Dropped {
+		cs.slab.Free(r)
+		return nil
+	}
+	if r.FirstTok > 0 || r.Twin != nil || r.Member < 0 {
 		return nil
 	}
 	// Fewest-outstanding pick among the other members, ties to the lowest
@@ -66,6 +76,7 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 		Twin:     r,
 	})
 	if !best.inst.Admit(h) {
+		cs.slab.Free(h)
 		return nil // bounded queue full; the original keeps waiting
 	}
 	h.Attempts++

@@ -179,9 +179,10 @@ func TestBatchBufferClearedOnRelease(t *testing.T) {
 
 // TestServeAllocBudget is the single-appliance twin of the cluster
 // package's fleet budget: the extra requests of a prefill run twice as
-// long may cost at most 0.25 heap objects each.
+// long may cost at most 0.25 heap objects and 16 bytes each. Before
+// finished requests were recycled the bytes read 131; now under 1.
 func TestServeAllocBudget(t *testing.T) {
-	mallocs := func(seconds float64) (uint64, int) {
+	allocs := func(seconds float64) (mallocs, bytes uint64, requests int) {
 		cfg := testConfig()
 		cfg.RatePerSec = 25 // about 0.8 utilisation: the queue stays short
 		cfg.DurationSeconds = seconds
@@ -193,18 +194,23 @@ func TestServeAllocBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.Mallocs - before.Mallocs, rep.Requests
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, rep.Requests
 	}
-	mallocs(5) // first-use work outside the two measured runs
-	m1, n1 := mallocs(800)
-	m2, n2 := mallocs(1600)
+	allocs(5) // first-use work outside the two measured runs
+	m1, b1, n1 := allocs(800)
+	m2, b2, n2 := allocs(1600)
 	if n2-n1 < 15000 {
 		t.Fatalf("runs admitted %d and %d requests: too close to measure a 20k-request margin", n1, n2)
 	}
 	perReq := (float64(m2) - float64(m1)) / float64(n2-n1)
-	t.Logf("%d and %d requests, %d and %d mallocs: %.4f allocs per extra request", n1, n2, m1, m2, perReq)
+	bytesPerReq := (float64(b2) - float64(b1)) / float64(n2-n1)
+	t.Logf("%d and %d requests, %d and %d mallocs, %d and %d bytes: %.4f allocs and %.2f bytes per extra request",
+		n1, n2, m1, m2, b1, b2, perReq, bytesPerReq)
 	if perReq > 0.25 {
 		t.Errorf("serve.Run allocates %.3f objects per request, budget 0.25", perReq)
+	}
+	if bytesPerReq > 16 {
+		t.Errorf("serve.Run allocates %.1f bytes per request, budget 16: finished requests are not being recycled", bytesPerReq)
 	}
 }
 

@@ -13,6 +13,13 @@ import (
 // their own seeded distributions) and hand them to an Instance for
 // service; the Instance mutates the service-side fields (Start, FirstTok,
 // Finish, Generated) as the request advances.
+//
+// A request lives in a RequestSlab slot. While it is in service an
+// Instance holds it (queue, in-flight batch or live batch); a parked retry
+// event or a pending hedge timer may hold it too. The traffic layer that
+// carved it frees it at its terminal point — finish, shed or refused
+// admission — and the Instance reads it no more after that callback; see
+// RequestSlab for the copies that are never freed.
 type Request struct {
 	ID     int
 	Client int // closed-loop client index, -1 for open-loop/trace arrivals
@@ -32,16 +39,25 @@ type Request struct {
 	// the duplicate copy; Member is the instance currently serving this
 	// copy (-1 while unrouted); Dropped marks a copy the traffic layer has
 	// retired (its twin won, or a fault displaced it past usefulness) so
-	// parked retry events can recognize it as dead.
+	// parked retry events can recognize it as dead. A freed request's Twin
+	// links the slab's free slots instead.
 	Twin   *Request
 	Member int
 
 	Arrive, Start, FirstTok, Finish float64 // simulated seconds
 
-	// The four flags sit together so the struct is 128 bytes, which lets
+	// The five flags sit together so the struct is 128 bytes, which lets
 	// RequestSlab fill its allocation size class (see requestChunk).
 	Hedge   bool
 	Dropped bool
+	// Held marks a request a pending traffic-layer timer (the cluster's
+	// hedge timer) still points at: Free leaves a held request alone, and
+	// the timer clears the mark when it fires, freeing the request then if
+	// it has already ended. It must be set before anything can end the
+	// request. New overwrites it with the new occupant's own mark, so of
+	// two timers on one slot the second finds it clear: a slot freed
+	// under a pending timer shows up as an error, not a wrong hedge.
+	Held bool
 	// canceled marks a copy the owning Instance has been told to abandon:
 	// PrefillDone/StepDone/Crash skip canceled members of a batch, and the
 	// admission queue drops canceled entries as it passes them. A canceled
@@ -59,29 +75,58 @@ func (r *Request) Expired(now float64) bool {
 	return r.Deadline > 0 && now > r.Deadline
 }
 
-// RequestSlab hands the traffic layers Requests carved from chunked
-// backing arrays: one allocation per requestChunk requests, a chunk being
-// garbage once every request carved from it is unreachable. Slots are never
-// reused — a parked retry or hedge timer, or a Twin link, can hold a
-// request long after it finished, so recycling would alias live state.
-type RequestSlab struct{ free []Request }
+// RequestSlab hands the traffic layers Requests: New takes the most
+// recently freed slot, else carves one from a chunked backing array (one
+// allocation per requestChunk requests). A traffic layer frees a request
+// at its terminal point — completion, shed, or an Admit that refused it —
+// so a steady run reuses a bounded set of slots instead of allocating per
+// request. Freeing is only safe once nothing can reach the request: Free
+// leaves a Held request to its timer, and a traffic layer never frees a
+// dropped hedge copy (the loser of a race, original or duplicate, or a
+// copy a fault retired), because an Instance may still hold it as a
+// lazily cancelled queue entry or a cancelled batch member, or a parked
+// retry event may. Those copies, and the chunks they keep alive, go to
+// the garbage collector.
+type RequestSlab struct {
+	chunk []Request // uncarved rest of the newest chunk
+	freed *Request  // free slots, linked through Twin
+}
 
 // requestChunk fills a Go allocation size class: 143 128-byte requests and
 // the runtime's 8-byte malloc header are 18,312 bytes, served from the
 // 18,432-byte class with 120 to spare (a 128-request chunk of the former
 // 136-byte Request sat in the same class with 1,016 bytes of slack).
 // TestRequestChunkFillsSizeClass fails when a new field spills the class.
+// A chunk is carved only while the free list is empty, so a steady run
+// stops at the chunks its peak of live requests needs; a chunk is garbage
+// once none of its slots is reachable, free list included.
 const requestChunk = 143
 
-// New carves the next request and initializes it to v.
+// New takes a freed slot, or carves the next one, and initializes it to v.
 func (s *RequestSlab) New(v Request) *Request {
-	if len(s.free) == 0 {
-		s.free = make([]Request, requestChunk)
+	r := s.freed
+	if r != nil {
+		s.freed = r.Twin
+	} else {
+		if len(s.chunk) == 0 {
+			s.chunk = make([]Request, requestChunk)
+		}
+		r = &s.chunk[0]
+		s.chunk = s.chunk[1:]
 	}
-	r := &s.free[0]
-	s.free = s.free[1:]
 	*r = v
 	return r
+}
+
+// Free returns r's slot for New to reuse, unless r is Held. It writes
+// only r.Twin, so a caller still inside the event that ended r reads the
+// rest of it unchanged; the slot is overwritten at the next New.
+func (s *RequestSlab) Free(r *Request) {
+	if r.Held {
+		return
+	}
+	r.Twin = s.freed
+	s.freed = r
 }
 
 // Completion kinds: what an Instance schedules when a replica starts a

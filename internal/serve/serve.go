@@ -444,12 +444,14 @@ func Run(cfg Config) (*Report, error) {
 				s.events.Push(&Event{At: t, Kind: evArrival, Arg: int32(r.Client)})
 			}
 		}
+		s.slab.Free(r)
 	}
 	s.inst.OnShed = func(r *Request, now float64, reason ShedReason) {
 		if rec.Sampled(r.ID) {
 			rec.Instant(0, 0, "shed", now, obs.Num("id", float64(r.ID)), obs.Num("reason", float64(reason)))
 			rec.EndAsync(0, "req", r.ID, "request", now)
 		}
+		s.slab.Free(r)
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Bind(
@@ -524,6 +526,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			if !admitted {
 				s.shed++ // single appliance: nowhere to reroute
+				s.slab.Free(r)
 			}
 			if s.arrivals != nil {
 				if t := now + s.arrivals.Next(); t <= cfg.DurationSeconds {

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LogHistogram defaults: buckets grow by ~5% per step, so quantiles read
@@ -25,7 +26,8 @@ const (
 // of insertion order, so aggregations built on it stay byte-reproducible.
 //
 // Bucket edges are looked up, not recomputed: edges caches Min*Base^i per
-// index, filled on first use by the one expression that defines an edge.
+// index, filled on first use by the one expression that defines an edge
+// (histograms with the package defaults start from the shared defaultEdges).
 // Add takes its first guess at the bucket from the sample's own bits — the
 // float's exponent plus a 256-entry log2 table on its top mantissa bits —
 // and the edge table then decides, so no Add calls math.Log and every
@@ -44,7 +46,7 @@ type LogHistogram struct {
 	// the auditor to report, not a value to aggregate.
 	NonFinite int64
 
-	edges []float64 // edges[i] = Min*Base^i, grown on demand
+	edges []float64 // edges[i] = Min*Base^i, grown on demand; may alias defaultEdges
 	// 1/math.Log2(Base) and math.Log2(Min), cached on first Add.
 	invLog2Base, log2Min float64
 }
@@ -58,6 +60,23 @@ var mantissaLog2 = func() (t [256]float64) {
 	}
 	return t
 }()
+
+// defaultEdges is the edge table of the package defaults through the first
+// edge above 1e9, enough for any latency in seconds, built once by the
+// expression growEdges uses. Every default histogram reads it instead of
+// building its own; it is never written after package init, and its
+// length equals its capacity, so a histogram growing past it appends to a
+// copy of its own.
+var defaultEdges = func() []float64 {
+	var e []float64
+	for n := 0; n == 0 || e[n-1] <= 1e9; n++ {
+		e = append(e, edgeAt(logHistBase, logHistMin, n))
+	}
+	return slices.Clip(e)
+}()
+
+// edgeAt is the one expression that defines bucket n's lower edge.
+func edgeAt(base, lowest float64, n int) float64 { return lowest * math.Pow(base, float64(n)) }
 
 // NewLogHistogram builds an empty histogram with the package defaults.
 func NewLogHistogram() *LogHistogram {
@@ -76,8 +95,13 @@ func (h *LogHistogram) edge(i int) float64 {
 // same expression whatever the growth order, so the table — and with it
 // every bucket assignment — is a pure function of (Base, Min).
 func (h *LogHistogram) growEdges(i int) {
+	if h.edges == nil && h.Base == logHistBase && h.Min == logHistMin {
+		if h.edges = defaultEdges; i < len(h.edges) {
+			return
+		}
+	}
 	for n := len(h.edges); n <= i; n++ {
-		h.edges = append(h.edges, h.Min*math.Pow(h.Base, float64(n)))
+		h.edges = append(h.edges, edgeAt(h.Base, h.Min, n))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -330,6 +331,49 @@ func TestLogHistogramBucketIdentity(t *testing.T) {
 				t.Errorf("%s merged: Quantile(%g) = %v, single pass %v", name, q, g, w)
 			}
 		}
+	}
+}
+
+// TestLogHistogramSharedEdges pins the shared default edge table: default
+// histograms read it from many goroutines at once (run under -race), a
+// sample past its end grows a private copy, and the table itself never
+// changes. A non-default histogram builds its own.
+func TestLogHistogramSharedEdges(t *testing.T) {
+	want := append([]float64(nil), defaultEdges...)
+	if last := want[len(want)-1]; last <= 1e9 {
+		t.Fatalf("default table ends at %g, below 1e9 s", last)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h := NewLogHistogram()
+			for _, v := range []float64{1e-6, 0.3, 42, 7e8} {
+				h.Add(v)
+			}
+			if &h.edges[0] != &defaultEdges[0] {
+				t.Error("a default histogram built its own edge table")
+			}
+			h.Add(1e12) // past the shared table
+			if &h.edges[0] == &defaultEdges[0] {
+				t.Error("growth past the shared table wrote into it")
+			}
+		}()
+	}
+	wg.Wait()
+	if len(defaultEdges) != len(want) {
+		t.Fatalf("shared table length %d, built with %d", len(defaultEdges), len(want))
+	}
+	for i, e := range want {
+		if defaultEdges[i] != e {
+			t.Fatalf("shared edge %d changed from %v to %v", i, e, defaultEdges[i])
+		}
+	}
+	own := &LogHistogram{Base: 1.1, Min: logHistMin}
+	own.Add(1)
+	if &own.edges[0] == &defaultEdges[0] {
+		t.Error("a (1.1, 1e-9) histogram reads the (1.05, 1e-9) table")
 	}
 }
 
