@@ -1,21 +1,14 @@
-// transformerforward runs one full transformer encoder layer numerically:
-// every projection/FFN GEMM executes as quantized integer lookups on the
-// simulated PIM system (the Fig. 8 split), the host computes attention,
-// softmax, layer norm and GELU in fp32, and the result is compared against
-// a pure-float reference of the same layer. This demonstrates the paper's
-// end-to-end numeric contract: the LUT pipeline adds no error beyond
-// quantization itself.
-package main
+package localut_test
 
 import (
 	"fmt"
-	"log"
 	"math"
 	"math/rand"
 
 	"github.com/ais-snu/localut"
 )
 
+// The encoder layer Example_transformerForward runs.
 const (
 	tokens = 32
 	hidden = 128
@@ -36,48 +29,6 @@ func randMat(rng *rand.Rand, rows, cols int) []float64 {
 		m[i] = rng.NormFloat64() / math.Sqrt(float64(cols))
 	}
 	return m
-}
-
-func main() {
-	rng := rand.New(rand.NewSource(7))
-	l := &layer{
-		wq: randMat(rng, hidden, hidden), wk: randMat(rng, hidden, hidden),
-		wv: randMat(rng, hidden, hidden), wo: randMat(rng, hidden, hidden),
-		w1: randMat(rng, ffn, hidden), w2: randMat(rng, hidden, ffn),
-	}
-	x := randMat(rng, tokens, hidden)
-
-	ref, err := forward(l, x, nil, localut.Format{})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	sys := localut.NewSystem()
-	fmt.Printf("one encoder layer, %d tokens x %d hidden, PIM GEMMs vs float reference:\n\n", tokens, hidden)
-	fmt.Printf("%-6s %14s %16s\n", "format", "rel. error", "PIM GEMM time")
-	for _, f := range localut.Formats {
-		var gemmSeconds float64
-		got, err := forward(l, x, func(w, in []float64, m, k, n int) ([]float64, error) {
-			out, sec, err := pimGEMM(sys, f, w, in, m, k, n)
-			gemmSeconds += sec
-			return out, err
-		}, f)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var num, den float64
-		for i := range ref {
-			d := got[i] - ref[i]
-			num += d * d
-			den += ref[i] * ref[i]
-		}
-		fmt.Printf("%-6s %14.4f %13.3f ms\n", f.Name(), math.Sqrt(num/den), gemmSeconds*1e3)
-	}
-	fmt.Println("\nevery PIM GEMM above was verified bit-exact against the integer reference,")
-	fmt.Println("so the error is per-tensor post-training quantization alone, compounded")
-	fmt.Println("across six projections (real W1Ax deployments recover accuracy with")
-	fmt.Println("quantization-aware training, e.g. BinaryBERT [3]; the paper inherits those")
-	fmt.Println("checkpoints, while this library reproduces the execution substrate).")
 }
 
 // gemmFn multiplies W (m x k) by in^T columns; in is tokens x k row-major,
@@ -135,7 +86,7 @@ func floatGEMM(w, in []float64, m, k, n int) ([]float64, error) {
 }
 
 // forward runs the encoder layer; gemm == nil selects the float reference.
-func forward(l *layer, x []float64, gemm gemmFn, f localut.Format) ([]float64, error) {
+func forward(l *layer, x []float64, gemm gemmFn) ([]float64, error) {
 	if gemm == nil {
 		gemm = floatGEMM
 	}

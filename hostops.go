@@ -6,7 +6,7 @@ import "github.com/ais-snu/localut/internal/hostops"
 // the PIM banks run the projection/FFN GEMMs while softmax, normalization,
 // GELU and attention stay on the host. These wrappers let applications
 // assemble a complete numeric transformer forward pass around GEMMQuantized
-// (see examples/transformerforward).
+// (see Example_transformerForward).
 //
 // Each operator touches only the slices it is given, so callers may run
 // them concurrently over disjoint tensors — e.g. layer-parallel host work

@@ -7,9 +7,9 @@
 // Scoping: maporder, rngstream, and nilrecv run everywhere — a CLI
 // printing a table in map order corrupts a report just as surely as a
 // simulator kernel. walltime runs only on simulation packages: cmd/*
-// and examples/* legitimately measure host wall-clock, and
-// internal/prof exists to wrap pprof; everything else in the module
-// must advance only the simulated clock.
+// legitimately measures host wall-clock, and internal/prof exists to
+// wrap pprof; everything else in the module must advance only the
+// simulated clock.
 package determlint
 
 import (
@@ -27,19 +27,9 @@ import (
 // ModulePath is the import prefix the scoping rules strip.
 const ModulePath = "github.com/ais-snu/localut"
 
-// Analyzers returns the full suite in a fixed order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
-		maporder.Analyzer,
-		nilrecv.Analyzer,
-		rngstream.Analyzer,
-		walltime.Analyzer,
-	}
-}
-
 // wallClockExempt lists module-relative path prefixes where host
 // wall-clock use is part of the job.
-var wallClockExempt = []string{"cmd/", "examples/", "internal/prof"}
+var wallClockExempt = []string{"cmd/", "internal/prof"}
 
 // For returns the analyzers that apply to the package at importPath.
 func For(importPath string) []*analysis.Analyzer {

@@ -61,7 +61,6 @@ func TestScope(t *testing.T) {
 		{mod, true},
 		{mod + "/cmd/localut-serve", false},
 		{mod + "/cmd/determlint", false},
-		{mod + "/examples/quickstart", false},
 		{mod + "/internal/prof", false},
 	} {
 		got := names(tc.path)

@@ -21,7 +21,7 @@ func TestAblationByteAccurateSliceCost(t *testing.T) {
 	// Verbatim Eq. 2/3: per-entry L_D, flat L_local.
 	bestP, bestT := 0, 0.0
 	for p := 1; p <= 6; p++ {
-		tt := m.StreamTime(2, p, M, K, N)
+		tt := m.streamTime(2, p, M, K, N)
 		if bestP == 0 || tt < bestT {
 			bestP, bestT = p, tt
 		}

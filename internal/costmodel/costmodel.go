@@ -41,20 +41,10 @@ func Default() Model {
 	}
 }
 
-// StreamTime evaluates Eq. 2: the slice-streaming execution time of an
-// M x K x N GEMM at packing degree p:
-//
-//	T = 2^(bw*p) * (K*N/p) * L_D  +  (M*K*N/p) * L_local.
-func (m Model) StreamTime(bw, p, M, K, N int) float64 {
-	groups := float64(K) * float64(N) / float64(p)
-	sliceEntries := math.Pow(2, float64(bw*p))
-	return sliceEntries*groups*m.LD + float64(M)*groups*m.LLocal
-}
-
-// StreamTimeBytes is the byte-accurate refinement of Eq. 2 used for
-// decisions: the slice term is charged per byte of the canonical+reordering
-// entry pair and L_local is scaled for the register-level output reuse the
-// slice batch k provides.
+// StreamTimeBytes is the byte-accurate refinement of Eq. 2 that Choose
+// prices streaming with: the slice term is charged per byte of the
+// canonical+reordering entry pair and L_local is scaled for the
+// register-level output reuse the slice batch k provides.
 func (m Model) StreamTimeBytes(spec lut.Spec, M, K, N, k int) float64 {
 	groups := float64(K) * float64(N) / float64(spec.P)
 	sliceBytes := float64(spec.SliceBytes())
@@ -69,16 +59,6 @@ func (m Model) BufferTime(pLocal, M, K, N int) float64 {
 		return math.Inf(1)
 	}
 	return float64(M) * float64(K) * float64(N) / float64(pLocal) * m.LLocal
-}
-
-// BreakEvenM evaluates Eq. 6: buffer residence beats streaming when
-// M < 2^(bw*p*) * (L_D/L_local) * (p_local / (p* - p_local)).
-func (m Model) BreakEvenM(bw, pStar, pLocal int) float64 {
-	if pStar <= pLocal {
-		return math.Inf(1) // streaming cannot win without a p advantage
-	}
-	return math.Pow(2, float64(bw*pStar)) * (m.LD / m.LLocal) *
-		float64(pLocal) / float64(pStar-pLocal)
 }
 
 // MaxP returns the largest packing degree at which the packed-LUT design v's
@@ -117,9 +97,10 @@ type Choice struct {
 }
 
 // Choose runs the §IV-D selection for a LoCaLUT GEMM of shape M x K x N:
-// it evaluates Eq. 2 for every p <= p_DRAM and Eq. 4 at p_local, picks the
-// minimum, and selects the largest k in {8,4,2,1} whose slice pairs fit the
-// WRAM LUT budget at the chosen p (larger k only improves output reuse).
+// it compares Eq. 4 (BufferTime) at p_local against StreamTimeBytes, Eq. 2's
+// byte-accurate refinement, for every p_local < p <= p_DRAM, each at the
+// largest k in {8,4,2,1} whose slice pairs fit the WRAM LUT budget (larger k
+// only improves output reuse), and picks the minimum.
 func Choose(m Model, f quant.Format, M, K, N int, cfg *pim.Config) (Choice, error) {
 	if M <= 0 || K <= 0 || N <= 0 {
 		return Choice{}, fmt.Errorf("costmodel: invalid GEMM shape %dx%dx%d", M, K, N)

@@ -11,6 +11,31 @@ import (
 	"github.com/ais-snu/localut/internal/quant"
 )
 
+// streamTime evaluates Eq. 2 as printed: the slice-streaming execution time
+// of an M x K x N GEMM at packing degree p,
+//
+//	T = 2^(bw*p) * (K*N/p) * L_D  +  (M*K*N/p) * L_local.
+//
+// Choose prices streaming with StreamTimeBytes, its byte-accurate
+// refinement; this form stays here to pin the paper's equation and the
+// ablation that motivates the refinement.
+func (m Model) streamTime(bw, p, M, K, N int) float64 {
+	groups := float64(K) * float64(N) / float64(p)
+	sliceEntries := math.Pow(2, float64(bw*p))
+	return sliceEntries*groups*m.LD + float64(M)*groups*m.LLocal
+}
+
+// breakEvenM evaluates Eq. 6: buffer residence beats streaming when
+// M < 2^(bw*p*) * (L_D/L_local) * (p_local / (p* - p_local)). Eq. 6
+// restates the Eq. 2 vs Eq. 4 comparison that Choose makes directly.
+func (m Model) breakEvenM(bw, pStar, pLocal int) float64 {
+	if pStar <= pLocal {
+		return math.Inf(1) // streaming cannot win without a p advantage
+	}
+	return math.Pow(2, float64(bw*pStar)) * (m.LD / m.LLocal) *
+		float64(pLocal) / float64(pStar-pLocal)
+}
+
 func TestDefaultConstants(t *testing.T) {
 	m := Default()
 	if m.LD != 1.36e-9 || m.LLocal != 3.27e-8 {
@@ -26,12 +51,12 @@ func TestStreamTimeEq2(t *testing.T) {
 	// Hand-evaluate Eq. 2 for W2A2 (bw=2), p=5, (3072,768,768):
 	// 2^10 * (768*768/5) * 1.36e-9 + 3072*768*768/5 * 3.27e-8.
 	m := Default()
-	got := m.StreamTime(2, 5, 3072, 768, 768)
+	got := m.streamTime(2, 5, 3072, 768, 768)
 	slice := math.Pow(2, 10) * (768.0 * 768.0 / 5.0) * 1.36e-9
 	local := 3072.0 * 768.0 * 768.0 / 5.0 * 3.27e-8
 	want := slice + local
 	if math.Abs(got-want)/want > 1e-12 {
-		t.Errorf("StreamTime = %g, want %g", got, want)
+		t.Errorf("streamTime = %g, want %g", got, want)
 	}
 	// The second (L_local) term must dominate at this shape, as Fig. 18
 	// implies (~12 s total, slice loading ~0.16 s).
@@ -59,18 +84,18 @@ func TestBreakEvenMGrowsWithBw(t *testing.T) {
 	// §IV-D: the break-even M increases with (1) larger bw, (3) smaller
 	// gap between p* and p_local.
 	m := Default()
-	lo := m.BreakEvenM(1, 8, 5)
-	hi := m.BreakEvenM(2, 8, 5)
+	lo := m.breakEvenM(1, 8, 5)
+	hi := m.breakEvenM(2, 8, 5)
 	if !(hi > lo) {
 		t.Errorf("break-even M should grow with bw: bw1=%g bw2=%g", lo, hi)
 	}
 	// At fixed p*, a larger p_local (smaller gap) raises the break-even M.
-	narrow := m.BreakEvenM(1, 8, 7)
-	wide := m.BreakEvenM(1, 8, 5)
+	narrow := m.breakEvenM(1, 8, 7)
+	wide := m.breakEvenM(1, 8, 5)
 	if !(narrow > wide) {
 		t.Errorf("break-even M should grow as p*-p_local shrinks: narrow=%g wide=%g", narrow, wide)
 	}
-	if !math.IsInf(m.BreakEvenM(1, 5, 5), 1) {
+	if !math.IsInf(m.breakEvenM(1, 5, 5), 1) {
 		t.Error("p* == p_local should never stream")
 	}
 }

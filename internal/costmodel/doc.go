@@ -1,9 +1,12 @@
 // Package costmodel implements the first-order performance model of §IV-D:
-// Eq. 2 (slice-streaming execution time), Eq. 4 (buffer-resident time), the
-// optimal packing degree selection of Eq. 3, and the streaming-vs-buffer
-// decision of Eq. 6. The host runs this model once per GEMM shape at
-// initialization (§V-A) to pick the packing degree p*, the residence of the
-// LUTs, and the slice batch k.
+// the slice-streaming time of Eq. 2 (in its byte-accurate form,
+// StreamTimeBytes), the buffer-resident time of Eq. 4, and the optimal
+// packing degree selection of Eq. 3. Choose makes the streaming-vs-buffer
+// decision by comparing the two times directly; Eq. 6 restates that
+// comparison as a break-even M and is pinned in the tests, not evaluated
+// here. The host runs this model once per GEMM shape at initialization
+// (§V-A) to pick the packing degree p*, the residence of the LUTs, and the
+// slice batch k.
 //
 // The model owns only Eq. 2's profiled constants, L_D and L_local. The
 // instruction split that refines L_local for streaming comes from

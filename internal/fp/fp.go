@@ -9,10 +9,7 @@
 // configs store float32 partial dot products of decoded symbol values.
 package fp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Format describes a floating-point symbol encoding of Bits bits.
 type Format interface {
@@ -24,19 +21,6 @@ type Format interface {
 	Decode(code uint32) float64
 	// Encode maps a real value to the nearest representable code.
 	Encode(v float64) uint32
-}
-
-// ByName returns the format for "FP4", "FP8" or "FP16".
-func ByName(name string) (Format, error) {
-	switch name {
-	case "FP4":
-		return FP4{}, nil
-	case "FP8":
-		return FP8{}, nil
-	case "FP16":
-		return FP16{}, nil
-	}
-	return nil, fmt.Errorf("fp: unknown format %q", name)
 }
 
 // FP4 is the E2M1 4-bit format: 1 sign, 2 exponent (bias 1), 1 mantissa bit.
@@ -180,45 +164,4 @@ func encodeNearest(f Format, v float64) uint32 {
 		}
 	}
 	return best
-}
-
-// MaxFinite returns the largest finite magnitude of the format.
-func MaxFinite(f Format) float64 {
-	switch f.(type) {
-	case FP4:
-		return 6
-	case FP8:
-		return 448
-	case FP16:
-		return 65504
-	}
-	max := 0.0
-	n := uint32(1) << uint(f.Bits())
-	for code := uint32(0); code < n; code++ {
-		x := f.Decode(code)
-		if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) > max {
-			max = math.Abs(x)
-		}
-	}
-	return max
-}
-
-// QuantizeTensor quantizes a float slice into format codes with a per-tensor
-// scale chosen so absmax maps to the format's max finite value.
-func QuantizeTensor(data []float64, f Format) (codes []uint16, scale float64) {
-	absmax := 0.0
-	for _, v := range data {
-		if a := math.Abs(v); a > absmax {
-			absmax = a
-		}
-	}
-	scale = 1.0
-	if absmax > 0 {
-		scale = absmax / MaxFinite(f)
-	}
-	codes = make([]uint16, len(data))
-	for i, v := range data {
-		codes[i] = uint16(f.Encode(v / scale))
-	}
-	return codes, scale
 }

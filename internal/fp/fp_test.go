@@ -123,9 +123,9 @@ func TestFP16EncodeSpecials(t *testing.T) {
 func TestEncodeNearestProperty(t *testing.T) {
 	// For any v, the encoded value must be at least as close as every other
 	// representable value.
-	check := func(f Format) func(float64) bool {
+	check := func(f Format, maxFinite float64) func(float64) bool {
 		return func(raw float64) bool {
-			v := math.Mod(raw, 2*MaxFinite(f))
+			v := math.Mod(raw, 2*maxFinite)
 			if math.IsNaN(v) {
 				return true
 			}
@@ -144,53 +144,12 @@ func TestEncodeNearestProperty(t *testing.T) {
 			return true
 		}
 	}
-	for _, f := range []Format{FP4{}, FP8{}} {
-		if err := quick.Check(check(f), &quick.Config{MaxCount: 200}); err != nil {
-			t.Errorf("%s: %v", f.Name(), err)
-		}
-	}
-}
-
-func TestMaxFinite(t *testing.T) {
-	if MaxFinite(FP4{}) != 6 || MaxFinite(FP8{}) != 448 || MaxFinite(FP16{}) != 65504 {
-		t.Error("MaxFinite constants")
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"FP4", "FP8", "FP16"} {
-		f, err := ByName(name)
-		if err != nil || f.Name() != name {
-			t.Errorf("ByName(%s): %v %v", name, f, err)
-		}
-	}
-	if _, err := ByName("FP32"); err == nil {
-		t.Error("accepted FP32")
-	}
-}
-
-func TestQuantizeTensor(t *testing.T) {
-	data := []float64{-2, -1, 0, 0.5, 1, 3}
-	codes, scale := QuantizeTensor(data, FP4{})
-	f := FP4{}
-	// absmax 3 maps to 6 => scale 0.5; all inputs/scale are representable.
-	if scale != 0.5 {
-		t.Fatalf("scale = %g", scale)
-	}
-	for i, v := range data {
-		got := f.Decode(uint32(codes[i])) * scale
-		if got != v {
-			t.Errorf("elem %d: %g -> %g", i, v, got)
-		}
-	}
-	// Zero tensor must not divide by zero.
-	codes, scale = QuantizeTensor(make([]float64, 3), FP8{})
-	if scale != 1 {
-		t.Errorf("zero scale = %g", scale)
-	}
-	for _, c := range codes {
-		if f8 := (FP8{}).Decode(uint32(c)); f8 != 0 {
-			t.Errorf("zero tensor code %d", c)
+	for _, c := range []struct {
+		f         Format
+		maxFinite float64
+	}{{FP4{}, 6}, {FP8{}, 448}} {
+		if err := quick.Check(check(c.f, c.maxFinite), &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%s: %v", c.f.Name(), err)
 		}
 	}
 }

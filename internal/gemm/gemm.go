@@ -522,8 +522,3 @@ func (e *Engine) chargeInit(rep *Report, pair *workload.GEMMPair, spec lut.Spec,
 	rep.InitSeconds = e.hostSeconds(lutBytes*2) + // host-side table fill
 		float64(lutBytes)/e.Cfg.HostBroadcastBW + wXfer
 }
-
-// Speedup is a convenience: baseline.Total / candidate.Total.
-func Speedup(baseline, candidate *Report) float64 {
-	return baseline.Total / candidate.Total
-}

@@ -166,11 +166,3 @@ func TestHostBreakdownShares(t *testing.T) {
 		t.Error("init seconds not charged")
 	}
 }
-
-func TestSpeedupHelper(t *testing.T) {
-	a := &Report{Total: 2.0}
-	b := &Report{Total: 1.0}
-	if Speedup(a, b) != 2.0 {
-		t.Error("Speedup")
-	}
-}

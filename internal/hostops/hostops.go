@@ -3,7 +3,7 @@
 // attention — as real computations. The dnn package prices these with a
 // flops model for timing; hostops supplies the arithmetic so an end-to-end
 // transformer forward pass can run numerically through the simulated PIM
-// GEMMs (see examples/transformerforward).
+// GEMMs (see the root package's Example_transformerForward).
 package hostops
 
 import (

@@ -177,6 +177,3 @@ func readF32(data []byte, idx int) float32 {
 		uint32(data[off+2])<<16 | uint32(data[off+3])<<24
 	return math.Float32frombits(bits)
 }
-
-// ReadF32 exposes readF32 for kernel code operating on streamed slices.
-func ReadF32(data []byte, idx int) float32 { return readF32(data, idx) }

@@ -175,7 +175,7 @@ func TestReadF32RoundTrip(t *testing.T) {
 	data := make([]byte, 8)
 	for _, v := range []float32{0, -1.5, 3.25, float32(math.Inf(1))} {
 		writeF32(data, 1, v)
-		if got := ReadF32(data, 1); got != v {
+		if got := readF32(data, 1); got != v {
 			t.Errorf("wrote %g read %g", v, got)
 		}
 	}

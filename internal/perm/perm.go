@@ -107,18 +107,6 @@ func binomialBig(n, k int) int64 {
 	return z.Int64()
 }
 
-// BinomialFloat returns C(n, k) as a float64 via lgamma, for capacity
-// planning where exactness is unnecessary and int64 would overflow.
-func BinomialFloat(n, k int) float64 {
-	if k < 0 || n < 0 || k > n {
-		return 0
-	}
-	ln, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return math.Exp(ln - lk - lnk)
-}
-
 // Rank returns the Lehmer (lexicographic) rank of a permutation of [0, n)
 // in [0, n!). It returns an error if p is not a permutation.
 func Rank(p []int) (int64, error) {
@@ -231,25 +219,6 @@ func Apply(p, v []int) []int {
 	return out
 }
 
-// Inverse returns the inverse permutation q of p, i.e. q[p[i]] = i.
-func Inverse(p []int) []int {
-	q := make([]int, len(p))
-	for i, v := range p {
-		q[v] = i
-	}
-	return q
-}
-
-// IsSortedInts reports whether v is non-decreasing.
-func IsSortedInts(v []int) bool {
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // MultisetCount returns the number of non-decreasing length-p sequences over
 // the alphabet [0, a), i.e. C(a+p-1, p) — the canonical LUT column count of
 // Eq. 1. The result saturates at math.MaxInt64.
@@ -258,14 +227,6 @@ func MultisetCount(a, p int) int64 {
 		return 0
 	}
 	return Binomial(a+p-1, p)
-}
-
-// MultisetCountFloat is MultisetCount without overflow limits.
-func MultisetCountFloat(a, p int) float64 {
-	if a <= 0 || p < 0 {
-		return 0
-	}
-	return BinomialFloat(a+p-1, p)
 }
 
 // MultisetRank maps a non-decreasing sequence v over [0, a) to its rank in
@@ -288,15 +249,6 @@ func MultisetRank(v []int, a int) (int64, error) {
 		r += Binomial(u, i+1)
 	}
 	return r, nil
-}
-
-// MustMultisetRank is MultisetRank for inputs known to be valid.
-func MustMultisetRank(v []int, a int) int64 {
-	r, err := MultisetRank(v, a)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // MultisetUnrank is the inverse of MultisetRank: it returns the

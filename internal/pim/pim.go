@@ -244,11 +244,6 @@ type MRAM struct {
 	retired  map[string]*Segment
 }
 
-// NewMRAM returns an empty bank of the given capacity.
-func NewMRAM(capacity int64) *MRAM {
-	return newMRAM(capacity, false)
-}
-
 // newMRAM returns a bank, segment-less when costOnly.
 func newMRAM(capacity int64, costOnly bool) *MRAM {
 	return &MRAM{
@@ -382,9 +377,6 @@ func (m *MRAM) Free(name string) error {
 	return nil
 }
 
-// Used returns the allocated byte count.
-func (m *MRAM) Used() int64 { return m.used }
-
 // Capacity returns the bank size.
 func (m *MRAM) Capacity() int64 { return m.capacity }
 
@@ -412,11 +404,6 @@ type Buffer struct {
 	Name string
 	Size int
 	Data []byte
-}
-
-// NewWRAM returns an empty scratchpad.
-func NewWRAM(capacity int) *WRAM {
-	return newWRAM(capacity, false)
 }
 
 // newWRAM returns a scratchpad, byte-less when costOnly.
@@ -485,9 +472,6 @@ func (w *WRAM) FreeAll() {
 	}
 	w.used = 0
 }
-
-// Used returns allocated bytes.
-func (w *WRAM) Used() int { return w.used }
 
 // Capacity returns the scratchpad size.
 func (w *WRAM) Capacity() int { return w.capacity }
@@ -685,53 +669,4 @@ func (d *DPU) Reset() {
 	d.Meter.Reset()
 	d.WRAM.FreeAll()
 	d.MRAM.Reset()
-}
-
-// System models the whole PIM server: a host connected to NumDPUs banks.
-// Because GEMM tiling gives every bank an identical-shaped tile, the system
-// simulates one representative DPU per distinct tile shape and scales
-// host-link costs by the real byte totals.
-type System struct {
-	Cfg Config
-	// HostSeconds accumulates host-side compute time (quantize/sort/pack).
-	HostSeconds float64
-	// TransferSeconds accumulates host<->PIM link time.
-	TransferSeconds float64
-	// KernelSeconds accumulates PIM kernel wall time (max over banks).
-	KernelSeconds float64
-	// Meter aggregates event counts across all banks for energy accounting.
-	Meter Meter
-}
-
-// NewSystem validates cfg and returns a fresh system.
-func NewSystem(cfg Config) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &System{Cfg: cfg}, nil
-}
-
-// ChargeHostToPIM accounts a scatter of n total bytes to distinct banks.
-func (s *System) ChargeHostToPIM(n int64) {
-	s.TransferSeconds += float64(n) / s.Cfg.HostToPIMBW
-	s.Meter.add(EvHostToPIM, n)
-}
-
-// ChargeBroadcast accounts a broadcast of n bytes to every bank (n is the
-// payload size, not multiplied by bank count — the channel streams it once
-// per rank in parallel).
-func (s *System) ChargeBroadcast(n int64) {
-	s.TransferSeconds += float64(n) / s.Cfg.HostBroadcastBW
-	s.Meter.add(EvHostToPIM, n)
-}
-
-// ChargePIMToHost accounts a gather of n total bytes.
-func (s *System) ChargePIMToHost(n int64) {
-	s.TransferSeconds += float64(n) / s.Cfg.PIMToHostBW
-	s.Meter.add(EvPIMToHost, n)
-}
-
-// TotalSeconds returns the end-to-end time of everything charged so far.
-func (s *System) TotalSeconds() float64 {
-	return s.HostSeconds + s.TransferSeconds + s.KernelSeconds
 }

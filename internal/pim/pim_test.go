@@ -96,7 +96,7 @@ func TestLLocalCalibration(t *testing.T) {
 }
 
 func TestMRAMAllocator(t *testing.T) {
-	m := NewMRAM(1000)
+	m := newMRAM(1000, false)
 	a, err := m.Alloc("a", 600)
 	if err != nil {
 		t.Fatal(err)
@@ -119,14 +119,14 @@ func TestMRAMAllocator(t *testing.T) {
 	if b.Off != 600 {
 		t.Errorf("segment b off = %d", b.Off)
 	}
-	if m.Used() != 1000 {
-		t.Errorf("used = %d", m.Used())
+	if m.used != 1000 {
+		t.Errorf("used = %d", m.used)
 	}
 	if err := m.Free("a"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Used() != 400 {
-		t.Errorf("used after free = %d", m.Used())
+	if m.used != 400 {
+		t.Errorf("used after free = %d", m.used)
 	}
 	if err := m.Free("zzz"); err == nil {
 		t.Error("freeing unknown segment accepted")
@@ -140,7 +140,7 @@ func TestMRAMAllocator(t *testing.T) {
 }
 
 func TestWRAMAllocator(t *testing.T) {
-	w := NewWRAM(100)
+	w := newWRAM(100, false)
 	if _, err := w.Alloc("x", 80); err != nil {
 		t.Fatal(err)
 	}
@@ -150,17 +150,17 @@ func TestWRAMAllocator(t *testing.T) {
 	if _, err := w.Alloc("y", 20); err != nil {
 		t.Fatal("valid alloc failed")
 	}
-	if w.Used() != 100 || w.Capacity() != 100 {
-		t.Errorf("used=%d cap=%d", w.Used(), w.Capacity())
+	if w.used != 100 || w.Capacity() != 100 {
+		t.Errorf("used=%d cap=%d", w.used, w.Capacity())
 	}
 	if err := w.Free("x"); err != nil {
 		t.Fatal(err)
 	}
-	if w.Used() != 20 {
-		t.Errorf("used after free = %d", w.Used())
+	if w.used != 20 {
+		t.Errorf("used after free = %d", w.used)
 	}
 	w.FreeAll()
-	if w.Used() != 0 {
+	if w.used != 0 {
 		t.Error("FreeAll left bytes allocated")
 	}
 }
@@ -262,37 +262,10 @@ func TestMeterMerge(t *testing.T) {
 	}
 }
 
-func TestSystemCharges(t *testing.T) {
-	sys, err := NewSystem(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.ChargeHostToPIM(8_000_000_000) // 8 GB at 8 GB/s = 1 s
-	if math.Abs(sys.TransferSeconds-1.0) > 1e-9 {
-		t.Errorf("transfer = %g s", sys.TransferSeconds)
-	}
-	sys.ChargeBroadcast(12_000_000_000) // 12 GB at 12 GB/s = +1 s
-	if math.Abs(sys.TransferSeconds-2.0) > 1e-9 {
-		t.Errorf("after broadcast = %g s", sys.TransferSeconds)
-	}
-	sys.ChargePIMToHost(5_000_000_000) // +1 s
-	if math.Abs(sys.TransferSeconds-3.0) > 1e-9 {
-		t.Errorf("after gather = %g s", sys.TransferSeconds)
-	}
-	sys.HostSeconds = 0.5
-	sys.KernelSeconds = 1.5
-	if math.Abs(sys.TotalSeconds()-5.0) > 1e-9 {
-		t.Errorf("total = %g s", sys.TotalSeconds())
-	}
-	if sys.Meter.Count(EvHostToPIM) != 20_000_000_000 {
-		t.Errorf("host->pim bytes = %d", sys.Meter.Count(EvHostToPIM))
-	}
-}
-
 func TestNewSystemRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Ranks = -1
-	if _, err := NewSystem(cfg); err == nil {
+	if err := cfg.Validate(); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -304,7 +277,7 @@ func TestDPUReset(t *testing.T) {
 	d.WRAM.Alloc("y", 100)
 	d.Exec(EvInstr, 5)
 	d.Reset()
-	if d.Meter.Cycles != 0 || d.MRAM.Used() != 0 || d.WRAM.Used() != 0 {
+	if d.Meter.Cycles != 0 || d.MRAM.used != 0 || d.WRAM.used != 0 {
 		t.Error("Reset left state behind")
 	}
 }

@@ -280,11 +280,6 @@ func (t *Tensor) At(r, c int) uint32 { return uint32(t.Codes[r*t.Cols+c]) }
 // ValueAt returns the decoded integer at (r, c).
 func (t *Tensor) ValueAt(r, c int) int32 { return t.Codec.Decode(t.At(r, c)) }
 
-// RealAt returns the dequantized real value at (r, c).
-func (t *Tensor) RealAt(r, c int) float64 {
-	return t.Scale * float64(t.ValueAt(r, c))
-}
-
 // Quantize performs symmetric absmax quantization of a row-major float
 // matrix into the given codec. The scale is chosen so the largest-magnitude
 // input maps to the codec's largest-magnitude level; an all-zero input gets

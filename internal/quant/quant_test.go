@@ -176,8 +176,8 @@ func TestQuantizeBasic(t *testing.T) {
 			t.Errorf("code[%d] decodes to %d, want %d", i, got, w)
 		}
 	}
-	if tt.RealAt(0, 0) != -1.0 {
-		t.Errorf("RealAt(0,0) = %g", tt.RealAt(0, 0))
+	if got := tt.Dequantize()[0]; got != -1.0 {
+		t.Errorf("Dequantize()[0] = %g", got)
 	}
 }
 
@@ -320,8 +320,8 @@ func TestTensorAccessors(t *testing.T) {
 	if tt.ValueAt(1, 0) != -2 {
 		t.Errorf("ValueAt(1,0) = %d", tt.ValueAt(1, 0))
 	}
-	if tt.RealAt(1, 0) != -1.0 {
-		t.Errorf("RealAt(1,0) = %g", tt.RealAt(1, 0))
+	if got := tt.Dequantize()[2]; got != -1.0 {
+		t.Errorf("Dequantize() at (1,0) = %g", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/ais-snu/localut/internal/dnn"
@@ -340,18 +341,28 @@ func TestAbortPassRefund(t *testing.T) {
 	}
 }
 
-// TestServeReliabilityValidation covers the new config error paths.
+// TestServeReliabilityValidation covers the config error paths. Each
+// negative count is tested alone, so every clause of the shared check has to
+// fire by itself.
 func TestServeReliabilityValidation(t *testing.T) {
-	cases := map[string]func(*Config){
-		"negative queue": func(c *Config) { c.MaxQueue = -1 },
-		"bad kv policy":  func(c *Config) { c.KVPolicy = KVPolicy(5) },
-	}
-	for name, mutate := range cases {
-		t.Run(name, func(t *testing.T) {
+	const negCount = "negative replica/batch/quantum/window"
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"negative queue", func(c *Config) { c.MaxQueue = -1 }, "negative queue bound"},
+		{"bad kv policy", func(c *Config) { c.KVPolicy = KVPolicy(5) }, "unknown KV policy"},
+		{"negative replicas", func(c *Config) { c.Replicas = -1 }, negCount},
+		{"negative max batch", func(c *Config) { c.MaxBatch = -1 }, negCount},
+		{"negative token quantum", func(c *Config) { c.TokenQuantum = -1 }, negCount},
+		{"negative pack window", func(c *Config) { c.PackWindow = -1 }, negCount},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
-			mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
-				t.Errorf("%s: no error", name)
+			tc.mutate(&cfg)
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 			}
 		})
 	}

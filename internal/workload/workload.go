@@ -37,28 +37,6 @@ func QuantizedGaussian(rows, cols int, codec quant.Codec, seed int64) (*quant.Te
 	return quant.QuantizeCalibrated(Gaussian(rows, cols, seed), rows, cols, codec)
 }
 
-// UniformCodes returns rows x cols codes drawn uniformly from the codec's
-// encodable space (the excluded TwosSym pattern is never drawn), matching
-// the artifact's "values within the representable range".
-func UniformCodes(rows, cols int, codec quant.Codec, seed int64) []uint8 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]uint8, rows*cols)
-	excluded := -1
-	if codec.Mode == quant.TwosSym {
-		excluded = codec.Levels() / 2
-	}
-	for i := range out {
-		for {
-			c := rng.Intn(codec.Levels())
-			if c != excluded {
-				out[i] = uint8(c)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // GEMMPair bundles the quantized operands of one synthetic GEMM.
 type GEMMPair struct {
 	M, K, N int

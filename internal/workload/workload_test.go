@@ -43,20 +43,6 @@ func TestGaussianMoments(t *testing.T) {
 	}
 }
 
-func TestUniformCodesAvoidExcludedPattern(t *testing.T) {
-	codec := quant.MustCodec(4, quant.TwosSym)
-	codes := UniformCodes(64, 64, codec, 5)
-	excluded := uint8(codec.Levels() / 2)
-	for _, c := range codes {
-		if c == excluded {
-			t.Fatal("generated the excluded TwosSym pattern")
-		}
-		if int(c) >= codec.Levels() {
-			t.Fatalf("code %d out of range", c)
-		}
-	}
-}
-
 func TestNewGEMMPairShapes(t *testing.T) {
 	p := NewGEMMPair(8, 16, 4, quant.W2A2, 9)
 	if p.W.Rows != 8 || p.W.Cols != 16 || p.A.Rows != 16 || p.A.Cols != 4 {
