@@ -16,9 +16,9 @@
 // identical cycle/event sequence without moving bytes, so figures and
 // sweeps regenerate the same numbers much faster (outputs are not computed,
 // so per-tile verification is skipped).
-// -compare runs the sweep serially, in parallel, through the unpooled
-// (NoArena) reference engine and in cycles-only mode, checks that the
-// simulated results agree across all four, and reports the host speedups.
+// -compare runs the sweep serially, in parallel and in cycles-only mode,
+// checks that the simulated results agree across all three, and reports the
+// host speedups.
 // -v prints LUT table-build cache statistics after the run.
 // -cpuprofile / -memprofile stream a pprof CPU profile and write a post-GC
 // heap snapshot, so perf changes ship with evidence.
@@ -35,7 +35,6 @@ import (
 
 	"github.com/ais-snu/localut/cmd/internal/cli"
 	"github.com/ais-snu/localut/internal/experiments"
-	"github.com/ais-snu/localut/internal/gemm"
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/lut"
 	"github.com/ais-snu/localut/internal/prof"
@@ -170,7 +169,7 @@ func runSweep(shape, fmtName string, par int, mode kernels.Mode, compare bool) e
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	fmt.Printf("full-grid sweep %s %s: serial vs %d workers vs unpooled vs cycles-only\n\n", shape, f.Name(), workers)
+	fmt.Printf("full-grid sweep %s %s: serial vs %d workers vs cycles-only\n\n", shape, f.Name(), workers)
 
 	// Untimed warm-up: builds the process-wide LUT tables so no timed
 	// functional pass pays construction costs the others skip.
@@ -193,19 +192,11 @@ func runSweep(shape, fmtName string, par int, mode kernels.Mode, compare bool) e
 	parallelWall := time.Since(t1).Seconds()
 
 	t2 := time.Now()
-	unpooled, err := experiments.GEMMSweepExec(m, k, n, f,
-		gemm.ExecOptions{Parallelism: workers, NoArena: true})
-	if err != nil {
-		return err
-	}
-	unpooledWall := time.Since(t2).Seconds()
-
-	t3 := time.Now()
 	analytic, err := experiments.GEMMSweep(m, k, n, f, workers, kernels.CyclesOnly)
 	if err != nil {
 		return err
 	}
-	analyticWall := time.Since(t3).Seconds()
+	analyticWall := time.Since(t2).Seconds()
 
 	printRows(shape, f.Name(), parallel)
 
@@ -216,27 +207,20 @@ func runSweep(shape, fmtName string, par int, mode kernels.Mode, compare bool) e
 			fmt.Printf("\nMISMATCH at %s (serial vs parallel):\n  serial   %+v\n  parallel %+v\n",
 				serial[i].Design, serial[i], parallel[i])
 		}
-		if serial[i] != unpooled[i] {
-			identical = false
-			fmt.Printf("\nMISMATCH at %s (pooled vs unpooled):\n  pooled   %+v\n  unpooled %+v\n",
-				serial[i].Design, serial[i], unpooled[i])
-		}
 		if !serial[i].SameCost(analytic[i]) {
 			identical = false
 			fmt.Printf("\nMISMATCH at %s (functional vs cycles-only):\n  functional  %+v\n  cycles-only %+v\n",
 				serial[i].Design, serial[i], analytic[i])
 		}
 	}
-	fmt.Printf("\nserial:      %.3fs wall-clock (j=1, functional, pooled)\n", serialWall)
-	fmt.Printf("parallel:    %.3fs wall-clock (j=%d, functional, pooled)\n", parallelWall, workers)
-	fmt.Printf("unpooled:    %.3fs wall-clock (j=%d, functional, NoArena reference)\n", unpooledWall, workers)
+	fmt.Printf("\nserial:      %.3fs wall-clock (j=1, functional)\n", serialWall)
+	fmt.Printf("parallel:    %.3fs wall-clock (j=%d, functional)\n", parallelWall, workers)
 	fmt.Printf("cycles-only: %.3fs wall-clock (j=%d)\n", analyticWall, workers)
 	fmt.Printf("parallel speedup:    %.2fx over serial\n", serialWall/parallelWall)
-	fmt.Printf("pooled speedup:      %.2fx over the unpooled reference engine\n", unpooledWall/parallelWall)
 	fmt.Printf("cycles-only speedup: %.2fx over functional parallel, %.2fx over serial\n",
 		parallelWall/analyticWall, serialWall/analyticWall)
 	if identical {
-		fmt.Println("simulated results: identical across serial, parallel, unpooled and cycles-only")
+		fmt.Println("simulated results: identical across serial, parallel and cycles-only")
 	} else {
 		return fmt.Errorf("sweep modes diverged")
 	}

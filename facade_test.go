@@ -254,6 +254,11 @@ func TestBadEnumsAreErrors(t *testing.T) {
 	cases = append(cases,
 		badCase{"autoscaler SLO", scaler(func(a *ClusterAutoscaler) { a.SLOSeconds = nan }), "SLOSeconds"},
 		badCase{"autoscaler scale-down factor", scaler(func(a *ClusterAutoscaler) { a.ScaleDownFactor = nan }), "ScaleDownFactor"},
+		// Both ends of the open interval (0, 1): at 1 the drain threshold
+		// meets the scale-up one and the fleet can flap; below 0 no busy
+		// fleet ever drains. 0 itself selects the 0.5 default.
+		badCase{"autoscaler scale-down factor 1", scaler(func(a *ClusterAutoscaler) { a.ScaleDownFactor = 1 }), "ScaleDownFactor"},
+		badCase{"autoscaler scale-down factor -0.1", scaler(func(a *ClusterAutoscaler) { a.ScaleDownFactor = -0.1 }), "ScaleDownFactor"},
 		// Domain outages price re-materialization at the fault plan's
 		// bandwidth even when the plan is off; -5 used to report negative
 		// unavailability that passed the audit.

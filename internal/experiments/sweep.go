@@ -31,22 +31,13 @@ func (r SweepRow) SameCost(o SweepRow) bool {
 // the full-grid sharded execution engine at the given host parallelism
 // (0 = NumCPU, 1 = serial) and execution mode. In Functional mode every
 // bank tile of every design is simulated and verified bit-exact; in
-// CyclesOnly mode the same grid is costed analytically (identical cycles,
-// no outputs, Verified=false). The rows are identical at any parallelism —
-// only the host wall-clock changes — which is exactly what localut-bench's
-// -compare mode checks, across modes as well.
+// CyclesOnly mode the same grid is priced from its tile classes alone
+// (identical cycles, no outputs, Verified=false). The rows are identical at
+// any parallelism — only the host wall-clock changes — which is exactly
+// what localut-bench's -compare mode checks, across modes as well.
 func GEMMSweep(m, k, n int, f quant.Format, parallelism int, mode kernels.Mode) ([]SweepRow, error) {
-	return GEMMSweepExec(m, k, n, f,
-		gemm.ExecOptions{Parallelism: parallelism, FullGrid: true, Mode: mode})
-}
-
-// GEMMSweepExec is GEMMSweep with full control of the execution options —
-// localut-bench's -compare uses it to pit the pooled engine against the
-// NoArena reference path on identical inputs.
-func GEMMSweepExec(m, k, n int, f quant.Format, exec gemm.ExecOptions) ([]SweepRow, error) {
-	exec.FullGrid = true
 	e := gemm.NewEngine()
-	e.Exec = exec
+	e.Exec = gemm.ExecOptions{Parallelism: parallelism, FullGrid: true, Mode: mode}
 	pair, err := e.NewPair(m, k, n, f, 1)
 	if err != nil {
 		return nil, err

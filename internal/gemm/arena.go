@@ -48,8 +48,8 @@ func (ar *execArena) bind(cfg *pim.Config) {
 }
 
 // tileFor assembles the bank tile at task t from the pair into the arena's
-// reusable storage, mirroring buildTileAt (including NewTile's zeroed
-// output) without allocating once the slices have grown to the shape.
+// reusable storage, zeroing its output as kernels.NewTile does, without
+// allocating once the slices have grown to the shape.
 func (ar *execArena) tileFor(pair *workload.GEMMPair, t bankTask) *kernels.Tile {
 	if cap(ar.w) < t.tileM*pair.K {
 		ar.w = make([]uint8, t.tileM*pair.K)
@@ -154,8 +154,6 @@ type arenaPool struct {
 	free []*execArena
 }
 
-func newArenaPool() *arenaPool { return &arenaPool{} }
-
 // get pops an arena (or builds one) bound to the engine's configuration.
 func (p *arenaPool) get(cfg *pim.Config) *execArena {
 	var ar *execArena
@@ -180,14 +178,4 @@ func (p *arenaPool) put(ar *execArena) {
 	p.mu.Lock()
 	p.free = append(p.free, ar)
 	p.mu.Unlock()
-}
-
-// pool returns the engine's arena pool, falling back to a fresh one for
-// zero-value engines constructed without NewEngine (pooling still works
-// within each run; only cross-run reuse is lost).
-func (e *Engine) pool() *arenaPool {
-	if e.arenas == nil {
-		return newArenaPool()
-	}
-	return e.arenas
 }

@@ -18,30 +18,30 @@ func reportsEqual(a, b *Report) bool {
 		reflect.DeepEqual(a.Output, b.Output)
 }
 
-// TestPooledMatchesNoArena is the pooled engine's equivalence guarantee:
-// per-worker arenas (recycled DPUs, workspaces, tile storage, memoized
-// reference verification) produce bit-identical reports to the NoArena
-// reference path, for every design, in full-grid and representative modes,
-// serial and parallel.
-func TestPooledMatchesNoArena(t *testing.T) {
+// TestPooledMatchesFreshEngine is the pooled engine's equivalence guarantee:
+// one engine whose arenas (recycled DPUs, workspaces, tile storage) and
+// memos (reference products, cost records) carry over from every earlier
+// run produces bit-identical reports to a fresh engine per run, for every
+// design, in both verification scopes, serial and parallel.
+func TestPooledMatchesFreshEngine(t *testing.T) {
 	const m, k, n = 96, 64, 24
+	pooled := NewEngine()
 	for _, fullGrid := range []bool{true, false} {
 		for _, par := range []int{1, 8} {
 			for _, v := range kernels.Variants {
-				run := func(noArena bool) *Report {
-					e := NewEngine()
-					e.Exec = ExecOptions{Parallelism: par, FullGrid: fullGrid, NoArena: noArena}
+				run := func(e *Engine) *Report {
+					e.Exec = ExecOptions{Parallelism: par, FullGrid: fullGrid}
 					rep, err := e.Run(workload.NewGEMMPair(m, k, n, quant.W1A3, 1),
 						Options{Variant: v, ComputeFull: fullGrid})
 					if err != nil {
-						t.Fatalf("%v fullGrid=%v par=%d noArena=%v: %v", v, fullGrid, par, noArena, err)
+						t.Fatalf("%v fullGrid=%v par=%d: %v", v, fullGrid, par, err)
 					}
 					return rep
 				}
-				pooled, unpooled := run(false), run(true)
-				if !reportsEqual(pooled, unpooled) {
-					t.Fatalf("%v fullGrid=%v par=%d: pooled and NoArena reports diverge:\npooled   %+v\nunpooled %+v",
-						v, fullGrid, par, pooled, unpooled)
+				warm, fresh := run(pooled), run(NewEngine())
+				if !reportsEqual(warm, fresh) {
+					t.Fatalf("%v fullGrid=%v par=%d: pooled and fresh-engine reports diverge:\npooled %+v\nfresh  %+v",
+						v, fullGrid, par, warm, fresh)
 				}
 			}
 		}

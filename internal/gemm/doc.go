@@ -8,44 +8,48 @@
 //
 // # Execution modes
 //
-// The Engine simulates the bank grid in one of two modes, selected by
-// ExecOptions.FullGrid:
+// Every GEMM is priced the same way: from its grid's tile classes. Only the
+// last row and the last column of a ceil-division grid can be narrower than
+// the planned tile, so a grid has at most four classes — interior, right
+// edge, bottom edge, corner — and each reads one cost record per distinct
+// shape from the CostMemo. Device events and breakdown phases are each
+// class's bank count × its record; kernel wall-clock is the sum over rounds
+// of the slowest class in each round. Empty trailing grid positions hold
+// no work and cost nothing. This is exact — it equals a bank-by-bank walk
+// of the grid — and takes O(rows + rounds) time.
 //
-//   - Representative (default): bank (0,0)'s tile stands in for the grid;
-//     device event counts are scaled by the tile count and kernel wall-clock
-//     by the round count. One tile of simulation per GEMM, whatever the
-//     problem size — the right mode for figure sweeps and model inference
-//     where thousands of GEMMs run back to back.
+// ExecOptions.Mode selects whether anything runs beyond that price.
+// kernels.CyclesOnly runs only the cost programs, on accounting DPUs: no
+// byte work, no outputs, no verification. kernels.Functional additionally
+// simulates data movement and lookups byte for byte on the verified banks,
+// checks each one's output against the integer reference and its cycles,
+// meter and breakdown against its class's cost record.
 //
-//   - Full grid: every bank tile is built, simulated and verified
-//     bit-exact. Edge tiles contribute their true (smaller) cost, the full
-//     integer product is assembled from the simulated banks, and the
-//     reported wall-clock is the sum over rounds of the slowest bank per
-//     round — the high-fidelity mode.
+// ExecOptions.FullGrid sets only that verification scope:
 //
-// Orthogonally, ExecOptions.Mode selects the execution backend:
-// kernels.Functional simulates data movement and lookups byte for byte and
-// verifies every tile, while kernels.CyclesOnly runs each kernel's cost
-// program on an accounting DPU — bit-identical cycles, meters, breakdowns
-// and energy, no byte work, no outputs, no verification. Cost records are
-// pure functions of the tile shape, so identical-shape banks share one
-// memoized record (CostMemo, alongside the costmodel.Cache decision memo)
-// and a full-grid sweep executes at most the grid's distinct edge shapes.
+//   - Default: bank (0,0) is verified. One tile of simulation per GEMM,
+//     whatever the problem size — the right scope for figure sweeps and
+//     model inference where thousands of GEMMs run back to back.
 //
+//   - Full grid: every non-empty bank tile is simulated and verified
+//     bit-exact, and the full integer product is assembled from the banks.
+//
+// Reports are identical in both scopes and, up to Verified and Output, in
+// both modes.
+
 // # Sharded host parallelism
 //
 // Bank tiles are mutually independent (the defining property of bank-level
-// PIM), so full-grid simulation is sharded across a worker pool of
+// PIM), so full-grid verification is sharded across a worker pool of
 // ExecOptions.Parallelism goroutines. Determinism is preserved by
 // construction, not by locking discipline:
 //
 //   - shard s owns the strided bank set {s, s+W, s+2W, ...} — a fixed,
 //     scheduling-independent assignment;
-//   - each bank simulates on its own DPU and writes its outcome to a
-//     bank-indexed slot;
-//   - aggregation (event-count sums, per-round cycle maxima, output
-//     assembly) happens after the pool drains, in bank order, in exact
-//     integer arithmetic.
+//   - each bank simulates on its worker's own DPU and writes only its own
+//     window of the assembled product;
+//   - the price never depends on the pool: it is computed from the class
+//     records in exact integer arithmetic.
 //
 // Reports are therefore bit-identical at any parallelism level; only host
 // wall-clock changes. RunBatch extends the same pool across independent

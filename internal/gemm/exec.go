@@ -2,46 +2,37 @@ package gemm
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 
 	"github.com/ais-snu/localut/internal/banksim"
 	"github.com/ais-snu/localut/internal/kernels"
-	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/workload"
 )
 
 // ExecOptions selects the host-side execution strategy of the bank
-// simulation. The simulated machine is unaffected: the same tiles run
-// through the same kernels and produce the same cycle counts whatever the
-// host parallelism, because shard->bank assignment is deterministic and all
-// aggregation happens in bank-index order with exact integer arithmetic.
+// simulation. The simulated machine is unaffected: every GEMM is priced from
+// its grid's tile classes whatever the options, so reports are identical at
+// any host parallelism and in either verification scope.
 type ExecOptions struct {
 	// Parallelism is the worker-pool size used for bank shards and batch
 	// members. 0 uses runtime.NumCPU(); 1 executes serially on the calling
 	// goroutine.
 	Parallelism int
-	// FullGrid simulates every bank tile of the planned grid (sharded over
-	// the worker pool, each tile verified bit-exact) instead of
-	// extrapolating timing from the representative (0,0) tile. It is the
-	// high-fidelity mode: edge tiles contribute their true (smaller) cost
-	// and the full integer product is available for free, at the price of
-	// simulating the whole problem.
+	// FullGrid sets the functional verification scope: every non-empty bank
+	// tile of the planned grid is simulated (sharded over the worker pool)
+	// and verified bit-exact, and the full integer product is assembled
+	// from the banks, instead of bank (0,0) alone. It does not change the
+	// price: cycles, meters and breakdowns come from the tile classes in
+	// every mode.
 	FullGrid bool
 	// Mode selects functional execution (default) or the cycles-only cost
-	// program. CyclesOnly charges the exact same Exec/Note/DMA sequence as
-	// Functional — cycles, meters, breakdowns and energy are bit-identical —
-	// but moves no bytes, builds no LUT images and computes no outputs, so
-	// runs cannot be verified against the integer reference
-	// (Report.Verified is false) and identical-shape bank tiles share one
-	// memoized cost record (Engine.CostRecords).
+	// program. Both price the grid from the memoized cost records of its
+	// tile classes (Engine.CostRecords), which charge the exact same
+	// Exec/Note/DMA sequence as the functional kernels. Functional mode
+	// additionally runs the data program on the verified banks and checks
+	// their outputs and their charges; CyclesOnly moves no bytes, builds no
+	// LUT images and computes no outputs, so Report.Verified is false.
 	Mode kernels.Mode
-	// NoArena disables the per-worker execution arenas and allocates a
-	// fresh DPU, tile and verification scratch for every bank tile, as the
-	// pre-pooling engine did. Reports are bit-identical either way; the
-	// flag exists as the reference path for equivalence tests and for
-	// before/after benchmarking of the pooled engine.
-	NoArena bool
 }
 
 // workers resolves the pool size (ForEachShard applies the same default;
@@ -62,248 +53,196 @@ func (e *Engine) Clone() *Engine {
 	return &c
 }
 
-// bankTask is one bank's share of the planned grid: tile (row, col) covering
+// bankTask is one bank's share of the planned grid: the tile covering
 // output rows [m0, m0+tileM) and columns [n0, n0+tileN).
 type bankTask struct {
-	index        int // row-major grid position (fixes the round assignment)
 	m0, n0       int
 	tileM, tileN int
 }
 
-// bankOutcome is one simulated bank tile, kept until deterministic merging.
-type bankOutcome struct {
-	cycles    int64
-	meter     pim.Meter
-	breakdown kernels.Breakdown
-	out       []int32 // tile output (for full-product assembly)
+// tileClasses is a planned grid's non-empty part: rows [0, rM) and columns
+// [0, rN). Ceil-division grids can hold empty trailing positions (M=4 over
+// gridM=3 at tileM=2); those banks receive no work. Only the last row and
+// the last column can be narrower than the planned tile, so a grid has at
+// most four tile classes, indexed 2·lastRow + lastCol: interior, right
+// edge, bottom edge, corner; n counts each class's banks.
+type tileClasses struct {
+	rM, rN int
+	h, w   [2]int // height of a full row and of the last; widths likewise
+	n      [4]int64
+	rec    [4]costRecord
 }
 
-// gridTasks enumerates the non-empty bank tiles of a gridM x gridN plan in
-// row-major order. Ceil-division grids can contain empty trailing positions
-// (e.g. M=4 over gridM=3 at tileM=2); those banks simply receive no work.
-func gridTasks(m, n, gridM, gridN, tileM, tileN int) []bankTask {
-	tasks := make([]bankTask, 0, gridM*gridN)
-	for i := 0; i < gridM; i++ {
-		m0 := i * tileM
-		tm := tileM
-		if m0+tm > m {
-			tm = m - m0
-		}
-		if tm <= 0 {
+// isLast is 1 for the final index below n, else 0.
+func isLast(x, n int) int {
+	if x == n-1 {
+		return 1
+	}
+	return 0
+}
+
+// class returns the class index of grid position (i, j).
+func (c *tileClasses) class(i, j int) int { return 2*isLast(i, c.rM) + isLast(j, c.rN) }
+
+// task returns the bank tile at non-empty grid position (i, j).
+func (c *tileClasses) task(i, j int) bankTask {
+	return bankTask{m0: i * c.h[0], n0: j * c.w[0], tileM: c.h[isLast(i, c.rM)], tileN: c.w[isLast(j, c.rN)]}
+}
+
+// priceGrid prices the planned grid from its tile classes and fills the
+// report's KernelCycles, KernelSeconds, Meter and Breakdown. It reads one
+// cost record per distinct tile shape through the engine's CostMemo (a
+// uniform grid makes one lookup), then
+//
+//   - event counts and breakdown phases are the sum of count × record;
+//   - Meter.Cycles is the slowest class present;
+//   - kernel cycles are the sum over rounds (round = (i·gridN + j) /
+//     NumDPUs) of the slowest class in each round — banks within a round
+//     run concurrently on the PIM side.
+//
+// Integer arithmetic makes this equal to a bank-by-bank walk of the grid,
+// in O(rows + rounds) time and without allocating.
+func (e *Engine) priceGrid(pair *workload.GEMMPair, kn kernels.Kernel, rep *Report) (tileClasses, error) {
+	c := tileClasses{rM: (pair.M + rep.TileM - 1) / rep.TileM, rN: (pair.N + rep.TileN - 1) / rep.TileN}
+	c.h = [2]int{rep.TileM, pair.M - (c.rM-1)*rep.TileM}
+	c.w = [2]int{rep.TileN, pair.N - (c.rN-1)*rep.TileN}
+	c.n = [4]int64{int64(c.rM-1) * int64(c.rN-1), int64(c.rM - 1), int64(c.rN - 1), 1}
+	for k, n := range c.n {
+		if n == 0 {
 			continue
 		}
-		for j := 0; j < gridN; j++ {
-			n0 := j * tileN
-			tn := tileN
-			if n0+tn > n {
-				tn = n - n0
+		h, w := c.h[k>>1], c.w[k&1]
+		shared := false
+		for p := 0; p < k && !shared; p++ {
+			if c.n[p] > 0 && c.h[p>>1] == h && c.w[p&1] == w {
+				c.rec[k], shared = c.rec[p], true
 			}
-			if tn <= 0 {
-				continue
+		}
+		if !shared {
+			rec, err := e.runCost(kn, rep, pair.Fmt, h, pair.K, w)
+			if err != nil {
+				return c, err
 			}
-			tasks = append(tasks, bankTask{index: i*gridN + j, m0: m0, n0: n0, tileM: tm, tileN: tn})
+			c.rec[k] = rec
+		}
+		// n banks of one class: n times the events, one bank's wall-clock.
+		m := c.rec[k].meter
+		for ev := range m.Counts {
+			m.Counts[ev] *= n
+		}
+		rep.Meter.Merge(&m)
+		addBreakdown(&rep.Breakdown, &c.rec[k].breakdown, n)
+	}
+	rep.KernelCycles = c.kernelCycles(rep.GridN, e.Cfg.NumDPUs())
+	rep.KernelSeconds = e.Cfg.Seconds(rep.KernelCycles)
+	return c, nil
+}
+
+// kernelCycles sums, over the rounds of dpus banks each, the slowest class
+// present in the round. Row i's non-empty banks are the consecutive indices
+// [i·gridN, i·gridN + rN), so the walk visits each row once, plus once more
+// for each round boundary that splits a row.
+func (c *tileClasses) kernelCycles(gridN, dpus int) int64 {
+	var total, roundMax int64
+	round := 0
+	for i := 0; i < c.rM; i++ {
+		row := 2 * isLast(i, c.rM)
+		start, end := i*gridN, i*gridN+c.rN
+		for lo := start; lo < end; {
+			r := lo / dpus
+			hi := min(end, (r+1)*dpus)
+			if r != round {
+				total += roundMax
+				roundMax, round = 0, r
+			}
+			if lo-start < c.rN-1 { // some bank left of the last column
+				roundMax = max(roundMax, c.rec[row].cycles)
+			}
+			if hi == end { // the last column
+				roundMax = max(roundMax, c.rec[row+1].cycles)
+			}
+			lo = hi
 		}
 	}
-	return tasks
+	return total + roundMax
 }
 
-// buildTileAt extracts the bank tile at (m0, n0) from the pair.
-func buildTileAt(pair *workload.GEMMPair, t bankTask) (*kernels.Tile, error) {
-	w := make([]uint8, t.tileM*pair.K)
-	for m := 0; m < t.tileM; m++ {
-		src := (t.m0 + m) * pair.K
-		copy(w[m*pair.K:(m+1)*pair.K], pair.W.Codes[src:src+pair.K])
-	}
-	a := make([]uint8, pair.K*t.tileN)
-	for k := 0; k < pair.K; k++ {
-		src := k*pair.N + t.n0
-		copy(a[k*t.tileN:(k+1)*t.tileN], pair.A.Codes[src:src+t.tileN])
-	}
-	return kernels.NewTile(t.tileM, pair.K, t.tileN, pair.Fmt, w, a)
-}
-
-// simulateGrid runs every bank tile of the grid through the kernel, sharded
-// over the worker pool, and merges the outcomes deterministically:
+// verifyGrid runs the functional data program on rep.BanksSimulated banks
+// in row-major order — bank (0,0) by default, every non-empty bank under
+// FullGrid — sharded over the worker pool. It checks each output bit-exact
+// against the integer reference (the continuous functionality check of the
+// paper's Appendix F) and each bank's cycles, meter and breakdown against
+// its class's cost record, so the equivalence the pricing rests on is
+// checked on every functional run. Under FullGrid with wantOutput it also
+// assembles the full product from the banks.
 //
-//   - wall-clock kernel cycles are the sum over rounds of the slowest bank
-//     in each round (banks within a round run concurrently on the PIM side);
-//   - event counts are summed in bank-index order (integer addition, so the
-//     result is identical whatever the host-side interleaving);
-//   - in Functional mode, every tile is verified bit-exact against the
-//     integer reference.
-//
-// In CyclesOnly mode only the distinct tile shapes of the grid run (a
-// ceil-division grid has at most four: interior, right edge, bottom edge,
-// corner), each through the kernel's cost program on an accounting DPU; all
-// same-shape banks then share the one record. The merge is unchanged, so
-// cycles, meters and breakdowns are bit-identical to Functional mode.
-//
-// The kernel instance is shared: kernels are stateless (all mutable state
-// lives in the per-task DPU and tile).
-func (e *Engine) simulateGrid(pair *workload.GEMMPair, kn kernels.Kernel, rep *Report, wantOutput bool) error {
-	tasks := gridTasks(pair.M, pair.N, rep.GridM, rep.GridN, rep.TileM, rep.TileN)
-	outcomes := make([]bankOutcome, len(tasks))
-
-	if e.Exec.Mode == kernels.CyclesOnly {
-		if err := e.costGrid(pair, kn, rep, tasks, outcomes); err != nil {
+// Each shard worker owns one execution arena for its whole strided bank
+// set — the DPU's memories, the kernel workspace and the tile storage
+// recycle across every bank tile, so the per-tile steady state allocates
+// nothing. The kernel instance is shared: kernels are stateless.
+func (e *Engine) verifyGrid(pair *workload.GEMMPair, kn kernels.Kernel, rep *Report, c tileClasses, wantOutput bool) error {
+	var ref []int32
+	if e.Exec.FullGrid {
+		// Every tile is checked against its window of the memoized full
+		// reference product: one O(MKN) computation per pair, shared by
+		// every design run on it, bit-identical to a per-tile RefGEMM
+		// because tiles partition the output. Workers write the assembled
+		// product's disjoint windows directly.
+		var err error
+		if ref, err = e.refs.product(pair); err != nil {
 			return err
 		}
-	} else if e.Exec.NoArena {
-		// Reference path: fresh DPU, tile and verification scratch per bank
-		// tile (the pre-pooling engine). Kept for equivalence tests and
-		// before/after benchmarks.
-		err := banksim.ForEachShard(len(tasks), e.Exec.Parallelism, func(i int) error {
-			t := tasks[i]
-			tile, err := buildTileAt(pair, t)
+		if wantOutput {
+			rep.Output = make([]int32, pair.M*pair.N)
+		}
+	}
+	err := banksim.ForEachShardArena(rep.BanksSimulated, e.Exec.Parallelism,
+		func() *execArena { return e.arenas.get(&e.Cfg) },
+		e.arenas.put,
+		func(ar *execArena, b int) error {
+			i, j := b/c.rN, b%c.rN
+			t := c.task(i, j)
+			tile := ar.tileFor(pair, t)
+			res, err := kn.RunRequest(ar.request(tile))
 			if err != nil {
 				return err
 			}
-			dpu := pim.NewDPU(&e.Cfg)
-			res, err := kn.Run(dpu, tile)
-			if err != nil {
-				return err
+			var ok bool
+			if ref != nil {
+				ok = verifyAgainst(ref, pair.N, t, tile.O)
+			} else {
+				ok = kernels.VerifyTile(ar.ws, tile)
 			}
-			if !reflect.DeepEqual(tile.O, kernels.RefGEMM(tile)) {
-				return fmt.Errorf("gemm: %s kernel output failed verification on bank tile (%d,%d)",
-					kn.Name(), t.m0/max(rep.TileM, 1), t.n0/max(rep.TileN, 1))
+			if !ok {
+				return fmt.Errorf("gemm: %s kernel output failed verification on bank tile (%d,%d)", kn.Name(), i, j)
 			}
-			outcomes[i] = bankOutcome{cycles: res.Cycles, meter: dpu.Meter, breakdown: res.Breakdown}
-			if wantOutput {
-				outcomes[i].out = tile.O
+			if rec := &c.rec[c.class(i, j)]; res.Cycles != rec.cycles || ar.dpu.Meter != rec.meter || res.Breakdown != rec.breakdown {
+				return fmt.Errorf("gemm: %s kernel charges on bank tile (%d,%d) differ from its cost program's", kn.Name(), i, j)
+			}
+			if rep.Output != nil {
+				for m := 0; m < t.tileM; m++ {
+					row := (t.m0+m)*pair.N + t.n0
+					copy(rep.Output[row:row+t.tileN], tile.O[m*t.tileN:(m+1)*t.tileN])
+				}
 			}
 			return nil
 		})
-		if err != nil {
-			return err
-		}
-	} else {
-		// Pooled path: each shard worker owns one execution arena for its
-		// whole strided task set — the DPU's memories, the kernel
-		// workspace and the tile storage recycle across every bank tile,
-		// so the per-tile steady state allocates nothing. Verification
-		// compares each tile against its window of the memoized full
-		// reference product (one O(MKN) computation per pair, shared by
-		// every design run on it, bit-identical to a per-tile RefGEMM —
-		// tiles partition the output). Outputs are copied out of the arena
-		// only when the caller asked for the assembled product.
-		refs := e.refs
-		if refs == nil {
-			refs = &refCache{}
-		}
-		ref, err := refs.product(pair)
-		if err != nil {
-			return err
-		}
-		pool := e.pool()
-		err = banksim.ForEachShardArena(len(tasks), e.Exec.Parallelism,
-			func() *execArena { return pool.get(&e.Cfg) },
-			pool.put,
-			func(ar *execArena, i int) error {
-				t := tasks[i]
-				tile := ar.tileFor(pair, t)
-				res, err := kn.RunRequest(ar.request(tile))
-				if err != nil {
-					return err
-				}
-				if !verifyAgainst(ref, pair.N, t, tile.O) {
-					return fmt.Errorf("gemm: %s kernel output failed verification on bank tile (%d,%d)",
-						kn.Name(), t.m0/max(rep.TileM, 1), t.n0/max(rep.TileN, 1))
-				}
-				outcomes[i] = bankOutcome{cycles: res.Cycles, meter: ar.dpu.Meter, breakdown: res.Breakdown}
-				if wantOutput {
-					outcomes[i].out = append([]int32(nil), tile.O...)
-				}
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-	}
-
-	// Deterministic merge in bank-index order.
-	dpus := e.Cfg.NumDPUs()
-	var kernelCycles, roundMax int64
-	round := 0
-	for i, t := range tasks {
-		if r := t.index / dpus; r != round {
-			kernelCycles += roundMax
-			roundMax, round = 0, r
-		}
-		if outcomes[i].cycles > roundMax {
-			roundMax = outcomes[i].cycles
-		}
-		rep.Meter.Merge(&outcomes[i].meter)
-		addBreakdown(&rep.Breakdown, &outcomes[i].breakdown)
-	}
-	kernelCycles += roundMax
-
-	rep.KernelCycles = kernelCycles
-	rep.KernelSeconds = e.Cfg.Seconds(kernelCycles)
-	rep.BanksSimulated = len(tasks)
-	rep.Verified = e.Exec.Mode == kernels.Functional
-
-	if wantOutput && e.Exec.Mode == kernels.Functional {
-		out := make([]int32, pair.M*pair.N)
-		for i, t := range tasks {
-			for m := 0; m < t.tileM; m++ {
-				copy(out[(t.m0+m)*pair.N+t.n0:(t.m0+m)*pair.N+t.n0+t.tileN],
-					outcomes[i].out[m*t.tileN:(m+1)*t.tileN])
-			}
-		}
-		rep.Output = out
-	}
-	return nil
-}
-
-// costGrid fills outcomes with cycles-only records, running each distinct
-// tile shape once (sharded) and fanning the records out to all same-shape
-// banks.
-func (e *Engine) costGrid(pair *workload.GEMMPair, kn kernels.Kernel, rep *Report,
-	tasks []bankTask, outcomes []bankOutcome) error {
-
-	type shape struct{ m, n int }
-	owner := make(map[shape]int, 4)
-	distinct := make([]int, 0, 4)
-	ownerOf := make([]int, len(tasks))
-	for i, t := range tasks {
-		s := shape{t.tileM, t.tileN}
-		if j, ok := owner[s]; ok {
-			ownerOf[i] = j
-			continue
-		}
-		owner[s] = i
-		ownerOf[i] = i
-		distinct = append(distinct, i)
-	}
-
-	err := banksim.ForEachShard(len(distinct), e.Exec.Parallelism, func(di int) error {
-		i := distinct[di]
-		t := tasks[i]
-		rec, err := e.runCost(kn, rep, pair.Fmt, t.tileM, pair.K, t.tileN)
-		if err != nil {
-			return err
-		}
-		outcomes[i] = bankOutcome{cycles: rec.cycles, meter: rec.meter, breakdown: rec.breakdown}
-		return nil
-	})
 	if err != nil {
 		return err
 	}
-	for i := range tasks {
-		outcomes[i] = outcomes[ownerOf[i]]
-	}
+	rep.Verified = true
 	return nil
 }
 
-// addBreakdown accumulates b into dst phase by phase.
-func addBreakdown(dst, b *kernels.Breakdown) {
-	dst.CanonAccess += b.CanonAccess
-	dst.ReorderAccess += b.ReorderAccess
-	dst.IdxCalc += b.IdxCalc
-	dst.Transfer += b.Transfer
-	dst.LUTLoad += b.LUTLoad
-	dst.Accumulate += b.Accumulate
-	dst.Other += b.Other
+// addBreakdown accumulates n copies of b into dst phase by phase.
+func addBreakdown(dst, b *kernels.Breakdown, n int64) {
+	dst.CanonAccess += n * b.CanonAccess
+	dst.ReorderAccess += n * b.ReorderAccess
+	dst.IdxCalc += n * b.IdxCalc
+	dst.Transfer += n * b.Transfer
+	dst.LUTLoad += n * b.LUTLoad
+	dst.Accumulate += n * b.Accumulate
+	dst.Other += n * b.Other
 }
 
 // RunBatch executes a batch of independent GEMMs, amortizing what one-off

@@ -2,7 +2,6 @@ package gemm
 
 import (
 	"fmt"
-	"reflect"
 
 	"github.com/ais-snu/localut/internal/costmodel"
 	"github.com/ais-snu/localut/internal/kernels"
@@ -23,15 +22,15 @@ type Engine struct {
 	// quantize/sort/pack pipeline (multicore Xeon-class).
 	HostOpsPerSec float64
 	// Exec selects the host-side execution strategy (worker-pool size,
-	// representative-tile vs full-grid bank simulation).
+	// execution mode, verification scope).
 	Exec ExecOptions
 	// Decisions memoizes cost-model choices across runs, batch members and
 	// bank shards. NewEngine sets it and Clone shares it.
 	Decisions *costmodel.Cache
-	// CostRecords memoizes cycles-only bank cost records across runs, batch
-	// members and bank shards (the key embeds the machine config and cost
-	// table, so sharing it across Clone'd engines is safe). NewEngine sets
-	// it and Clone shares it.
+	// CostRecords memoizes the bank cost records every run is priced from,
+	// across runs, batch members and modes (the key embeds the machine
+	// config and cost table, so sharing it across Clone'd engines is safe).
+	// NewEngine sets it and Clone shares it.
 	CostRecords *CostMemo
 	// arenas recycles per-worker execution contexts (DPU, kernel workspace,
 	// tile storage) across runs, batch members and bank shards. Shared by
@@ -51,7 +50,7 @@ func NewEngine() *Engine {
 		HostOpsPerSec: 2e10,
 		Decisions:     costmodel.NewCache(),
 		CostRecords:   NewCostMemo(),
-		arenas:        newArenaPool(),
+		arenas:        &arenaPool{},
 		refs:          &refCache{},
 	}
 }
@@ -103,8 +102,10 @@ type Report struct {
 	// KernelSeconds (sum over rounds of the slowest bank per round). It is
 	// exactly reproducible across host parallelism levels.
 	KernelCycles int64
-	// BanksSimulated counts the bank tiles actually executed: the full grid
-	// under ExecOptions.FullGrid, 1 in representative mode.
+	// BanksSimulated counts the bank tiles in the verification scope, the
+	// ones Functional mode simulates and verifies: every non-empty tile
+	// under ExecOptions.FullGrid, 1 by default. Pricing covers the whole
+	// grid either way.
 	BanksSimulated int
 	HostSeconds    float64
 	Transfer       float64
@@ -112,10 +113,14 @@ type Report struct {
 	Total          float64 // host + transfer + kernel (steady state)
 	Host           HostBreakdown
 	HostOps        int64
-	Breakdown      kernels.Breakdown
-	Meter          pim.Meter // events aggregated over all executed tiles
-	Verified       bool
-	Output         []int32 // full output when Options.ComputeFull
+	// Breakdown is the kernel cycles by phase, summed over every non-empty
+	// bank tile of the grid.
+	Breakdown kernels.Breakdown
+	// Meter is the device events of every non-empty bank tile plus the
+	// host<->PIM traffic; Meter.Cycles is the slowest bank's.
+	Meter    pim.Meter
+	Verified bool
+	Output   []int32 // full output when Options.ComputeFull
 }
 
 // tileMMax bounds the per-bank weight-row count by the WRAM space left for
@@ -329,64 +334,18 @@ func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
 		return nil, err
 	}
 
+	classes, err := e.priceGrid(pair, kn, rep)
+	if err != nil {
+		return nil, err
+	}
+	rep.BanksSimulated = 1
 	if e.Exec.FullGrid {
-		// Sharded per-bank simulation of the whole grid.
-		if err := e.simulateGrid(pair, kn, rep, opt.ComputeFull); err != nil {
+		rep.BanksSimulated = classes.rM * classes.rN
+	}
+	if e.Exec.Mode == kernels.Functional {
+		if err := e.verifyGrid(pair, kn, rep, classes, opt.ComputeFull); err != nil {
 			return nil, err
 		}
-	} else if e.Exec.Mode == kernels.CyclesOnly {
-		// Representative tile, cost program only: the same charges the
-		// functional representative run makes, memoized by shape.
-		rec, err := e.runCost(kn, rep, pair.Fmt, tileM, pair.K, tileN)
-		if err != nil {
-			return nil, err
-		}
-		rep.KernelSeconds = e.Cfg.Seconds(rec.cycles) * float64(rounds)
-		rep.KernelCycles = rec.cycles * int64(rounds)
-		rep.Breakdown = rec.breakdown
-		rep.Verified = false
-		rep.BanksSimulated = 1
-
-		tiles := gridM * gridN
-		rep.Meter = rec.meter
-		for i := range rep.Meter.Counts {
-			rep.Meter.Counts[i] *= int64(tiles)
-		}
-	} else if e.Exec.NoArena {
-		// Representative tile, reference path: fresh DPU and tile.
-		tile, err := e.buildTile(pair, tileM, tileN)
-		if err != nil {
-			return nil, err
-		}
-		dpu := pim.NewDPU(&e.Cfg)
-		res, err := kn.Run(dpu, tile)
-		if err != nil {
-			return nil, err
-		}
-
-		// Continuous functionality check (Appendix F).
-		if !reflect.DeepEqual(tile.O, kernels.RefGEMM(tile)) {
-			return nil, fmt.Errorf("gemm: %s kernel output failed verification on the representative tile", kn.Name())
-		}
-		e.finishRepresentative(rep, res.Cycles, &dpu.Meter, &res.Breakdown, rounds, gridM*gridN)
-	} else {
-		// Representative tile: bank (0,0)'s share stands in for the grid,
-		// executed through a pooled arena so repeated runs (a serving
-		// trace replaying one layer shape) stop allocating.
-		pool := e.pool()
-		ar := pool.get(&e.Cfg)
-		defer pool.put(ar)
-		tile := ar.tileFor(pair, bankTask{m0: 0, n0: 0, tileM: tileM, tileN: tileN})
-		res, err := kn.RunRequest(ar.request(tile))
-		if err != nil {
-			return nil, err
-		}
-
-		// Continuous functionality check (Appendix F).
-		if !kernels.VerifyTile(ar.ws, tile) {
-			return nil, fmt.Errorf("gemm: %s kernel output failed verification on the representative tile", kn.Name())
-		}
-		e.finishRepresentative(rep, res.Cycles, &ar.dpu.Meter, &res.Breakdown, rounds, gridM*gridN)
 	}
 
 	e.chargeHost(rep, pair, opt.Variant)
@@ -403,35 +362,6 @@ func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
 		rep.Output = kernels.RefGEMM(full)
 	}
 	return rep, nil
-}
-
-// finishRepresentative fills the report fields shared by both
-// representative-tile functional paths: extrapolated timing, breakdown,
-// and device events scaled to the full grid for the energy model.
-func (e *Engine) finishRepresentative(rep *Report, cycles int64, meter *pim.Meter,
-	b *kernels.Breakdown, rounds, tiles int) {
-	rep.KernelSeconds = e.Cfg.Seconds(cycles) * float64(rounds)
-	rep.KernelCycles = cycles * int64(rounds)
-	rep.Breakdown = *b
-	rep.Verified = true
-	rep.BanksSimulated = 1
-	rep.Meter = *meter
-	for i := range rep.Meter.Counts {
-		rep.Meter.Counts[i] *= int64(tiles)
-	}
-}
-
-// buildTile extracts bank (0,0)'s tile from the pair.
-func (e *Engine) buildTile(pair *workload.GEMMPair, tileM, tileN int) (*kernels.Tile, error) {
-	w := make([]uint8, tileM*pair.K)
-	for m := 0; m < tileM; m++ {
-		copy(w[m*pair.K:(m+1)*pair.K], pair.W.Codes[m*pair.K:(m+1)*pair.K])
-	}
-	a := make([]uint8, pair.K*tileN)
-	for k := 0; k < pair.K; k++ {
-		copy(a[k*tileN:(k+1)*tileN], pair.A.Codes[k*pair.N:k*pair.N+tileN])
-	}
-	return kernels.NewTile(tileM, pair.K, tileN, pair.Fmt, w, a)
 }
 
 func fullTile(pair *workload.GEMMPair) (*kernels.Tile, error) {

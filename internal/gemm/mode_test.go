@@ -21,7 +21,7 @@ func stripFunctionalOnly(r *Report) Report {
 
 // TestModeEquivalence pins the tentpole acceptance criterion at engine
 // level: for every design, across the quick-suite shapes, at several
-// parallelism levels, in both representative and full-grid execution,
+// parallelism levels, in both verification scopes (bank (0,0) and full grid),
 // CyclesOnly reports are bit-identical to Functional ones up to the
 // functional-only fields.
 func TestModeEquivalence(t *testing.T) {

@@ -132,9 +132,10 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRepresentativeModeUnchanged pins the default path: no full grid, one
-// simulated bank, and KernelCycles consistent with the representative
-// extrapolation.
+// TestRepresentativeModeUnchanged pins the default verification scope: no
+// full grid, one simulated bank, and KernelCycles still priced over the
+// whole grid (TestClassPricingMatchesFullGrid pins that price against the
+// full-grid scope).
 func TestRepresentativeModeUnchanged(t *testing.T) {
 	e := NewEngine()
 	rep, err := e.Run(workload.NewGEMMPair(96, 64, 24, quant.W1A3, 1),

@@ -10,8 +10,8 @@ import (
 )
 
 // TestKernelDeterminism: identical tiles must produce identical cycle
-// counts — the property that lets the orchestrator simulate one
-// representative bank for the whole grid.
+// counts — the property that lets the orchestrator price every bank of a
+// tile class from one record.
 func TestKernelDeterminism(t *testing.T) {
 	tile := randTile(t, 48, 64, 4, quant.W1A3, 77)
 	for _, kn := range allKernels(t, quant.W1A3) {
@@ -35,8 +35,8 @@ func TestKernelDeterminism(t *testing.T) {
 }
 
 // TestKernelCyclesValueIndependent: cycle counts must not depend on the
-// tile's data values (only its shape), or representative-tile timing would
-// be wrong for other banks.
+// tile's data values (only its shape), or pricing a tile class by one
+// record would be wrong for its other banks.
 func TestKernelCyclesValueIndependent(t *testing.T) {
 	a := randTile(t, 32, 40, 4, quant.W2A2, 1)
 	b := randTile(t, 32, 40, 4, quant.W2A2, 999)

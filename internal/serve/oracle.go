@@ -49,7 +49,6 @@ type Oracle struct {
 func NewOracle(cfg *Config) *Oracle {
 	eng := cfg.Engine.Clone()
 	eng.Exec.Mode = kernels.CyclesOnly
-	eng.Exec.FullGrid = false
 	ranks := eng.Cfg.Ranks / cfg.Replicas
 	if ranks < 1 {
 		ranks = 1

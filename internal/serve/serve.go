@@ -28,8 +28,8 @@ type Config struct {
 	Variant kernels.Variant
 
 	// Engine is the appliance's base engine (nil = testbed defaults). It is
-	// cloned and forced into cycles-only representative mode; the clone's
-	// rank count is divided across Replicas.
+	// cloned and forced into cycles-only mode; the clone's rank count is
+	// divided across Replicas.
 	Engine *gemm.Engine
 	// Energy prices each batch's meter (zero value = energy.Default()).
 	Energy energy.Model

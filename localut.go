@@ -174,11 +174,12 @@ func WithParallelism(n int) Option {
 	return func(s *System) { s.engine.Exec.Parallelism = n }
 }
 
-// WithFullBankSimulation simulates every bank tile of each GEMM (sharded
-// across the worker pool, each tile verified bit-exact) instead of
-// extrapolating timing from the representative corner tile. Higher fidelity
-// — edge tiles contribute their true cost and full outputs come from the
-// simulated banks — at the price of simulating the whole problem.
+// WithFullBankSimulation widens verification from bank (0,0) to every bank
+// tile of each GEMM: each tile is simulated (sharded across the worker
+// pool) and verified bit-exact, and full outputs come from the simulated
+// banks, at the price of simulating the whole problem. Timing, events and
+// energy do not change: every GEMM is priced from its grid's tile classes,
+// edge tiles at their true cost, with or without this option.
 func WithFullBankSimulation() Option {
 	return func(s *System) { s.engine.Exec.FullGrid = true }
 }
@@ -243,8 +244,9 @@ type GEMMResult struct {
 	// KernelCycles is the simulated PIM wall-clock cycle count; it is
 	// exactly reproducible across host parallelism levels.
 	KernelCycles int64
-	// BanksSimulated counts the bank tiles executed (the full grid under
-	// WithFullBankSimulation, 1 in representative mode).
+	// BanksSimulated counts the bank tiles in the verification scope (every
+	// non-empty tile under WithFullBankSimulation, 1 by default); pricing
+	// covers the whole grid either way.
 	BanksSimulated int
 	// Output is the full integer product when requested.
 	Output []int32
