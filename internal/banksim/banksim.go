@@ -73,7 +73,7 @@ type Bank struct {
 func NewBank(t Timing) *Bank { return &Bank{T: t, openRow: -1} }
 
 // reset returns the bank to the precharged zero-cycle state under the
-// timing, recycling the struct for per-worker reuse (see ArenaRunner).
+// timing, so RunGEMMOn can recycle a caller-owned struct.
 func (b *Bank) reset(t Timing) { *b = Bank{T: t, openRow: -1} }
 
 // rowState is the part of a Bank the charging rule updates: the open row (-1
@@ -211,8 +211,8 @@ func (s *SIMDPIM) RunGEMM(g GEMMSpec) (*Result, error) {
 	return s.RunGEMMOn(new(Bank), g)
 }
 
-// RunGEMMOn is RunGEMM on a caller-owned Bank (reset here), the
-// ArenaRunner entry point shard workers use to avoid per-share allocation.
+// RunGEMMOn is RunGEMM on a caller-owned Bank, reset here, so a caller
+// that simulates many shares can reuse one Bank.
 func (s *SIMDPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -396,8 +396,8 @@ func (u *LUTPIM) RunGEMM(g GEMMSpec) (*Result, error) {
 	return u.RunGEMMOn(new(Bank), g)
 }
 
-// RunGEMMOn is RunGEMM on a caller-owned Bank (reset here), the
-// ArenaRunner entry point shard workers use to avoid per-share allocation.
+// RunGEMMOn is RunGEMM on a caller-owned Bank, reset here, so a caller
+// that simulates many shares can reuse one Bank.
 func (u *LUTPIM) RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

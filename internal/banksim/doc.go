@@ -73,14 +73,13 @@
 // the wrap stays a branch with the offset's. Tests check every step of the
 // offsets and of the rows against the division formulas.
 //
-// # Multi-bank sharded execution
+// # Multi-bank execution
 //
-// A bank-level PIM system is thousands of independent banks, so the package
-// also provides the sharded multi-bank layer: SplitGEMM partitions a GEMM
-// over a channels x banks system, RunShards drives a unit simulator over
-// every share on a worker pool (deduplicating identical shares, since an
-// evenly divided GEMM gives every bank the same work), and Grid aggregates
-// deterministically — wall-clock is the slowest bank, command counts sum in
-// bank order. ForEachShard, the deterministic shard scheduler underneath,
-// is shared with the gemm engine's full-grid mode.
+// A bank-level PIM system is thousands of independent banks. SplitGEMM
+// partitions a GEMM over a channels x banks system, which gives at most four
+// distinct share shapes, and SlowestShare simulates each distinct share once
+// and returns the slowest bank's seconds: banks run concurrently, so that is
+// the system's wall-clock. ForEachShard, the deterministic shard scheduler,
+// lives here too and runs the gemm engine's full-grid mode and the figure
+// drivers.
 package banksim

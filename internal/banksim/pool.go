@@ -3,15 +3,15 @@ package banksim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// This file is the sharded multi-bank execution layer: a PIM system has
-// thousands of independent banks, so simulating them is embarrassingly
-// parallel on the host. ForEachShard is the deterministic shard scheduler
-// (also reused by the gemm engine); RunShards drives one unit simulator
-// over every bank's share and aggregates deterministically.
+// This file is the multi-bank layer. ForEachShard is the deterministic
+// shard scheduler the gemm engine and the experiment drivers run their
+// tasks on; SplitGEMM maps a GEMM onto a channels x banks system, and
+// SlowestShare prices that grid by its slowest bank.
 
 // ForEachShard executes fn(task) for every task in [0, n) on a pool of
 // workers. Shard s owns the strided task set {s, s+W, s+2W, ...} — a fixed,
@@ -88,102 +88,34 @@ func ForEachShardArena[C any](n, workers int, get func() C, put func(C), fn func
 	return nil
 }
 
-// Runner is any per-bank unit simulator (SIMDPIM, LUTPIM). Implementations
-// must be safe for concurrent RunGEMM calls; both unit designs here are —
-// each call builds its own Bank state machine.
+// Runner is any per-bank unit simulator (SIMDPIM, LUTPIM).
 type Runner interface {
 	RunGEMM(GEMMSpec) (*Result, error)
 }
 
-// ArenaRunner is an optional Runner extension: RunGEMMOn executes on a
-// caller-owned Bank (reset by the callee before use), letting a shard
-// worker reuse one Bank state machine across every share it simulates
-// instead of allocating per call. Results are identical to RunGEMM.
-// Implementations must be safe for concurrent RunGEMMOn calls on distinct
-// Banks.
-type ArenaRunner interface {
-	RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error)
-}
-
-// Grid aggregates a multi-bank run deterministically: banks execute
-// concurrently on the PIM side, so wall-clock is the slowest bank while
-// command and MAC counts sum over all banks.
-type Grid struct {
-	// PerBank holds each bank's result in bank order. Banks with identical
-	// shares alias the same Result (see RunShards).
-	PerBank []*Result
-	// Cycles and Seconds are the max over banks (system wall-clock).
-	Cycles  int64
-	Seconds float64
-	// Command totals over all banks.
-	Reads, Writes, Activates, RowHits, MACs int64
-}
-
-// RunShards simulates every bank share in specs on the unit across a pool
-// of `parallelism` workers (0 = NumCPU, 1 = serial) and merges the results
-// in bank order. Identical shares are simulated once and shared — the
-// common case of an evenly divided GEMM costs one bank simulation however
-// many banks the system has, while ragged edges pay only for their distinct
-// shapes.
-func RunShards(unit Runner, specs []GEMMSpec, parallelism int) (*Grid, error) {
+// SlowestShare simulates each distinct bank share in specs once, in bank
+// order, and returns the largest Seconds: banks run concurrently on the PIM
+// side, so the system's wall-clock is its slowest bank's. An evenly divided
+// GEMM costs one simulation however many banks the system has, and a
+// SplitGEMM grid at most four.
+func SlowestShare(unit Runner, specs []GEMMSpec) (float64, error) {
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("banksim: no bank shares to run")
+		return 0, fmt.Errorf("banksim: no bank shares to run")
 	}
-	// Dedup: bank -> index of the first bank with the same share.
-	owner := make([]int, len(specs))
-	first := make(map[GEMMSpec]int, 4)
-	distinct := make([]int, 0, 4)
+	var seen []GEMMSpec
+	var slowest float64
 	for i, g := range specs {
-		if j, ok := first[g]; ok {
-			owner[i] = j
+		if slices.Contains(seen, g) {
 			continue
 		}
-		first[g] = i
-		owner[i] = i
-		distinct = append(distinct, i)
-	}
-
-	results := make([]*Result, len(specs))
-	arena, pooled := unit.(ArenaRunner)
-	err := ForEachShardArena(len(distinct), parallelism,
-		func() *Bank { return new(Bank) },
-		func(*Bank) {},
-		func(b *Bank, t int) error {
-			i := distinct[t]
-			var r *Result
-			var err error
-			if pooled {
-				r, err = arena.RunGEMMOn(b, specs[i])
-			} else {
-				r, err = unit.RunGEMM(specs[i])
-			}
-			if err != nil {
-				return fmt.Errorf("banksim: bank %d: %w", i, err)
-			}
-			results[i] = r
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	grid := &Grid{PerBank: make([]*Result, len(specs))}
-	for i := range specs {
-		r := results[owner[i]]
-		grid.PerBank[i] = r
-		if r.Cycles > grid.Cycles {
-			grid.Cycles = r.Cycles
+		seen = append(seen, g)
+		r, err := unit.RunGEMM(g)
+		if err != nil {
+			return 0, fmt.Errorf("banksim: bank %d: %w", i, err)
 		}
-		if r.Seconds > grid.Seconds {
-			grid.Seconds = r.Seconds
-		}
-		grid.Reads += r.Reads
-		grid.Writes += r.Writes
-		grid.Activates += r.Activates
-		grid.RowHits += r.RowHits
-		grid.MACs += r.MACs
+		slowest = max(slowest, r.Seconds)
 	}
-	return grid, nil
+	return slowest, nil
 }
 
 // SplitGEMM partitions an M x K x N GEMM over a channels x banks system the

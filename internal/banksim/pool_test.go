@@ -32,41 +32,28 @@ func TestForEachShardCoversAllTasks(t *testing.T) {
 	}
 }
 
-// TestRunShardsMatchesSerial checks that the pooled multi-bank run is
-// bit-identical to the serial one and to a direct single-bank simulation of
-// the critical-path share.
-func TestRunShardsMatchesSerial(t *testing.T) {
-	tm := HBM2()
-	unit := NewSIMDPIM(tm)
+// TestSlowestShareIsCriticalPath checks that a ragged grid is priced by
+// its ceil-division share, the system's critical path, and that an empty
+// grid is an error.
+func TestSlowestShareIsCriticalPath(t *testing.T) {
+	unit := NewSIMDPIM(HBM2())
 	specs, err := SplitGEMM(1000, 512, 130, 4, 16) // ragged on both axes
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunShards(unit, specs, 1)
+	got, err := SlowestShare(unit, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunShards(unit, specs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Cycles != parallel.Cycles || serial.Reads != parallel.Reads ||
-		serial.MACs != parallel.MACs || serial.Activates != parallel.Activates {
-		t.Fatalf("serial and parallel grids diverge:\n%+v\n%+v", serial, parallel)
-	}
-
-	// The system's wall-clock is the ceil-division share's time.
 	critical, err := unit.RunGEMM(GEMMSpec{M: 250, K: 512, N: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Cycles != critical.Cycles {
-		t.Fatalf("grid cycles %d != critical-path bank cycles %d", serial.Cycles, critical.Cycles)
+	if got != critical.Seconds {
+		t.Fatalf("grid seconds %v != critical-path bank seconds %v", got, critical.Seconds)
 	}
-
-	// MAC totals must cover the whole problem exactly.
-	if want := int64(1000) * 512 * 130; serial.MACs != want {
-		t.Fatalf("grid MACs %d, want %d", serial.MACs, want)
+	if _, err := SlowestShare(unit, nil); err == nil {
+		t.Fatal("empty share list accepted")
 	}
 }
 
@@ -144,9 +131,9 @@ func TestForEachShardArenaContexts(t *testing.T) {
 	}
 }
 
-// TestRunGEMMOnMatchesRunGEMM pins the ArenaRunner contract for both unit
-// simulators: a recycled Bank produces bit-identical results to a fresh
-// one, including when shares of different shapes alternate through it.
+// TestRunGEMMOnMatchesRunGEMM pins bank reuse for both unit simulators: a
+// recycled Bank produces bit-identical results to a fresh one, including
+// when shares of different shapes alternate through it.
 func TestRunGEMMOnMatchesRunGEMM(t *testing.T) {
 	lutUnit, err := NewLUTPIM(HBM2(), 4, 1, 1)
 	if err != nil {
@@ -155,26 +142,26 @@ func TestRunGEMMOnMatchesRunGEMM(t *testing.T) {
 	if err := lutUnit.ConfigureSlices(256, 128); err != nil {
 		t.Fatal(err)
 	}
+	type bankRunner interface {
+		Runner
+		RunGEMMOn(b *Bank, g GEMMSpec) (*Result, error)
+	}
 	units := []struct {
 		name string
-		r    Runner
+		r    bankRunner
 	}{
 		{"SIMDPIM", NewSIMDPIM(HBM2())},
 		{"LUTPIM", lutUnit},
 	}
 	shapes := []GEMMSpec{{M: 16, K: 64, N: 8}, {M: 5, K: 33, N: 3}, {M: 16, K: 64, N: 8}}
 	for _, u := range units {
-		ar, ok := u.r.(ArenaRunner)
-		if !ok {
-			t.Fatalf("%s does not implement ArenaRunner", u.name)
-		}
 		b := new(Bank)
 		for i, g := range shapes {
 			want, err := u.r.RunGEMM(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ar.RunGEMMOn(b, g)
+			got, err := u.r.RunGEMMOn(b, g)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,11 @@
 package costmodel
 
 import (
+	"sync"
+
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/quant"
-	"github.com/ais-snu/localut/internal/stripemap"
 )
 
 // The §IV-D selection runs once per GEMM shape at initialization (§V-A), but
@@ -17,10 +18,9 @@ import (
 // the two LUT byte budgets, all of which are part of the key, so a cache can
 // be shared between engines with different machine configurations (and
 // between the shards of a parallel run — all methods are safe for concurrent
-// use). The maps are lock-striped (internal/stripemap): high-parallelism
-// runs hit the cache on every worker's hot path, and striping keeps them off
-// a single mutex cacheline. Striping cannot perturb results — each entry is
-// a pure function of its key.
+// use). One mutex guards both maps and the hit/miss counters; each entry is
+// a pure function of its key, so the order in which callers store them
+// cannot perturb results.
 
 // choiceKey identifies one Choose decision.
 type choiceKey struct {
@@ -40,30 +40,29 @@ type variantKey struct {
 	wram int64
 }
 
-func hashChoiceKey(key choiceKey) uint64 {
-	return uint64(key.m)*0x9E3779B185EBCA87 ^
-		uint64(key.k)*0xC2B2AE3D27D4EB4F ^
-		uint64(key.n)*0x165667B19E3779F9 ^
-		uint64(key.fmt.Weight.Bits)<<13 ^ uint64(key.fmt.Act.Bits)<<5
-}
-
-func hashVariantKey(key variantKey) uint64 {
-	return uint64(key.fmt.Weight.Bits)*31 ^ uint64(key.fmt.Act.Bits)*131 ^
-		uint64(key.v)<<7 ^ uint64(key.wram)
-}
-
 // Cache memoizes cost-model decisions. The zero value is not ready; use
 // NewCache. All methods are safe for concurrent use.
 type Cache struct {
-	choices  *stripemap.Map[choiceKey, Choice]
-	variants *stripemap.Map[variantKey, int]
+	mu           sync.Mutex
+	choices      map[choiceKey]Choice
+	variants     map[variantKey]int
+	hits, misses int64
 }
 
 // NewCache returns an empty decision cache.
 func NewCache() *Cache {
 	return &Cache{
-		choices:  stripemap.New[choiceKey, Choice](hashChoiceKey),
-		variants: stripemap.New[variantKey, int](hashVariantKey),
+		choices:  make(map[choiceKey]Choice),
+		variants: make(map[variantKey]int),
+	}
+}
+
+// count records one lookup's outcome; the caller holds c.mu.
+func (c *Cache) count(hit bool) {
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
 	}
 }
 
@@ -72,35 +71,47 @@ func NewCache() *Cache {
 func (c *Cache) Choose(m Model, f quant.Format, M, K, N int, cfg *pim.Config) (Choice, error) {
 	key := choiceKey{model: m, fmt: f, m: M, k: K, n: N,
 		wram: cfg.WRAMLUTBudget(), mram: cfg.MRAMLUTBudget()}
-	if ch, ok := c.choices.Lookup(key); ok {
+	c.mu.Lock()
+	ch, ok := c.choices[key]
+	c.count(ok)
+	c.mu.Unlock()
+	if ok {
 		return ch, nil
 	}
 	ch, err := Choose(m, f, M, K, N, cfg)
 	if err != nil {
 		return Choice{}, err
 	}
-	c.choices.Store(key, ch)
+	c.mu.Lock()
+	c.choices[key] = ch
+	c.mu.Unlock()
 	return ch, nil
 }
 
 // ChooseForVariant is a memoized ChooseForVariant.
 func (c *Cache) ChooseForVariant(f quant.Format, v kernels.Variant, cfg *pim.Config) (int, error) {
 	key := variantKey{fmt: f, v: v, wram: cfg.WRAMLUTBudget()}
-	if p, ok := c.variants.Lookup(key); ok {
+	c.mu.Lock()
+	p, ok := c.variants[key]
+	c.count(ok)
+	c.mu.Unlock()
+	if ok {
 		return p, nil
 	}
 	p, err := ChooseForVariant(f, v, cfg)
 	if err != nil {
 		return 0, err
 	}
-	c.variants.Store(key, p)
+	c.mu.Lock()
+	c.variants[key] = p
+	c.mu.Unlock()
 	return p, nil
 }
 
 // Stats reports hit/miss counts (diagnostics and tests) summed over both
 // decision kinds.
 func (c *Cache) Stats() (hits, misses int64) {
-	h1, m1 := c.choices.Stats()
-	h2, m2 := c.variants.Stats()
-	return h1 + h2, m1 + m2
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
 }

@@ -102,4 +102,8 @@ func TestCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// The counters move under the cache's lock, so no lookup is lost.
+	if hits, misses := cache.Stats(); hits+misses != 2*8*50 {
+		t.Errorf("hits %d + misses %d, want %d lookups", hits, misses, 2*8*50)
+	}
 }

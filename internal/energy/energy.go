@@ -12,11 +12,7 @@
 // mix, which these constants price consistently.
 package energy
 
-import (
-	"fmt"
-
-	"github.com/ais-snu/localut/internal/pim"
-)
+import "github.com/ais-snu/localut/internal/pim"
 
 // Model holds per-event energies in joules.
 type Model struct {
@@ -52,15 +48,6 @@ func Default() Model {
 		HostOpJ:       150e-12,
 		StaticW:       90,
 	}
-}
-
-// Validate rejects nonsensical models.
-func (m Model) Validate() error {
-	if m.InstrJ < 0 || m.Mul8J < 0 || m.DMAByteJ < 0 || m.WRAMAccessJ < 0 ||
-		m.HostLinkByteJ < 0 || m.HostOpJ < 0 || m.StaticW < 0 {
-		return fmt.Errorf("energy: negative constant in model %+v", m)
-	}
-	return nil
 }
 
 // Report itemizes the energy of one execution.

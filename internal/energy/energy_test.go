@@ -6,20 +6,6 @@ import (
 	"github.com/ais-snu/localut/internal/pim"
 )
 
-func TestDefaultValid(t *testing.T) {
-	if err := Default().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsNegatives(t *testing.T) {
-	m := Default()
-	m.InstrJ = -1
-	if err := m.Validate(); err == nil {
-		t.Error("negative InstrJ accepted")
-	}
-}
-
 func TestPriceAdditivity(t *testing.T) {
 	m := Default()
 	var a, b pim.Meter

@@ -249,10 +249,9 @@ func (s *Suite) Fig20() (*Result, error) {
 
 	tm := banksim.HBM2()
 	// An HBM2 stack exposes 8 channels x 16 banks; the GEMM splits M
-	// across channels and N across banks, full K per bank. Every bank of
-	// the grid is simulated through the sharded runner; the system
-	// wall-clock is the slowest bank's, which for these even splits equals
-	// the share every bank receives.
+	// across channels and N across banks, full K per bank. The system
+	// wall-clock is the slowest bank's; these sizes split evenly, so every
+	// bank gets the same share and SlowestShare simulates it once.
 	const chans, banks = 4, 16
 	var speedups []float64
 	for _, sz := range sizes {
@@ -261,13 +260,13 @@ func (s *Suite) Fig20() (*Result, error) {
 			return nil, err
 		}
 		// The fp16 SIMD baseline ignores the logical precision: one run per size.
-		simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
+		simd, err := banksim.SlowestShare(banksim.NewSIMDPIM(tm), specs)
 		if err != nil {
 			return nil, err
 		}
 		// Formats that resolve to the same unit (W1A3 and W1A4 both run p=8
 		// over 256 one-byte rows) are simulated once per size.
-		units := map[banksim.LUTPIM]*banksim.Grid{}
+		units := map[banksim.LUTPIM]float64{}
 		for _, f := range quant.Formats {
 			p, spec := unitMaxP(f)
 			u, err := banksim.NewLUTPIM(tm, p, spec.WeightRowBytes(), spec.EntryBytes())
@@ -279,15 +278,15 @@ func (s *Suite) Fig20() (*Result, error) {
 			if err := u.ConfigureSlices(canonCol, reorderCol); err != nil {
 				return nil, err
 			}
-			lutRes, ok := units[*u]
+			lutSec, ok := units[*u]
 			if !ok {
-				if lutRes, err = banksim.RunShards(u, specs, s.Parallelism); err != nil {
+				if lutSec, err = banksim.SlowestShare(u, specs); err != nil {
 					return nil, err
 				}
-				units[*u] = lutRes
+				units[*u] = lutSec
 			}
-			sp := simd.Seconds / lutRes.Seconds
-			tab.Add(sz, f.Name(), p, simd.Seconds, lutRes.Seconds, sp)
+			sp := simd / lutSec
+			tab.Add(sz, f.Name(), p, simd, lutSec, sp)
 			speedups = append(speedups, sp)
 			if f == quant.W4A4 {
 				res.Values["w4a4_speedup"] = sp
@@ -351,11 +350,11 @@ func (s *Suite) Fig21() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		simd, err := banksim.RunShards(banksim.NewSIMDPIM(tm), specs, s.Parallelism)
+		simd, err := banksim.SlowestShare(banksim.NewSIMDPIM(tm), specs)
 		if err != nil {
 			return nil, err
 		}
-		shares[i], simdSeconds[i] = specs, simd.Seconds
+		shares[i], simdSeconds[i] = specs, simd
 	}
 	for _, c := range cases {
 		var sub []float64
@@ -390,11 +389,11 @@ func (s *Suite) Fig21() (*Result, error) {
 			if err := u.ConfigureSlices(rows*fpEntryBytes, rows*int64(rb)); err != nil {
 				return nil, err
 			}
-			lutRes, err := banksim.RunShards(u, shares[i], s.Parallelism)
+			lutSec, err := banksim.SlowestShare(u, shares[i])
 			if err != nil {
 				return nil, err
 			}
-			sp := simdSeconds[i] / lutRes.Seconds
+			sp := simdSeconds[i] / lutSec
 			tab.Add("fp-gemm "+c.name, fmt.Sprintf("%dK p=%d", sz/1024, p), sp)
 			sub = append(sub, sp)
 		}

@@ -1,19 +1,20 @@
 package gemm
 
 import (
+	"sync"
+
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/pim"
 	"github.com/ais-snu/localut/internal/quant"
-	"github.com/ais-snu/localut/internal/stripemap"
 )
 
 // Cycles-only kernel runs are pure functions of (machine config, cost table,
 // design point, tile shape): no data flows through them, so two banks with
 // identical-shaped tiles produce bit-identical cycles, meters and
 // breakdowns. CostMemo memoizes those records the way costmodel.Cache
-// memoizes §IV-D decisions — a full-grid sweep over thousands of banks pays
-// for at most a handful of distinct edge shapes, and a serving workload
-// replaying the same layer shapes pays once per shape for the whole run.
+// memoizes §IV-D decisions: a GEMM is priced by at most four tile classes,
+// and a serving workload replaying the same layer shapes pays once per
+// shape for the whole run.
 //
 // The key embeds the pim.Config and kernels.Costs values outright (both are
 // flat comparable structs), so a memo shared across Clone'd engines with
@@ -38,43 +39,46 @@ type costRecord struct {
 	breakdown kernels.Breakdown
 }
 
-// CostMemo memoizes cycles-only bank cost records in a lock-striped map
-// (internal/stripemap): every worker of a high -j serving or sweep run
-// consults the memo on its hot path, and striping by key hash keeps them
-// off one mutex cacheline. Striping is invisible to results — each record
-// is a pure function of its key. The zero value is not ready; use
-// NewCostMemo. All methods are safe for concurrent use.
+// CostMemo memoizes cycles-only bank cost records under one mutex. Each
+// record is a pure function of its key, so whichever caller stores a key
+// first, every later reader gets the same record. The zero value is not
+// ready; use NewCostMemo. All methods are safe for concurrent use.
 type CostMemo struct {
-	recs *stripemap.Map[costKey, costRecord]
+	mu           sync.Mutex
+	recs         map[costKey]costRecord
+	hits, misses int64
 }
 
 // NewCostMemo returns an empty memo.
 func NewCostMemo() *CostMemo {
-	return &CostMemo{recs: stripemap.New[costKey, costRecord](hashCostKey)}
+	return &CostMemo{recs: make(map[costKey]costRecord)}
 }
 
-// hashCostKey mixes the key's shape and design fields — the ones that
-// differ between concurrent lookups.
-func hashCostKey(key costKey) uint64 {
-	return uint64(key.m)*0x9E3779B185EBCA87 ^
-		uint64(key.k)*0xC2B2AE3D27D4EB4F ^
-		uint64(key.n)*0x165667B19E3779F9 ^
-		uint64(key.variant)<<17 ^ uint64(key.p)<<9 ^ uint64(key.sliceK)<<3
-}
-
-// lookup returns the memoized record for the key.
+// lookup returns the memoized record for the key, counting a hit or miss.
 func (c *CostMemo) lookup(key costKey) (costRecord, bool) {
-	return c.recs.Lookup(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, ok := c.recs[key]
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	return rec, ok
 }
 
 // store records the outcome for the key.
 func (c *CostMemo) store(key costKey, rec costRecord) {
-	c.recs.Store(key, rec)
+	c.mu.Lock()
+	c.recs[key] = rec
+	c.mu.Unlock()
 }
 
 // Stats reports hit/miss counts (diagnostics and tests).
 func (c *CostMemo) Stats() (hits, misses int64) {
-	return c.recs.Stats()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
 }
 
 // costKeyFor assembles the memo key for one bank tile of the current run.

@@ -53,6 +53,7 @@
 //
 // Reports are therefore bit-identical at any parallelism level; only host
 // wall-clock changes. RunBatch extends the same pool across independent
-// GEMMs, with §IV-D decisions memoized in the engine's shared
-// costmodel.Cache.
+// GEMMs. §IV-D decisions are memoized in the engine's costmodel.Cache and
+// tile cost records in its CostMemo; engine clones share both, each behind
+// one mutex.
 package gemm

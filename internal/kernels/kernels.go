@@ -228,7 +228,6 @@ type Result struct {
 // Kernel runs one tile on one DPU.
 type Kernel interface {
 	Name() string
-	Variant() Variant
 	// Run executes the tile on the DPU, filling t.O, and returns timing.
 	// It is the convenience entry point; each call uses private scratch.
 	Run(d *pim.DPU, t *Tile) (*Result, error)

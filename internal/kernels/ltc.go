@@ -28,8 +28,7 @@ type LTCKernel struct {
 // NewLTCKernel returns the LTC adaptation with the given cost table.
 func NewLTCKernel(c Costs) *LTCKernel { return &LTCKernel{Costs: c} }
 
-func (k *LTCKernel) Name() string     { return LTC.String() }
-func (k *LTCKernel) Variant() Variant { return LTC }
+func (k *LTCKernel) Name() string { return LTC.String() }
 
 // weightPlaneCoef returns the signed coefficient of bit-plane b and the
 // column-sum correction coefficient for the tile's weight codec. A weight

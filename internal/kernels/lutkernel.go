@@ -224,8 +224,6 @@ func (k *LUTKernel) Name() string {
 	return k.v.String()
 }
 
-func (k *LUTKernel) Variant() Variant { return k.v }
-
 // fail names the design in an error.
 func (k *LUTKernel) fail(err error) error { return fmt.Errorf("kernels: %s: %w", k.Name(), err) }
 

@@ -19,8 +19,7 @@ type NaiveKernel struct {
 // NewNaiveKernel returns the baseline kernel with the given cost table.
 func NewNaiveKernel(c Costs) *NaiveKernel { return &NaiveKernel{Costs: c} }
 
-func (k *NaiveKernel) Name() string     { return Naive.String() }
-func (k *NaiveKernel) Variant() Variant { return Naive }
+func (k *NaiveKernel) Name() string { return Naive.String() }
 
 // Run executes the tile. The DPU must be freshly reset.
 func (k *NaiveKernel) Run(d *pim.DPU, t *Tile) (*Result, error) {

@@ -47,34 +47,12 @@ func (s FloatSpec) CanonCols() int64 {
 	return perm.MultisetCount(1<<uint(s.ActBits), s.P)
 }
 
-// ReorderCols returns p!.
-func (s FloatSpec) ReorderCols() int64 { return perm.Factorial(s.P) }
-
 // EntryBytes is fixed at 4 (float32) for float LUTs.
 func (s FloatSpec) EntryBytes() int { return 4 }
-
-// WeightRowBytes returns the byte width of a packed weight vector.
-func (s FloatSpec) WeightRowBytes() int { return (s.WeightBits*s.P + 7) / 8 }
 
 // CanonicalBytes returns the float canonical LUT size.
 func (s FloatSpec) CanonicalBytes() int64 {
 	return satMul3(s.Rows(), s.CanonCols(), int64(s.EntryBytes()))
-}
-
-// ReorderBytes returns the reordering LUT size (identical to the integer
-// case: it stores weight codes, not values).
-func (s FloatSpec) ReorderBytes() int64 {
-	return satMul3(s.Rows(), s.ReorderCols(), int64(s.WeightRowBytes()))
-}
-
-// CombinedBytes returns the total LUT footprint.
-func (s FloatSpec) CombinedBytes() int64 {
-	return satAdd(s.CanonicalBytes(), s.ReorderBytes())
-}
-
-// SliceBytes returns one streamed slice pair's size.
-func (s FloatSpec) SliceBytes() int64 {
-	return s.Rows() * int64(s.EntryBytes()+s.WeightRowBytes())
 }
 
 // dot computes the float dot product of a packed weight row and activation
@@ -117,12 +95,6 @@ func BuildCanonicalF32(s FloatSpec) (*CanonicalF32, error) {
 // Lookup returns the float entry for canonical weight row w and column c.
 func (t *CanonicalF32) Lookup(w uint32, c int64) float32 {
 	return readF32(t.Data, int(c)*int(t.Rows())+int(w))
-}
-
-// Column returns the contiguous slice of column c.
-func (t *CanonicalF32) Column(c int64) []byte {
-	stride := int(t.Rows()) * 4
-	return t.Data[int(c)*stride : (int(c)+1)*stride]
 }
 
 // BuildReorderF32 builds the reordering LUT for a float spec. The table is

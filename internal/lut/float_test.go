@@ -144,12 +144,6 @@ func TestFloatSpecCapacity(t *testing.T) {
 	if s.CanonicalBytes() != 4*wantCols*4 {
 		t.Errorf("bytes = %d", s.CanonicalBytes())
 	}
-	if s.CombinedBytes() <= s.CanonicalBytes() {
-		t.Error("combined must include reorder")
-	}
-	if s.SliceBytes() != 4*(4+1) {
-		t.Errorf("slice bytes = %d", s.SliceBytes())
-	}
 }
 
 func TestFloatFP16DegeneratesToP1(t *testing.T) {

@@ -319,13 +319,6 @@ func (t *Canonical) Lookup(w uint32, c int64) int32 {
 	return ReadEntry(t.Data, int(c)*int(t.Rows())+int(w), t.EntryBytes())
 }
 
-// Column returns the contiguous byte slice of column c — the DMA unit of
-// LUT slice streaming.
-func (t *Canonical) Column(c int64) []byte {
-	stride := int(t.Rows()) * t.EntryBytes()
-	return t.Data[int(c)*stride : (int(c)+1)*stride]
-}
-
 // Reorder is the reordering LUT of §IV-B: entry (w, sigma) holds the packed
 // weight vector w permuted by the length-p permutation with Lehmer rank
 // sigma. Column-major like Canonical, so a permutation's column streams as
@@ -365,12 +358,6 @@ func BuildReorder(s Spec) (*Reorder, error) {
 // permutation rank sigma.
 func (t *Reorder) Lookup(w uint32, sigma int64) uint32 {
 	return ReadUint(t.Data, int(sigma)*int(t.Rows())+int(w), t.WeightRowBytes())
-}
-
-// Column returns the contiguous byte slice of permutation column sigma.
-func (t *Reorder) Column(sigma int64) []byte {
-	stride := int(t.Rows()) * t.WeightRowBytes()
-	return t.Data[int(sigma)*stride : (int(sigma)+1)*stride]
 }
 
 // CanonicalizeActs sorts the activation codes of one p-vector into canonical

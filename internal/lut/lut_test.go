@@ -267,17 +267,21 @@ func TestFig2Example(t *testing.T) {
 	}
 }
 
+// TestColumnSlices pins the column-major layout slice streaming relies on:
+// column c of each table is one contiguous byte range holding exactly the
+// entries Lookup returns for that column.
 func TestColumnSlices(t *testing.T) {
 	s := MustSpec(quant.W1A3, 3)
 	canon, err := BuildCanonical(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stride := int(s.Rows()) * s.EntryBytes()
+	if len(canon.Data) != int(s.CanonCols())*stride {
+		t.Fatalf("canonical table has %d bytes, want %d columns of %d", len(canon.Data), s.CanonCols(), stride)
+	}
 	for c := int64(0); c < s.CanonCols(); c++ {
-		col := canon.Column(c)
-		if len(col) != int(s.Rows())*s.EntryBytes() {
-			t.Fatalf("column %d has %d bytes", c, len(col))
-		}
+		col := canon.Data[int(c)*stride : int(c+1)*stride]
 		for r := int64(0); r < s.Rows(); r++ {
 			if ReadEntry(col, int(r), s.EntryBytes()) != canon.Lookup(uint32(r), c) {
 				t.Fatalf("column slice mismatch at (%d,%d)", r, c)
@@ -288,8 +292,9 @@ func TestColumnSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stride = int(s.Rows()) * s.WeightRowBytes()
 	for sg := int64(0); sg < s.ReorderCols(); sg++ {
-		col := reorder.Column(sg)
+		col := reorder.Data[int(sg)*stride : int(sg+1)*stride]
 		for r := int64(0); r < s.Rows(); r++ {
 			if ReadUint(col, int(r), s.WeightRowBytes()) != reorder.Lookup(uint32(r), sg) {
 				t.Fatalf("reorder slice mismatch at (%d,%d)", r, sg)

@@ -91,14 +91,6 @@ func (m *Metrics) Finish(end float64) {
 	}
 }
 
-// Rows returns the number of emitted rows.
-func (m *Metrics) Rows() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.rows)
-}
-
 func formatMetric(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // WriteCSV writes "t_s,<col>,..." followed by one row per sample.

@@ -361,31 +361,6 @@ func (m *MRAM) Map(name string, data []byte) (*Segment, error) {
 	return seg, nil
 }
 
-// Free releases a segment into the recycle pool.
-func (m *MRAM) Free(name string) error {
-	seg, ok := m.segs[name]
-	if !ok {
-		return fmt.Errorf("pim: MRAM free %q: no such segment", name)
-	}
-	delete(m.segs, name)
-	m.used -= seg.Size
-	if seg.ro {
-		seg.Data = nil
-		seg.ro = false
-	}
-	m.retired[name] = seg
-	return nil
-}
-
-// Capacity returns the bank size.
-func (m *MRAM) Capacity() int64 { return m.capacity }
-
-// Segment returns a previously allocated segment.
-func (m *MRAM) Segment(name string) (*Segment, bool) {
-	s, ok := m.segs[name]
-	return s, ok
-}
-
 // WRAM is the per-DPU scratchpad with the same named bump allocation. A
 // cost-only WRAM tracks sizes without allocating bytes, like a cost-only
 // MRAM. Like MRAM, released buffers are retired into a name-keyed recycle
@@ -449,18 +424,6 @@ func (w *WRAM) Alloc(name string, size int) (*Buffer, error) {
 	w.used += size
 	w.bufs[name] = buf
 	return buf, nil
-}
-
-// Free releases a buffer into the recycle pool.
-func (w *WRAM) Free(name string) error {
-	buf, ok := w.bufs[name]
-	if !ok {
-		return fmt.Errorf("pim: WRAM free %q: no such buffer", name)
-	}
-	delete(w.bufs, name)
-	w.retired[name] = buf
-	w.used -= buf.Size
-	return nil
 }
 
 // FreeAll releases every buffer (kernel teardown), retiring the backing

@@ -619,9 +619,6 @@ func (inst *Instance) SetSlowdown(factor float64) {
 	inst.slowdown = factor
 }
 
-// Slowdown reports the current gray-failure speed factor (1 = healthy).
-func (inst *Instance) Slowdown() float64 { return inst.slowdown }
-
 // abortPass refunds the unelapsed fraction of a replica's running pass —
 // a crashed appliance stops consuming time, PIM cycles and energy at the
 // fault instant. The elapsed fraction stays charged: it was really spent.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -148,35 +147,6 @@ func (h *LogHistogram) Add(v float64) {
 		h.Counts = append(h.Counts, 0)
 	}
 	h.Counts[i]++
-}
-
-// Merge adds other's samples into h. Both histograms must share Base and
-// Min so bucket i means the same interval on each side.
-func (h *LogHistogram) Merge(other *LogHistogram) error {
-	if other.Base != h.Base || other.Min != h.Min {
-		return fmt.Errorf("trace: merging log histogram base=%g min=%g into base=%g min=%g",
-			other.Base, other.Min, h.Base, h.Min)
-	}
-	h.NonFinite += other.NonFinite
-	if other.N == 0 {
-		return nil
-	}
-	if h.N == 0 || other.MinV < h.MinV {
-		h.MinV = other.MinV
-	}
-	if h.N == 0 || other.MaxV > h.MaxV {
-		h.MaxV = other.MaxV
-	}
-	h.N += other.N
-	h.Sum += other.Sum
-	h.Under += other.Under
-	for len(h.Counts) < len(other.Counts) {
-		h.Counts = append(h.Counts, 0)
-	}
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	return nil
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts:

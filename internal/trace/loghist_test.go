@@ -90,42 +90,6 @@ func TestLogHistogramEdgeBuckets(t *testing.T) {
 	}
 }
 
-// TestLogHistogramMerge checks that merging shards equals feeding one
-// histogram all the samples.
-func TestLogHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	whole, a, b := NewLogHistogram(), NewLogHistogram(), NewLogHistogram()
-	for i := 0; i < 2000; i++ {
-		v := math.Exp(rng.NormFloat64())
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N != whole.N || a.MinV != whole.MinV || a.MaxV != whole.MaxV {
-		t.Errorf("merged aggregates differ: %+v vs %+v", a, whole)
-	}
-	// Sum is added in shard order, so it may differ from the in-order sum
-	// by float associativity — but only by ulps, never materially.
-	if math.Abs(a.Sum-whole.Sum) > 1e-9*whole.Sum {
-		t.Errorf("merged Sum %g drifted from %g", a.Sum, whole.Sum)
-	}
-	for i, c := range whole.Counts {
-		if a.Counts[i] != c {
-			t.Errorf("bucket %d: merged %d, whole %d", i, a.Counts[i], c)
-		}
-	}
-	bad := &LogHistogram{Base: 2, Min: 1}
-	if err := a.Merge(bad); err == nil {
-		t.Error("merge across bucketings accepted")
-	}
-}
-
 // TestLogHistogramEmpty pins the zero-sample behavior the report layer
 // relies on: everything reads back as zero.
 func TestLogHistogramEmpty(t *testing.T) {
@@ -154,34 +118,16 @@ func TestLogHistogramToFixed(t *testing.T) {
 	}
 }
 
-// TestFixedHistogramMergeQuantile covers the satellite additions on the
-// equal-width histogram: shards compose, and bucket quantiles track the
-// sorted estimator within one bucket width.
+// TestFixedHistogramMergeQuantile checks that the equal-width histogram's
+// bucket quantiles track the sorted estimator within one bucket width, and
+// that an empty histogram reads back 0.
 func TestFixedHistogramMergeQuantile(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	whole, _ := NewHistogram(0, 1, 50)
-	a, _ := NewHistogram(0, 1, 50)
-	b, _ := NewHistogram(0, 1, 50)
 	vals := make([]float64, 5000)
 	for i := range vals {
 		vals[i] = rng.Float64()
 		whole.Add(vals[i])
-		if i%2 == 0 {
-			a.Add(vals[i])
-		} else {
-			b.Add(vals[i])
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != whole.Total() {
-		t.Errorf("merged total %d, want %d", a.Total(), whole.Total())
-	}
-	for i := range whole.Counts {
-		if a.Counts[i] != whole.Counts[i] {
-			t.Fatalf("bucket %d differs after merge", i)
-		}
 	}
 	w := (whole.Hi - whole.Lo) / float64(len(whole.Counts))
 	for _, q := range []float64{0.5, 0.95, 0.99} {
@@ -191,10 +137,6 @@ func TestFixedHistogramMergeQuantile(t *testing.T) {
 			t.Errorf("q=%g: bucket quantile %g vs sorted %g differs by more than bucket width %g",
 				q, got, want, w)
 		}
-	}
-	mismatched, _ := NewHistogram(0, 2, 50)
-	if err := a.Merge(mismatched); err == nil {
-		t.Error("merge across bounds accepted")
 	}
 	empty, _ := NewHistogram(0, 1, 4)
 	if empty.Quantile(0.5) != 0 {
@@ -307,30 +249,6 @@ func TestLogHistogramBucketIdentity(t *testing.T) {
 				t.Errorf("%s: Quantile(%g) = %v, reference %v", name, q, g, w)
 			}
 		}
-
-		// Two halves merged must equal the single pass bucket for bucket;
-		// Sum alone depends on addition order, so it is compared loosely.
-		a, b := NewLogHistogram(), NewLogHistogram()
-		for i, v := range vals {
-			if i < len(vals)/2 {
-				a.Add(v)
-			} else {
-				b.Add(v)
-			}
-		}
-		if err := a.Merge(b); err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(a.Sum-got.Sum) > 1e-9*got.Sum {
-			t.Errorf("%s: merged Sum %v drifted from %v", name, a.Sum, got.Sum)
-		}
-		a.Sum = got.Sum
-		sameAggregate(t, name+" merged", a, got)
-		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-			if g, w := a.Quantile(q), got.Quantile(q); g != w {
-				t.Errorf("%s merged: Quantile(%g) = %v, single pass %v", name, q, g, w)
-			}
-		}
 	}
 }
 
@@ -379,8 +297,7 @@ func TestLogHistogramSharedEdges(t *testing.T) {
 
 // TestLogHistogramNonFinite pins what Add does with a sample that is not a
 // number: it counts it in NonFinite and touches nothing else — these
-// samples used to panic with an index out of range — and Merge carries the
-// count across.
+// samples used to panic with an index out of range.
 func TestLogHistogramNonFinite(t *testing.T) {
 	got, want := NewLogHistogram(), NewLogHistogram()
 	for _, v := range []float64{0.5, math.NaN(), 2e-12, math.Inf(1), 3, math.Inf(-1)} {
@@ -393,17 +310,6 @@ func TestLogHistogramNonFinite(t *testing.T) {
 	sameAggregate(t, "non-finite", got, want)
 	if q := got.Quantile(1); q != 3 {
 		t.Errorf("Quantile(1) = %v with non-finite samples refused, want the largest finite sample 3", q)
-	}
-	sum := NewLogHistogram()
-	onlyBad := NewLogHistogram()
-	onlyBad.Add(math.NaN())
-	for _, h := range []*LogHistogram{got, onlyBad} {
-		if err := sum.Merge(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sum.NonFinite != 4 || sum.N != 3 {
-		t.Errorf("merged histogram counts %d non-finite and %d finite samples, want 4 and 3", sum.NonFinite, sum.N)
 	}
 }
 

@@ -110,22 +110,6 @@ func (h *Histogram) Total() int64 {
 	return t
 }
 
-// Merge adds other's counts into h. The histograms must share bounds and
-// bucket count — merged aggregations only compose when every shard
-// bucketed identically.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other.Lo != h.Lo || other.Hi != h.Hi || len(other.Counts) != len(h.Counts) {
-		return fmt.Errorf("trace: merging histogram [%g, %g)x%d into [%g, %g)x%d",
-			other.Lo, other.Hi, len(other.Counts), h.Lo, h.Hi, len(h.Counts))
-	}
-	h.Under += other.Under
-	h.Over += other.Over
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	return nil
-}
-
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts:
 // the sample at fractional rank q*(Total-1) is located by cumulative count
 // and interpolated linearly inside its bucket. Under-range samples

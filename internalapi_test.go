@@ -1,121 +1,100 @@
 package localut
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
+	"go/types"
 	"sort"
 	"strings"
 	"testing"
+
+	"github.com/ais-snu/localut/internal/analysis/loader"
 )
 
-// testOnlyAllowed lists the exported internal functions that only tests
-// call and that stay anyway, each with the reason it is kept.
+// testOnlyAllowed lists the exported internal functions and methods that
+// only tests use and that stay anyway, each with the reason it is kept.
+// Keys are types.Func.FullName with the module path cut off the front.
 var testOnlyAllowed = map[string]string{
-	"perm.Apply":         "test oracle: the permutation SortPerm's output is checked against",
-	"quant.UnpackVector": "test oracle: the inverse of PackVector that packed indices are checked against",
-	"banksim.DDR4":       "test timing: the second timing set the bank-model properties run under",
-	"lut.ResetCache":     "test isolation hook: empties the process-wide LUT cache between tests",
+	"perm.Apply":                  "test oracle: the permutation SortPerm's output is checked against",
+	"quant.UnpackVector":          "test oracle: the inverse of PackVector that packed indices are checked against",
+	"quant.Quantize":              "test oracle: the absmax baseline the calibrated-quantizer tests compare against",
+	"(fp.FP4).Encode":             "test oracle: the inverse of Decode the round-trip tests check against",
+	"(fp.FP8).Encode":             "test oracle: the inverse of Decode the round-trip tests check against",
+	"(fp.FP16).Encode":            "test oracle: the inverse of Decode the round-trip tests check against",
+	"banksim.DDR4":                "test timing: the second timing set the bank-model properties run under",
+	"lut.ResetCache":              "test isolation hook: empties the process-wide LUT cache between tests",
+	"analysis/analysistest.Run":   "test harness: runs an analyzer over its testdata fixtures",
+	"(*lut.OpPacked).Lookup":      "follow-up: ROADMAP item 17 (the OP table tests read every entry through it)",
+	"(lut.Spec).CanonicalizeActs": "follow-up: ROADMAP item 17 (six test call sites would move to CanonicalizeActsScratch)",
+	"(*trace.Histogram).Add":      "follow-up: ROADMAP item 17 (only ToFixed fills a Histogram; the stats tests feed it through Add)",
+	"(*trace.Histogram).Quantile": "follow-up: ROADMAP item 17 (goes with Add)",
 }
 
-// TestNoTestOnlyInternalAPI fails when an exported top-level function or
-// method declared under an internal/ directory is named nowhere in the
-// module's non-test Go files (commands included) except by its own
-// declarations. Such a function is reachable only from tests, so it is
-// dead code with a test attached.
+// TestNoTestOnlyInternalAPI fails when an exported function or method
+// declared under an internal/ directory is used by no non-test Go file of
+// the module (commands included). Such a function is reachable only from
+// tests, so it is dead code with a test attached.
 //
-// The scan matches identifiers by name, not by type. Two declarations that
-// share a name can therefore only keep each other alive: a collision can
-// hide a dead name, never flag a live one.
+// Uses are resolved by type, so a method is live only if a non-test file
+// uses that method of that type. A call through an interface may reach any
+// method of that name, so a method is also live if some non-test file calls
+// an interface method of its name, or if it is String or Error, which the
+// standard library calls.
 func TestNoTestOnlyInternalAPI(t *testing.T) {
-	uses := map[string]int{}                  // identifier -> occurrences in non-test files
-	decls := map[string]int{}                 // function name -> declarations in non-test files
-	type exported struct{ qual, name string } // qual is pkg.Name or pkg.Recv.Name
-	var candidates []exported
-
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		internal := strings.Contains("/"+filepath.ToSlash(path), "/internal/")
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			decls[fn.Name.Name]++
-			if internal && fn.Name.IsExported() {
-				qual := f.Name.Name + "." + fn.Name.Name
-				if fn.Recv != nil {
-					qual = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-				}
-				candidates = append(candidates, exported{qual, fn.Name.Name})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
-		})
-		return nil
-	})
+	pkgs, err := loader.Load(".", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var dead []string
-	seen := map[string]bool{}
-	for _, c := range candidates {
-		if seen[c.qual] || uses[c.name] > decls[c.name] {
+	used := map[string]bool{}                                      // full names of the funcs non-test files use
+	viaInterface := map[string]bool{"String": true, "Error": true} // method names called through an interface
+	var candidates []*types.Func
+	for _, p := range pkgs {
+		for _, obj := range p.TypesInfo.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			fn = fn.Origin()
+			used[fn.FullName()] = true
+			if isInterfaceMethod(fn) {
+				viaInterface[fn.Name()] = true
+			}
+		}
+		if !strings.Contains(p.Path, "/internal/") {
 			continue
 		}
-		seen[c.qual] = true
-		if _, ok := testOnlyAllowed[c.qual]; !ok {
-			dead = append(dead, c.qual)
+		for _, obj := range p.TypesInfo.Defs {
+			if fn, ok := obj.(*types.Func); ok && fn.Exported() && !isInterfaceMethod(fn) {
+				candidates = append(candidates, fn)
+			}
+		}
+	}
+
+	seen := map[string]bool{}
+	var dead []string
+	for _, fn := range candidates {
+		method := fn.Type().(*types.Signature).Recv() != nil
+		if used[fn.FullName()] || method && viaInterface[fn.Name()] {
+			continue
+		}
+		name := strings.NewReplacer("github.com/ais-snu/localut/internal/", "",
+			"github.com/ais-snu/localut/", "").Replace(fn.FullName())
+		seen[name] = true
+		if _, ok := testOnlyAllowed[name]; !ok {
+			dead = append(dead, name)
 		}
 	}
 	sort.Strings(dead)
-	for _, q := range dead {
-		t.Errorf("%s is exported from an internal package but only tests call it: delete it, or unexport it if its own package uses it", q)
+	for _, name := range dead {
+		t.Errorf("%s is exported from an internal package but only tests use it: delete it, or unexport it if its own package uses it", name)
 	}
-	for q := range testOnlyAllowed {
-		if !seen[q] {
-			t.Errorf("allowlisted %s now has a non-test caller or is gone: drop it from testOnlyAllowed", q)
+	for name := range testOnlyAllowed {
+		if !seen[name] {
+			t.Errorf("allowlisted %s now has a non-test use or is gone: drop it from testOnlyAllowed", name)
 		}
 	}
 }
 
-// recvName returns the type name of a method receiver: T for T, *T, T[P]
-// and *T[P].
-func recvName(x ast.Expr) string {
-	for {
-		switch e := x.(type) {
-		case *ast.StarExpr:
-			x = e.X
-		case *ast.IndexExpr:
-			x = e.X
-		case *ast.IndexListExpr:
-			x = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return "?"
-		}
-	}
+// isInterfaceMethod reports whether fn is declared by an interface type.
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
 }
