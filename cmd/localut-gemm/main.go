@@ -44,12 +44,26 @@ func run(args []string, out io.Writer) error {
 	}
 	sys := localut.NewSystem(localut.WithSeed(*seed))
 
-	plan, err := sys.ChoosePlan(f, *m, *k, *n)
-	if err != nil {
-		return err
+	opts := []localut.GEMMOption{localut.WithPaperTiling()}
+	if *p > 0 {
+		opts = append(opts, localut.WithPackingDegree(*p))
 	}
-	fmt.Fprintf(out, "shape (%d, %d, %d) %s — cost model: p=%d streaming=%v k=%d (predicted %.3f ms/bank-pass)\n\n",
-		*m, *k, *n, f.Name(), plan.P, plan.Streaming, plan.SliceK, plan.PredictedSeconds*1e3)
+	if *sliceK > 0 {
+		opts = append(opts, localut.WithSliceK(*sliceK))
+	}
+	if *stream {
+		opts = append(opts, localut.WithStreaming())
+	}
+
+	// The header states the plan the LoCaLUT row runs, forced options
+	// included; a plan error does not stop the other designs.
+	header := fmt.Sprintf("shape (%d, %d, %d) %s — LoCaLUT plan: ", *m, *k, *n, f.Name())
+	if plan, err := sys.ChoosePlan(f, *m, *k, *n, opts...); err != nil {
+		fmt.Fprintf(out, "%serror: %v\n\n", header, err)
+	} else {
+		fmt.Fprintf(out, "%sp=%d streaming=%v k=%d (planned total %.3f ms)\n\n",
+			header, plan.P, plan.Streaming, plan.SliceK, plan.PredictedSeconds*1e3)
+	}
 
 	byName := map[string]localut.Design{
 		"naive": localut.DesignNaive, "ltc": localut.DesignLTC,
@@ -65,18 +79,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("unknown design %q", *design)
 		}
 		designs = []localut.Design{d}
-	}
-
-	var opts []localut.GEMMOption
-	opts = append(opts, localut.WithPaperTiling())
-	if *p > 0 {
-		opts = append(opts, localut.WithPackingDegree(*p))
-	}
-	if *sliceK > 0 {
-		opts = append(opts, localut.WithSliceK(*sliceK))
-	}
-	if *stream {
-		opts = append(opts, localut.WithStreaming())
 	}
 
 	fmt.Fprintf(out, "%-10s %12s %12s %12s %10s %9s %s\n",

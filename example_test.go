@@ -17,8 +17,9 @@ func Example_quickstart() {
 	f := localut.W1A3
 	sys := localut.NewSystem(localut.WithSeed(42))
 
-	// 1. What will the cost model pick for this shape?
-	plan, err := sys.ChoosePlan(f, M, K, N)
+	// 1. What will the cost model pick for this shape under the paper's
+	// tiling, the one step 3 runs?
+	plan, err := sys.ChoosePlan(f, M, K, N, localut.WithPaperTiling())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func Example_packingSweep() {
 	sys := localut.NewSystem(localut.WithCyclesOnly())
 
 	for _, M := range []int{192, 768, 3072} {
-		plan, err := sys.ChoosePlan(f, M, K, N)
+		plan, err := sys.ChoosePlan(f, M, K, N, localut.WithPaperTiling())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package localut
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -222,10 +223,34 @@ func TestBadEnumsAreErrors(t *testing.T) {
 			c.RatePerSec, c.ArrivalTimes = 0, []float64{0.1, 0.2, v, 0.3}
 		}), "ArrivalTimes[2]"})
 	}
-	cases = append(cases, badCase{"GEMM negative shape", func() error {
-		_, err := sys.GEMM(W1A3, -4, 64, 8, DesignLoCaLUT)
-		return err
-	}, "invalid shape"})
+	// A zero or negative dimension: the functional path refuses to draw the
+	// operands; the cycles-only path and ChoosePlan, which draw none, panicked
+	// with a division by zero in the grid planner (M or N) or failed deep in
+	// a kernel (K).
+	cyclesOnly := NewSystem(WithCyclesOnly())
+	for dim, name := range []string{"M", "K", "N"} {
+		for _, v := range []int{0, -1} {
+			sh := [3]int{64, 64, 8}
+			sh[dim] = v
+			label := fmt.Sprintf("%s=%d", name, v)
+			for _, d := range Designs {
+				d := d
+				cases = append(cases,
+					badCase{"GEMM " + label + " " + d.String(), func() error {
+						_, err := sys.GEMM(W1A3, sh[0], sh[1], sh[2], d)
+						return err
+					}, "invalid shape"},
+					badCase{"cycles-only GEMM " + label + " " + d.String(), func() error {
+						_, err := cyclesOnly.GEMM(W1A3, sh[0], sh[1], sh[2], d)
+						return err
+					}, "invalid GEMM shape"})
+			}
+			cases = append(cases, badCase{"ChoosePlan " + label, func() error {
+				_, err := sys.ChoosePlan(W1A3, sh[0], sh[1], sh[2])
+				return err
+			}, "invalid GEMM shape"})
+		}
+	}
 	// A forced packing degree outside what lut.NewSpec accepts panicked in
 	// the planner; a negative slice batch was ignored off the streaming path.
 	for _, c := range badPlans() {

@@ -92,8 +92,6 @@ type Choice struct {
 	K int
 	// PredictedSeconds is the model-predicted kernel time for the shape.
 	PredictedSeconds float64
-	// PLocal and PDRAM record the residence limits for diagnostics.
-	PLocal, PDRAM int
 }
 
 // Choose runs the §IV-D selection for a LoCaLUT GEMM of shape M x K x N:
@@ -111,8 +109,7 @@ func Choose(m Model, f quant.Format, M, K, N int, cfg *pim.Config) (Choice, erro
 		return Choice{}, fmt.Errorf("costmodel: no packing degree fits the MRAM budget for %s", f.Name())
 	}
 
-	best := Choice{PLocal: pLocal, PDRAM: pDRAM}
-	best.PredictedSeconds = math.Inf(1)
+	best := Choice{PredictedSeconds: math.Inf(1)}
 
 	// Buffer-resident candidate (Eq. 4).
 	if pLocal >= 1 {

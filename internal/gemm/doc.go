@@ -35,7 +35,8 @@
 //     bit-exact, and the full integer product is assembled from the banks.
 //
 // Reports are identical in both scopes and, up to Verified and Output, in
-// both modes.
+// both modes. So a cycles-only Run of a shape-only pair is the plan of that
+// GEMM, and localut.System.ChoosePlan is exactly that: no second planner.
 
 // # Sharded host parallelism
 //

@@ -71,10 +71,12 @@ type Options struct {
 	// ComputeFull additionally computes the full integer output on the
 	// host reference (O(MKN) work — only for small shapes).
 	ComputeFull bool
-	// NSplitOnly uses the paper's simple context-parallel tiling — split
-	// the output columns across banks, full M per bank — instead of the
-	// utilization-optimizing planner. The figure experiments use this to
-	// match the paper's per-bank workload.
+	// NSplitOnly uses the paper's context-parallel tiling (§V-B): split the
+	// output columns across banks, and split M only where tileMMax forces
+	// it, instead of the utilization-optimizing planner. Both tilings are
+	// chosen in planGrid. The kernel figures (Figs. 9, 11, 12, 13, 16(b),
+	// 17) set it through Suite.runGEMM; the model-driven figures and every
+	// serving pass (dnn.Runner) leave it unset.
 	NSplitOnly bool
 }
 
@@ -135,23 +137,24 @@ func (e *Engine) tileMMax() int {
 }
 
 // planGrid picks the bank grid for a variant: N is split first (context
-// parallelism, one or more columns per bank); M-splitting trades bank
-// utilization against per-tile fixed costs (WRAM LUT loads, slice reuse),
-// so candidate grids are scored with a per-variant cycle estimate and the
-// cheapest wall-clock wins.
-func (e *Engine) planGrid(v kernels.Variant, f quant.Format, m, k, n int) (gridM, gridN, rounds int) {
+// parallelism, one or more columns per bank). Under the paper's tiling
+// (nsplit) M is split only as far as tileMMax forces. Otherwise M-splitting
+// trades bank utilization against per-tile fixed costs (WRAM LUT loads,
+// slice reuse), so candidate grids, doubling from the fewest M-splits, are
+// scored with a per-variant cycle estimate and the cheapest wall-clock
+// wins. m, k and n must be positive.
+func (e *Engine) planGrid(v kernels.Variant, nsplit bool, f quant.Format, m, k, n int) (gridM, gridN, rounds int) {
 	dpus := e.Cfg.NumDPUs()
-	gridN = n
-	if gridN > dpus {
-		gridN = dpus
-	}
+	gridN = min(n, dpus)
 	tileN := (n + gridN - 1) / gridN
 	maxTileM := e.tileMMax()
 	minGridM := (m + maxTileM - 1) / maxTileM
+	if nsplit {
+		return minGridM, gridN, (minGridM*gridN + dpus - 1) / dpus
+	}
 
 	bestCost := 0.0
-	gridM = 0
-	for cand := minGridM; cand <= m; cand = nextGridM(cand) {
+	for cand := minGridM; cand <= m; cand *= 2 {
 		tileM := (m + cand - 1) / cand
 		r := (cand*gridN + dpus - 1) / dpus
 		cost := e.estimateTileCycles(v, f, tileM, k, tileN) * float64(r)
@@ -162,18 +165,7 @@ func (e *Engine) planGrid(v kernels.Variant, f quant.Format, m, k, n int) (gridM
 			break // more splitting only adds rounds
 		}
 	}
-	if gridM == 0 {
-		gridM, rounds = minGridM, 1
-	}
 	return gridM, gridN, rounds
-}
-
-// nextGridM enumerates candidate M-splits: doubling from the minimum.
-func nextGridM(cur int) int {
-	if cur < 1 {
-		return 1
-	}
-	return cur * 2
 }
 
 // estimateTileCycles is a fast analytic per-tile kernel cycle estimate used
@@ -298,6 +290,9 @@ func (e *Engine) NewPair(m, k, n int, f quant.Format, seed int64) (*workload.GEM
 
 // Run executes one GEMM on the simulated system.
 func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
+	if pair.M <= 0 || pair.K <= 0 || pair.N <= 0 {
+		return nil, fmt.Errorf("gemm: invalid GEMM shape %dx%dx%d", pair.M, pair.K, pair.N)
+	}
 	if err := e.Cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -311,17 +306,7 @@ func (e *Engine) Run(pair *workload.GEMMPair, opt Options) (*Report, error) {
 			return nil, fmt.Errorf("gemm: cannot compute the full output of a shape-only pair")
 		}
 	}
-	var gridM, gridN, rounds int
-	if opt.NSplitOnly {
-		gridN = pair.N
-		if gridN > e.Cfg.NumDPUs() {
-			gridN = e.Cfg.NumDPUs()
-		}
-		gridM = (pair.M + e.tileMMax() - 1) / e.tileMMax()
-		rounds = (gridM*gridN + e.Cfg.NumDPUs() - 1) / e.Cfg.NumDPUs()
-	} else {
-		gridM, gridN, rounds = e.planGrid(opt.Variant, pair.Fmt, pair.M, pair.K, pair.N)
-	}
+	gridM, gridN, rounds := e.planGrid(opt.Variant, opt.NSplitOnly, pair.Fmt, pair.M, pair.K, pair.N)
 	tileM := (pair.M + gridM - 1) / gridM
 	tileN := (pair.N + gridN - 1) / gridN
 

@@ -11,13 +11,13 @@ import (
 func TestPlanGrid(t *testing.T) {
 	e := NewEngine()
 	// Naive has no per-tile fixed costs: it should split M for utilization.
-	gm, gn, r := e.planGrid(kernels.Naive, quant.W1A3, 768, 768, 128)
+	gm, gn, r := e.planGrid(kernels.Naive, false, quant.W1A3, 768, 768, 128)
 	if gn != 128 || gm != 16 || r != 1 {
 		t.Errorf("naive planGrid(768,128) = (%d,%d,%d), want (16,128,1)", gm, gn, r)
 	}
 	// LoCaLUT must keep tiles tall enough to amortize slice loads: its
 	// tileM should be at least as tall as naive's.
-	gmL, gnL, _ := e.planGrid(kernels.LoCaLUT, quant.W1A3, 768, 768, 128)
+	gmL, gnL, _ := e.planGrid(kernels.LoCaLUT, false, quant.W1A3, 768, 768, 128)
 	if gnL != 128 {
 		t.Errorf("LoCaLUT gridN = %d, want 128", gnL)
 	}
@@ -25,14 +25,24 @@ func TestPlanGrid(t *testing.T) {
 		t.Errorf("LoCaLUT splits M more than naive (%d > %d)", gmL, gm)
 	}
 	// Huge N: full M per bank, one column slab each.
-	gm, gn, r = e.planGrid(kernels.LoCaLUT, quant.W1A3, 3072, 768, 16384)
+	gm, gn, r = e.planGrid(kernels.LoCaLUT, false, quant.W1A3, 3072, 768, 16384)
 	if gn != 2048 || gm != 1 || r != 1 {
 		t.Errorf("planGrid(3072,16384) = (%d,%d,%d), want (1,2048,1)", gm, gn, r)
 	}
 	// Fig. 17 shape: M exceeds the WRAM accumulator bound, forcing a split.
-	gm, gn, r = e.planGrid(kernels.LoCaLUT, quant.W1A3, 12288, 192, 65536)
+	gm, gn, r = e.planGrid(kernels.LoCaLUT, false, quant.W1A3, 12288, 192, 65536)
 	if gn != 2048 || gm < 2 || r < 2 {
 		t.Errorf("planGrid(12288,65536) = (%d,%d,%d), want gridN=2048 and multiple rounds", gm, gn, r)
+	}
+	// The paper's tiling splits M only where tileMMax forces it, whatever
+	// the variant: full M per bank at 768 rows, two rounds at 12288.
+	gm, gn, r = e.planGrid(kernels.Naive, true, quant.W1A3, 768, 768, 128)
+	if gn != 128 || gm != 1 || r != 1 {
+		t.Errorf("paper-tiled planGrid(768,128) = (%d,%d,%d), want (1,128,1)", gm, gn, r)
+	}
+	gm, gn, r = e.planGrid(kernels.LoCaLUT, true, quant.W1A3, 12288, 192, 65536)
+	if want := (12288 + e.tileMMax() - 1) / e.tileMMax(); gn != 2048 || gm != want || r != want {
+		t.Errorf("paper-tiled planGrid(12288,65536) = (%d,%d,%d), want (%d,2048,%d)", gm, gn, r, want, want)
 	}
 }
 
@@ -140,7 +150,7 @@ func TestMeterAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, gn, _ := e.planGrid(kernels.Naive, quant.W1A3, 64, 64, 16)
+	gm, gn, _ := e.planGrid(kernels.Naive, false, quant.W1A3, 64, 64, 16)
 	if gm*gn < 2 {
 		t.Skip("grid too small to observe aggregation")
 	}

@@ -119,8 +119,8 @@ func min16(b int) int {
 	return b
 }
 
-// CanonicalizeActs mirrors Spec.CanonicalizeActs for float symbol codes:
-// codes are sorted numerically (any fixed total order preserves the
+// CanonicalizeActs mirrors Spec.CanonicalizeActsScratch for float symbol
+// codes: codes are sorted numerically (any fixed total order preserves the
 // invariance; code order keeps sorting branch-free on device).
 func (s FloatSpec) CanonicalizeActs(actCodes []int) (col int64, sigma int64, err error) {
 	if len(actCodes) != s.P {

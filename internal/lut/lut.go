@@ -360,25 +360,18 @@ func (t *Reorder) Lookup(w uint32, sigma int64) uint32 {
 	return ReadUint(t.Data, int(sigma)*int(t.Rows())+int(w), t.WeightRowBytes())
 }
 
-// CanonicalizeActs sorts the activation codes of one p-vector into canonical
-// (non-decreasing code) order and returns the multiset column rank together
-// with the Lehmer rank of the stable sorting permutation — the host-side
-// step 1 of Fig. 4(b)/Fig. 5(b).
-func (s Spec) CanonicalizeActs(actCodes []int) (col int64, sigma int64, err error) {
-	sorted := make([]int, len(actCodes))
-	sp := make([]int, len(actCodes))
-	return s.CanonicalizeActsScratch(actCodes, sorted, sp)
-}
-
-// CanonicalizeActsScratch is CanonicalizeActs with caller-provided scratch:
+// CanonicalizeActsScratch sorts the activation codes of one p-vector into
+// canonical (non-decreasing code) order and returns the multiset column rank
+// together with the Lehmer rank of the stable sorting permutation — the
+// host-side step 1 of Fig. 4(b)/Fig. 5(b). The caller provides the scratch:
 // sorted and sp must each have length p. On return sorted holds the
-// canonical (non-decreasing) codes and sp the stable sorting permutation
-// whose Lehmer rank is sigma. It allocates nothing, so the per-group
-// staging loops of the packed-LUT kernels can call it once per
-// (column, group) without touching the heap.
+// canonical codes and sp the stable sorting permutation whose Lehmer rank is
+// sigma. It allocates nothing, so the per-group staging loops of the
+// packed-LUT kernels can call it once per (column, group) without touching
+// the heap.
 func (s Spec) CanonicalizeActsScratch(actCodes, sorted, sp []int) (col int64, sigma int64, err error) {
 	if len(actCodes) != s.P {
-		return 0, 0, fmt.Errorf("lut: CanonicalizeActs: got %d codes, want p=%d", len(actCodes), s.P)
+		return 0, 0, fmt.Errorf("lut: CanonicalizeActsScratch: got %d codes, want p=%d", len(actCodes), s.P)
 	}
 	perm.SortPermInto(actCodes, sorted, sp)
 	col, err = perm.MultisetRank(sorted, s.Fmt.Act.Levels())

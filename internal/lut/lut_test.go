@@ -174,13 +174,14 @@ func TestCanonicalPipelineExact(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(99))
 		aBits := tc.f.Act.Bits
+		sorted, sp := make([]int, tc.p), make([]int, tc.p)
 		for trial := 0; trial < 2000; trial++ {
 			w := uint32(rng.Int63n(s.Rows()))
 			actCodes := make([]int, tc.p)
 			for i := range actCodes {
 				actCodes[i] = rng.Intn(1 << aBits)
 			}
-			col, sigma, err := s.CanonicalizeActs(actCodes)
+			col, sigma, err := s.CanonicalizeActsScratch(actCodes, sorted, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +255,7 @@ func TestFig2Example(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, sigma, err := s.CanonicalizeActs([]int{3, 0, 2})
+	col, sigma, err := s.CanonicalizeActsScratch([]int{3, 0, 2}, make([]int, 3), make([]int, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,10 +371,11 @@ func TestWriteEntryOverflowPanics(t *testing.T) {
 
 func TestCanonicalizeActsValidation(t *testing.T) {
 	s := MustSpec(quant.W1A3, 3)
-	if _, _, err := s.CanonicalizeActs([]int{1, 2}); err == nil {
+	sorted, sp := make([]int, 3), make([]int, 3)
+	if _, _, err := s.CanonicalizeActsScratch([]int{1, 2}, sorted, sp); err == nil {
 		t.Error("accepted wrong length")
 	}
-	if _, _, err := s.CanonicalizeActs([]int{1, 2, 9}); err == nil {
+	if _, _, err := s.CanonicalizeActsScratch([]int{1, 2, 9}, sorted, sp); err == nil {
 		t.Error("accepted out-of-alphabet code")
 	}
 }

@@ -22,10 +22,9 @@ var testOnlyAllowed = map[string]string{
 	"banksim.DDR4":                "test timing: the second timing set the bank-model properties run under",
 	"lut.ResetCache":              "test isolation hook: empties the process-wide LUT cache between tests",
 	"analysis/analysistest.Run":   "test harness: runs an analyzer over its testdata fixtures",
-	"(*lut.OpPacked).Lookup":      "follow-up: ROADMAP item 17 (the OP table tests read every entry through it)",
-	"(lut.Spec).CanonicalizeActs": "follow-up: ROADMAP item 17 (six test call sites would move to CanonicalizeActsScratch)",
-	"(*trace.Histogram).Add":      "follow-up: ROADMAP item 17 (only ToFixed fills a Histogram; the stats tests feed it through Add)",
-	"(*trace.Histogram).Quantile": "follow-up: ROADMAP item 17 (goes with Add)",
+	"(*lut.OpPacked).Lookup":      "test oracle: the OP table tests read every entry through it",
+	"(*trace.Histogram).Add":      "follow-up: ROADMAP item 2's Histogram cut (only ToFixed fills a Histogram; the stats tests feed it through Add)",
+	"(*trace.Histogram).Quantile": "follow-up: ROADMAP item 2's Histogram cut (goes with Add)",
 }
 
 // TestNoTestOnlyInternalAPI fails when an exported function or method

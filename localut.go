@@ -139,7 +139,9 @@ func LUTCapacity(f Format, p int) (Capacity, error) {
 	}, nil
 }
 
-// Plan is the cost model's configuration choice for a GEMM shape (§IV-D).
+// Plan is the configuration a LoCaLUT GEMM runs at (§IV-D) and its price.
+// PLocal and PDRAM are the largest packing degrees whose tables fit the
+// buffer and the bank LUT budgets.
 type Plan struct {
 	P                int
 	Streaming        bool
@@ -215,17 +217,22 @@ func NewSystem(opts ...Option) *System {
 	return s
 }
 
-// ChoosePlan runs the §IV-D cost model for a GEMM shape.
-func (s *System) ChoosePlan(f Format, m, k, n int) (Plan, error) {
-	if err := s.engine.Cfg.Validate(); err != nil {
-		return Plan{}, err
-	}
-	c, err := costmodel.Choose(s.engine.Model, f.inner, m, k, n, &s.engine.Cfg)
+// ChoosePlan reports the plan GEMM runs for a LoCaLUT GEMM of this shape
+// under the same options: the §V-B tiling, then the §IV-D cost model on each
+// bank tile. It prices the GEMM in cycles-only mode, so PredictedSeconds is
+// the TotalSeconds that GEMM reports, in either mode.
+func (s *System) ChoosePlan(f Format, m, k, n int, opts ...GEMMOption) (Plan, error) {
+	o := gemmOptions(DesignLoCaLUT, opts)
+	o.ComputeFull = false
+	e := s.engine.Clone()
+	e.Exec.Mode = kernels.CyclesOnly
+	rep, err := e.Run(workload.NewShapePair(m, k, n, f.inner), o)
 	if err != nil {
 		return Plan{}, err
 	}
-	return Plan{P: c.P, Streaming: c.Streaming, SliceK: c.K,
-		PredictedSeconds: c.PredictedSeconds, PLocal: c.PLocal, PDRAM: c.PDRAM}, nil
+	return Plan{P: rep.P, Streaming: rep.Streaming, SliceK: rep.K, PredictedSeconds: rep.Total,
+		PLocal: costmodel.MaxP(f.inner, e.Cfg.WRAMLUTBudget(), kernels.LoCaLUT),
+		PDRAM:  costmodel.MaxP(f.inner, e.Cfg.MRAMLUTBudget(), kernels.LoCaLUT)}, nil
 }
 
 // GEMMResult reports one executed GEMM.
@@ -268,7 +275,8 @@ func WithStreaming() GEMMOption { return func(o *gemm.Options) { o.ForceStreamin
 // WithFullOutput computes the complete integer product (O(MKN) host work).
 func WithFullOutput() GEMMOption { return func(o *gemm.Options) { o.ComputeFull = true } }
 
-// WithPaperTiling uses the paper's context-parallel tiling (split N only).
+// WithPaperTiling uses the paper's context-parallel tiling (§V-B): N is
+// split across banks, M only where the buffer's accumulator forces it.
 func WithPaperTiling() GEMMOption { return func(o *gemm.Options) { o.NSplitOnly = true } }
 
 // GEMM generates a seeded synthetic M x K x N problem in the format and

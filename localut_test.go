@@ -1,6 +1,7 @@
 package localut
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -61,6 +62,89 @@ func TestChoosePlan(t *testing.T) {
 	}
 	if p.PLocal != 5 || p.PDRAM != 8 {
 		t.Errorf("residence limits %d/%d, want 5/8", p.PLocal, p.PDRAM)
+	}
+}
+
+// TestChoosePlanMatchesGEMM checks that ChoosePlan reports what GEMM runs:
+// the same P, Streaming and SliceK, and PredictedSeconds equal to
+// TotalSeconds bit for bit. It covers the LoCaLUT GEMMs of Figs. 9, 10, 13
+// and 18 in every evaluation format under both tilings, and Fig. 13's forced
+// (p, k, streaming) points. The cycles-only system covers every case; the
+// functional one runs the first Fig. 9 shape, so the plan also matches a run
+// that simulates and verifies its bank.
+func TestChoosePlanMatchesGEMM(t *testing.T) {
+	shapes := [][3]int{
+		{768, 768, 128}, {3072, 768, 128}, // Fig. 9; Fig. 13 runs the second
+		{768, 768, 768}, {3072, 768, 768}, // Fig. 18
+	}
+	// Fig. 10: the four layer GEMMs (qkv, out, ffn1, ffn2) at the prefill
+	// token counts of BERT and OPT (8 × 128) and ViT (8 × 197), and at OPT's
+	// decode step (8).
+	for _, mk := range [][2]int{{2304, 768}, {768, 768}, {3072, 768}, {768, 3072}} {
+		for _, n := range []int{1024, 1576, 8} {
+			shapes = append(shapes, [3]int{mk[0], mk[1], n})
+		}
+	}
+	type planCheck struct {
+		sys  *System
+		f    Format
+		sh   [3]int
+		opts []GEMMOption
+		name string
+	}
+	cyclesOnly, functional := NewSystem(WithCyclesOnly()), NewSystem()
+	var cases []planCheck
+	budget := cyclesOnly.engine.Cfg.WRAMLUTBudget()
+	for _, f := range Formats {
+		limits, err := cyclesOnly.ChoosePlan(f, 3072, 768, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tiling := range []struct {
+			name string
+			opts []GEMMOption
+		}{{"default", nil}, {"paper", []GEMMOption{WithPaperTiling()}}} {
+			for i, sh := range shapes {
+				cases = append(cases, planCheck{cyclesOnly, f, sh, tiling.opts, tiling.name + " tiling"})
+				if i == 0 {
+					cases = append(cases, planCheck{functional, f, sh, tiling.opts, tiling.name + " tiling, functional"})
+				}
+			}
+			// Fig. 13: for each k, the highest p whose tables fit the bank
+			// and whose k slice pairs fit the WRAM LUT budget, forced to
+			// stream.
+			for _, k := range []int{1, 2, 4, 8} {
+				p := 0
+				for cand := 1; cand <= limits.PDRAM; cand++ {
+					if c, err := LUTCapacity(f, cand); err == nil && int64(k)*c.SliceBytes <= budget {
+						p = cand
+					}
+				}
+				if p == 0 {
+					continue
+				}
+				opts := append([]GEMMOption{WithPackingDegree(p), WithSliceK(k), WithStreaming()}, tiling.opts...)
+				cases = append(cases, planCheck{cyclesOnly, f, [3]int{3072, 768, 128}, opts,
+					fmt.Sprintf("%s tiling, forced p=%d k=%d streaming", tiling.name, p, k)})
+			}
+		}
+	}
+	for _, c := range cases {
+		m, k, n := c.sh[0], c.sh[1], c.sh[2]
+		plan, err := c.sys.ChoosePlan(c.f, m, k, n, c.opts...)
+		if err != nil {
+			t.Fatalf("%s %dx%dx%d %s: %v", c.f.Name(), m, k, n, c.name, err)
+		}
+		res, err := c.sys.GEMM(c.f, m, k, n, DesignLoCaLUT, c.opts...)
+		if err != nil {
+			t.Fatalf("%s %dx%dx%d %s: %v", c.f.Name(), m, k, n, c.name, err)
+		}
+		if plan.P != res.P || plan.Streaming != res.Streaming || plan.SliceK != res.SliceK ||
+			plan.PredictedSeconds != res.TotalSeconds {
+			t.Errorf("%s %dx%dx%d %s: planned p=%d streaming=%v k=%d %v s, ran p=%d streaming=%v k=%d %v s",
+				c.f.Name(), m, k, n, c.name, plan.P, plan.Streaming, plan.SliceK, plan.PredictedSeconds,
+				res.P, res.Streaming, res.SliceK, res.TotalSeconds)
+		}
 	}
 }
 
