@@ -260,6 +260,12 @@ func TestBadEnumsAreErrors(t *testing.T) {
 			return err
 		}, c.want()})
 	}
+	// LoCaLUT with its LUTs in WRAM runs the OP+LC+RC column loop, and its
+	// budget error used to name OP+LC+RC.
+	cases = append(cases, badCase{"LoCaLUT p=6 in WRAM", func() error {
+		_, err := cyclesOnly.GEMM(W1A3, 768, 768, 128, DesignLoCaLUT, WithPackingDegree(6))
+		return err
+	}, "kernels: LoCaLUT: LUTs W1A3/p6 need"})
 	// The autoscaler's floats: +Inf in a duration left a tick or a
 	// transition that never landed, and the run hung; NaN passed every check.
 	scaler := func(edit func(*ClusterAutoscaler)) func() error {

@@ -74,12 +74,13 @@ func TestFleetAllocBudget(t *testing.T) {
 
 // TestChaosBytesBudget is the memory bound of a hedged chaos fleet, by the
 // same difference of two runs: an extra admitted request may cost at most
-// 176 bytes of heap, so nothing in the report or the loop keeps a
-// per-request record. Finished and shed requests are recycled, but the
-// loser of a hedge race, original or duplicate, and a copy a fault
-// retired go to the garbage collector; this reads 150 bytes. It read 280
-// before requests were recycled (budget 2.5 128-byte Requests, 320), and
-// over 1000 with hedge entries on the timeline.
+// 24 bytes of heap, so nothing in the report or the loop keeps a
+// per-request record. Every copy of a request goes back to the slab —
+// finished and shed requests, the loser of a hedge race, original or
+// duplicate, and a copy a fault retired — so this reads about 11 bytes.
+// It read 150 while hedge losers and retired copies went to the garbage
+// collector, 280 before any request was recycled, and over 1000 with
+// hedge entries on the timeline.
 func TestChaosBytesBudget(t *testing.T) {
 	mk := func(seconds float64) Config {
 		cfg := chaosConfig(1)
@@ -94,7 +95,7 @@ func TestChaosBytesBudget(t *testing.T) {
 		t.Fatalf("runs admitted %d and %d requests: too close to measure a 10k-request margin", n1, n2)
 	}
 	perReq := (float64(b2) - float64(b1)) / float64(n2-n1)
-	const budget = 176
+	const budget = 24
 	t.Logf("%d and %d requests, %d and %d bytes: %.1f bytes per extra request (budget %d)", n1, n2, b1, b2, perReq, budget)
 	if perReq > budget {
 		t.Errorf("hedged chaos fleet allocates %.1f bytes per request, budget %d", perReq, budget)

@@ -92,6 +92,9 @@ func (cs *csim) auditRun() error {
 				Detail: fmt.Sprintf("member %d is filed under %d outstanding requests, want %d (-1 = not routable)", m.inst.ID, got, want)})
 		}
 	}
+	if err := cs.slab.Balance(); err != nil {
+		vs = append(vs, audit.Violation{Invariant: "slab-balance", Detail: err.Error()})
+	}
 	if n := cs.nonFiniteSamples(); n > 0 {
 		vs = append(vs, audit.Violation{Invariant: "finite-latency",
 			Detail: fmt.Sprintf("%d latency samples were NaN or infinite and are missing from the report's statistics", n)})

@@ -325,6 +325,9 @@ type csim struct {
 	load   loadIndex
 	events serve.EventQueue
 	slab   serve.RequestSlab
+	// queued and started are the buffers Crash and FailReplica hand the
+	// displaced requests back in, reused across faults.
+	queued, started []*serve.Request
 
 	arrivals *workload.MultiArrival
 	classes  []classState
@@ -428,6 +431,7 @@ func (cs *csim) newMember(id int, st memberState, now float64) (*member, error) 
 	if o == nil {
 		cs.oracles[icfg.Variant] = inst.Oracle()
 	}
+	inst.SetSlab(&cs.slab)
 	inst.OnFirstToken = cs.onFirstToken
 	inst.OnFinish = cs.onFinish
 	// The closure pins the member's ID so instance-level sheds carry their

@@ -175,11 +175,13 @@ func (c shedCause) String() string {
 // shedRequest accounts a dropped request and frees it. After the drain,
 // every admitted request is exactly one of: completed or shed — hedge
 // duplicates are copies of an already-admitted request, so losing one
-// while its twin lives is hedge bookkeeping, not a shed, and the copy is
-// left to the garbage collector.
+// while its twin lives is hedge bookkeeping, not a shed. Either way
+// nothing holds the copy any more (its instance let go of it, or it was
+// displaced or refused on its way to one), so it is freed here.
 func (cs *csim) shedRequest(r *serve.Request, now float64, cause shedCause) {
 	if r.Twin != nil {
 		cs.dropHedgeCopy(r, now)
+		cs.slab.Free(r)
 		return
 	}
 	r.Dropped = true
@@ -250,7 +252,8 @@ func (cs *csim) onFault(ev *serve.Event, now float64) {
 	}
 	f := &cs.cfg.Faults
 	if ev.Flag && m.inst.UpReplicas() > 1 {
-		lost, rep := m.inst.FailReplica(now)
+		lost, rep := m.inst.FailReplica(now, cs.started)
+		cs.started = lost
 		// The instance stays routable with fewer requests aboard and
 		// nothing is dispatched here, so the new count is filed now.
 		cs.load.file(m.inst.ID, m.inst.Outstanding())
@@ -272,7 +275,8 @@ func (cs *csim) onFault(ev *serve.Event, now float64) {
 // is scheduled at repairAt. Shared between independent faults and domain
 // outages.
 func (cs *csim) crashMember(m *member, now, repairAt float64) {
-	queued, started := m.inst.Crash(now)
+	queued, started := m.inst.Crash(now, cs.queued, cs.started)
+	cs.queued, cs.started = queued, started
 	cs.setState(m, stateCrashed)
 	m.crashAt = now
 	m.repairAt = repairAt
@@ -360,7 +364,8 @@ func (cs *csim) requeue(r *serve.Request, now float64, lost bool) {
 // the new instance re-prefills from scratch.
 func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
 	if r.Dropped {
-		return nil // a parked copy whose hedge twin already won
+		cs.slab.Free(r) // a parked copy whose hedge twin already won
+		return nil
 	}
 	if len(cs.active) == 0 {
 		if !cs.cfg.faultsPossible() {

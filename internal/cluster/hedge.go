@@ -94,9 +94,10 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 // prefill-only requests, completion). The loser is provably still short
 // of its own first token, so it is either queued or inside an in-flight
 // prefill pass: cancel it where it stands, refund the unelapsed share of
-// its pass, and book the spent share as hedge waste. A loser parked in a
-// retry event (its member crashed) has no instance to cancel it on; it
-// is marked dropped and the retry discards it.
+// its pass, and book the spent share as hedge waste; the instance frees
+// it when it lets go of it. A loser parked in a retry event (its member
+// crashed) has no instance to cancel it on; it is marked dropped and the
+// retry frees it. Cancel may free l, which leaves l.Member readable.
 func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 	l := w.Twin
 	w.Twin = nil
@@ -127,7 +128,7 @@ func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 // dropHedgeCopy retires one copy of a hedged pair without shedding the
 // logical request: the twin is still in flight and remains accountable
 // for completion. Called when a fault displaces a copy past its retry
-// budget or a bounded queue rejects its re-route.
+// budget or a bounded queue rejects its re-route; the caller frees it.
 func (cs *csim) dropHedgeCopy(r *serve.Request, now float64) {
 	r.Twin.Twin = nil
 	r.Twin = nil

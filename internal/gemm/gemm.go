@@ -271,7 +271,7 @@ func (e *Engine) plan(rep *Report, f quant.Format, k int, opt Options) (kernels.
 		kn = kernels.NewStreamKernel(e.Costs, spec, sliceK)
 	default:
 		rep.K = 1
-		kn = kernels.NewOPLCRCKernel(e.Costs, spec)
+		kn = kernels.NewBufferedKernel(e.Costs, spec)
 	}
 	return kn, spec, nil
 }

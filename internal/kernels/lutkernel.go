@@ -207,6 +207,13 @@ func NewOPLCRCKernel(c Costs, spec lut.Spec) *LUTKernel {
 	return &LUTKernel{Costs: c, Spec: spec, v: OPLCRC, res: inWRAM, idx: reorderLUT}
 }
 
+// NewBufferedKernel returns LoCaLUT when the cost model keeps its LUTs in
+// WRAM: the OP+LC+RC column loop at the same cost, under LoCaLUT's name, so
+// its errors name the design that was asked for.
+func NewBufferedKernel(c Costs, spec lut.Spec) *LUTKernel {
+	return &LUTKernel{Costs: c, Spec: spec, v: LoCaLUT, res: inWRAM, idx: reorderLUT}
+}
+
 // NewStreamKernel returns the full LoCaLUT design (OP+LC+RC+SS, §IV-C): the
 // canonical and reordering LUTs live in the DRAM bank at a packing degree up
 // to p_DRAM, and for every batch of sliceK activation groups only the

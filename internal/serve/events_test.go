@@ -169,7 +169,7 @@ func TestBatchBufferClearedOnRelease(t *testing.T) {
 		t.Error("delivered batch still references its request after PrefillDone")
 	}
 	c = launch(2)
-	if _, started := inst.Crash(2.5); len(started) != 1 {
+	if _, started := inst.Crash(2.5, nil, nil); len(started) != 1 {
 		t.Fatalf("crash displaced %d in-flight requests, want 1", len(started))
 	}
 	if c.Batch[0] != nil {
@@ -236,9 +236,9 @@ func TestStalePrefillNeverReadsNewBatch(t *testing.T) {
 		return true
 	}
 	for name, fault := range map[string]func(*Instance){
-		"Crash": func(inst *Instance) { inst.Crash(1e-3) },
+		"Crash": func(inst *Instance) { inst.Crash(1e-3, nil, nil) },
 		"FailReplica": func(inst *Instance) {
-			if _, rep := inst.FailReplica(1e-3); rep != 1 {
+			if _, rep := inst.FailReplica(1e-3, nil); rep != 1 {
 				t.Fatalf("FailReplica took replica %d, want 1", rep)
 			}
 			if rep := inst.RepairReplica(); rep != 1 {

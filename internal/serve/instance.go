@@ -16,10 +16,10 @@ import (
 //
 // A request lives in a RequestSlab slot. While it is in service an
 // Instance holds it (queue, in-flight batch or live batch); a parked retry
-// event or a pending hedge timer may hold it too. The traffic layer that
-// carved it frees it at its terminal point — finish, shed or refused
-// admission — and the Instance reads it no more after that callback; see
-// RequestSlab for the copies that are never freed.
+// event or a pending hedge timer may hold it too. Whichever holder lets go
+// of it last frees it: the traffic layer at a terminal point — finish,
+// shed or refused admission — and the Instance at the point it drops a
+// cancelled copy; see RequestSlab.
 type Request struct {
 	ID     int
 	Client int // closed-loop client index, -1 for open-loop/trace arrivals
@@ -46,7 +46,7 @@ type Request struct {
 
 	Arrive, Start, FirstTok, Finish float64 // simulated seconds
 
-	// The five flags sit together so the struct is 128 bytes, which lets
+	// The six flags sit together so the struct is 128 bytes, which lets
 	// RequestSlab fill its allocation size class (see requestChunk).
 	Hedge   bool
 	Dropped bool
@@ -68,6 +68,9 @@ type Request struct {
 	// what lets Cancel leave the queue without searching it. A request
 	// waits in at most one queue at a time.
 	queued bool
+	// free marks a slot on the slab's free list: Free sets it, New clears
+	// it, and a Free that finds it set is a double free.
+	free bool
 }
 
 // Expired reports whether the request's deadline (if any) has passed.
@@ -77,19 +80,21 @@ func (r *Request) Expired(now float64) bool {
 
 // RequestSlab hands the traffic layers Requests: New takes the most
 // recently freed slot, else carves one from a chunked backing array (one
-// allocation per requestChunk requests). A traffic layer frees a request
-// at its terminal point — completion, shed, or an Admit that refused it —
-// so a steady run reuses a bounded set of slots instead of allocating per
-// request. Freeing is only safe once nothing can reach the request: Free
-// leaves a Held request to its timer, and a traffic layer never frees a
-// dropped hedge copy (the loser of a race, original or duplicate, or a
-// copy a fault retired), because an Instance may still hold it as a
-// lazily cancelled queue entry or a cancelled batch member, or a parked
-// retry event may. Those copies, and the chunks they keep alive, go to
-// the garbage collector.
+// allocation per requestChunk requests). Every copy of a request goes back
+// to the slab exactly once, freed by the last holder to let go of it: the
+// traffic layer at its terminal point — completion, shed, an Admit that
+// refused it, a hedge copy retired while nothing holds it, a dropped copy
+// whose parked retry fires — and the Instance that drops a cancelled copy
+// from its queue or a batch (see Instance.SetSlab). Free leaves a Held
+// request to its timer. So a run reuses a bounded set of slots instead of
+// allocating per request, and at the drain every New has met one Free:
+// Balance reports the books, which the auditors check, because a slot
+// freed twice would be handed to two requests.
 type RequestSlab struct {
 	chunk []Request // uncarved rest of the newest chunk
 	freed *Request  // free slots, linked through Twin
+
+	news, frees, doubles int
 }
 
 // requestChunk fills a Go allocation size class: 143 128-byte requests and
@@ -102,7 +107,8 @@ type RequestSlab struct {
 // once none of its slots is reachable, free list included.
 const requestChunk = 143
 
-// New takes a freed slot, or carves the next one, and initializes it to v.
+// New takes a freed slot, or carves the next one, and initializes it to v,
+// which clears the slot's free mark.
 func (s *RequestSlab) New(v Request) *Request {
 	r := s.freed
 	if r != nil {
@@ -115,18 +121,37 @@ func (s *RequestSlab) New(v Request) *Request {
 		s.chunk = s.chunk[1:]
 	}
 	*r = v
+	s.news++
 	return r
 }
 
-// Free returns r's slot for New to reuse, unless r is Held. It writes
-// only r.Twin, so a caller still inside the event that ended r reads the
-// rest of it unchanged; the slot is overwritten at the next New.
+// Free returns r's slot for New to reuse, unless r is Held or s is nil (a
+// traffic layer that never cancels wires no slab into its Instance). It
+// writes only r.Twin and the free mark, so a caller still inside the event
+// that ended r reads the rest of it unchanged; the slot is overwritten at
+// the next New. A slot already free is counted and left alone.
 func (s *RequestSlab) Free(r *Request) {
-	if r.Held {
+	if s == nil || r.Held {
 		return
 	}
+	if r.free {
+		s.doubles++
+		return
+	}
+	r.free = true
 	r.Twin = s.freed
 	s.freed = r
+	s.frees++
+}
+
+// Balance reports an imbalance in the slab's books, nil when every New was
+// met by exactly one Free and no slot was freed twice. Only a drained run
+// balances.
+func (s *RequestSlab) Balance() error {
+	if s.news == s.frees && s.doubles == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d requests taken from the slab, %d freed, %d freed twice", s.news, s.frees, s.doubles)
 }
 
 // Completion kinds: what an Instance schedules when a replica starts a
@@ -357,6 +382,13 @@ func (inst *Instance) SetRecorder(rec *obs.Recorder) {
 		rec.Thread(pid, r+1, fmt.Sprintf("replica %d", r))
 	}
 }
+
+// SetSlab wires the traffic layer's request slab: a request Cancel
+// abandons is freed there at the point the instance lets go of it — a dead
+// queue entry as the queue drops it, a batch member as its pass completes
+// or a fault voids it, a live decode member at once. Without a slab (the
+// single-appliance loop never cancels) nothing is freed.
+func (inst *Instance) SetSlab(s *RequestSlab) { inst.q.slab = s }
 
 // touchKV integrates the replica's KV footprint up to now. It must run
 // before every repKVTokens mutation so kvByteSec is the exact time
@@ -690,6 +722,7 @@ func (inst *Instance) Cancel(r *Request, now float64) (found bool, wastedSec flo
 			inst.repKVTokens[rep] -= held
 			inst.outstanding--
 			inst.canceled++
+			inst.q.slab.Free(r)
 			return true, wastedSec
 		}
 	}
@@ -718,12 +751,15 @@ func (inst *Instance) refundShare(rep int, now float64, share float64) (spentSec
 
 // dropCanceled filters cancelled copies out of a displaced-request list:
 // their outstanding/KV accounting was already settled at Cancel time, and
-// handing them back to the traffic layer would resurrect dead work.
-func dropCanceled(rs []*Request) []*Request {
+// handing them back to the traffic layer would resurrect dead work. The
+// list was their last holder, so they go back to the slab.
+func (inst *Instance) dropCanceled(rs []*Request) []*Request {
 	keep := rs[:0]
 	for _, r := range rs {
 		if !r.canceled {
 			keep = append(keep, r)
+		} else {
+			inst.q.slab.Free(r)
 		}
 	}
 	for i := len(keep); i < len(rs); i++ {
@@ -740,9 +776,11 @@ func dropCanceled(rs []*Request) []*Request {
 // recognizably stale. Replica-level degraded faults are healed as a side
 // effect: recovery replaces the appliance's memory wholesale. A crash
 // also closes any open straggler window — the repaired appliance is new
-// hardware.
-func (inst *Instance) Crash(now float64) (queued, started []*Request) {
+// hardware. The two lists are built in qbuf and sbuf, buffers the caller
+// owns and may hand back at the next crash.
+func (inst *Instance) Crash(now float64, qbuf, sbuf []*Request) (queued, started []*Request) {
 	inst.crashes++
+	queued, started = qbuf[:0], sbuf[:0]
 	for inst.q.len() > 0 {
 		queued = append(queued, inst.q.popHead())
 	}
@@ -753,7 +791,7 @@ func (inst *Instance) Crash(now float64) (queued, started []*Request) {
 	}
 	inst.liveTokens = 0
 	inst.slowdown = 1
-	started = dropCanceled(started)
+	started = inst.dropCanceled(started)
 	inst.outstanding -= len(queued) + len(started)
 	inst.displaced += len(queued) + len(started)
 	return queued, started
@@ -764,8 +802,9 @@ func (inst *Instance) Crash(now float64) (queued, started []*Request) {
 // in-flight and live requests are lost, and the instance keeps serving on
 // the survivors. It refuses (-1) when only one replica is healthy — the
 // caller should escalate to a full Crash instead. Queued work is
-// untouched: the queue is instance-level and the survivors absorb it.
-func (inst *Instance) FailReplica(now float64) (lost []*Request, rep int) {
+// untouched: the queue is instance-level and the survivors absorb it. The
+// lost list is built in buf, a buffer the caller owns.
+func (inst *Instance) FailReplica(now float64, buf []*Request) (lost []*Request, rep int) {
 	rep = -1
 	for i := len(inst.repDown) - 1; i >= 0; i-- {
 		if !inst.repDown[i] {
@@ -774,15 +813,15 @@ func (inst *Instance) FailReplica(now float64) (lost []*Request, rep int) {
 		}
 	}
 	if rep < 0 || inst.UpReplicas() <= 1 {
-		return nil, -1
+		return buf[:0], -1
 	}
 	inst.degradedCnt++
 	for _, r := range inst.live[rep] {
 		inst.liveTokens -= int64(r.Tokens + r.Generated + 1)
 	}
-	lost = inst.vacate(rep, now, nil)
+	lost = inst.vacate(rep, now, buf[:0])
 	inst.repDown[rep] = true
-	lost = dropCanceled(lost)
+	lost = inst.dropCanceled(lost)
 	inst.outstanding -= len(lost)
 	inst.displaced += len(lost)
 	return lost, rep
@@ -853,7 +892,9 @@ func (inst *Instance) PrefillDone(replica int, batch []*Request, now float64) {
 	for _, r := range batch {
 		if r.canceled {
 			// Hedge loser cancelled mid-pass: its accounting (KV unpin,
-			// outstanding, refund) was settled at Cancel time.
+			// outstanding, refund) was settled at Cancel time, and the
+			// pass was its last holder.
+			inst.q.slab.Free(r)
 			continue
 		}
 		r.FirstTok = now

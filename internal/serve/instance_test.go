@@ -112,7 +112,7 @@ func TestInstanceCrash(t *testing.T) {
 		t.Fatal("dispatch started nothing")
 	}
 	epoch0 := inst.ReplicaEpoch(comps[0].Replica)
-	queued, started := inst.Crash(1e-4)
+	queued, started := inst.Crash(1e-4, nil, nil)
 	if len(started) == 0 {
 		t.Fatal("crash lost no in-flight work despite running passes")
 	}
@@ -146,14 +146,14 @@ func TestFailReplica(t *testing.T) {
 	if got := inst.UpReplicas(); got != 2 {
 		t.Fatalf("fresh instance has %d healthy replicas, want 2", got)
 	}
-	_, rep := inst.FailReplica(0)
+	_, rep := inst.FailReplica(0, nil)
 	if rep != 1 {
 		t.Fatalf("failed replica %d, want highest index 1", rep)
 	}
 	if inst.UpReplicas() != 1 {
 		t.Fatalf("after one failure %d healthy, want 1", inst.UpReplicas())
 	}
-	if _, rep := inst.FailReplica(0); rep != -1 {
+	if _, rep := inst.FailReplica(0, nil); rep != -1 {
 		t.Fatalf("last healthy replica failed (rep=%d); must refuse", rep)
 	}
 	if got := inst.RepairReplica(); got != 1 {
@@ -177,7 +177,7 @@ func TestFailReplicaLosesWork(t *testing.T) {
 	if _, err := inst.Dispatch(0); err != nil {
 		t.Fatal(err)
 	}
-	lost, rep := inst.FailReplica(1e-4)
+	lost, rep := inst.FailReplica(1e-4, nil)
 	if rep != 1 || len(lost) == 0 {
 		t.Fatalf("degraded fault on replica %d lost %d requests", rep, len(lost))
 	}
@@ -327,7 +327,7 @@ func TestAbortPassRefund(t *testing.T) {
 	full := inst.Stats()
 	dur := comps[0].At
 	half := dur / 2
-	inst.Crash(half)
+	inst.Crash(half, nil, nil)
 	st := inst.Stats()
 	if st.BusySeconds[0] >= full.BusySeconds[0] {
 		t.Errorf("abort refunded nothing: busy %g before, %g after", full.BusySeconds[0], st.BusySeconds[0])

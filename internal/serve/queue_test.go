@@ -282,3 +282,155 @@ func TestRequestChunkFillsSizeClass(t *testing.T) {
 		t.Errorf("one %d-request chunk allocates %d bytes, more than the 18,432-byte size class", requestChunk, least)
 	}
 }
+
+// TestQueueReleasesDeadEntries pins where a cancelled request goes back to
+// the slab: at the point its last holder lets go of it — a dead queue entry
+// as popHead, takeBucket or a compaction drops it, an in-flight batch member
+// at its pass's PrefillDone or the Crash that voids the pass, a live decode
+// member at Cancel — and not before. Cancelled requests sit at the head, in
+// the middle and at the tail of the queue. After every step exactly the
+// requests expected free are free, each freed once, and no live request is.
+func TestQueueReleasesDeadEntries(t *testing.T) {
+	var slab RequestSlab
+	var all []*Request          // every slot handed out; New reuses freed ones
+	want := map[*Request]bool{} // slots that must be on the free list
+	released := 0               // Frees the steps so far must have made
+	newReq := func(padded, outLen int) *Request {
+		r := slab.New(Request{ID: len(all), Client: -1, Tokens: padded, Padded: padded, OutLen: outLen})
+		all = append(all, r)
+		delete(want, r)
+		return r
+	}
+	release := func(rs ...*Request) {
+		for _, r := range rs {
+			want[r] = true
+			released++
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		for _, r := range all {
+			if r.free != want[r] {
+				t.Fatalf("%s: request %d free=%v, want %v", step, r.ID, r.free, want[r])
+			}
+		}
+		if slab.frees != released || slab.doubles != 0 {
+			t.Fatalf("%s: slab took back %d slots (%d twice), want %d once each", step, slab.frees, slab.doubles, released)
+		}
+	}
+
+	q := queue{slab: &slab}
+	a := make([]*Request, 6)
+	for i := range a {
+		a[i] = newReq(64, 0)
+		q.push(a[i])
+	}
+	q.remove(a[0])
+	release(a[0]) // the head goes at once
+	q.remove(a[2])
+	q.remove(a[5])
+	check("cancel head, middle and tail")
+	q.popHead()
+	release(a[2]) // now at the head
+	check("popHead to the middle")
+	q.popHead()
+	q.popHead()
+	release(a[5]) // the dead tail leaves with the last live entry
+	check("popHead to the end")
+
+	b := []*Request{newReq(64, 0), newReq(128, 0), newReq(64, 0), newReq(128, 0), newReq(64, 0), newReq(64, 0)}
+	for _, r := range b {
+		q.push(r)
+	}
+	q.remove(b[2])
+	q.remove(b[5])
+	if got := q.takeBucket(64, 4, 8, nil); len(got) != 2 || got[0] != b[0] || got[1] != b[4] {
+		t.Fatalf("takeBucket took %d requests, want b0 and b4", len(got))
+	}
+	release(b[2]) // dropped by the compaction behind the last pick
+	check("takeBucket")
+	q.popHead()
+	q.popHead()
+	release(b[5])
+	check("drain after takeBucket")
+
+	c := make([]*Request, 3000)
+	for i := range c {
+		c[i] = newReq(64, 0)
+		q.push(c[i])
+	}
+	for _, r := range c[1:2001] { // the head stays live, so only a compaction drops these
+		q.remove(r)
+	}
+	if q.dead >= 2000 {
+		t.Fatalf("%d dead entries after 2000 cancellations: no compaction ran", q.dead)
+	}
+	compacted := 0
+	for _, r := range c[1:2001] {
+		if r.free {
+			release(r)
+			compacted++
+		}
+	}
+	if compacted <= 1024 {
+		t.Fatalf("compaction freed %d dead entries, want over 1024", compacted)
+	}
+	check("compaction")
+	for q.len() > 0 {
+		q.popHead()
+	}
+	for _, r := range c[1:2001] {
+		if !want[r] {
+			release(r)
+		}
+	}
+	check("drain after compaction")
+
+	inst := newTestInstance(t, func(c *Config) { c.MaxBatch = 2 })
+	inst.SetSlab(&slab)
+	r := make([]*Request, 8)
+	for i := range r {
+		r[i] = newReq(64, 0)
+		inst.Admit(r[i])
+	}
+	comps, err := inst.Dispatch(0) // replica 0 runs r0 and r1, replica 1 r2 and r3
+	if err != nil || len(comps) != 2 {
+		t.Fatalf("Dispatch started %d passes, err %v", len(comps), err)
+	}
+	inst.Cancel(r[1], 0)
+	inst.Cancel(r[5], 0)
+	check("cancel in flight and queued") // the pass and the queue still hold them
+	inst.PrefillDone(0, inst.Inflight(0), comps[0].At)
+	release(r[1])
+	check("PrefillDone")
+	if _, err := inst.Dispatch(comps[0].At); err != nil { // replica 0 takes r4 and r6
+		t.Fatal(err)
+	}
+	release(r[5])
+	check("Dispatch past a dead entry")
+	inst.Cancel(r[7], comps[0].At)
+	release(r[7]) // the queue head goes at once
+	inst.Cancel(r[6], comps[0].At)
+	inst.Cancel(r[3], comps[0].At)
+	check("cancel in flight on both replicas")
+	queued, started := inst.Crash(comps[0].At, nil, nil)
+	if len(queued) != 0 || len(started) != 2 {
+		t.Fatalf("Crash displaced %d queued and %d started requests, want 0 and 2", len(queued), len(started))
+	}
+	release(r[6], r[3])
+	check("Crash")
+
+	d := newReq(64, 4)
+	inst.Admit(d)
+	comps, err = inst.Dispatch(1)
+	if err != nil || len(comps) != 1 {
+		t.Fatalf("Dispatch started %d passes, err %v", len(comps), err)
+	}
+	inst.PrefillDone(comps[0].Replica, comps[0].Batch, comps[0].At)
+	if inst.LiveCount() != 1 {
+		t.Fatalf("decode request not live after its prefill (%d live)", inst.LiveCount())
+	}
+	inst.Cancel(d, comps[0].At)
+	release(d)
+	check("cancel live")
+}

@@ -23,11 +23,14 @@ import (
 //   - len() counts live entries only: MaxQueue admission, the queue-depth
 //     gauge and the packing window read what an eager removal would give;
 //   - settle squeezes dead entries out with the consumed prefix, so the
-//     backing array stays within 2*len()+1024 entries.
+//     backing array stays within 2*len()+1024 entries;
+//   - the queue is a dead entry's last holder, so the point that drops it
+//     frees it to slab (a nil slab frees nothing).
 type queue struct {
 	items []*Request
 	head  int
 	dead  int // cancelled entries still in items[head:]
+	slab  *RequestSlab
 }
 
 func (q *queue) len() int { return len(q.items) - q.head - q.dead }
@@ -100,6 +103,7 @@ func (q *queue) takeBucket(bucket, window, max int, out []*Request) []*Request {
 		switch r := q.items[i]; {
 		case r.canceled:
 			q.dead--
+			q.slab.Free(r)
 		case r.Padded != bucket:
 			q.items[w] = r
 			w--
@@ -132,6 +136,7 @@ func (q *queue) remove(r *Request) bool {
 // array is compacted once consumed and dead slots dominate it.
 func (q *queue) settle() {
 	for q.dead > 0 && q.items[q.head].canceled {
+		q.slab.Free(q.items[q.head])
 		q.items[q.head] = nil
 		q.head++
 		q.dead--
@@ -142,6 +147,8 @@ func (q *queue) settle() {
 			if !r.canceled {
 				q.items[n] = r
 				n++
+			} else {
+				q.slab.Free(r)
 			}
 		}
 		clear(q.items[n:])

@@ -558,6 +558,11 @@ func Run(cfg Config) (*Report, error) {
 	if n := s.qLat.NonFinite + s.sLat.NonFinite + s.tLat.NonFinite + s.ttft.NonFinite + s.tpot.NonFinite; n > 0 {
 		return nil, fmt.Errorf("serve: %d latency samples were NaN or infinite", n)
 	}
+	// So is a slot freed twice, which hands one slot to two requests, or
+	// one never freed.
+	if err := s.slab.Balance(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	return s.report(), nil
 }
 
