@@ -102,9 +102,12 @@ type RequestSlab struct {
 // 18,432-byte class with 120 to spare (a 128-request chunk of the former
 // 136-byte Request sat in the same class with 1,016 bytes of slack).
 // TestRequestChunkFillsSizeClass fails when a new field spills the class.
-// A chunk is carved only while the free list is empty, so a steady run
-// stops at the chunks its peak of live requests needs; a chunk is garbage
-// once none of its slots is reachable, free list included.
+// A chunk is carved only while the free list is empty, so a slab stops at
+// the chunks the peak of live requests it has served needs; a chunk is
+// garbage once none of its slots is reachable, free list included. A slab
+// can outlive one serve.Run: a run that drained and balanced hands it,
+// free list full, to the next run through a pool, so a sweep's later runs
+// carve only beyond the largest peak before them.
 const requestChunk = 143
 
 // New takes a freed slot, or carves the next one, and initializes it to v,

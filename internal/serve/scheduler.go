@@ -22,8 +22,12 @@ import (
 //     leaves, the dead tail is dropped with it;
 //   - len() counts live entries only: MaxQueue admission, the queue-depth
 //     gauge and the packing window read what an eager removal would give;
-//   - settle squeezes dead entries out with the consumed prefix, so the
-//     backing array stays within 2*len()+1024 entries;
+//   - settle squeezes dead entries out with the consumed prefix, so
+//     len(items) stays within 2*len()+1024 entries. The bound is on the
+//     length, not the capacity: cap(items) keeps the largest array the
+//     queue has grown to, and serve.Run hands a drained queue's array to
+//     the next run through a pool, so the capacity can come from a busier
+//     earlier run;
 //   - the queue is a dead entry's last holder, so the point that drops it
 //     frees it to slab (a nil slab frees nothing).
 type queue struct {

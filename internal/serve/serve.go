@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/energy"
@@ -364,7 +365,7 @@ type sim struct {
 	inst *Instance
 
 	events EventQueue
-	slab   RequestSlab
+	slab   *RequestSlab
 
 	arrivals *workload.ArrivalSampler // open loop
 	lengths  *workload.LengthSampler
@@ -397,6 +398,23 @@ func (s *sim) newRequest(t float64, client int) *Request {
 	return r
 }
 
+// runBuffers is what a drained serve.Run hands the next one through
+// runPool: its slab, with every slot on the free list and the counters
+// reset, and its instance queue's backing array, emptied. A sweep's first
+// probe carves the slots and grows the array its peak needs, and the later
+// probes reuse them instead of allocating per request again. Only a run
+// whose slab balanced puts its buffers back, so a pooled slab holds no
+// slot a request still occupies; New overwrites a slot whole, so a reused
+// one serves exactly as a fresh one would.
+type runBuffers struct {
+	slab  RequestSlab
+	items []*Request
+}
+
+// runPool holds runBuffers between runs; the GC may empty it at any time,
+// which costs the next run its allocations, never its results.
+var runPool = sync.Pool{New: func() any { return new(runBuffers) }}
+
 // RoundUp rounds v up to a multiple of quantum — the shape-padding rule
 // for prompt lengths and decode contexts.
 func RoundUp(v, quantum int) int {
@@ -419,6 +437,8 @@ func Run(cfg Config) (*Report, error) {
 	if s.inst, err = NewInstance(cfg, 0, nil); err != nil {
 		return nil, err
 	}
+	bufs := runPool.Get().(*runBuffers)
+	s.slab, s.inst.q.items = &bufs.slab, bufs.items
 	rec := cfg.Recorder
 	s.inst.SetRecorder(rec)
 	rec.Process(0, "traffic")
@@ -563,6 +583,12 @@ func Run(cfg Config) (*Report, error) {
 	if err := s.slab.Balance(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	// The run is drained and balanced: every slot is free and every queue
+	// entry nil, so both buffers go to the next run and s keeps neither.
+	bufs.slab.news, bufs.slab.frees = 0, 0
+	bufs.items = s.inst.q.items[:0]
+	s.inst.q.items, s.inst.q.head, s.slab = nil, 0, nil
+	runPool.Put(bufs)
 	return s.report(), nil
 }
 

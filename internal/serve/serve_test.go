@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/ais-snu/localut/internal/dnn"
@@ -86,6 +89,115 @@ func TestServeDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(base, rep) {
 			t.Fatalf("parallelism %d diverged:\n%+v\n%+v", par, base, rep)
 		}
+	}
+}
+
+// TestServeRunIndependentOfPriorRuns pins what handing a drained run's
+// slab and queue array to the next run must not change: a report depends
+// on its own config alone, never on which runs came before it or ran
+// beside it. Each config's report JSON must be byte-identical whether the
+// list runs forward, in reverse or from concurrent goroutines.
+func TestServeRunIndependentOfPriorRuns(t *testing.T) {
+	overloaded := testConfig()
+	overloaded.RatePerSec = 300 // about ten times capacity: the queue peaks near 600
+	overloaded.DurationSeconds = 2
+
+	closed := testConfig()
+	closed.Clients = 6
+
+	shedding := testConfig()
+	shedding.MaxQueue = 12
+	shedding.ArrivalTimes = make([]float64, 300)
+	for i := range shedding.ArrivalTimes {
+		shedding.ArrivalTimes[i] = float64(i%100) * 0.01 // three bursts over one second
+	}
+
+	decode := decodeConfig()
+	decode.Replicas = 2
+
+	cfgs := []Config{overloaded, closed, shedding, decode}
+	runJSON := func(cfg Config) ([]byte, error) {
+		rep, err := Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(rep)
+	}
+	want := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		b, err := runJSON(cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		want[i] = b
+	}
+	if !strings.Contains(string(want[2]), `"shed"`) {
+		t.Fatal("the trace replay shed nothing: MaxQueue is not exercised")
+	}
+	for i := len(cfgs) - 1; i >= 0; i-- {
+		b, err := runJSON(cfgs[i])
+		if err != nil {
+			t.Fatalf("config %d in reverse: %v", i, err)
+		}
+		if string(b) != string(want[i]) {
+			t.Errorf("config %d in reverse order diverged:\n%s\n%s", i, want[i], b)
+		}
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for i, cfg := range cfgs {
+			wg.Add(1)
+			go func(i int, cfg Config) {
+				defer wg.Done()
+				b, err := runJSON(cfg)
+				if err != nil {
+					t.Errorf("config %d concurrently: %v", i, err)
+					return
+				}
+				if string(b) != string(want[i]) {
+					t.Errorf("config %d run concurrently diverged:\n%s\n%s", i, want[i], b)
+				}
+			}(i, cfg)
+		}
+	}
+	wg.Wait()
+}
+
+// TestServeRunReusesBuffers pins the cross-run handoff: a run that follows
+// a drained one of the same peak takes its slab and queue array from the
+// pool and allocates only its fixed per-run state (oracle, histograms),
+// about 7 bytes per request here; without the handoff the second run
+// carves every slot and grows the queue again, about 169.
+func TestServeRunReusesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// One P keeps the pooled buffers in the P-local slot the next Get reads
+	// first. Changing GOMAXPROCS starts the pool afresh, so it comes before
+	// either run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := testConfig()
+	cfg.RatePerSec = 400 // over ten times capacity: the queue peaks above 20,000
+	cfg.DurationSeconds = 60
+	cfg.Engine = gemm.NewEngine() // shared, as a sweep's probes share one
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests < 20000 {
+		t.Fatalf("only %d requests: too few for a queue in the tens of thousands", rep.Requests)
+	}
+	bytesPerReq := float64(after.TotalAlloc-before.TotalAlloc) / float64(rep.Requests)
+	t.Logf("second run: %d requests, %d bytes, %.2f bytes per request",
+		rep.Requests, after.TotalAlloc-before.TotalAlloc, bytesPerReq)
+	if bytesPerReq >= 16 {
+		t.Errorf("second run allocates %.1f bytes per request, want under 16: it did not reuse the first run's slab and queue array", bytesPerReq)
 	}
 }
 
