@@ -101,7 +101,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.stragglers.Slowdown, "straggler-slowdown", 0, "pass-cost multiplier inside a straggler window (0 = 4)")
 	fs.Float64Var(&o.hedgeDelay, "hedge-delay", 0, "duplicate a request still waiting for its first token after this many seconds (0 = hedging off)")
 	fs.BoolVar(&o.audit, "audit", false, "run the conservation auditor on the final report and fail on any violation")
-	fs.IntVar(&o.chaos, "chaos", 0, "chaos seed sweep: run N seeds across three failure scenarios with the auditor on, failing on any violation")
+	fs.IntVar(&o.chaos, "chaos", 0, "chaos seed sweep: run N seeds across four failure scenarios with the auditor on, failing on any violation")
 	fs.StringVar(&o.hedgeSweep, "hedge-sweep", "", "comma-separated hedge delays (seconds; 0 = no-hedge baseline) for a tail-latency sweep under straggler injection")
 	fs.Float64Var(&o.deadline, "deadline", 0, "default per-request completion deadline in seconds (0 = none)")
 	fs.IntVar(&o.retry.MaxAttempts, "retries", 0, "max service attempts per request (0 = 3)")
@@ -493,7 +493,7 @@ type chaosScenario struct {
 }
 
 // chaosBase is the fixed fleet behind the -chaos sweep: a decode fleet
-// small enough that N seeds x 3 scenarios stay cheap, busy enough that
+// small enough that N seeds x 4 scenarios stay cheap, busy enough that
 // every failure mechanism fires.
 func chaosBase(seed int64) localut.ClusterConfig {
 	return localut.ClusterConfig{
@@ -509,9 +509,11 @@ func chaosBase(seed int64) localut.ClusterConfig {
 	}
 }
 
-// chaosScenarios are the three failure mixes every seed runs through:
-// everything at once, correlated domain outages alone, and gray-failure
-// stragglers with hedging but no crashes.
+// chaosScenarios are the four failure mixes every seed runs through:
+// everything at once, correlated domain outages alone, gray-failure
+// stragglers with hedging but no crashes, and everything at once on a
+// saturated fleet, where deadlines shed hedge copies and parked losers'
+// twins win.
 func chaosScenarios() []chaosScenario {
 	faults := localut.ClusterFaults{Enabled: true, MTTFSeconds: 120, MTTRSeconds: 2}
 	doms := localut.ClusterDomains{Enabled: true, Count: 4, MTBFSeconds: 60, MTTRSeconds: 2}
@@ -523,6 +525,10 @@ func chaosScenarios() []chaosScenario {
 		}},
 		{"domains-only", func(c *localut.ClusterConfig) { c.Domains = doms }},
 		{"gray-hedged", func(c *localut.ClusterConfig) { c.Stragglers, c.Hedge = strag, hedge }},
+		{"saturated", func(c *localut.ClusterConfig) {
+			c.Faults, c.Domains, c.Stragglers, c.Hedge = faults, doms, strag, hedge
+			c.RatePerSec, c.DurationSeconds = 120, 100
+		}},
 	}
 }
 
@@ -544,7 +550,7 @@ type chaosRow struct {
 	UnavailableSeconds float64 `json:"unavailable_s"`
 }
 
-// runChaos is the chaos seed sweep: -chaos seeds x 3 failure scenarios,
+// runChaos is the chaos seed sweep: -chaos seeds x 4 failure scenarios,
 // every run with the conservation auditor on. Any auditor violation
 // surfaces as a run error and a nonzero exit; a clean sweep prints one row
 // per run, byte-identical for a given seed count at any -j.

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -99,6 +101,50 @@ func TestChaosBytesBudget(t *testing.T) {
 	t.Logf("%d and %d requests, %d and %d bytes: %.1f bytes per extra request (budget %d)", n1, n2, b1, b2, perReq, budget)
 	if perReq > budget {
 		t.Errorf("hedged chaos fleet allocates %.1f bytes per request, budget %d", perReq, budget)
+	}
+}
+
+// TestInfiniteHedgeDelayIsHedgingOff pins +Inf as "never hedge", which
+// validation accepts for the fleet's delay and for a class's override. A
+// timer that cannot fire is not scheduled and holds no request, so the
+// report is the hedging-off report byte for byte, and slots are reused as
+// requests end rather than at the drain: an extra request stays within
+// TestChaosBytesBudget's 24 bytes (it read 248 while each request waited
+// for a timer at +Inf).
+func TestInfiniteHedgeDelayIsHedgingOff(t *testing.T) {
+	mk := func(seconds float64, hedge HedgeConfig, classDelay float64) Config {
+		cfg := chaosConfig(1)
+		cfg.RatePerSec = 120
+		cfg.DurationSeconds = seconds
+		cfg.Hedge = hedge
+		if classDelay != 0 {
+			cfg.Classes = []ClassConfig{{Name: "default", RatePerSec: cfg.RatePerSec, HedgeDelaySeconds: classDelay}}
+		}
+		return cfg
+	}
+	inf := math.Inf(1)
+	off := clusterJSON(t, mk(30, HedgeConfig{}, 0))
+	for name, cfg := range map[string]Config{
+		"fleet delay": mk(30, HedgeConfig{Enabled: true, DelaySeconds: inf}, 0),
+		"class delay": mk(30, HedgeConfig{Enabled: true, DelaySeconds: 0.5}, inf),
+	} {
+		if got := clusterJSON(t, cfg); !bytes.Equal(got, off) {
+			t.Errorf("%s of +Inf: the report differs from the hedging-off report", name)
+		}
+	}
+
+	never := HedgeConfig{Enabled: true, DelaySeconds: inf}
+	allocOf(t, mk(5, never, 0))
+	_, b1, n1 := allocOf(t, mk(100, never, 0))
+	_, b2, n2 := allocOf(t, mk(200, never, 0))
+	if n2-n1 < 10000 {
+		t.Fatalf("runs admitted %d and %d requests: too close to measure a 10k-request margin", n1, n2)
+	}
+	perReq := (float64(b2) - float64(b1)) / float64(n2-n1)
+	const budget = 24
+	t.Logf("%d and %d requests, %d and %d bytes: %.1f bytes per extra request (budget %d)", n1, n2, b1, b2, perReq, budget)
+	if perReq > budget {
+		t.Errorf("a fleet that never hedges allocates %.1f bytes per request, budget %d", perReq, budget)
 	}
 }
 

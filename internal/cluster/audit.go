@@ -92,6 +92,9 @@ func (cs *csim) auditRun() error {
 				Detail: fmt.Sprintf("member %d is filed under %d outstanding requests, want %d (-1 = not routable)", m.inst.ID, got, want)})
 		}
 	}
+	if err := cs.slab.Misuse(); err != nil {
+		vs = append(vs, audit.Violation{Invariant: "slab-release", Detail: err.Error()})
+	}
 	if err := cs.slab.Balance(); err != nil {
 		vs = append(vs, audit.Violation{Invariant: "slab-balance", Detail: err.Error()})
 	}

@@ -55,10 +55,13 @@ func chaosConfig(seed int64) Config {
 	}
 }
 
-// chaosScenarios are the sweep's three failure mixes: everything at once,
-// correlated outages alone, and gray failures with hedging but no
-// crashes. The CI chaos job runs the same mixes over 16+ seeds through
-// localut-cluster -chaos.
+// chaosScenarios are the sweep's four failure mixes: everything at once,
+// correlated outages alone, gray failures with hedging but no crashes, and
+// everything at once on a saturated fleet. The saturated mix is the one
+// that reaches the release points overload and faults open up: a hedge
+// copy shed while its twin lives, and a parked loser whose twin won. The
+// CI chaos job runs the same mixes over 16+ seeds through localut-cluster
+// -chaos.
 func chaosScenarios() map[string]func(seed int64) Config {
 	return map[string]func(seed int64) Config{
 		"full": chaosConfig,
@@ -73,6 +76,12 @@ func chaosScenarios() map[string]func(seed int64) Config {
 			cfg := chaosConfig(seed)
 			cfg.Faults.Enabled = false
 			cfg.Domains.Enabled = false
+			return cfg
+		},
+		"saturated": func(seed int64) Config {
+			cfg := chaosConfig(seed)
+			cfg.RatePerSec = 120
+			cfg.DurationSeconds = 100
 			return cfg
 		},
 	}
@@ -100,6 +109,10 @@ func TestChaosSeedSweep(t *testing.T) {
 				}
 				if rep.HedgeWastedSeconds < 0 {
 					t.Errorf("seed %d: negative hedge waste %g", seed, rep.HedgeWastedSeconds)
+				}
+				if name == "saturated" && (rep.HedgeDrops == 0 || rep.Crashes == 0 || rep.Shed == 0) {
+					t.Errorf("seed %d: scenario too tame to reach the overload release points: %d hedge drops, %d crashes, %d shed",
+						seed, rep.HedgeDrops, rep.Crashes, rep.Shed)
 				}
 			}
 		})
@@ -292,8 +305,8 @@ func TestHedgingImprovesTailUnderStragglers(t *testing.T) {
 // full, before the arrival schedules the request's hedge timer; had the
 // shed freed the slot, the next arrival would reuse it and the timer would
 // hedge that other request. The hold goes on when the request is carved,
-// so a shed leaves it to the timer, and onHedgeTimer fails the run if it
-// ever finds its request's hold gone.
+// so a shed leaves the slot to the timer, and a timer that finds its hold
+// gone fails the audit (slab-release).
 func TestHedgeTimerHoldsShedRequest(t *testing.T) {
 	cfg := faultConfig()
 	cfg.Faults = FaultConfig{}

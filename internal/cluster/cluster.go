@@ -302,7 +302,7 @@ type classState struct {
 	bucket  *bucket                 // nil under AdmitAll
 
 	deadline   float64 // resolved completion deadline (0 = none)
-	hedgeDelay float64 // resolved hedge delay (0 = hedging off)
+	hedgeDelay float64 // resolved hedge delay (0 = hedging off, as is +Inf)
 
 	offered, admitted, rejected, completed int
 	good, late, retries, shed              int
@@ -469,10 +469,10 @@ func (cs *csim) onFirstToken(r *serve.Request, now float64) {
 	}
 }
 
-// onFinish aggregates a completed request's latencies and frees it (a
-// pending hedge timer frees it later instead); prefill-only requests feed
-// the autoscaler window here (their completion is their response start,
-// which also settles a hedge race).
+// onFinish aggregates a completed request's latencies and releases the
+// traffic layer's hold on it; prefill-only requests feed the autoscaler
+// window here (their completion is their response start, which also
+// settles a hedge race).
 func (cs *csim) onFinish(r *serve.Request, now float64) {
 	if r.Twin != nil {
 		cs.resolveHedge(r, now)
@@ -506,7 +506,7 @@ func (cs *csim) onFinish(r *serve.Request, now float64) {
 	if now > cs.makespan {
 		cs.makespan = now
 	}
-	cs.slab.Free(r)
+	cs.slab.Release(r, serve.HoldTraffic)
 }
 
 // fleetCounts tallies the lifecycle states.
@@ -534,8 +534,8 @@ func (cs *csim) outstandingTotal() int {
 }
 
 // newRequest samples one request of the given class arriving at t. Under
-// hedging it comes Held for the timer the arrival will schedule: routing
-// can shed it at once, and the timer must not point at a freed slot.
+// hedging it comes with the hold of the timer the arrival schedules after
+// routing it, since routing can shed it at once.
 func (cs *csim) newRequest(t float64, class int) *serve.Request {
 	c := &cs.classes[class]
 	tok := c.lengths.Next()
@@ -552,8 +552,10 @@ func (cs *csim) newRequest(t float64, class int) *serve.Request {
 		OutLen: out,
 		Member: -1,
 		Arrive: t,
-		Held:   c.hedgeDelay > 0,
 	})
+	if c.hedgeDelay > 0 {
+		cs.slab.Hold(r, serve.HoldTimer)
+	}
 	if c.deadline > 0 {
 		r.Deadline = t + c.deadline
 	}
@@ -670,6 +672,10 @@ func newSim(cfg Config) (*csim, error) {
 			if st.hedgeDelay = cc.HedgeDelaySeconds; st.hedgeDelay == 0 {
 				st.hedgeDelay = cfg.Hedge.DelaySeconds
 			}
+			// A timer that cannot fire is not scheduled and holds nothing.
+			if math.IsInf(st.hedgeDelay, 1) {
+				st.hedgeDelay = 0
+			}
 		}
 		seed := cfg.Seed + int64(i)*1009
 		if st.lengths, err = workload.NewLengthSampler(cc.MinTokens, cc.MaxTokens, cc.MeanTokens, seed+1); err != nil {
@@ -771,7 +777,13 @@ func (cs *csim) run() (*Report, error) {
 				cs.events.PushOrdered(laneArrival, &serve.Event{At: t, Inst: -1, Kind: evArrival, Arg: int32(class)})
 			}
 		case evRetry:
-			if err := cs.route(ev.Req, now, ev.Flag); err != nil {
+			// A parked copy whose hedge twin won has ended: nothing to route.
+			r, live := ev.Req, ev.Req.HeldBy(serve.HoldTraffic)
+			cs.slab.Release(r, serve.HoldRetry)
+			if !live {
+				break
+			}
+			if err := cs.route(r, now, ev.Flag); err != nil {
 				return nil, err
 			}
 		case serve.CompletionPrefill, serve.CompletionStep:

@@ -172,40 +172,40 @@ func (c shedCause) String() string {
 	}
 }
 
-// shedRequest accounts a dropped request and frees it. After the drain,
-// every admitted request is exactly one of: completed or shed — hedge
-// duplicates are copies of an already-admitted request, so losing one
-// while its twin lives is hedge bookkeeping, not a shed. Either way
-// nothing holds the copy any more (its instance let go of it, or it was
-// displaced or refused on its way to one), so it is freed here.
+// shedRequest accounts a dropped request and releases the traffic layer's
+// hold on it. After the drain, every admitted request is exactly one of:
+// completed or shed — hedge duplicates are copies of an already-admitted
+// request, so losing one while its twin lives (it expired, found no queue
+// or ran out of retries) is hedge bookkeeping, not a shed: the twin stays
+// accountable for completion.
 func (cs *csim) shedRequest(r *serve.Request, now float64, cause shedCause) {
 	if r.Twin != nil {
-		cs.dropHedgeCopy(r, now)
-		cs.slab.Free(r)
-		return
+		r.Twin.Twin = nil
+		r.Twin = nil
+		cs.hedgeDrops++
+	} else {
+		cs.shed++
+		cs.classes[r.Class].shed++
+		switch cause {
+		case shedExpired:
+			cs.shedExpired++
+		case shedKVBudget:
+			cs.shedKV++
+		case shedQueueFull:
+			cs.shedQueueFull++
+		case shedRetries:
+			cs.shedRetries++
+		}
+		if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
+			rec.Instant(0, 0, "shed", now,
+				obs.Num("id", float64(r.ID)), obs.Str("cause", cause.String()))
+			rec.EndAsync(0, "req", r.ID, "request", now)
+		}
+		if now > cs.makespan {
+			cs.makespan = now
+		}
 	}
-	r.Dropped = true
-	cs.shed++
-	cs.classes[r.Class].shed++
-	switch cause {
-	case shedExpired:
-		cs.shedExpired++
-	case shedKVBudget:
-		cs.shedKV++
-	case shedQueueFull:
-		cs.shedQueueFull++
-	case shedRetries:
-		cs.shedRetries++
-	}
-	if rec := cs.cfg.Recorder; rec.Sampled(r.ID) {
-		rec.Instant(0, 0, "shed", now,
-			obs.Num("id", float64(r.ID)), obs.Str("cause", cause.String()))
-		rec.EndAsync(0, "req", r.ID, "request", now)
-	}
-	if now > cs.makespan {
-		cs.makespan = now
-	}
-	cs.slab.Free(r)
+	cs.slab.Release(r, serve.HoldTraffic)
 }
 
 // onInstanceShed adapts an Instance's shed callback to cluster accounting;
@@ -333,9 +333,9 @@ func (cs *csim) onReplicaRepair(ev *serve.Event, now float64) error {
 // requeue re-disposes a request displaced by a fault. Queued work on a
 // crashed member reroutes immediately (its service never started); lost
 // work — in-flight prefill, live decode — consumed a service attempt,
-// backs off and will pay full re-prefill on its next admission. While
-// parked the request has no serving member, so a hedge resolution in the
-// gap marks it dropped instead of cancelling it.
+// backs off and will pay full re-prefill on its next admission. The retry
+// event holds the parked request; with no serving member, a hedge
+// resolution in the gap only releases the traffic layer's hold.
 func (cs *csim) requeue(r *serve.Request, now float64, lost bool) {
 	if lost && r.Attempts >= cs.cfg.Retry.MaxAttempts {
 		cs.shedRequest(r, now, shedRetries)
@@ -354,6 +354,7 @@ func (cs *csim) requeue(r *serve.Request, now float64, lost bool) {
 		}
 	}
 	r.Member = -1
+	cs.slab.Hold(r, serve.HoldRetry)
 	cs.events.Push(&serve.Event{At: at, Inst: -1, Kind: evRetry, Req: r, Flag: lost})
 }
 
@@ -363,10 +364,6 @@ func (cs *csim) requeue(r *serve.Request, now float64, lost bool) {
 // land). Retried lost work is accounted here: its prompt KV is gone, so
 // the new instance re-prefills from scratch.
 func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
-	if r.Dropped {
-		cs.slab.Free(r) // a parked copy whose hedge twin already won
-		return nil
-	}
 	if len(cs.active) == 0 {
 		if !cs.cfg.faultsPossible() {
 			// MinInstances >= 1 and drain-only-below-SLO make this
@@ -379,6 +376,7 @@ func (cs *csim) route(r *serve.Request, now float64, lost bool) error {
 		}
 		// The whole fleet is down; poll again after a backoff (repairs are
 		// always scheduled, so this terminates).
+		cs.slab.Hold(r, serve.HoldRetry)
 		cs.events.Push(&serve.Event{At: now + cs.cfg.Retry.backoff(r.Attempts), Inst: -1, Kind: evRetry, Req: r, Flag: lost})
 		return nil
 	}

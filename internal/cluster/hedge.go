@@ -36,21 +36,15 @@ func (h HedgeConfig) withDefaults() (HedgeConfig, error) {
 
 // onHedgeTimer fires DelaySeconds after a request's arrival: if the
 // request is still waiting for its first token, a duplicate is issued to
-// a second member. Requests already producing tokens, displaced into a
-// parked retry, or hedged (a twin exists) are left alone. The timer held
-// the request since its arrival; it lets go here, and frees a request
-// that finished or was shed in the meantime.
+// a second member. Requests that ended, are already producing tokens, sit
+// displaced in a parked retry, or are hedged (a twin exists) are left
+// alone. The timer held the request since its arrival and lets go here,
+// which frees a request that ended in the meantime.
 func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 	r := ev.Req
-	if !r.Held {
-		return fmt.Errorf("cluster: hedge timer of request %d holds a freed slot", r.ID)
-	}
-	r.Held = false
-	if r.Finish > 0 || r.Dropped {
-		cs.slab.Free(r)
-		return nil
-	}
-	if r.FirstTok > 0 || r.Twin != nil || r.Member < 0 {
+	waiting := r.HeldBy(serve.HoldTraffic) && r.FirstTok == 0 && r.Twin == nil && r.Member >= 0
+	cs.slab.Release(r, serve.HoldTimer)
+	if !waiting {
 		return nil
 	}
 	// Fewest-outstanding pick among the other members, ties to the lowest
@@ -76,7 +70,7 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 		Twin:     r,
 	})
 	if !best.inst.Admit(h) {
-		cs.slab.Free(h)
+		cs.slab.Release(h, serve.HoldTraffic)
 		return nil // bounded queue full; the original keeps waiting
 	}
 	h.Attempts++
@@ -94,15 +88,14 @@ func (cs *csim) onHedgeTimer(ev *serve.Event, now float64) error {
 // prefill-only requests, completion). The loser is provably still short
 // of its own first token, so it is either queued or inside an in-flight
 // prefill pass: cancel it where it stands, refund the unelapsed share of
-// its pass, and book the spent share as hedge waste; the instance frees
-// it when it lets go of it. A loser parked in a retry event (its member
-// crashed) has no instance to cancel it on; it is marked dropped and the
-// retry frees it. Cancel may free l, which leaves l.Member readable.
+// its pass, and book the spent share as hedge waste. A loser parked in a
+// retry event (its member crashed) has no instance to cancel it on. Either
+// way the traffic layer then releases its hold on the loser, and the slot
+// frees once the instance or the retry has let go of it too.
 func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 	l := w.Twin
 	w.Twin = nil
 	l.Twin = nil
-	l.Dropped = true
 	if w.Hedge {
 		cs.hedgeWins++
 		cs.requestEnd = now
@@ -111,27 +104,19 @@ func (cs *csim) resolveHedge(w *serve.Request, now float64) {
 				obs.Num("id", float64(w.ID)), obs.Num("member", float64(w.Member)))
 		}
 	}
+	found := false
 	if l.Member >= 0 {
 		lm := cs.members[l.Member]
-		found, waste := lm.inst.Cancel(l, now)
+		var waste float64
+		found, waste = lm.inst.Cancel(l, now)
+		cs.hedgeWaste += waste
 		// Cancel ends in no dispatch, so the count it moved is filed here.
 		cs.load.file(l.Member, lm.inst.Outstanding())
-		if found {
-			cs.hedgeCancels++
-			cs.hedgeWaste += waste
-			return
-		}
 	}
-	cs.hedgeDrops++
-}
-
-// dropHedgeCopy retires one copy of a hedged pair without shedding the
-// logical request: the twin is still in flight and remains accountable
-// for completion. Called when a fault displaces a copy past its retry
-// budget or a bounded queue rejects its re-route; the caller frees it.
-func (cs *csim) dropHedgeCopy(r *serve.Request, now float64) {
-	r.Twin.Twin = nil
-	r.Twin = nil
-	r.Dropped = true
-	cs.hedgeDrops++
+	if found {
+		cs.hedgeCancels++
+	} else {
+		cs.hedgeDrops++
+	}
+	cs.slab.Release(l, serve.HoldTraffic)
 }

@@ -14,12 +14,8 @@ import (
 // service; the Instance mutates the service-side fields (Start, FirstTok,
 // Finish, Generated) as the request advances.
 //
-// A request lives in a RequestSlab slot. While it is in service an
-// Instance holds it (queue, in-flight batch or live batch); a parked retry
-// event or a pending hedge timer may hold it too. Whichever holder lets go
-// of it last frees it: the traffic layer at a terminal point — finish,
-// shed or refused admission — and the Instance at the point it drops a
-// cancelled copy; see RequestSlab.
+// A request lives in a RequestSlab slot, which every holder of a reference
+// to it holds (see Hold); the slot frees itself when no hold is left.
 type Request struct {
 	ID     int
 	Client int // closed-loop client index, -1 for open-loop/trace arrivals
@@ -35,29 +31,19 @@ type Request struct {
 	Attempts int     // service attempts so far (admissions to an instance)
 
 	// Hedging fields, owned by the traffic layer. Twin links the two
-	// copies of a hedged request (each points at the other); Hedge marks
-	// the duplicate copy; Member is the instance currently serving this
-	// copy (-1 while unrouted); Dropped marks a copy the traffic layer has
-	// retired (its twin won, or a fault displaced it past usefulness) so
-	// parked retry events can recognize it as dead. A freed request's Twin
-	// links the slab's free slots instead.
+	// copies of a hedged request (each points at the other, and both links
+	// go when either copy's traffic hold does); Hedge marks the duplicate
+	// copy; Member is the instance currently serving this copy (-1 while
+	// unrouted). A freed request's Twin links the slab's free slots instead.
 	Twin   *Request
 	Member int
 
 	Arrive, Start, FirstTok, Finish float64 // simulated seconds
 
-	// The six flags sit together so the struct is 128 bytes, which lets
-	// RequestSlab fill its allocation size class (see requestChunk).
-	Hedge   bool
-	Dropped bool
-	// Held marks a request a pending traffic-layer timer (the cluster's
-	// hedge timer) still points at: Free leaves a held request alone, and
-	// the timer clears the mark when it fires, freeing the request then if
-	// it has already ended. It must be set before anything can end the
-	// request. New overwrites it with the new occupant's own mark, so of
-	// two timers on one slot the second finds it clear: a slot freed
-	// under a pending timer shows up as an error, not a wrong hedge.
-	Held bool
+	// The four small fields sit together so the struct is 128 bytes, which
+	// lets RequestSlab fill its allocation size class (see requestChunk).
+	Hedge bool
+	holds Hold // the holder kinds holding the slot; none on a free slot
 	// canceled marks a copy the owning Instance has been told to abandon:
 	// PrefillDone/StepDone/Crash skip canceled members of a batch, and the
 	// admission queue drops canceled entries as it passes them. A canceled
@@ -68,9 +54,6 @@ type Request struct {
 	// what lets Cancel leave the queue without searching it. A request
 	// waits in at most one queue at a time.
 	queued bool
-	// free marks a slot on the slab's free list: Free sets it, New clears
-	// it, and a Free that finds it set is a double free.
-	free bool
 }
 
 // Expired reports whether the request's deadline (if any) has passed.
@@ -78,23 +61,57 @@ func (r *Request) Expired(now float64) bool {
 	return r.Deadline > 0 && now > r.Deadline
 }
 
+// HeldBy reports whether holder kind h holds r. A request its traffic
+// layer no longer holds has ended.
+func (r *Request) HeldBy(h Hold) bool { return r.holds&h != 0 }
+
+// Hold is a set of request holder kinds, one bit each; a kind holds a
+// slot at most once at a time. The kinds: the traffic layer from New to
+// the request's terminal point (finish, shed, refused admission, a
+// retired hedge copy), an Instance from Admit until it lets go, a pending
+// hedge timer, and a parked retry event.
+type Hold uint8
+
+const (
+	HoldTraffic Hold = 1 << iota
+	HoldInstance
+	HoldTimer
+	HoldRetry
+)
+
+// String names the kinds in h, "none" for a free slot.
+func (h Hold) String() string {
+	s := ""
+	for i, n := range [...]string{"traffic", "instance", "timer", "retry"} {
+		if h&(1<<i) != 0 {
+			s += "+" + n
+		}
+	}
+	if s == "" {
+		return "none"
+	}
+	return s[1:]
+}
+
 // RequestSlab hands the traffic layers Requests: New takes the most
 // recently freed slot, else carves one from a chunked backing array (one
-// allocation per requestChunk requests). Every copy of a request goes back
-// to the slab exactly once, freed by the last holder to let go of it: the
-// traffic layer at its terminal point — completion, shed, an Admit that
-// refused it, a hedge copy retired while nothing holds it, a dropped copy
-// whose parked retry fires — and the Instance that drops a cancelled copy
-// from its queue or a batch (see Instance.SetSlab). Free leaves a Held
-// request to its timer. So a run reuses a bounded set of slots instead of
-// allocating per request, and at the drain every New has met one Free:
-// Balance reports the books, which the auditors check, because a slot
-// freed twice would be handed to two requests.
+// allocation per requestChunk requests). One rule returns every copy of a
+// request to the slab: each holder takes its Hold when it gets a reference
+// and Releases it when it lets go, and the Release that leaves no hold
+// frees the slot, so no holder asks whether it is the last. With one bit
+// per kind, a release of a hold not held (doubled, or of a free slot) or a
+// hold taken twice is counted and leaves the slot untouched: it is never
+// freed early and handed to a second request. Misuse and Balance report
+// the books, which the auditors check.
 type RequestSlab struct {
 	chunk []Request // uncarved rest of the newest chunk
 	freed *Request  // free slots, linked through Twin
 
-	news, frees, doubles int
+	news, frees, misuses int
+	// The last misuse: the request, the kind it took or released, and the
+	// holds it found.
+	badID         int
+	bad, badFound Hold
 }
 
 // requestChunk fills a Go allocation size class: 143 128-byte requests and
@@ -110,8 +127,8 @@ type RequestSlab struct {
 // carve only beyond the largest peak before them.
 const requestChunk = 143
 
-// New takes a freed slot, or carves the next one, and initializes it to v,
-// which clears the slot's free mark.
+// New takes a freed slot, or carves the next one, and initializes it to v
+// with the traffic layer's hold.
 func (s *RequestSlab) New(v Request) *Request {
 	r := s.freed
 	if r != nil {
@@ -124,37 +141,55 @@ func (s *RequestSlab) New(v Request) *Request {
 		s.chunk = s.chunk[1:]
 	}
 	*r = v
+	r.holds = HoldTraffic
 	s.news++
 	return r
 }
 
-// Free returns r's slot for New to reuse, unless r is Held or s is nil (a
-// traffic layer that never cancels wires no slab into its Instance). It
-// writes only r.Twin and the free mark, so a caller still inside the event
-// that ended r reads the rest of it unchanged; the slot is overwritten at
-// the next New. A slot already free is counted and left alone.
-func (s *RequestSlab) Free(r *Request) {
-	if s == nil || r.Held {
-		return
+// Hold takes holder kind h's hold on r.
+func (s *RequestSlab) Hold(r *Request, h Hold) {
+	if r.holds&h != 0 {
+		s.misuses++
+		s.badID, s.bad, s.badFound = r.ID, h, r.holds
 	}
-	if r.free {
-		s.doubles++
-		return
+	r.holds |= h
+}
+
+// Release drops holder kind h's hold on r and frees the slot when no hold
+// is left. Freeing writes only r.Twin and the holds, so a caller still
+// inside the event that ended r reads the rest of it unchanged; the slot
+// is overwritten at the next New.
+func (s *RequestSlab) Release(r *Request, h Hold) {
+	if r.holds&h == 0 {
+		s.misuses++
+		s.badID, s.bad, s.badFound = r.ID, h, r.holds
+	} else if r.holds &^= h; r.holds == 0 {
+		r.Twin, s.freed = s.freed, r
+		s.frees++
 	}
-	r.free = true
-	r.Twin = s.freed
-	s.freed = r
-	s.frees++
+}
+
+// Misuse reports the holds taken twice and released unheld, nil when
+// there were none.
+func (s *RequestSlab) Misuse() error {
+	if s.misuses == 0 {
+		return nil
+	}
+	what := "released a %v hold it did not have"
+	if s.badFound&s.bad != 0 {
+		what = "took its %v hold twice"
+	}
+	return fmt.Errorf("%d holds taken twice or released unheld; the last: request %d "+what+" (held by: %v)",
+		s.misuses, s.badID, s.bad, s.badFound)
 }
 
 // Balance reports an imbalance in the slab's books, nil when every New was
-// met by exactly one Free and no slot was freed twice. Only a drained run
-// balances.
+// met by a free. Only a drained run balances.
 func (s *RequestSlab) Balance() error {
-	if s.news == s.frees && s.doubles == 0 {
+	if s.news == s.frees {
 		return nil
 	}
-	return fmt.Errorf("%d requests taken from the slab, %d freed, %d freed twice", s.news, s.frees, s.doubles)
+	return fmt.Errorf("%d requests taken from the slab, %d freed", s.news, s.frees)
 }
 
 // Completion kinds: what an Instance schedules when a replica starts a
@@ -258,9 +293,10 @@ type Instance struct {
 	// instants. Nil — the default — makes every hook a single nil check.
 	rec *obs.Recorder
 
-	oracle *Oracle
-	sched  scheduler
-	q      queue
+	oracle  *Oracle
+	sched   scheduler
+	q       queue
+	ownSlab RequestSlab // the slab until SetSlab wires one
 
 	replicaBusy []bool
 	live        [][]*Request // per-replica decode batch
@@ -370,6 +406,7 @@ func NewInstance(cfg Config, id int, o *Oracle) (*Instance, error) {
 		rankShare = 1
 	}
 	inst.kvCapacity = int64(rankShare*pcfg.BanksPerRank) * (pcfg.MRAMBytes - pcfg.MRAMLUTBudget())
+	inst.q.slab = &inst.ownSlab
 	return inst, nil
 }
 
@@ -386,11 +423,10 @@ func (inst *Instance) SetRecorder(rec *obs.Recorder) {
 	}
 }
 
-// SetSlab wires the traffic layer's request slab: a request Cancel
-// abandons is freed there at the point the instance lets go of it — a dead
-// queue entry as the queue drops it, a batch member as its pass completes
-// or a fault voids it, a live decode member at once. Without a slab (the
-// single-appliance loop never cancels) nothing is freed.
+// SetSlab wires the traffic layer's request slab. The instance holds a
+// request from Admit until it lets go: after the callback at retire or a
+// shed, as it drops a cancelled copy, or when Crash or FailReplica hands it
+// back. An instance nothing is wired into uses a slab of its own.
 func (inst *Instance) SetSlab(s *RequestSlab) { inst.q.slab = s }
 
 // touchKV integrates the replica's KV footprint up to now. It must run
@@ -425,6 +461,7 @@ func (inst *Instance) Admit(r *Request) bool {
 	inst.admitted++
 	inst.outstanding++
 	inst.queuedTokens += int64(r.Tokens)
+	inst.q.slab.Hold(r, HoldInstance)
 	inst.q.push(r)
 	return true
 }
@@ -617,6 +654,7 @@ func (inst *Instance) shedQueued(r *Request, now float64, reason ShedReason) {
 	if inst.OnShed != nil {
 		inst.OnShed(r, now, reason)
 	}
+	inst.q.slab.Release(r, HoldInstance)
 }
 
 // notePass charges a launched pass and records it for abort refunds.
@@ -725,7 +763,7 @@ func (inst *Instance) Cancel(r *Request, now float64) (found bool, wastedSec flo
 			inst.repKVTokens[rep] -= held
 			inst.outstanding--
 			inst.canceled++
-			inst.q.slab.Free(r)
+			inst.q.slab.Release(r, HoldInstance)
 			return true, wastedSec
 		}
 	}
@@ -752,22 +790,19 @@ func (inst *Instance) refundShare(rep int, now float64, share float64) (spentSec
 	return (inst.passSec[rep] - left) * share
 }
 
-// dropCanceled filters cancelled copies out of a displaced-request list:
-// their outstanding/KV accounting was already settled at Cancel time, and
-// handing them back to the traffic layer would resurrect dead work. The
-// list was their last holder, so they go back to the slab.
-func (inst *Instance) dropCanceled(rs []*Request) []*Request {
+// handBack lets go of displaced requests: the instance releases its hold
+// on each, and cancelled copies leave the list — their outstanding/KV
+// accounting was settled at Cancel time, and handing them back to the
+// traffic layer would resurrect dead work.
+func (inst *Instance) handBack(rs []*Request) []*Request {
 	keep := rs[:0]
 	for _, r := range rs {
 		if !r.canceled {
 			keep = append(keep, r)
-		} else {
-			inst.q.slab.Free(r)
 		}
+		inst.q.slab.Release(r, HoldInstance)
 	}
-	for i := len(keep); i < len(rs); i++ {
-		rs[i] = nil
-	}
+	clear(rs[len(keep):])
 	return keep
 }
 
@@ -794,7 +829,8 @@ func (inst *Instance) Crash(now float64, qbuf, sbuf []*Request) (queued, started
 	}
 	inst.liveTokens = 0
 	inst.slowdown = 1
-	started = inst.dropCanceled(started)
+	queued = inst.handBack(queued)
+	started = inst.handBack(started)
 	inst.outstanding -= len(queued) + len(started)
 	inst.displaced += len(queued) + len(started)
 	return queued, started
@@ -824,7 +860,7 @@ func (inst *Instance) FailReplica(now float64, buf []*Request) (lost []*Request,
 	}
 	lost = inst.vacate(rep, now, buf[:0])
 	inst.repDown[rep] = true
-	lost = inst.dropCanceled(lost)
+	lost = inst.handBack(lost)
 	inst.outstanding -= len(lost)
 	inst.displaced += len(lost)
 	return lost, rep
@@ -895,9 +931,8 @@ func (inst *Instance) PrefillDone(replica int, batch []*Request, now float64) {
 	for _, r := range batch {
 		if r.canceled {
 			// Hedge loser cancelled mid-pass: its accounting (KV unpin,
-			// outstanding, refund) was settled at Cancel time, and the
-			// pass was its last holder.
-			inst.q.slab.Free(r)
+			// outstanding, refund) was settled at Cancel time.
+			inst.q.slab.Release(r, HoldInstance)
 			continue
 		}
 		r.FirstTok = now
@@ -937,13 +972,12 @@ func (inst *Instance) StepDone(replica int, now float64) {
 			surv = append(surv, r)
 		}
 	}
-	for i := len(surv); i < len(live); i++ {
-		live[i] = nil
-	}
+	clear(live[len(surv):])
 	inst.live[replica] = surv
 }
 
-// retire completes a request: timestamps, token accounting, callback.
+// retire completes a request: timestamps, token accounting, callback,
+// and the instance lets go of it.
 func (inst *Instance) retire(r *Request, now float64) {
 	r.Finish = now
 	inst.finished++
@@ -952,6 +986,7 @@ func (inst *Instance) retire(r *Request, now float64) {
 	if inst.OnFinish != nil {
 		inst.OnFinish(r, now)
 	}
+	inst.q.slab.Release(r, HoldInstance)
 }
 
 // Outstanding reports admitted-but-unfinished requests — the

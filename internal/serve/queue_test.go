@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -96,10 +97,12 @@ func (q *eagerQueue) maybeCompact() {
 // tail, a random waiting request, a just-picked one, an already cancelled
 // one and a stranger — and requires the same returned requests and the
 // same length at every step, a live head whenever the queue is non-empty,
-// and a backing array within 2*len()+1024 entries.
+// and a backing array within 2*len()+1024 entries. Each cancelled entry
+// releases the instance's hold exactly once, by the drain.
 func TestQueueMatchesEagerReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var q queue
+	var slab RequestSlab
+	q := queue{slab: &slab}
 	var ref eagerQueue
 	var picked, refPicked []*Request // the most recent pick, not yet handed back
 	var cancelled []*Request
@@ -140,7 +143,7 @@ func TestQueueMatchesEagerReference(t *testing.T) {
 		}
 		switch {
 		case rng.Intn(100) < [...]int{80, 10, 20}[stretch] || ref.len() == 0:
-			r := &Request{ID: nextID, Padded: 64 * (1 + rng.Intn(4))}
+			r := &Request{ID: nextID, Padded: 64 * (1 + rng.Intn(4)), holds: HoldInstance}
 			nextID++
 			q.push(r)
 			ref.push(r)
@@ -202,6 +205,9 @@ func TestQueueMatchesEagerReference(t *testing.T) {
 	if q.len() != 0 || q.dead != 0 {
 		t.Errorf("drained queue reports %d live and %d dead entries", q.len(), q.dead)
 	}
+	if slab.frees != hits || slab.Misuse() != nil {
+		t.Errorf("%d cancelled entries released %d times (misuse: %v), want once each", hits, slab.frees, slab.Misuse())
+	}
 	t.Logf("deepest queue %d, %d removals hit, %d missed", deepest, hits, misses)
 	if deepest < 2500 || hits < 2000 || misses < 500 {
 		t.Errorf("deepest queue %d, %d removals hit, %d missed: the walk did not cover compaction and both removal outcomes",
@@ -227,12 +233,12 @@ func BenchmarkQueueCancel(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		q    fifo
-	}{{"lazy", &queue{}}, {"eager", &eagerQueue{}}} {
+	}{{"lazy", &queue{slab: new(RequestSlab)}}, {"eager", &eagerQueue{}}} {
 		b.Run(bc.name, func(b *testing.B) {
 			q, admitted := bc.q, 0
 			admit := func() *Request {
 				r := &pool[admitted%len(pool)]
-				*r = Request{ID: admitted}
+				*r = Request{ID: admitted, holds: HoldInstance}
 				admitted++
 				q.push(r)
 				return r
@@ -287,14 +293,16 @@ func TestRequestChunkFillsSizeClass(t *testing.T) {
 // the slab: at the point its last holder lets go of it — a dead queue entry
 // as popHead, takeBucket or a compaction drops it, an in-flight batch member
 // at its pass's PrefillDone or the Crash that voids the pass, a live decode
-// member at Cancel — and not before. Cancelled requests sit at the head, in
+// member at Cancel — and not before. Each cancellation releases the traffic
+// layer's hold at once, as the cluster's resolveHedge does, so the slot
+// frees where the instance lets go. Cancelled requests sit at the head, in
 // the middle and at the tail of the queue. After every step exactly the
 // requests expected free are free, each freed once, and no live request is.
 func TestQueueReleasesDeadEntries(t *testing.T) {
 	var slab RequestSlab
 	var all []*Request          // every slot handed out; New reuses freed ones
 	want := map[*Request]bool{} // slots that must be on the free list
-	released := 0               // Frees the steps so far must have made
+	released := 0               // frees the steps so far must have made
 	newReq := func(padded, outLen int) *Request {
 		r := slab.New(Request{ID: len(all), Client: -1, Tokens: padded, Padded: padded, OutLen: outLen})
 		all = append(all, r)
@@ -310,25 +318,33 @@ func TestQueueReleasesDeadEntries(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for _, r := range all {
-			if r.free != want[r] {
-				t.Fatalf("%s: request %d free=%v, want %v", step, r.ID, r.free, want[r])
+			if free := r.holds == 0; free != want[r] {
+				t.Fatalf("%s: request %d free=%v (held by %v), want %v", step, r.ID, free, r.holds, want[r])
 			}
 		}
-		if slab.frees != released || slab.doubles != 0 {
-			t.Fatalf("%s: slab took back %d slots (%d twice), want %d once each", step, slab.frees, slab.doubles, released)
+		if slab.frees != released || slab.Misuse() != nil {
+			t.Fatalf("%s: slab took back %d slots (misuse: %v), want %d once each", step, slab.frees, slab.Misuse(), released)
 		}
 	}
 
 	q := queue{slab: &slab}
+	push := func(r *Request) { // what Admit does
+		slab.Hold(r, HoldInstance)
+		q.push(r)
+	}
+	cancel := func(r *Request) {
+		q.remove(r)
+		slab.Release(r, HoldTraffic)
+	}
 	a := make([]*Request, 6)
 	for i := range a {
 		a[i] = newReq(64, 0)
-		q.push(a[i])
+		push(a[i])
 	}
-	q.remove(a[0])
+	cancel(a[0])
 	release(a[0]) // the head goes at once
-	q.remove(a[2])
-	q.remove(a[5])
+	cancel(a[2])
+	cancel(a[5])
 	check("cancel head, middle and tail")
 	q.popHead()
 	release(a[2]) // now at the head
@@ -340,10 +356,10 @@ func TestQueueReleasesDeadEntries(t *testing.T) {
 
 	b := []*Request{newReq(64, 0), newReq(128, 0), newReq(64, 0), newReq(128, 0), newReq(64, 0), newReq(64, 0)}
 	for _, r := range b {
-		q.push(r)
+		push(r)
 	}
-	q.remove(b[2])
-	q.remove(b[5])
+	cancel(b[2])
+	cancel(b[5])
 	if got := q.takeBucket(64, 4, 8, nil); len(got) != 2 || got[0] != b[0] || got[1] != b[4] {
 		t.Fatalf("takeBucket took %d requests, want b0 and b4", len(got))
 	}
@@ -357,17 +373,17 @@ func TestQueueReleasesDeadEntries(t *testing.T) {
 	c := make([]*Request, 3000)
 	for i := range c {
 		c[i] = newReq(64, 0)
-		q.push(c[i])
+		push(c[i])
 	}
 	for _, r := range c[1:2001] { // the head stays live, so only a compaction drops these
-		q.remove(r)
+		cancel(r)
 	}
 	if q.dead >= 2000 {
 		t.Fatalf("%d dead entries after 2000 cancellations: no compaction ran", q.dead)
 	}
 	compacted := 0
 	for _, r := range c[1:2001] {
-		if r.free {
+		if r.holds == 0 {
 			release(r)
 			compacted++
 		}
@@ -388,6 +404,10 @@ func TestQueueReleasesDeadEntries(t *testing.T) {
 
 	inst := newTestInstance(t, func(c *Config) { c.MaxBatch = 2 })
 	inst.SetSlab(&slab)
+	cancelIn := func(r *Request, now float64) {
+		inst.Cancel(r, now)
+		slab.Release(r, HoldTraffic)
+	}
 	r := make([]*Request, 8)
 	for i := range r {
 		r[i] = newReq(64, 0)
@@ -397,8 +417,8 @@ func TestQueueReleasesDeadEntries(t *testing.T) {
 	if err != nil || len(comps) != 2 {
 		t.Fatalf("Dispatch started %d passes, err %v", len(comps), err)
 	}
-	inst.Cancel(r[1], 0)
-	inst.Cancel(r[5], 0)
+	cancelIn(r[1], 0)
+	cancelIn(r[5], 0)
 	check("cancel in flight and queued") // the pass and the queue still hold them
 	inst.PrefillDone(0, inst.Inflight(0), comps[0].At)
 	release(r[1])
@@ -408,10 +428,10 @@ func TestQueueReleasesDeadEntries(t *testing.T) {
 	}
 	release(r[5])
 	check("Dispatch past a dead entry")
-	inst.Cancel(r[7], comps[0].At)
+	cancelIn(r[7], comps[0].At)
 	release(r[7]) // the queue head goes at once
-	inst.Cancel(r[6], comps[0].At)
-	inst.Cancel(r[3], comps[0].At)
+	cancelIn(r[6], comps[0].At)
+	cancelIn(r[3], comps[0].At)
 	check("cancel in flight on both replicas")
 	queued, started := inst.Crash(comps[0].At, nil, nil)
 	if len(queued) != 0 || len(started) != 2 {
@@ -430,7 +450,58 @@ func TestQueueReleasesDeadEntries(t *testing.T) {
 	if inst.LiveCount() != 1 {
 		t.Fatalf("decode request not live after its prefill (%d live)", inst.LiveCount())
 	}
-	inst.Cancel(d, comps[0].At)
+	cancelIn(d, comps[0].At)
 	release(d)
 	check("cancel live")
+}
+
+// TestSlabMisuseIsReported pins the misuse path of the release rule. A
+// holder that releases a hold it does not have — a second time, or on a
+// slot already free — or takes one it already has is counted and reported
+// by Misuse, never a panic, and the slot is left as it was: not freed
+// while another holder still holds it, and never put on the free list
+// twice, so no two requests can come to share it.
+func TestSlabMisuseIsReported(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		misuse func(s *RequestSlab, r *Request)
+		holds  Hold // r's holds after the misuse
+		frees  int
+	}{
+		{"doubled release while the instance holds it", func(s *RequestSlab, r *Request) {
+			s.Release(r, HoldTraffic)
+			s.Release(r, HoldTraffic)
+		}, HoldInstance, 0},
+		{"release of a free slot", func(s *RequestSlab, r *Request) {
+			s.Release(r, HoldTraffic)
+			s.Release(r, HoldInstance)
+			s.Release(r, HoldInstance)
+		}, 0, 1},
+		{"hold taken twice", func(s *RequestSlab, r *Request) {
+			s.Hold(r, HoldInstance)
+		}, HoldTraffic | HoldInstance, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var s RequestSlab
+			r := s.New(Request{ID: 7})
+			s.Hold(r, HoldInstance)
+			if err := s.Misuse(); err != nil {
+				t.Fatalf("a clean take reported misuse: %v", err)
+			}
+			tc.misuse(&s, r)
+			err := s.Misuse()
+			if err == nil || !strings.Contains(err.Error(), "request 7") {
+				t.Fatalf("Misuse() = %v, want a report naming request 7", err)
+			}
+			if s.misuses != 1 || r.holds != tc.holds || s.frees != tc.frees {
+				t.Fatalf("after the misuse: %d misuses, slot held by %v, %d frees; want 1, %v, %d",
+					s.misuses, r.holds, s.frees, tc.holds, tc.frees)
+			}
+			// A slot freed once is handed out once: the next New takes it and
+			// the one after carves a fresh slot.
+			if a, b := s.New(Request{}), s.New(Request{}); (a == r) != (tc.frees == 1) || b == r {
+				t.Fatalf("the next two News reuse the slot: %v, %v; want %v, false", a == r, b == r, tc.frees == 1)
+			}
+		})
+	}
 }

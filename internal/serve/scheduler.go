@@ -28,8 +28,8 @@ import (
 //     queue has grown to, and serve.Run hands a drained queue's array to
 //     the next run through a pool, so the capacity can come from a busier
 //     earlier run;
-//   - the queue is a dead entry's last holder, so the point that drops it
-//     frees it to slab (a nil slab frees nothing).
+//   - a dead entry is the instance's last reference to its request, so the
+//     point that drops it releases the instance's hold on slab.
 type queue struct {
 	items []*Request
 	head  int
@@ -107,7 +107,7 @@ func (q *queue) takeBucket(bucket, window, max int, out []*Request) []*Request {
 		switch r := q.items[i]; {
 		case r.canceled:
 			q.dead--
-			q.slab.Free(r)
+			q.slab.Release(r, HoldInstance)
 		case r.Padded != bucket:
 			q.items[w] = r
 			w--
@@ -140,7 +140,7 @@ func (q *queue) remove(r *Request) bool {
 // array is compacted once consumed and dead slots dominate it.
 func (q *queue) settle() {
 	for q.dead > 0 && q.items[q.head].canceled {
-		q.slab.Free(q.items[q.head])
+		q.slab.Release(q.items[q.head], HoldInstance)
 		q.items[q.head] = nil
 		q.head++
 		q.dead--
@@ -152,7 +152,7 @@ func (q *queue) settle() {
 				q.items[n] = r
 				n++
 			} else {
-				q.slab.Free(r)
+				q.slab.Release(r, HoldInstance)
 			}
 		}
 		clear(q.items[n:])

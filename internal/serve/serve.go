@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -403,9 +404,9 @@ func (s *sim) newRequest(t float64, client int) *Request {
 // reset, and its instance queue's backing array, emptied. A sweep's first
 // probe carves the slots and grows the array its peak needs, and the later
 // probes reuse them instead of allocating per request again. Only a run
-// whose slab balanced puts its buffers back, so a pooled slab holds no
-// slot a request still occupies; New overwrites a slot whole, so a reused
-// one serves exactly as a fresh one would.
+// whose slab balanced without misuse puts its buffers back, so a pooled
+// slab holds no slot a request still occupies; New overwrites a slot
+// whole, so a reused one serves exactly as a fresh one would.
 type runBuffers struct {
 	slab  RequestSlab
 	items []*Request
@@ -439,6 +440,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	bufs := runPool.Get().(*runBuffers)
 	s.slab, s.inst.q.items = &bufs.slab, bufs.items
+	s.inst.SetSlab(s.slab)
 	rec := cfg.Recorder
 	s.inst.SetRecorder(rec)
 	rec.Process(0, "traffic")
@@ -464,14 +466,14 @@ func Run(cfg Config) (*Report, error) {
 				s.events.Push(&Event{At: t, Kind: evArrival, Arg: int32(r.Client)})
 			}
 		}
-		s.slab.Free(r)
+		s.slab.Release(r, HoldTraffic)
 	}
 	s.inst.OnShed = func(r *Request, now float64, reason ShedReason) {
 		if rec.Sampled(r.ID) {
 			rec.Instant(0, 0, "shed", now, obs.Num("id", float64(r.ID)), obs.Num("reason", float64(reason)))
 			rec.EndAsync(0, "req", r.ID, "request", now)
 		}
-		s.slab.Free(r)
+		s.slab.Release(r, HoldTraffic)
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Bind(
@@ -546,7 +548,7 @@ func Run(cfg Config) (*Report, error) {
 			}
 			if !admitted {
 				s.shed++ // single appliance: nowhere to reroute
-				s.slab.Free(r)
+				s.slab.Release(r, HoldTraffic)
 			}
 			if s.arrivals != nil {
 				if t := now + s.arrivals.Next(); t <= cfg.DurationSeconds {
@@ -578,16 +580,15 @@ func Run(cfg Config) (*Report, error) {
 	if n := s.qLat.NonFinite + s.sLat.NonFinite + s.tLat.NonFinite + s.ttft.NonFinite + s.tpot.NonFinite; n > 0 {
 		return nil, fmt.Errorf("serve: %d latency samples were NaN or infinite", n)
 	}
-	// So is a slot freed twice, which hands one slot to two requests, or
-	// one never freed.
-	if err := s.slab.Balance(); err != nil {
+	// So is a hold taken twice or released unheld, and a slot never freed.
+	if err := errors.Join(s.slab.Misuse(), s.slab.Balance()); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	// The run is drained and balanced: every slot is free and every queue
 	// entry nil, so both buffers go to the next run and s keeps neither.
 	bufs.slab.news, bufs.slab.frees = 0, 0
 	bufs.items = s.inst.q.items[:0]
-	s.inst.q.items, s.inst.q.head, s.slab = nil, 0, nil
+	s.inst.q.items, s.inst.q.head, s.inst.q.slab, s.slab = nil, 0, nil, nil
 	runPool.Put(bufs)
 	return s.report(), nil
 }
