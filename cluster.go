@@ -202,7 +202,10 @@ func (s *System) ServeCluster(cfg ClusterConfig) (*ClusterReport, error) {
 	for i, d := range cfg.Designs {
 		designs[i] = d.variant()
 	}
-	rec, met := cfg.Obs.build()
+	rec, met, err := cfg.Obs.build()
+	if err != nil {
+		return nil, err
+	}
 	rep, err := cluster.Run(cluster.Config{
 		Base: serve.Config{
 			Model:   model,

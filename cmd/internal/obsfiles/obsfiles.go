@@ -4,6 +4,7 @@ package obsfiles
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 
@@ -16,9 +17,17 @@ import (
 // the run unbuffered: the trace recorder hands over a full buffer at a time
 // already. The closer closes every file and returns their errors joined,
 // so a trace that failed to reach the disk is reported even when the
-// metrics file closed cleanly.
+// metrics file closed cleanly. The flags' defaults are explicit, so a
+// sample rate below 1 or an interval of 0 or less is refused rather than
+// read as the default.
 func Open(tracePath string, sampleN int, metricsPath string, intervalSeconds float64) (localut.ObsConfig, func() error, error) {
 	var cfg localut.ObsConfig
+	switch {
+	case sampleN < 1:
+		return cfg, nil, fmt.Errorf("-trace-sample %d must be at least 1", sampleN)
+	case !(intervalSeconds > 0):
+		return cfg, nil, fmt.Errorf("-metrics-interval %gs must be positive", intervalSeconds)
+	}
 	var files []*os.File
 	closer := func() error {
 		var errs []error

@@ -48,3 +48,31 @@ func TestOpenFailureLeavesNothingOpen(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestOpenRefusesNonPositiveRates checks that a sample rate below 1 or an
+// interval of 0 or less is an error naming its flag, and creates no file.
+func TestOpenRefusesNonPositiveRates(t *testing.T) {
+	dir := t.TempDir()
+	tr, met := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv")
+	for _, tc := range []struct {
+		trace, metrics string
+		sampleN        int
+		interval       float64
+		flag           string
+	}{
+		{tr, met, -3, 1, "-trace-sample"},
+		{tr, met, 0, 1, "-trace-sample"},
+		{"", "", -3, 1, "-trace-sample"},
+		{tr, met, 1, -1, "-metrics-interval"},
+		{tr, met, 1, 0, "-metrics-interval"},
+		{"", "", 1, -1, "-metrics-interval"},
+	} {
+		_, _, err := Open(tc.trace, tc.sampleN, tc.metrics, tc.interval)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+" ") {
+			t.Errorf("sample %d, interval %g: error %v, want one naming %s", tc.sampleN, tc.interval, err, tc.flag)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) > 0 {
+		t.Errorf("a refused Open created %d files", len(files))
+	}
+}

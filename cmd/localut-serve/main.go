@@ -27,12 +27,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/ais-snu/localut"
 	"github.com/ais-snu/localut/cmd/internal/cli"
-	"github.com/ais-snu/localut/internal/audit"
 	"github.com/ais-snu/localut/internal/trace"
 )
 
@@ -47,7 +45,6 @@ type options struct {
 	sweep   string
 	designs string
 	hist    bool
-	audit   bool
 }
 
 func (o *options) register(fs *flag.FlagSet) {
@@ -59,7 +56,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.sweep, "sweep", "", "comma-separated arrival rates for a saturation sweep")
 	fs.StringVar(&o.designs, "designs", "", "comma-separated designs for -sweep (default: -design)")
 	fs.BoolVar(&o.hist, "hist", false, "print the latency histogram (table output only)")
-	fs.BoolVar(&o.audit, "audit", false, "run the conservation auditor on the final report and fail on any violation")
 }
 
 func main() { cli.Main("localut-serve", run) }
@@ -116,12 +112,6 @@ func (o *options) execute(fs *flag.FlagSet, w io.Writer) error {
 		return err
 	}
 	wall := time.Since(start).Seconds()
-	if o.audit {
-		if err := auditServe(rep); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "conservation audit clean")
-	}
 
 	if o.out.JSON {
 		err = cli.WriteJSON(w, rep)
@@ -139,34 +129,6 @@ func (o *options) execute(fs *flag.FlagSet, w io.Writer) error {
 	fmt.Fprintf(os.Stderr, "simulated %d requests (%d batches, %d distinct forward sims) in %.2fs host wall-clock\n",
 		rep.Requests, rep.Batches, rep.DistinctForwardSims, wall)
 	return nil
-}
-
-// auditServe reconstructs the appliance's conservation ledger from the
-// public report — the utilizations are ratios of the underlying busy
-// seconds, so multiplying them back out recovers the raw quantities —
-// and fails on any violated invariant.
-func auditServe(r *localut.ServeReport) error {
-	busy := r.RankUtilization * float64(r.Replicas) * r.MakespanSeconds
-	vs := audit.CheckAppliance(&audit.Appliance{
-		Requests:        r.Requests,
-		Completed:       r.Completed,
-		Shed:            r.Shed,
-		Replicas:        r.Replicas,
-		MakespanSeconds: r.MakespanSeconds,
-		BusySeconds:     busy,
-		PIMBusySeconds:  r.PIMUtilization * busy,
-		EnergyJ:         r.EnergyPerRequestJ * float64(r.Completed),
-	})
-	if len(vs) == 0 {
-		return nil
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "conservation audit found %d violation(s)", len(vs))
-	for _, v := range vs {
-		sb.WriteString("\n  ")
-		sb.WriteString(v.String())
-	}
-	return errors.New(sb.String())
 }
 
 // reportTable flattens a serving report into a two-column table.
@@ -230,11 +192,6 @@ func (o *options) runSweep(w io.Writer, cfg localut.ServeConfig, designs []local
 			rep, err := sys.Serve(cfg)
 			if err != nil {
 				return err
-			}
-			if o.audit {
-				if err := auditServe(rep); err != nil {
-					return err
-				}
 			}
 			t.Add(rep.Design, r, rep.OfferedPerSec, rep.ThroughputPerSec, rep.TokensPerSec,
 				rep.Latency.P50, rep.Latency.P95, rep.Latency.P99, rep.TTFT.P99, rep.TPOT.P99,

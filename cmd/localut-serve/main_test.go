@@ -126,31 +126,6 @@ func TestFacadeAddsNothing(t *testing.T) {
 	}
 }
 
-// TestAuditServeReadsShed checks that -audit compares the report's own
-// Shed against requests - completed: a report that lost one request (it is
-// neither completed nor shed) is a violation, and the same report with the
-// request accounted as shed is clean.
-func TestAuditServeReadsShed(t *testing.T) {
-	cfg := goldenConfig()
-	cfg.DurationSeconds = 1
-	rep, err := localut.NewSystem(localut.WithSeed(1)).Serve(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := auditServe(rep); err != nil {
-		t.Fatalf("clean run failed its audit: %v", err)
-	}
-	lost := *rep
-	lost.Completed--
-	if err := auditServe(&lost); err == nil {
-		t.Error("a report with one request neither completed nor shed passed the audit")
-	}
-	lost.Shed++
-	if err := auditServe(&lost); err != nil {
-		t.Errorf("the same request counted as shed failed the audit: %v", err)
-	}
-}
-
 // TestReportTableSections sanity-checks the table renderer against a tiny
 // run (decode rows must appear for decoder workloads).
 func TestReportTableSections(t *testing.T) {
@@ -278,9 +253,9 @@ func cells(vals ...interface{}) []string {
 }
 
 // TestSweepPointIsSingleRun: a sweep row is the single run of the same
-// flags at that rate and design, -audit included.
+// flags at that rate and design.
 func TestSweepPointIsSingleRun(t *testing.T) {
-	flags := []string{"-model", "opt-125m", "-duration", "3s", "-out-tokens-mean", "8", "-max-batch", "4", "-scheduler", "fcfs", "-audit"}
+	flags := []string{"-model", "opt-125m", "-duration", "3s", "-out-tokens-mean", "8", "-max-batch", "4", "-scheduler", "fcfs"}
 	row := sweep(t, append(flags, "-sweep", "40", "-designs", "OP+LC")...)[0]
 	out, err := execute(append(flags, "-rate", "40", "-design", "OP+LC", "-json")...)
 	if err != nil {

@@ -215,6 +215,25 @@ func TestBadEnumsAreErrors(t *testing.T) {
 		badCase{"class deadline", class(func(cc *ClusterClass) { cc.DeadlineSeconds = nan }), "DeadlineSeconds"},
 		badCase{"class hedge delay", class(func(cc *ClusterClass) { cc.HedgeDelaySeconds = nan }), "HedgeDelaySeconds"},
 	)
+	// Observability input that means nothing used to be coerced to 1: a
+	// negative trace sample rate, and a metrics interval that is negative,
+	// NaN or +Inf. 0 still means the default.
+	for _, o := range []struct {
+		name string
+		cfg  ObsConfig
+		want string
+	}{
+		{"trace sample -3", ObsConfig{TraceSampleN: -3}, "TraceSampleN"},
+		{"metrics interval -1", ObsConfig{MetricsIntervalSeconds: -1}, "MetricsIntervalSeconds"},
+		{"metrics interval NaN", ObsConfig{MetricsIntervalSeconds: nan}, "MetricsIntervalSeconds"},
+		{"metrics interval +Inf", ObsConfig{MetricsIntervalSeconds: math.Inf(1)}, "MetricsIntervalSeconds"},
+	} {
+		o := o
+		cases = append(cases,
+			badCase{"Serve " + o.name, serveCfg(func(c *ServeConfig) { c.Obs = o.cfg }), o.want},
+			badCase{"ServeCluster " + o.name, clusterCfg(func(c *ClusterConfig) { c.Obs = o.cfg }), o.want},
+		)
+	}
 	// A trace entry that is not a time used to surface only after the run,
 	// as non-finite latency samples (the finite arrivals' too).
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {

@@ -5,11 +5,17 @@
 // busy-seconds exceeding physical capacity, KV pinned after the drain)
 // means the simulator is lying about the scenario it modeled. The checks
 // run on plain snapshot structs so the package has no dependency on the
-// simulators it audits; internal/cluster and the CLIs build the
-// snapshots and report violations.
+// simulators it audits. Both event loops build the snapshots: every
+// serve.Run audits itself as a one-member fleet, and cluster.Run does
+// under its Audit switch; serve.Instance.Account is the one member
+// snapshot both use.
 package audit
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Violation is one failed invariant.
 type Violation struct {
@@ -21,6 +27,19 @@ func (v Violation) String() string {
 	return v.Invariant + ": " + v.Detail
 }
 
+// Err formats violations as one error, each on its own indented line under
+// a count prefixed by prefix; nil when vs is empty.
+func Err(prefix string, vs []Violation) error {
+	if len(vs) == 0 {
+		return nil
+	}
+	msg := fmt.Sprintf("%s: conservation audit found %d violation(s)", prefix, len(vs))
+	for _, v := range vs {
+		msg += "\n  " + v.String()
+	}
+	return errors.New(msg)
+}
+
 // eps is the relative tolerance for float comparisons: refund arithmetic
 // subtracts in a different order than charging added, so sums agree to
 // rounding, not bitwise.
@@ -28,26 +47,12 @@ const eps = 1e-9
 
 // approxLE reports a <= b up to relative tolerance.
 func approxLE(a, b float64) bool {
-	scale := 1.0
-	if ab := abs(a); ab > scale {
-		scale = ab
-	}
-	if bb := abs(b); bb > scale {
-		scale = bb
-	}
-	return a <= b+eps*scale
+	return a <= b+eps*max(1, math.Abs(a), math.Abs(b))
 }
 
 // approxEq reports a == b up to relative tolerance.
 func approxEq(a, b float64) bool {
 	return approxLE(a, b) && approxLE(b, a)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Instance is one fleet member's post-drain account.
@@ -78,7 +83,7 @@ type Instance struct {
 	Outstanding              int
 }
 
-// Fleet is a cluster run's post-drain account.
+// Fleet is a run's post-drain account.
 type Fleet struct {
 	Offered, Admitted, Rejected, Completed int
 	Good, Late                             int
@@ -102,8 +107,9 @@ type Fleet struct {
 	Instances []Instance
 }
 
-// CheckFleet validates a cluster run's conservation invariants and
-// returns every violation found (empty = clean).
+// CheckFleet validates a run's conservation invariants and returns every
+// violation found (empty = clean). A single-appliance run is a fleet of
+// one member that rejects nothing.
 func CheckFleet(f *Fleet) []Violation {
 	var vs []Violation
 	add := func(invariant, format string, args ...interface{}) {
@@ -181,46 +187,6 @@ func CheckFleet(f *Fleet) []Violation {
 	if !approxEq(f.UnavailableSeconds, f.RepairWindowSeconds) {
 		add("unavailable-evidence", "fleet unavailable %g s != timeline repair windows %g s",
 			f.UnavailableSeconds, f.RepairWindowSeconds)
-	}
-	return vs
-}
-
-// Appliance is a single-appliance run's post-drain account, for the
-// localut-serve -audit path.
-type Appliance struct {
-	Requests, Completed, Shed int
-
-	Replicas        int
-	MakespanSeconds float64
-	BusySeconds     float64
-	PIMBusySeconds  float64
-	EnergyJ         float64
-
-	KVPinnedEndBytes int64
-}
-
-// CheckAppliance validates a single-appliance run's invariants.
-func CheckAppliance(a *Appliance) []Violation {
-	var vs []Violation
-	add := func(invariant, format string, args ...interface{}) {
-		vs = append(vs, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
-	}
-	if a.Requests != a.Completed+a.Shed {
-		add("request-conservation", "requests %d != completed %d + shed %d",
-			a.Requests, a.Completed, a.Shed)
-	}
-	if cap := a.MakespanSeconds * float64(a.Replicas); !approxLE(a.BusySeconds, cap) {
-		add("capacity", "busy %g s exceeds %d replicas over makespan %g s",
-			a.BusySeconds, a.Replicas, a.MakespanSeconds)
-	}
-	if !approxLE(a.PIMBusySeconds, a.BusySeconds) || a.PIMBusySeconds < -eps {
-		add("pim-share", "PIM-busy %g s outside [0, busy %g s]", a.PIMBusySeconds, a.BusySeconds)
-	}
-	if a.EnergyJ < -eps {
-		add("energy-nonnegative", "energy %g J negative", a.EnergyJ)
-	}
-	if a.KVPinnedEndBytes != 0 {
-		add("kv-balance", "%d KV bytes still pinned after the drain", a.KVPinnedEndBytes)
 	}
 	return vs
 }

@@ -88,28 +88,15 @@ func TestCheckFleetTolerance(t *testing.T) {
 	}
 }
 
-func TestCheckApplianceClean(t *testing.T) {
-	a := &Appliance{
-		Requests: 50, Completed: 48, Shed: 2,
-		Replicas: 2, MakespanSeconds: 30, BusySeconds: 40, PIMBusySeconds: 25,
-		EnergyJ: 5,
+// TestErr pins the one formatter both loops report through: nil for a clean
+// audit, else the prefix, the count and one indented line per violation.
+func TestErr(t *testing.T) {
+	if err := Err("serve", nil); err != nil {
+		t.Fatalf("clean audit gave %v", err)
 	}
-	if vs := CheckAppliance(a); len(vs) != 0 {
-		t.Fatalf("clean appliance flagged: %v", vs)
-	}
-	a.Shed--
-	a.KVPinnedEndBytes = 1
-	a.BusySeconds = 100
-	vs := CheckAppliance(a)
-	want := map[string]bool{"request-conservation": false, "kv-balance": false, "capacity": false}
-	for _, v := range vs {
-		if _, ok := want[v.Invariant]; ok {
-			want[v.Invariant] = true
-		}
-	}
-	for inv, seen := range want {
-		if !seen {
-			t.Errorf("broken appliance did not trip %q (got %v)", inv, vs)
-		}
+	vs := CheckFleet(&Fleet{Offered: 2, Admitted: 1})
+	want := "serve: conservation audit found 2 violation(s)\n  offered-split: offered 2 != admitted 1 + rejected 0\n  request-conservation: admitted 1 != completed 0 + shed 0"
+	if err := Err("serve", vs); err == nil || err.Error() != want {
+		t.Errorf("Err = %v, want %q", err, want)
 	}
 }

@@ -3,13 +3,13 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"github.com/ais-snu/localut/internal/audit"
+	"github.com/ais-snu/localut/internal/serve"
 )
 
 // auditRun rebuilds the run's conservation ledger from first-hand
-// evidence — per-instance stats and the timeline's repair entries — and
+// evidence — each member's Account and the timeline's repair entries — and
 // cross-checks it against the fleet counters. A violation means the
 // simulator leaked a request, double-counted an outage, or refunded more
 // than it charged: a bug, not a scenario outcome, so Run turns it into
@@ -51,32 +51,11 @@ func (cs *csim) auditRun() error {
 		}
 	}
 	for _, m := range cs.members {
-		st := m.inst.Stats()
 		end := m.downAt
 		if m.state != stateDown {
 			end = simEnd
 		}
-		var busy float64
-		for _, b := range st.BusySeconds {
-			busy += b
-		}
-		f.Instances = append(f.Instances, audit.Instance{
-			ID:                 m.inst.ID,
-			Replicas:           m.inst.Cfg.Replicas,
-			ActiveAt:           m.activeAt,
-			End:                end,
-			UnavailableSeconds: m.unavail,
-			BusySeconds:        busy,
-			PIMBusySeconds:     st.PIMBusySeconds,
-			EnergyJ:            st.EnergyJ,
-			KVPinnedEndBytes:   m.inst.KVPinnedBytes(),
-			Admitted:           st.Admitted,
-			Finished:           st.Finished,
-			Shed:               st.Shed,
-			Canceled:           st.Canceled,
-			Displaced:          st.Displaced,
-			Outstanding:        m.inst.Outstanding(),
-		})
+		f.Instances = append(f.Instances, m.inst.Account(m.activeAt, end, m.unavail))
 	}
 	vs := audit.CheckFleet(f)
 	// The load index must file exactly the routable members, each under its
@@ -92,26 +71,8 @@ func (cs *csim) auditRun() error {
 				Detail: fmt.Sprintf("member %d is filed under %d outstanding requests, want %d (-1 = not routable)", m.inst.ID, got, want)})
 		}
 	}
-	if err := cs.slab.Misuse(); err != nil {
-		vs = append(vs, audit.Violation{Invariant: "slab-release", Detail: err.Error()})
-	}
-	if err := cs.slab.Balance(); err != nil {
-		vs = append(vs, audit.Violation{Invariant: "slab-balance", Detail: err.Error()})
-	}
-	if n := cs.nonFiniteSamples(); n > 0 {
-		vs = append(vs, audit.Violation{Invariant: "finite-latency",
-			Detail: fmt.Sprintf("%d latency samples were NaN or infinite and are missing from the report's statistics", n)})
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster: conservation audit found %d violation(s)", len(vs))
-	for _, v := range vs {
-		b.WriteString("\n  ")
-		b.WriteString(v.String())
-	}
-	return fmt.Errorf("%s", b.String())
+	vs = append(vs, serve.DrainChecks(&cs.slab, cs.nonFiniteSamples())...)
+	return audit.Err("cluster", vs)
 }
 
 // nonFiniteSamples counts the NaN and infinite samples the fleet's and the

@@ -140,8 +140,8 @@ type Config struct {
 	// Retry governs re-service of work lost to faults.
 	Retry RetryConfig
 	// Audit runs the conservation auditor after the drain and turns any
-	// violated invariant into a Run error. Tests keep it on; the CLIs
-	// expose it behind -audit.
+	// violated invariant into a Run error. Tests keep it on; localut-cluster
+	// exposes it behind -audit.
 	Audit bool
 	// DeadlineSeconds is the default completion deadline for classes that
 	// don't set their own (0 = no deadline).

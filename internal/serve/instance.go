@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/ais-snu/localut/internal/audit"
 	"github.com/ais-snu/localut/internal/obs"
 )
 
@@ -192,6 +193,24 @@ func (s *RequestSlab) Balance() error {
 	return fmt.Errorf("%d requests taken from the slab, %d freed", s.news, s.frees)
 }
 
+// DrainChecks are the end-of-run checks both event loops add to the fleet
+// audit: slab-release and slab-balance (Misuse, Balance) and
+// finite-latency, given the loop's sum of its histograms' NonFinite counts.
+func DrainChecks(slab *RequestSlab, nonFinite int64) []audit.Violation {
+	var vs []audit.Violation
+	if err := slab.Misuse(); err != nil {
+		vs = append(vs, audit.Violation{Invariant: "slab-release", Detail: err.Error()})
+	}
+	if err := slab.Balance(); err != nil {
+		vs = append(vs, audit.Violation{Invariant: "slab-balance", Detail: err.Error()})
+	}
+	if nonFinite > 0 {
+		vs = append(vs, audit.Violation{Invariant: "finite-latency",
+			Detail: fmt.Sprintf("%d latency samples were NaN or infinite and are missing from the report's statistics", nonFinite)})
+	}
+	return vs
+}
+
 // Completion kinds: what an Instance schedules when a replica starts a
 // forward pass. evArrival (0) is reserved for the traffic layers' own
 // arrival events so kinds can share one event-kind namespace.
@@ -370,7 +389,7 @@ func NewInstance(cfg Config, id int, o *Oracle) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, err := newScheduler(cfg.Scheduler, cfg.PackWindow)
+	sched, err := newScheduler(cfg.Scheduler, cfg.MaxBatch)
 	if err != nil {
 		return nil, err
 	}
@@ -1044,11 +1063,32 @@ func (inst *Instance) KVPinnedBytes() int64 {
 	return tok * inst.kvPerToken
 }
 
-// Admitted, Finished and ShedCount expose the cumulative service counters
-// metrics sampling reads between events.
-func (inst *Instance) Admitted() int  { return inst.admitted }
-func (inst *Instance) Finished() int  { return inst.finished }
-func (inst *Instance) ShedCount() int { return inst.shed }
+// Account is the instance's ledger for the conservation auditor, read from
+// its own counters, over a routable life [activeAt, end] with unavail
+// seconds of it spent crashed.
+func (inst *Instance) Account(activeAt, end, unavail float64) audit.Instance {
+	var busy float64
+	for _, b := range inst.busy {
+		busy += b
+	}
+	return audit.Instance{
+		ID:                 inst.ID,
+		Replicas:           inst.Cfg.Replicas,
+		ActiveAt:           activeAt,
+		End:                end,
+		UnavailableSeconds: unavail,
+		BusySeconds:        busy,
+		PIMBusySeconds:     inst.pimBusy,
+		EnergyJ:            inst.energyJ,
+		KVPinnedEndBytes:   inst.KVPinnedBytes(),
+		Admitted:           inst.admitted,
+		Finished:           inst.finished,
+		Shed:               inst.shed,
+		Canceled:           inst.canceled,
+		Displaced:          inst.displaced,
+		Outstanding:        inst.outstanding,
+	}
+}
 
 // InstanceStats is a snapshot of an instance's service counters, taken
 // for per-instance cluster reporting.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/ais-snu/localut/internal/audit"
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/kernels"
 	"github.com/ais-snu/localut/internal/quant"
@@ -341,11 +342,66 @@ func TestAbortPassRefund(t *testing.T) {
 	}
 }
 
+// TestInstanceAccount pins the wiring of Account, the member ledger both
+// loops audit: while passes are in flight the instance is not drained and
+// pins KV, and once every completion is delivered its books balance, with
+// the busy time its Stats report.
+func TestInstanceAccount(t *testing.T) {
+	inst := newTestInstance(t, func(c *Config) { c.Model = dnn.OPT125M(); c.MaxBatch = 2 })
+	const n = 5
+	for i := 0; i < n; i++ {
+		r := testRequest(i, 16+24*i)
+		r.OutLen = 1 + 3*i // request 0 is prefill-only, the rest decode
+		inst.Admit(r)
+	}
+	check := func(end float64) map[string]bool {
+		vs := audit.CheckFleet(&audit.Fleet{
+			Offered: n, Admitted: n, Completed: inst.finished, Good: inst.finished,
+			Instances: []audit.Instance{inst.Account(0, end, 0)},
+		})
+		seen := map[string]bool{}
+		for _, v := range vs {
+			seen[v.Invariant] = true
+		}
+		return seen
+	}
+	var events EventQueue
+	if err := events.Dispatch(inst, 0); err != nil {
+		t.Fatal(err)
+	}
+	if seen := check(0); !seen["drain"] || !seen["kv-balance"] {
+		t.Errorf("passes in flight audited as %v, want drain and kv-balance", seen)
+	}
+	now := 0.0
+	for events.Len() > 0 {
+		ev := events.Pop()
+		now = ev.At
+		if rep := int(ev.Arg); ev.Kind == CompletionPrefill {
+			inst.PrefillDone(rep, inst.Inflight(rep), now)
+		} else {
+			inst.StepDone(rep, now)
+		}
+		if err := events.Dispatch(inst, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if seen := check(now); len(seen) != 0 {
+		t.Errorf("drained instance audited as %v, want clean", seen)
+	}
+	var busy float64
+	for _, b := range inst.Stats().BusySeconds {
+		busy += b
+	}
+	if got := inst.Account(0, now, 0).BusySeconds; got != busy || busy == 0 {
+		t.Errorf("Account busy %g s, Stats busy %g s", got, busy)
+	}
+}
+
 // TestServeReliabilityValidation covers the config error paths. Each
 // negative count is tested alone, so every clause of the shared check has to
 // fire by itself.
 func TestServeReliabilityValidation(t *testing.T) {
-	const negCount = "negative replica/batch/quantum/window"
+	const negCount = "negative replica/batch/quantum"
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Config)
@@ -356,7 +412,6 @@ func TestServeReliabilityValidation(t *testing.T) {
 		{"negative replicas", func(c *Config) { c.Replicas = -1 }, negCount},
 		{"negative max batch", func(c *Config) { c.MaxBatch = -1 }, negCount},
 		{"negative token quantum", func(c *Config) { c.TokenQuantum = -1 }, negCount},
-		{"negative pack window", func(c *Config) { c.PackWindow = -1 }, negCount},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()

@@ -224,14 +224,15 @@ func (p packedScheduler) pick(q *queue, max int, out []*Request) []*Request {
 	return q.takeBucket(q.at(0).Padded, min(q.len(), p.window), max, out)
 }
 
-// newScheduler builds the policy's scheduler. The packing window bounds
-// the per-batch queue scan (and how far a request can be overtaken).
-func newScheduler(p Policy, window int) (scheduler, error) {
+// newScheduler builds the policy's scheduler. The packing window, 8
+// batches deep, bounds the per-batch queue scan (and how far a request can
+// be overtaken).
+func newScheduler(p Policy, maxBatch int) (scheduler, error) {
 	switch p {
 	case FCFS:
 		return fcfsScheduler{}, nil
 	case Packed:
-		return packedScheduler{window: window}, nil
+		return packedScheduler{window: 8 * maxBatch}, nil
 	}
 	return nil, fmt.Errorf("serve: unknown scheduler policy %d", int(p))
 }

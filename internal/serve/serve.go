@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 
+	"github.com/ais-snu/localut/internal/audit"
 	"github.com/ais-snu/localut/internal/dnn"
 	"github.com/ais-snu/localut/internal/energy"
 	"github.com/ais-snu/localut/internal/gemm"
@@ -64,9 +64,6 @@ type Config struct {
 	MaxBatch int
 	// Scheduler picks FCFS (the zero value) or Packed.
 	Scheduler Policy
-	// PackWindow bounds how deep the packing scheduler scans the queue
-	// (default 8*MaxBatch).
-	PackWindow int
 	// MaxQueue bounds the admission queue; Admit refuses (and the traffic
 	// layer reroutes or sheds) beyond it (default 0: unbounded).
 	MaxQueue int
@@ -132,9 +129,6 @@ func (c Config) NormalizeInstance() (Config, error) {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
 	}
-	if c.PackWindow == 0 {
-		c.PackWindow = 8 * c.MaxBatch
-	}
 	if c.MinTokens == 0 {
 		c.MinTokens = 16
 	}
@@ -169,8 +163,8 @@ func (c Config) NormalizeInstance() (Config, error) {
 	}
 
 	switch {
-	case c.Replicas < 0 || c.MaxBatch < 0 || c.TokenQuantum < 0 || c.PackWindow < 0:
-		return c, fmt.Errorf("serve: negative replica/batch/quantum/window configuration")
+	case c.Replicas < 0 || c.MaxBatch < 0 || c.TokenQuantum < 0:
+		return c, fmt.Errorf("serve: negative replica/batch/quantum configuration")
 	case c.MaxQueue < 0:
 		return c, fmt.Errorf("serve: negative queue bound %d", c.MaxQueue)
 	case c.KVPolicy < KVGauge || c.KVPolicy > KVShed:
@@ -373,8 +367,7 @@ type sim struct {
 	outLens  *workload.LengthSampler  // nil = fixed OutTokens per request
 	think    *workload.ArrivalSampler // closed loop
 
-	nextID   int
-	requests int
+	requests int // arrivals so far, each admitted; the next request's ID
 	shed     int
 
 	// Latency populations aggregate into bounded-memory streaming
@@ -394,8 +387,8 @@ func (s *sim) newRequest(t float64, client int) *Request {
 	if s.outLens != nil {
 		out = s.outLens.Next()
 	}
-	r := s.slab.New(Request{ID: s.nextID, Client: client, Tokens: tok, Padded: RoundUp(tok, s.cfg.TokenQuantum), OutLen: out, Arrive: t})
-	s.nextID++
+	r := s.slab.New(Request{ID: s.requests, Client: client, Tokens: tok, Padded: RoundUp(tok, s.cfg.TokenQuantum), OutLen: out, Arrive: t})
+	s.requests++
 	return r
 }
 
@@ -536,7 +529,6 @@ func Run(cfg Config) (*Report, error) {
 		switch ev.Kind {
 		case evArrival:
 			r := s.newRequest(now, int(ev.Arg))
-			s.requests++
 			admitted := s.inst.Admit(r)
 			if rec.Sampled(r.ID) {
 				rec.BeginAsync(0, "req", r.ID, "request", now,
@@ -574,15 +566,19 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	cfg.Metrics.Finish(s.makespan)
-	// A non-finite latency is a simulator bug. The histograms count such
-	// samples without bucketing them, so the statistics would silently miss
-	// them; fail the run instead (localut-serve -audit included).
-	if n := s.qLat.NonFinite + s.sLat.NonFinite + s.tLat.NonFinite + s.ttft.NonFinite + s.tpot.NonFinite; n > 0 {
-		return nil, fmt.Errorf("serve: %d latency samples were NaN or infinite", n)
+	// The run audits its books as a one-member fleet: every arrival is
+	// admitted and either completes (there are no deadlines, so every
+	// completion is good) or is shed by a full queue or the KV budget.
+	// Books that do not balance, or a NaN or infinite latency, are a bug.
+	nonFinite := s.qLat.NonFinite + s.sLat.NonFinite + s.tLat.NonFinite + s.ttft.NonFinite + s.tpot.NonFinite
+	f := &audit.Fleet{
+		Offered: s.requests, Admitted: s.requests,
+		Completed: s.completed, Good: s.completed,
+		Shed: s.shed + s.inst.shed, ShedQueueFull: s.shed, ShedKV: s.inst.shed,
+		Instances: []audit.Instance{s.inst.Account(0, s.makespan, 0)},
 	}
-	// So is a hold taken twice or released unheld, and a slot never freed.
-	if err := errors.Join(s.slab.Misuse(), s.slab.Balance()); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+	if err := audit.Err("serve", append(audit.CheckFleet(f), DrainChecks(s.slab, nonFinite)...)); err != nil {
+		return nil, err
 	}
 	// The run is drained and balanced: every slot is free and every queue
 	// entry nil, so both buffers go to the next run and s keeps neither.
@@ -607,17 +603,13 @@ func serveMetricsCols(replicas int) []string {
 // sampleMetrics reads the gauges serveMetricsCols names.
 func (s *sim) sampleMetrics() []float64 {
 	inst := s.inst
-	busy := 0.0
-	if s.cfg.Replicas > 0 {
-		busy = float64(inst.BusyReplicas()) / float64(s.cfg.Replicas)
-	}
 	vals := []float64{
 		float64(inst.QueueLen()),
 		float64(inst.LiveCount()),
-		busy,
-		float64(inst.Admitted()),
-		float64(inst.Finished()),
-		float64(s.shed + inst.ShedCount()),
+		float64(inst.BusyReplicas()) / float64(s.cfg.Replicas),
+		float64(inst.admitted),
+		float64(inst.finished),
+		float64(s.shed + inst.shed),
 	}
 	for r := 0; r < s.cfg.Replicas; r++ {
 		vals = append(vals, float64(inst.repKVTokens[r]*inst.kvPerToken))

@@ -665,12 +665,6 @@ func TestServeConfigValidation(t *testing.T) {
 		t.Error("sub-token output-length mean accepted")
 	}
 	cfg = testConfig()
-	cfg.Scheduler = Packed
-	cfg.PackWindow = -1
-	if _, err := Run(cfg); err == nil {
-		t.Error("negative pack window accepted")
-	}
-	cfg = testConfig()
 	cfg.Replicas = 1000 // testbed has 32 ranks
 	if _, err := Run(cfg); err == nil {
 		t.Error("more replicas than ranks accepted")

@@ -3,6 +3,7 @@ package localut
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/ais-snu/localut/internal/obs"
 )
@@ -24,21 +25,30 @@ type ObsConfig struct {
 	// configuration error does, writes nothing.
 	TraceWriter io.Writer
 	// TraceSampleN keeps every N-th request's lifecycle span (by request
-	// ID; default 1 = every request). Batch-level spans are always kept.
+	// ID; 0 = 1, every request; negative is an error). Batch-level spans
+	// are always kept.
 	TraceSampleN int
 
 	// MetricsWriter receives the time-series export after the run
 	// completes (nil = metrics off).
 	MetricsWriter io.Writer
-	// MetricsIntervalSeconds is the sampling interval (default 1).
+	// MetricsIntervalSeconds is the sampling interval (0 = 1 s; negative,
+	// NaN or +Inf is an error).
 	MetricsIntervalSeconds float64
 	// MetricsJSON switches the metrics encoding from CSV to JSON.
 	MetricsJSON bool
 }
 
-// build constructs the internal recorder and metrics sampler for the
-// enabled outputs (nil when disabled, which the hooks treat as no-ops).
-func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics) {
+// build validates the config and constructs the recorder and metrics
+// sampler for the enabled outputs (nil, a no-op to the hooks, if disabled).
+func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics, error) {
+	switch {
+	case o.TraceSampleN < 0:
+		return nil, nil, fmt.Errorf("localut: TraceSampleN %d is negative (0 keeps every request)", o.TraceSampleN)
+	case !(o.MetricsIntervalSeconds >= 0) || math.IsInf(o.MetricsIntervalSeconds, 1):
+		return nil, nil, fmt.Errorf("localut: MetricsIntervalSeconds %g must be a non-negative finite number (0 = 1 s)",
+			o.MetricsIntervalSeconds)
+	}
 	var rec *obs.Recorder
 	if o.TraceWriter != nil {
 		rec = obs.NewStreamRecorder(o.TraceSampleN, o.TraceWriter)
@@ -47,7 +57,7 @@ func (o ObsConfig) build() (*obs.Recorder, *obs.Metrics) {
 	if o.MetricsWriter != nil {
 		met = obs.NewMetrics(o.MetricsIntervalSeconds)
 	}
-	return rec, met
+	return rec, met, nil
 }
 
 // export finishes the trace its writer has been receiving and writes the

@@ -123,7 +123,8 @@ type ServeReport = serve.Report
 // cycles-only mode on the replica's rank share. The discrete-event loop is
 // deterministic — same seed and config produce a bit-identical report at
 // any WithParallelism level — and memoization collapses a million requests
-// into a handful of distinct simulations.
+// into a handful of distinct simulations. Every run audits its books as a
+// one-member fleet; a run whose books do not balance is an error.
 func (s *System) Serve(cfg ServeConfig) (*ServeReport, error) {
 	seed := cfg.Seed
 	if seed == 0 {
@@ -133,7 +134,10 @@ func (s *System) Serve(cfg ServeConfig) (*ServeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, met := cfg.Obs.build()
+	rec, met, err := cfg.Obs.build()
+	if err != nil {
+		return nil, err
+	}
 	rep, err := serve.Run(serve.Config{
 		Model:   model,
 		Fmt:     format,
